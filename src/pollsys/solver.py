@@ -11,6 +11,7 @@ solve bit-reproducible.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -20,15 +21,6 @@ from scipy.sparse.linalg import spsolve
 
 from .ctmdp import ValueGraph
 from .model import ACTION_NAMES, triple_indexer
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a hard dependency in practice
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
 
 class SingularSystemError(RuntimeError):
     """Policy evaluation hit a cycle of undiscounted linking transitions."""
@@ -176,78 +168,78 @@ def policy_iteration(model, pi0=None, maxiter: int = 100,
                   converged=converged, J_history=history)
 
 
-@njit(cache=True)
-def _vi_sweep(J, q_cost, q_disc, q_indptr, q_cols, q_probs, state_of_group,
-              group_ptr):
-    delta = 0.0
-    for g in range(len(state_of_group)):
-        s = state_of_group[g]
-        best = np.inf
-        for node in range(group_ptr[g], group_ptr[g + 1]):
-            acc = 0.0
-            for e in range(q_indptr[node], q_indptr[node + 1]):
-                acc += q_probs[e] * J[q_cols[e]]
-            q = q_cost[node] + q_disc[node] * acc
-            if q < best:
-                best = q
-        d = abs(best - J[s])
-        if d > delta:
-            delta = d
-        J[s] = best
-    return delta
+def _vi_phases(graph: ValueGraph):
+    """Per-phase sweep data: dynamics states first, then decision states.
+
+    Each phase is ``(states, P, cost, disc, starts, actions)``: the states it
+    updates, the plain rows of their Q nodes as one CSR matrix, the nodes'
+    costs, discounts and actions, and where each state's nodes start.
+    """
+    P = sparse.csr_matrix((graph.q_probs, graph.q_cols, graph.q_indptr),
+                          shape=(graph.n_nodes, graph.n_states))
+    node_is_decision = graph.decision_mask[graph.q_state]
+    phases = []
+    for decision in (False, True):
+        states = np.flatnonzero(graph.decision_mask == decision)
+        if len(states) == 0:
+            continue
+        nodes = np.flatnonzero(node_is_decision == decision)
+        starts = np.concatenate(([0], np.cumsum(graph.state_nq[states])[:-1]))
+        phases.append((states, P[nodes], graph.q_cost[nodes], graph.q_disc[nodes], starts,
+                       graph.q_action[nodes]))
+    return phases
 
 
 def value_iterate(graph: ValueGraph, eps: Optional[float] = None,
                   maxiter: int = 100000) -> Policy:
-    """Asynchronous (Gauss-Seidel) value iteration over the state-value graph.
+    """Two-phase asynchronous value iteration over the state-value graph.
 
-    Sweeps the contiguous Q-node list in order, refreshing each state's value
-    as soon as its last Q node has been updated; stops when the largest value
-    change in a sweep is at most ``eps`` (default 1e-8 * max cost).
+    Each sweep first updates every dynamics state (a state without a choice,
+    one Q node) from the current values, then every decision state, as the
+    minimum over its Q nodes, from the values the first phase just wrote.
+    Each phase is one sparse matrix-vector product over its Q nodes; the
+    decision phase adds one segment minimum.  The order is chosen for the
+    non-preemptive model, whose linking rows (commit to serve or switch)
+    carry discount 1: a decision state reads the in-progress state it links
+    to after that state's update in the same sweep, so every sweep contracts
+    by the largest uniformised discount, where a Jacobi sweep would pass the
+    update through a linking row only one sweep later.  Every state is
+    updated once per sweep in a fixed order, so the iteration converges like
+    any asynchronous value iteration (Bertsekas & Tsitsiklis, *Parallel and
+    Distributed Computation*, 1989, section 6.3).
+
+    Starts from J = 0 and stops when the largest value change in a sweep is
+    at most ``eps`` (default 1e-8 * max cost).  The greedy actions are
+    re-read from the final values; a tie goes to the first Q node of the
+    state, i.e. the lowest action id (idle < serve < switch).
     """
     if eps is None:
         eps = 1e-8 * float(np.abs(graph.q_cost).max())
     if eps < 0:
         raise ValueError("eps must be non-negative")
-    n = graph.n_states
-    J = np.zeros(n)
-    # groups = states in node order (contiguous by construction)
-    group_states = []
-    group_ptr = [0]
-    i = 0
-    while i < graph.n_nodes:
-        s = int(graph.q_state[i])
-        group_states.append(s)
-        i += int(graph.state_nq[s])
-        group_ptr.append(i)
-    state_of_group = np.array(group_states, dtype=np.int64)
-    group_ptr = np.array(group_ptr, dtype=np.int64)
-
+    phases = _vi_phases(graph)
+    J = np.zeros(graph.n_states)
     converged = False
     sweeps = 0
     delta = np.inf
     while sweeps < maxiter:
         sweeps += 1
-        delta = _vi_sweep(J, graph.q_cost, graph.q_disc, graph.q_indptr,
-                          graph.q_cols, graph.q_probs, state_of_group, group_ptr)
+        delta = 0.0
+        for states, P, cost, disc, starts, _ in phases:
+            best = np.minimum.reduceat(cost + disc * (P @ J), starts)
+            delta = max(delta, float(np.abs(best - J[states]).max()))
+            J[states] = best
         if delta <= eps:
             converged = True
             break
 
-    actions = np.full(n, -1, dtype=int)
-    node = 0
-    for g, s in enumerate(state_of_group):
-        if graph.decision_mask[s]:
-            best_a, best_q = -1, np.inf
-            for nd in range(group_ptr[g], group_ptr[g + 1]):
-                lo, hi = graph.q_indptr[nd], graph.q_indptr[nd + 1]
-                q = graph.q_cost[nd] + graph.q_disc[nd] * float(
-                    graph.q_probs[lo:hi] @ J[graph.q_cols[lo:hi]]
-                )
-                if q < best_q:
-                    best_q, best_a = q, int(graph.q_action[nd])
-            actions[s] = best_a
-        node = group_ptr[g + 1]
+    actions = np.full(graph.n_states, -1, dtype=int)
+    if graph.decision_mask.any():  # the decision phase is the last one
+        states, P, cost, disc, starts, node_action = phases[-1]
+        q = cost + disc * (P @ J)
+        best = np.repeat(np.minimum.reduceat(q, starts), graph.state_nq[states])
+        node = np.where(q == best, np.arange(len(q)), len(q))
+        actions[states] = node_action[np.minimum.reduceat(node, starts)]
     return Policy(actions=actions, J=J, iterations=sweeps,
                   converged=converged, residual=float(delta))
 
@@ -257,16 +249,16 @@ def export_policy_csv(table: np.ndarray, cfg, out_dir, name: str):
     import os
 
     indexer = triple_indexer(cfg)
+    n1, n2 = np.divmod(np.arange((cfg.X1 + 1) * (cfg.X2 + 1)), cfg.X2 + 1)
     paths = []
     for loc in (0, 1):
+        codes = np.asarray(table)[indexer.flatten(n1, n2, loc)].astype(int).tolist()
         path = os.path.join(out_dir, f"policy_{name}_q{loc + 1}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n1", "n2", "l1", "action"])
-            for n1 in range(cfg.X1 + 1):
-                for n2 in range(cfg.X2 + 1):
-                    a = int(table[indexer.flatten(n1, n2, loc)])
-                    writer.writerow([n1, n2, loc, ACTION_NAMES.get(a, str(a))])
+            writer.writerows(zip(n1.tolist(), n2.tolist(), itertools.repeat(loc),
+                                 [ACTION_NAMES.get(a, str(a)) for a in codes]))
         paths.append(path)
     return paths
 

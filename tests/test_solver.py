@@ -197,26 +197,38 @@ def test_contraction_property(rng):
 
 
 def test_value_iteration_monotone_from_zero():
+    # from J = 0 with non-negative costs, every sweep can only raise J
     cfg = slow_mode_config(X1=5, X2=5, N1=5, N2=5).with_exponential_durations()
     graph = build_value_graph(build_nonpreemptive(cfg))
-    from pollsys.solver import _vi_sweep  # sweep kernel, used directly
-
-    J = np.zeros(graph.n_states)
-    group_states, group_ptr = [], [0]
-    i = 0
-    while i < graph.n_nodes:
-        s = int(graph.q_state[i])
-        group_states.append(s)
-        i += int(graph.state_nq[s])
-        group_ptr.append(i)
-    gs = np.array(group_states, dtype=np.int64)
-    gp = np.array(group_ptr, dtype=np.int64)
-    prev = J.copy()
-    for _ in range(30):
-        _vi_sweep(J, graph.q_cost, graph.q_disc, graph.q_indptr, graph.q_cols,
-                  graph.q_probs, gs, gp)
+    prev = np.zeros(graph.n_states)
+    for k in range(1, 31):
+        J = value_iterate(graph, eps=0.0, maxiter=k).J
         assert np.all(J >= prev - 1e-12)
-        prev = J.copy()
+        prev = J
+
+
+def test_exact_ties_resolve_to_lowest_action():
+    # idle and serve have identical rows at state 0, so equal Q for any J;
+    # switch is dearer.  State 1 is a dynamics state feeding state 0.
+    rows = {
+        (0, 0): ([0, 1], [0.5, 0.5], [0.45, 0.45], 1.0),
+        (0, 1): ([0, 1], [0.5, 0.5], [0.45, 0.45], 1.0),
+        (0, 2): ([1], [1.0], [0.9], 3.0),
+    }
+    model = TabularModel(n_states=2, rows=rows, feasible={0: (0, 1, 2)},
+                         fixed_rows={1: ([0], [1.0], [0.9], 2.0)})
+    vi = value_iterate(build_value_graph(model), eps=1e-12)
+    pi = policy_iteration(model)
+    assert vi.converged and pi.converged
+    assert vi.actions[0] == 0 and pi.actions[0] == 0
+    assert vi.actions[1] == -1 and pi.actions[1] == -1
+    # with idle infeasible the tie moves to serve < switch
+    rows[(0, 2)] = rows[(0, 1)]
+    del rows[(0, 0)]
+    model = TabularModel(n_states=2, rows=rows, feasible={0: (1, 2)},
+                         fixed_rows={1: ([0], [1.0], [0.9], 2.0)})
+    assert value_iterate(build_value_graph(model), eps=1e-12).actions[0] == 1
+    assert policy_iteration(model).actions[0] == 1
 
 
 def test_solver_determinism():
@@ -247,3 +259,18 @@ def test_export_policy_csv(tmp_path):
     assert lines[0] == "n1,n2,l1,action"
     assert len(lines) == 1 + 9
     assert all(line.split(",")[2] == "0" for line in lines[1:])
+    # whole files on an X1=1, X2=2 box: the table is indexed (n1, n2, l1), and
+    # -1 (a state without an action) is written as a number
+    cfg = exp_config(X1=1, X2=2, N1=2, N2=2)
+    table = np.array([0, 2, 1, -1, 1, 0, 2, 2, 1, 1, 0, 0])
+    export_policy_csv(table, cfg, tmp_path, "t")
+    assert (tmp_path / "policy_t_q1.csv").read_bytes() == (
+        b"n1,n2,l1,action\r\n"
+        b"0,0,0,idle\r\n0,1,0,serve\r\n0,2,0,serve\r\n"
+        b"1,0,0,switch\r\n1,1,0,serve\r\n1,2,0,idle\r\n"
+    )
+    assert (tmp_path / "policy_t_q2.csv").read_bytes() == (
+        b"n1,n2,l1,action\r\n"
+        b"0,0,1,switch\r\n0,1,1,-1\r\n0,2,1,idle\r\n"
+        b"1,0,1,switch\r\n1,1,1,serve\r\n1,2,1,idle\r\n"
+    )
