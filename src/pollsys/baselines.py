@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
 
+import numpy as np
+
 from .model import IDLE, SERVE, SWITCH, PollingState, ScenarioConfig, validate_scenario
 
 
@@ -56,14 +58,19 @@ def exhaustive_policy(state: PollingState) -> int:
     return IDLE
 
 
-def heuristic_policy(cfg: ScenarioConfig, state: PollingState, served_flag: bool):
-    """Priority-queue heuristic; returns (action, served_flag').
+# action codes as int8, so that action tables over large boxes stay small
+_IDLE8, _SERVE8, _SWITCH8 = np.int8(IDLE), np.int8(SERVE), np.int8(SWITCH)
 
-    Queue 1 must be the priority queue (c1*lambda1 > c2*lambda2) and the
-    scenario stable.  ``served_flag`` records whether at least one queue-2
-    job has been served during the current visit; the caller threads it
-    between decisions.
-    """
+
+def exhaustive_actions(n1, n2, l1):
+    """Array form of :func:`exhaustive_policy` over broadcast coordinates."""
+    current = np.where(l1 == 0, n1 > 0, n2 > 0)
+    other = np.where(l1 == 0, n2 > 0, n1 > 0)
+    return np.where(current, _SERVE8, np.where(other, _SWITCH8, _IDLE8))
+
+
+def _heuristic_params(cfg: ScenarioConfig):
+    """Validated constants of the heuristic: (mu1, serve threshold, t12, t21)."""
     mu1 = 1.0 / cfg.serve1.mean()
     mu2 = 1.0 / cfg.serve2.mean()
     rho = cfg.lambda1 / mu1 + cfg.lambda2 / mu2
@@ -73,6 +80,22 @@ def heuristic_policy(cfg: ScenarioConfig, state: PollingState, served_flag: bool
         raise ValueError("heuristic requires queue 1 to be the priority queue")
     t12 = cfg.switch12.mean()
     t21 = cfg.switch21.mean()
+    if not t12 + t21 > 0:
+        raise ValueError("heuristic requires a positive mean switch-over time")
+    threshold = cfg.c1 * mu1 * rho + cfg.c2 * mu2 * (1.0 - rho)
+    return mu1, threshold, t12, t21
+
+
+def heuristic_policy(cfg: ScenarioConfig, state: PollingState, served_flag: bool):
+    """Priority-queue heuristic; returns (action, served_flag').
+
+    Queue 1 must be the priority queue (c1*lambda1 > c2*lambda2), the
+    scenario stable and some switch-over time positive.  ``served_flag``
+    records whether at least one queue-2 job has been served during the
+    current visit; the caller threads it between decisions.  The returned
+    flag is ``action == SERVE`` at queue 2 and unchanged at queue 1.
+    """
+    mu1, threshold, t12, t21 = _heuristic_params(cfg)
     n1, n2 = state.n1, state.n2
     if state.l1 == 0:  # at the priority queue
         if n1 > 0:
@@ -82,7 +105,7 @@ def heuristic_policy(cfg: ScenarioConfig, state: PollingState, served_flag: bool
         return IDLE, served_flag
     if n2 > 0:
         ratio = (n1 + cfg.lambda1 * t12) / (n1 + mu1 * t12 + (mu1 - cfg.lambda1) * t21)
-        if ratio <= cfg.c1 * mu1 * rho + cfg.c2 * mu2 * (1.0 - rho):
+        if ratio <= threshold:
             return SERVE, True
         if not served_flag:
             return SERVE, True
@@ -90,6 +113,18 @@ def heuristic_policy(cfg: ScenarioConfig, state: PollingState, served_flag: bool
     if n1 > cfg.lambda1 * t12:
         return SWITCH, False
     return IDLE, False
+
+
+def heuristic_actions(cfg: ScenarioConfig, n1, n2, l1, served):
+    """Array form of :func:`heuristic_policy`: the action at broadcast
+    coordinates (n1, n2, l1) with the served flag ``served``."""
+    mu1, threshold, t12, t21 = _heuristic_params(cfg)
+    ratio = (n1 + cfg.lambda1 * t12) / (n1 + mu1 * t12 + (mu1 - cfg.lambda1) * t21)
+    at_queue1 = np.where(n1 > 0, _SERVE8, np.where(n2 > cfg.lambda2 * t21, _SWITCH8, _IDLE8))
+    serve2 = (ratio <= threshold) | ~served
+    at_queue2 = np.where(n2 > 0, np.where(serve2, _SERVE8, _SWITCH8),
+                         np.where(n1 > cfg.lambda1 * t12, _SWITCH8, _IDLE8))
+    return np.where(l1 == 0, at_queue1, at_queue2)
 
 
 def _swap(pair):

@@ -64,7 +64,6 @@ class ExperimentPlan:
     seed: int = 0
     zeta: float = 0.05
     out_dir: str = "out"
-    workers: int = 1
     occupancy_horizon: float = 20000.0
     overrides: dict = field(default_factory=dict)
 
@@ -210,7 +209,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     summary = {"plan": {
         "scenario": plan.scenario, "policies": list(plan.policies),
         "rollouts": plan.rollouts, "horizon": plan.horizon, "seed": plan.seed,
-        "zeta": plan.zeta, "workers": plan.workers,
+        "zeta": plan.zeta,
     }}
 
     try:
@@ -243,7 +242,6 @@ def run_experiment(plan: ExperimentPlan) -> dict:
             pol = make_sim_policy(name, cfg, tables)
             etas[name] = sample_performance(
                 cfg, pol, None, plan.seed, plan.horizon, plan.rollouts,
-                workers=plan.workers or None,
                 shuffle_seed=plan.seed + 7919 * (k + 1),
             )
             _write_csv(
@@ -342,7 +340,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_sim.add_argument("--rollouts", type=int, default=10000)
     p_sim.add_argument("--horizon", type=float, default=200.0)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--workers", type=int, default=1)
     p_sim.add_argument("--out", default="out")
 
     p_test = sub.add_parser("test", help="simulate and run the hypothesis-test matrices")
@@ -352,7 +349,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_test.add_argument("--horizon", type=float, default=200.0)
     p_test.add_argument("--seed", type=int, default=0)
     p_test.add_argument("--zeta", type=float, default=0.05)
-    p_test.add_argument("--workers", type=int, default=1)
     p_test.add_argument("--out", default="out")
 
     p_run = sub.add_parser("run", help="full experiment bundle")
@@ -362,7 +358,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_run.add_argument("--horizon", type=float, default=200.0)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--zeta", type=float, default=0.05)
-    p_run.add_argument("--workers", type=int, default=1)
     p_run.add_argument("--occupancy-horizon", type=float, default=20000.0)
     p_run.add_argument("--out", default="out")
 
@@ -402,7 +397,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         seed=args.seed,
         zeta=getattr(args, "zeta", 0.05),
         out_dir=args.out,
-        workers=args.workers,
         occupancy_horizon=getattr(args, "occupancy_horizon", 20000.0),
         overrides=overrides,
     )
@@ -416,7 +410,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             pol = make_sim_policy(name, cfg, tables)
             eta = sample_performance(
                 cfg, pol, None, plan.seed, plan.horizon, plan.rollouts,
-                workers=plan.workers or None, shuffle_seed=plan.seed + 7919 * (k + 1),
+                shuffle_seed=plan.seed + 7919 * (k + 1),
             )
             path = os.path.join(plan.out_dir, f"eta_{name}.csv")
             _write_csv(path, ["eta"], [[_fmt(v)] for v in eta])
@@ -432,7 +426,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             pol = make_sim_policy(name, cfg, tables)
             etas[name] = sample_performance(
                 cfg, pol, None, plan.seed, plan.horizon, plan.rollouts,
-                workers=plan.workers or None, shuffle_seed=plan.seed + 7919 * (k + 1),
+                shuffle_seed=plan.seed + 7919 * (k + 1),
             )
         os.makedirs(plan.out_dir, exist_ok=True)
         welch_rows, mann_rows, student_rows, pearson_rows = test_matrices(etas, plan.zeta)

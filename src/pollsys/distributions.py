@@ -44,7 +44,9 @@ class DurationDist:
         """E[t * exp(-beta * t)] for t drawn from this distribution."""
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, rng: np.random.Generator, size=None):
+        """One draw, or an array of ``size`` draws equal to as many single
+        draws from the same generator."""
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -96,8 +98,8 @@ class Exponential(DurationDist):
     def discounted_mean(self, beta):
         return self.rate / (self.rate + beta) ** 2
 
-    def sample(self, rng):
-        return rng.exponential(1.0 / self.rate)
+    def sample(self, rng, size=None):
+        return rng.exponential(1.0 / self.rate, size)
 
     def to_json(self):
         return {"kind": "exponential", "rate": self.rate}
@@ -160,8 +162,8 @@ class Gamma(DurationDist):
     def discounted_mean(self, beta):
         return self.shape * self.scale * (1.0 + beta * self.scale) ** (-(self.shape + 1.0))
 
-    def sample(self, rng):
-        return rng.gamma(self.shape, self.scale)
+    def sample(self, rng, size=None):
+        return rng.gamma(self.shape, self.scale, size)
 
     def to_json(self):
         return {"kind": "gamma", "shape": self.shape, "scale": self.scale}
@@ -200,8 +202,8 @@ class Deterministic(DurationDist):
     def discounted_mean(self, beta):
         return self.value * math.exp(-beta * self.value)
 
-    def sample(self, rng):
-        return self.value
+    def sample(self, rng, size=None):
+        return self.value if size is None else np.full(size, float(self.value))
 
     def to_json(self):
         return {"kind": "deterministic", "value": self.value}

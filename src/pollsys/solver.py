@@ -32,6 +32,10 @@ class Policy:
 
     ``actions[x]`` is -1 at states without a choice; ``J`` carries the
     discounted state values from the final evaluation or sweep.
+    ``residual`` is set by value iteration only: the largest value change
+    in its last sweep.  It is not a bound on the error of ``J``: at
+    slow_mode X=40 a stop at residual <= 6.2e-7 leaves ``J`` up to 9.7e-5
+    from the exact policy-iteration values.
     """
 
     actions: np.ndarray
@@ -209,7 +213,10 @@ def value_iterate(graph: ValueGraph, eps: Optional[float] = None,
     Distributed Computation*, 1989, section 6.3).
 
     Starts from J = 0 and stops when the largest value change in a sweep is
-    at most ``eps`` (default 1e-8 * max cost).  The greedy actions are
+    at most ``eps`` (default 1e-8 * max cost); that change is returned as
+    ``residual``.  It is not an error bound: with discounts near 1 the
+    values can still be far more than ``eps`` from the fixed point (9.7e-5
+    against eps = 6.2e-7 at slow_mode X=40).  The greedy actions are
     re-read from the final values; a tie goes to the first Q node of the
     state, i.e. the lowest action id (idle < serve < switch).
     """

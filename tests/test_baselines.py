@@ -5,6 +5,7 @@ from pollsys import (
     SERVE,
     SWITCH,
     CycleKind,
+    Deterministic,
     Exponential,
     PollingState,
     analyze_limit_cycle,
@@ -61,6 +62,13 @@ def test_heuristic_queue_two_empty_branch():
     assert a == SWITCH and flag is False
     a, flag = heuristic_policy(cfg, PollingState(2, 0, 1), True)
     assert a == IDLE and flag is False
+
+
+def test_heuristic_requires_a_switch_over_time():
+    # with both switch-over times zero the queue-2 ratio is 0/0 at n1 = 0
+    cfg = slow_mode_config(switch12=Deterministic(0.0), switch21=Deterministic(0.0))
+    with pytest.raises(ValueError, match="switch-over"):
+        heuristic_policy(cfg, PollingState(0, 1, 1), False)
 
 
 def test_heuristic_preconditions():

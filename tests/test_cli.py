@@ -128,7 +128,6 @@ def test_run_experiment_bundle_and_determinism(tiny_scenario, tmp_path):
             seed=3,
             zeta=0.05,
             out_dir=str(out_dir),
-            workers=1,
             occupancy_horizon=400.0,
         )
         return run_experiment(plan)

@@ -86,3 +86,22 @@ def test_invalid_parameters_rejected():
         Gamma(-1, 1)
     with pytest.raises(ValueError):
         Deterministic(-0.1)
+
+
+@pytest.mark.parametrize("dist", [
+    Exponential(2.5),
+    Gamma(1, 0.4),
+    Gamma(30, 4 / 30),
+    Gamma(0.5, 2.0),
+    Deterministic(1.3),
+])
+def test_block_sample_equals_sequential_draws(dist):
+    # a block of K values is K single draws, and the stream goes on unchanged
+    key = 20240810
+    block = np.random.Generator(np.random.Philox(key=key))
+    single = np.random.Generator(np.random.Philox(key=key))
+    got = dist.sample(block, 37)
+    assert got.shape == (37,) and got.dtype == float
+    assert np.array_equal(got, [dist.sample(single) for _ in range(37)])
+    assert np.array_equal(dist.sample(block, 5), [dist.sample(single) for _ in range(5)])
+    assert dist.sample(block) == dist.sample(single)

@@ -1,4 +1,7 @@
+import functools
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +29,9 @@ from pollsys import (
     step_wise_cost,
 )
 from pollsys.baselines import LimitCycle
-from pollsys.simulate import RolloutTrace
+from pollsys.cli import solve_policies
+from pollsys.model import triple_indexer, validate_scenario
+from pollsys.simulate import TAG_SHUFFLE, RolloutTrace
 from pollsys.solver import assemble_policy_matrix
 
 from conftest import asym_var_config, exp_config, slow_mode_config
@@ -161,7 +166,8 @@ def test_sample_performance_degenerate_model_identical_values():
                      switch21=Deterministic(1.0), X1=2, X2=2)
     dist = _point_dist(cfg, 1, 0, 0)
     eta = sample_performance(cfg, ExhaustivePolicy(), dist, 0, 10.0, 8)
-    assert np.allclose(eta, eta[0])
+    # one unit-length service of the single customer, then idle for ever
+    assert np.all(eta == pytest.approx((1 - math.exp(-0.05)) / 0.05, rel=1e-12))
 
 
 def test_sample_performance_shuffles_with_distinct_seeds():
@@ -174,12 +180,105 @@ def test_sample_performance_shuffles_with_distinct_seeds():
     assert not np.allclose(base, other)
 
 
-def test_sample_performance_workers_match_serial():
-    cfg = exp_config(X1=3, X2=3)
-    serial = sample_performance(cfg, ExhaustivePolicy(), None, 7, 15.0, 12)
-    parallel = sample_performance(cfg, ExhaustivePolicy(), None, 7, 15.0, 12,
-                                  workers=2)
-    assert np.array_equal(serial, parallel)
+@functools.lru_cache(maxsize=None)
+def _smdp_table(cfg):
+    return solve_policies(cfg, ["smdp"])[0]["smdp"]
+
+
+def _unshuffle(eta, seed0, shuffle_seed=None):
+    """Undo the shuffle of `sample_performance`: entry k is seed seed0 + k."""
+    key = (int(seed0 if shuffle_seed is None else shuffle_seed) << 6) + TAG_SHUFFLE
+    perm = np.random.Generator(np.random.Philox(key=key)).permutation(len(eta))
+    out = np.empty_like(eta)
+    out[perm] = eta
+    return out
+
+
+HEURISTIC_FLAG_CONFIG = exp_config(lambda1=0.3, lambda2=0.1, serve1=Exponential(1.0),
+                                   serve2=Exponential(1.0), c2=0.2)
+BATCH_CASES = {
+    "slow_mode": slow_mode_config(),
+    "asym_var": asym_var_config(),
+    "lambda2_zero": exp_config(lambda2=0.0, X1=4, X2=4, N1=4, N2=4),
+    # slow service and a cheap queue 2: the heuristic's served flag matters
+    "heuristic_flag": HEURISTIC_FLAG_CONFIG,
+    # a 30-unit switch-over brings 16 to 64 arrivals per class, and a
+    # 90-unit one more than 64: both longer arrival paths of the batch
+    "deterministic": exp_config(
+        serve1=Deterministic(0.2), serve2=Deterministic(0.3),
+        switch12=Deterministic(30.0), switch21=Deterministic(90.0),
+        K12=1.5, X1=30, X2=30, N1=4, N2=4),
+    # no arrivals: a rollout ends when it idles
+    "no_arrivals": exp_config(lambda1=0.0, lambda2=0.0, serve1=Deterministic(1.0),
+                              serve2=Deterministic(0.5), X1=4, X2=4, N1=4, N2=4),
+}
+
+
+@pytest.mark.parametrize("case, name", [
+    (case, name) for case in sorted(BATCH_CASES)
+    for name in ("exhaustive", "heuristic", "tabular")
+    # the heuristic needs queue 1 as the priority queue
+    if name != "heuristic" or validate_scenario(BATCH_CASES[case]).priority_queue == 1
+])
+@pytest.mark.parametrize("start", ["uniform", "point"])
+def test_sample_performance_matches_scalar_rollouts(case, name, start):
+    """The lockstep batch equals the per-seed scalar rollouts bit for bit."""
+    cfg = BATCH_CASES[case]
+    if name == "exhaustive":
+        pol = ExhaustivePolicy()
+    elif name == "heuristic":
+        pol = HeuristicPolicy(cfg)
+    elif isinstance(cfg.serve1, Deterministic):  # no SMDP: leave queue 2 below 5
+        n1, n2, l1 = triple_indexer(cfg).unflatten(np.arange(triple_indexer(cfg).size))
+        table = np.array([_exhaustive_action(*x) for x in zip(n1, n2, l1)])
+        table[(l1 == 1) & (n2 < 5) & (n1 > 0)] = SWITCH
+        pol = TabularPolicy(table, cfg.X1, cfg.X2)
+    else:
+        pol = TabularPolicy(_smdp_table(cfg), cfg.X1, cfg.X2)
+    dist = None if start == "uniform" else _point_dist(cfg, 1, 2, 1)
+    M, T = 24, 150.0 if case != "deterministic" else 400.0
+    eta = sample_performance(cfg, pol, dist, 11, T, M, shuffle_seed=5)
+    want = [rollout(cfg, pol, dist, 11 + k, T) for k in range(M)]
+    assert np.array_equal(_unshuffle(eta, 11, 5), want)
+
+
+def test_action_tables_match_scalar_policies():
+    cfg = replace(HEURISTIC_FLAG_CONFIG, X1=2, X2=2)
+    (cap1, cap2), X = (20, 20), (2, 2)
+    table = np.arange(18) % 3
+    policies = [ExhaustivePolicy(), HeuristicPolicy(cfg), TabularPolicy(table, *X)]
+    for pol in policies:
+        got = np.broadcast_to(pol.action_table(cfg), (2, cap1 + 1, cap2 + 1, 2))
+        for served in (False, True):
+            for n1 in range(cap1 + 1):
+                for n2 in range(cap2 + 1):
+                    for l1 in (0, 1):
+                        a, _ = pol.act(n1, n2, l1, served)
+                        assert got[int(served), n1, n2, l1] == a
+
+
+def test_sample_performance_overflow_names_the_seed():
+    cfg = exp_config(lambda1=2.0, lambda2=0.0, serve1=Exponential(5.0), X1=1, X2=1)
+    idle = TabularPolicy(np.full(8, IDLE), 1, 1)
+    with pytest.raises(QueueOverflowError, match=r"seed (\d+)") as info:
+        sample_performance(cfg, idle, None, 40, 2000.0, 6)
+    seed = int(re.search(r"seed (\d+)", str(info.value)).group(1))
+    assert 40 <= seed < 46
+    with pytest.raises(QueueOverflowError):
+        rollout(cfg, idle, None, seed, 2000.0)
+
+
+def test_sample_performance_rejects_empty_serve_and_undefined_entries():
+    cfg = exp_config(X1=2, X2=2)
+    start = _point_dist(cfg, 0, 1, 0)
+    with pytest.raises(ValueError, match="empty queue at \\(0,1,0\\)"):
+        sample_performance(cfg, TabularPolicy(np.full(18, SERVE), 2, 2), start, 0, 10.0, 4)
+    table = np.full(18, SERVE)
+    table[(0 * 3 + 1) * 2 + 0] = -1
+    with pytest.raises(ValueError, match="undefined at state \\(0,1,0\\)"):
+        sample_performance(cfg, TabularPolicy(table, 2, 2), start, 0, 10.0, 4)
+    with pytest.raises(TypeError, match="action_table"):
+        sample_performance(cfg, AlwaysIdle(), start, 0, 10.0, 4)
 
 
 def test_queue_overflow_detected():
