@@ -2,7 +2,7 @@
 
 The embedded semi-Markov model is solved by exact policy iteration; the
 uniformised continuous-time model both by policy iteration over its linked
-sparse system and by asynchronous value iteration on the state-value graph.
+sparse system and by asynchronous value iteration on its state-action graph.
 With all durations exponential the two formulations describe the same
 process, so their optimal interior actions coincide.
 """
@@ -36,7 +36,7 @@ print(f"uniformised model: {npm.n_states} states, {graph.n_nodes} Q-nodes; "
       f"policy iteration {pol_pi.iterations} iterations, "
       f"value iteration {pol_vi.iterations} sweeps (residual {pol_vi.residual:.2e})")
 
-d = npm.decision_states
+d = npm.graph.decision_mask
 print("value iteration == policy iteration on every decision state:",
       bool(np.array_equal(pol_vi.actions[d], pol_pi.actions[d])))
 

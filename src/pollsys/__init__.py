@@ -39,17 +39,12 @@ from .lattice import (
     transient_mesh,
 )
 from .smdp import ActionModel, SmdpModel, build_action_model, build_cost_vector, build_smdp
-from .ctmdp import (
-    NonPreemptiveModel,
-    PreemptiveModel,
-    ValueGraph,
-    build_nonpreemptive,
-    build_preemptive,
-    build_value_graph,
-)
+from .ctmdp import NonPreemptiveModel, PreemptiveModel, build_nonpreemptive, build_preemptive
 from .solver import (
     Policy,
     TabularModel,
+    ValueGraph,
+    build_value_graph,
     policy_evaluate,
     policy_improve,
     policy_iteration,

@@ -95,9 +95,16 @@ def heuristic_policy(cfg: ScenarioConfig, state: PollingState, served_flag: bool
     current visit; the caller threads it between decisions.  The returned
     flag is ``action == SERVE`` at queue 2 and unchanged at queue 1.
     """
-    mu1, threshold, t12, t21 = _heuristic_params(cfg)
-    n1, n2 = state.n1, state.n2
-    if state.l1 == 0:  # at the priority queue
+    return _heuristic_action(cfg, _heuristic_params(cfg), state.n1, state.n2, state.l1,
+                             served_flag)
+
+
+def _heuristic_action(cfg: ScenarioConfig, params, n1: int, n2: int, l1: int,
+                      served_flag: bool):
+    """:func:`heuristic_policy` at (n1, n2, l1), given the scenario's
+    validated constants ``params`` from :func:`_heuristic_params`."""
+    mu1, threshold, t12, t21 = params
+    if l1 == 0:  # at the priority queue
         if n1 > 0:
             return SERVE, served_flag
         if n2 > cfg.lambda2 * t21:

@@ -20,7 +20,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .baselines import analyze_limit_cycle, limit_cycle_report
-from .ctmdp import build_nonpreemptive, build_value_graph
+from .ctmdp import build_nonpreemptive
 from .model import IDLE, SERVE, SWITCH, ScenarioConfig, validate_scenario
 from .simulate import (
     ExhaustivePolicy,
@@ -34,7 +34,7 @@ from .simulate import (
     work_fraction,
 )
 from .smdp import build_smdp
-from .solver import export_policy_csv, policy_iteration, value_iterate
+from .solver import build_value_graph, export_policy_csv, policy_iteration, value_iterate
 from .stats import (
     dagostino_k2,
     mann_whitney_u,

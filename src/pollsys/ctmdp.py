@@ -5,21 +5,21 @@ the server state out and re-decides every sampled epoch; the non-preemptive
 model tracks the server activity explicitly, connects decision states to
 in-progress dynamics through instantaneous, undiscounted linking rows, and
 therefore needs state-action-dependent discount factors.  Both models are
-built with array operations straight into a flattened state-value graph,
-which exposes the (at most four entries per row) sparsity to the value
-iteration solver; the per-row accessors that policy iteration uses are
-slices of that graph.
+built with array operations straight into the solvers' state-action graph
+(:class:`pollsys.solver.ValueGraph`), which exposes the (at most four
+entries per row) sparsity; a row's discounted probabilities are its plain
+ones times the row's discount factor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from .distributions import Exponential
 from .model import IDLE, SERVE, SWITCH, ScenarioConfig, quad_indexer, triple_indexer
+from .solver import ValueGraph
 
 
 class ModelError(ValueError):
@@ -35,26 +35,6 @@ def _exponential_rates(cfg: ScenarioConfig) -> Tuple[float, float, float, float]
                 f"got {type(d).__name__}"
             )
     return tuple(d.rate for d in dists)
-
-
-@dataclass(frozen=True)
-class ValueGraph:
-    """Flattened state-value graph: Q nodes grouped contiguously per state."""
-
-    n_states: int
-    q_state: np.ndarray  # state index of each Q node
-    q_action: np.ndarray  # action id, -1 for dynamics continuation nodes
-    q_cost: np.ndarray
-    q_disc: np.ndarray  # scalar discount per node
-    q_indptr: np.ndarray  # neighbour ranges
-    q_cols: np.ndarray
-    q_probs: np.ndarray
-    state_nq: np.ndarray  # number of Q nodes per state
-    decision_mask: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.q_cost)
 
 
 def _csr_rows(cols: np.ndarray, probs: np.ndarray):
@@ -83,88 +63,30 @@ def _csr_rows(cols: np.ndarray, probs: np.ndarray):
 
 
 def _graph_from_slots(cols, probs, valid, action, cost, disc) -> ValueGraph:
-    """Value graph from three action slots per state (idle, serve, switch).
+    """State-action graph from three action slots per state (idle, serve, switch).
 
     ``cols``/``probs`` have shape (n_states, 3, entries); ``valid``,
-    ``action``, ``cost`` and ``disc`` have shape (n_states, 3).  A dynamics
-    state uses slot 0 alone, with action -1.  Taking the valid slots in
-    row-major order groups each state's nodes contiguously, in state order,
-    with its actions ascending.
+    ``action``, ``cost`` and ``disc`` (the row's discount factor) have shape
+    (n_states, 3).  A dynamics state uses slot 0 alone, with action -1.
+    Taking the valid slots in row-major order groups each state's nodes
+    contiguously, in state order, with its actions ascending.
     """
     n, _, k = cols.shape
     keep = valid.ravel()
     q_indptr, q_cols, q_probs = _csr_rows(cols.reshape(-1, k)[keep], probs.reshape(-1, k)[keep])
-    state_nq = valid.sum(axis=1)
     return ValueGraph(
         n_states=n,
-        q_state=np.repeat(np.arange(n), state_nq),
+        q_state=np.repeat(np.arange(n), valid.sum(axis=1)),
         q_action=action.ravel()[keep].astype(np.int64),
         q_cost=cost.ravel()[keep],
-        q_disc=disc.ravel()[keep],
         q_indptr=q_indptr,
         q_cols=q_cols,
         q_probs=q_probs,
-        state_nq=state_nq,
-        decision_mask=action[:, 0] >= 0,
+        q_dprobs=np.repeat(disc.ravel()[keep], np.diff(q_indptr)) * q_probs,
     )
 
 
-class _GraphRows:
-    """Per-row model protocol served from the stored value graph ``graph``.
-
-    Policy iteration calls these accessors once per state and action, so the
-    node and entry offsets and the node costs are also kept as Python lists,
-    which index faster than numpy arrays one element at a time, and the
-    discounted probabilities are formed once.
-    """
-
-    def _use_graph(self, graph: ValueGraph) -> None:
-        self.graph = graph
-        self.decision_states = np.flatnonzero(graph.decision_mask)
-        self.fixed_states = np.flatnonzero(~graph.decision_mask)
-        # node of (x, a) at 3 * x + a; a dynamics state's node sits at a = 0
-        node_at = np.full(3 * graph.n_states, -1, dtype=np.int64)
-        node_at[3 * graph.q_state + np.maximum(graph.q_action, 0)] = np.arange(graph.n_nodes)
-        self._node_at = node_at.tolist()
-        self._node_action = graph.q_action.tolist()
-        self._node_start = np.concatenate(([0], np.cumsum(graph.state_nq))).tolist()
-        self._entry_start = graph.q_indptr.tolist()
-        self._node_cost = graph.q_cost.tolist()
-        self._disc_probs = np.repeat(graph.q_disc, np.diff(graph.q_indptr)) * graph.q_probs
-
-    def _node(self, x: int, a: int) -> int:
-        node = self._node_at[3 * x + max(a, 0)]
-        if node < 0 or self._node_action[node] != a:
-            raise KeyError(f"action {a} is not available at state {x}")
-        return node
-
-    def _row(self, node: int):
-        lo, hi = self._entry_start[node], self._entry_start[node + 1]
-        return (self.graph.q_cols[lo:hi], self.graph.q_probs[lo:hi], self._disc_probs[lo:hi],
-                self._node_cost[node])
-
-    def actions_at(self, x: int):
-        acts = tuple(self._node_action[self._node_start[x]:self._node_start[x + 1]])
-        if acts[0] < 0:
-            raise KeyError(f"state {x} has no choice")
-        return acts
-
-    def action_row(self, x: int, a: int):
-        if a < 0:
-            raise KeyError(f"state {x} has no action {a}")
-        return self._row(self._node(x, a))
-
-    def fixed_row(self, x: int):
-        return self._row(self._node(x, -1))
-
-    def discount_of(self, x: int, a: int) -> float:
-        """State-action discount: 1 on linking rows, else a uniformised factor."""
-        if self._node_action[self._node_start[x]] < 0:
-            a = -1
-        return float(self.graph.q_disc[self._node(x, a)])
-
-
-class PreemptiveModel(_GraphRows):
+class PreemptiveModel:
     """Uniformised model over (n1, n2, l1); every state is a decision state."""
 
     def __init__(self, cfg: ScenarioConfig):
@@ -207,19 +129,19 @@ class PreemptiveModel(_GraphRows):
         ones = np.ones(n, dtype=bool)
         current = np.where(l1 == 0, n1, n2)
         held = (cfg.c1 * n1.astype(float) + cfg.c2 * n2.astype(float)) / (self.gamma + cfg.beta)
-        self._use_graph(_graph_from_slots(
+        self.graph = _graph_from_slots(
             cols, probs,
             valid=np.stack([ones, current > 0, ones], axis=1),  # serve needs a customer
             action=np.tile([IDLE, SERVE, SWITCH], (n, 1)),
             cost=np.stack([held] * 3, axis=1),
             disc=np.full((n, 3), self.alpha),
-        ))
+        )
 
     def decision_table(self, actions: np.ndarray) -> np.ndarray:
         return np.asarray(actions, dtype=int).copy()
 
 
-class NonPreemptiveModel(_GraphRows):
+class NonPreemptiveModel:
     """Uniformised model over (n1, n2, l1, l2) with linking transitions.
 
     Rows for in-progress states (l2 in {1, 2}) are fixed once; decision rows
@@ -273,7 +195,7 @@ class NonPreemptiveModel(_GraphRows):
         decision = l2 == 0
         current = np.where(l1 == 0, n1, n2)
         held = cfg.c1 * n1.astype(float) + cfg.c2 * n2.astype(float)
-        self._use_graph(_graph_from_slots(
+        self.graph = _graph_from_slots(
             cols, probs,
             valid=np.stack([np.ones(n, dtype=bool), decision & (current > 0), decision],
                            axis=1),  # serve needs a customer
@@ -283,14 +205,15 @@ class NonPreemptiveModel(_GraphRows):
                            zeros, zeros], axis=1),
             disc=np.stack([np.where(decision, self.alpha_idle, self.alpha), ones, ones],
                           axis=1),  # linking rows: discount 1
-        ))
+        )
 
     def decision_table(self, actions: np.ndarray) -> np.ndarray:
         """Project decision-state actions onto the (n1, n2, l1) box."""
         tri = triple_indexer(self.cfg)
         table = np.full(tri.size, -1, dtype=int)
-        n1, n2, l1, _ = self.indexer.unflatten(self.decision_states)
-        table[tri.flatten(n1, n2, l1)] = np.asarray(actions)[self.decision_states]
+        decision = np.flatnonzero(self.graph.decision_mask)
+        n1, n2, l1, _ = self.indexer.unflatten(decision)
+        table[tri.flatten(n1, n2, l1)] = np.asarray(actions)[decision]
         return table
 
 
@@ -300,47 +223,3 @@ def build_preemptive(cfg: ScenarioConfig) -> PreemptiveModel:
 
 def build_nonpreemptive(cfg: ScenarioConfig) -> NonPreemptiveModel:
     return NonPreemptiveModel(cfg)
-
-
-def build_value_graph(model) -> ValueGraph:
-    """One Q node per feasible (state, action), one per dynamics state.
-
-    Node order groups same-state nodes contiguously in state order, with a
-    state's actions ascending (idle < serve < switch); value iteration relies
-    on this ordering.  The uniformised models store their graph and return
-    it here; any other model is read through its per-row protocol and must
-    discount each row by a single factor.
-    """
-    graph = getattr(model, "graph", None)
-    if graph is not None:
-        return graph
-    fixed = set(np.asarray(model.fixed_states).tolist())
-    nodes = [(x, a) + tuple(model.fixed_row(x) if a < 0 else model.action_row(x, a))
-             for x in range(model.n_states)
-             for a in ((-1,) if x in fixed else model.actions_at(x))]
-    q_state, q_action, cols, probs, disc, q_cost = zip(*nodes)
-    lengths = np.array([len(c) for c in cols], dtype=np.int64)
-    node_of = np.repeat(np.arange(len(nodes)), lengths)
-    q_probs, disc = np.concatenate(probs).astype(float), np.concatenate(disc).astype(float)
-    total = np.bincount(node_of, weights=q_probs, minlength=len(nodes))
-    scale = np.divide(np.bincount(node_of, weights=disc, minlength=len(nodes)), total,
-                      out=np.zeros(len(nodes)), where=total > 0)
-    off = np.abs(disc - scale[node_of] * q_probs) > 1e-9
-    if np.any(off & (total[node_of] > 0)):
-        raise ModelError(
-            "value graph needs a scalar discount per row; this model "
-            "carries per-entry discounting"
-        )
-    q_state = np.array(q_state, dtype=np.int64)
-    return ValueGraph(
-        n_states=model.n_states,
-        q_state=q_state,
-        q_action=np.array(q_action, dtype=np.int64),
-        q_cost=np.array(q_cost, dtype=float),
-        q_disc=scale,
-        q_indptr=np.concatenate(([0], np.cumsum(lengths))).astype(np.int64),
-        q_cols=np.concatenate(cols).astype(np.int64),
-        q_probs=q_probs,
-        state_nq=np.bincount(q_state, minlength=model.n_states).astype(np.int64),
-        decision_mask=~np.isin(np.arange(model.n_states), list(fixed)),
-    )

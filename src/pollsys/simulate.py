@@ -28,10 +28,11 @@ from .model import (
     triple_indexer,
 )
 from .baselines import (
+    _heuristic_action,
+    _heuristic_params,
     exhaustive_actions,
     exhaustive_policy,
     heuristic_actions,
-    heuristic_policy,
 )
 from .distributions import Exponential
 
@@ -112,14 +113,13 @@ class HeuristicPolicy:
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        # fail fast on inapplicable scenarios
-        heuristic_policy(cfg, PollingState(0, 0, 0), False)
+        self._params = _heuristic_params(cfg)  # fails fast on inapplicable scenarios
 
     def start(self):
         return False
 
     def act(self, n1, n2, l1, carry):
-        return heuristic_policy(self.cfg, PollingState(n1, n2, l1), carry)
+        return _heuristic_action(self.cfg, self._params, n1, n2, l1, carry)
 
     def action_table(self, cfg):
         """Actions over the cap box; the next flag is ``action == SERVE`` at

@@ -1,17 +1,22 @@
-"""Per-action transition and cost models of the embedded decision chain.
+"""Embedded semi-Markov decision model of the polling system.
 
-Each action gets a plain stochastic matrix (for stationary analysis), a
-discounted matrix (for the Bellman equations) and a cost vector over the
+Each action gets plain transition rows (for stationary analysis),
+discounted rows (for the Bellman equations) and a cost vector over the
 flattened (n1, n2, l1) state space.  Serve and switch rows spread the
 pooled arrival probabilities of their event; idling is uniformised on the
-total arrival rate and resolves to the first arrival of either class.
+total arrival rate and resolves to the first arrival of either class.  The
+rows are built with array operations over the state indexer.  A discounted
+entry carries its own factor (the discount over the event's duration, given
+the arrivals in it), and ``build_smdp`` stacks the three action models into
+the solvers' state-action graph (:class:`pollsys.solver.ValueGraph`), whose
+nodes hold per-entry discounted probabilities.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 from scipy import sparse
@@ -22,14 +27,16 @@ from .model import (
     IDLE,
     SERVE,
     SWITCH,
-    PollingState,
     ScenarioConfig,
     StateIndexer,
-    feasible_actions,
     triple_indexer,
 )
+from .solver import ValueGraph
 
 EVENT_BY_ACTION = {SERVE: ("serve1", "serve2"), SWITCH: ("switch12", "switch21")}
+
+# dense (row, column) cells pooled per np.bincount call when building rows
+_CHUNK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -42,41 +49,15 @@ class ActionModel:
     C: np.ndarray
     feasible_mask: np.ndarray  # rows where the action may be chosen
 
-    def row(self, x: int):
-        lo, hi = self.P.indptr[x], self.P.indptr[x + 1]
-        return self.P.indices[lo:hi], self.P.data[lo:hi], self.P_beta.data[lo:hi]
-
 
 class SmdpModel:
-    """Bundle of the three per-action models over the decision state space."""
+    """The embedded decision model as one state-action graph over (n1, n2, l1)."""
 
-    def __init__(self, cfg: ScenarioConfig, summaries: Dict[str, ArrivalSummary],
-                 models: Dict[int, ActionModel]):
+    def __init__(self, cfg: ScenarioConfig, graph: ValueGraph):
         self.cfg = cfg
-        self.summaries = summaries
-        self.models = models
         self.indexer = triple_indexer(cfg)
         self.n_states = self.indexer.size
-        self.decision_states = np.arange(self.n_states)
-        self.fixed_states = np.arange(0)
-        n1, n2, l1 = self.indexer.unflatten(np.arange(self.n_states))
-        self._feasible = [
-            feasible_actions(PollingState(int(a), int(b), int(c)))
-            for a, b, c in zip(n1, n2, l1)
-        ]
-
-    def actions_at(self, x: int):
-        return self._feasible[x]
-
-    def action_row(self, x: int, a: int):
-        if a not in self._feasible[x]:
-            raise ValueError(f"action {a} infeasible at state {x}")
-        m = self.models[a]
-        cols, plain, disc = m.row(x)
-        return cols, plain, disc, float(m.C[x])
-
-    def fixed_row(self, x: int):
-        raise ValueError("the embedded decision chain has no dynamics-only states")
+        self.graph = graph
 
     def decision_table(self, actions: np.ndarray) -> np.ndarray:
         """Actions over the (n1, n2, l1) box; identity for this model."""
@@ -108,6 +89,36 @@ def build_cost_vector(cfg: ScenarioConfig, summaries: Dict[str, ArrivalSummary],
     return C
 
 
+def _pooled_rows(states: np.ndarray, n_cols: int, entries):
+    """Sparse rows of ``states`` whose entries are pooled onto columns.
+
+    ``entries(chunk)`` returns ``dest`` and one or more weight arrays, each
+    of shape (len(chunk), K): row r adds ``w[r, k]`` at column
+    ``dest[r, k]``.  Entries that share a column are summed in k order, as
+    ``np.bincount`` sums a single row, and a column is kept where the first
+    weight's sum is non-zero.  Rows are pooled a chunk of about
+    ``_CHUNK_CELLS`` dense cells at a time.  Returns the number of entries
+    of each row, their columns (ascending within a row) and one value array
+    per weight.
+    """
+    per = max(1, _CHUNK_CELLS // n_cols)
+    counts, cols, values = [], [], []
+    for lo in range(0, len(states), per):
+        dest, *weights = entries(states[lo:lo + per])
+        rows = len(dest)
+        keys = (dest + n_cols * np.arange(rows)[:, None]).ravel()
+        sums = [np.bincount(keys, weights=w.ravel(), minlength=rows * n_cols) for w in weights]
+        moved = sums[0].reshape(rows, n_cols).sum(axis=1)
+        if np.abs(moved - weights[0].sum(axis=1)).max() > 1e-12:
+            raise AssertionError("pooling lost transition mass")
+        keep = np.flatnonzero(sums[0])
+        row, col = np.divmod(keep, n_cols)
+        counts.append(np.bincount(row, minlength=rows))
+        cols.append(col)
+        values.append([s[keep] for s in sums])
+    return np.concatenate(counts), np.concatenate(cols), [np.concatenate(v) for v in zip(*values)]
+
+
 def build_action_model(cfg: ScenarioConfig, summaries: Dict[str, ArrivalSummary],
                        action: int) -> ActionModel:
     """Assemble one action's transition matrices and cost vector.
@@ -118,90 +129,91 @@ def build_action_model(cfg: ScenarioConfig, summaries: Dict[str, ArrivalSummary]
     Arrival mass that would exceed a queue bound pools onto the capped state.
     """
     indexer = triple_indexer(cfg)
-    X1, X2 = cfg.X1, cfg.X2
     n_states = indexer.size
-    lam1, lam2 = cfg.arrival_rates if cfg.rate_fn is None else cfg.rate_fn(0, 0)
-
+    s_n1, s_n2, _ = indexer.strides
+    n1, n2, l1 = indexer.unflatten(np.arange(n_states))
     C = build_cost_vector(cfg, summaries, action)
-    feasible_mask = np.zeros(n_states, dtype=bool)
-    indptr = np.zeros(n_states + 1, dtype=np.int64)
-    cols_parts, p_parts, pb_parts = [], [], []
+    feasible_mask = np.ones(n_states, dtype=bool)
+    if action == SERVE:
+        feasible_mask = np.where(l1 == 0, n1, n2) > 0
+    states = np.flatnonzero(feasible_mask)
 
-    if action in EVENT_BY_ACTION:
+    if action == IDLE:
+        lam1, lam2 = cfg.arrival_rates if cfg.rate_fn is None else cfg.rate_fn(0, 0)
+        gamma_l = lam1 + lam2
+        # idling never ends without arrivals; its rows then stay empty
+        probs = np.array([lam1, lam2]) / gamma_l if gamma_l > 0 else np.zeros(2)
+
+        def entries(x):
+            dest = np.stack([x + s_n1 * (n1[x] < cfg.X1), x + s_n2 * (n2[x] < cfg.X2)], axis=1)
+            return dest, np.broadcast_to(probs, dest.shape)
+
+        counts, cols, (pvals,) = _pooled_rows(states, n_states, entries)
+        alpha = gamma_l / (gamma_l + cfg.beta)
+        pbvals = alpha * pvals
+    else:
         lat = StateIndexer((cfg.N1, cfg.N2))
         arr1, arr2 = lat.unflatten(np.arange(lat.size))
-        arr1 = np.asarray(arr1)
-        arr2 = np.asarray(arr2)
+        events = [summaries[name] for name in EVENT_BY_ACTION[action]]
+        P = np.stack([s.P for s in events])  # row l1: the event leaving queue l1
+        P_beta = np.stack([s.P_beta for s in events])
+        # serve takes one customer from the current queue, switch flips l1
+        leave1 = ((action == SERVE) & (l1 == 0)).astype(int)
+        leave2 = ((action == SERVE) & (l1 == 1)).astype(int)
+        new_l1 = l1 if action == SERVE else 1 - l1
 
-    for x in range(n_states):
-        n1, n2, l1 = indexer.unflatten(x)
-        state = PollingState(n1, n2, l1)
-        ok = action in feasible_actions(state)
-        feasible_mask[x] = ok
-        if not ok:
-            indptr[x + 1] = indptr[x]
-            continue
-        if action == IDLE:
-            dests, probs = [], []
-            if lam1 > 0:
-                dests.append(indexer.flatten(min(n1 + 1, X1), n2, l1))
-                probs.append(lam1)
-            if lam2 > 0:
-                dests.append(indexer.flatten(n1, min(n2 + 1, X2), l1))
-                probs.append(lam2)
-            gamma_l = lam1 + lam2
-            if gamma_l > 0:
-                row = np.zeros(n_states)
-                np.add.at(row, dests, np.asarray(probs) / gamma_l)
-                nz = np.flatnonzero(row)
-                alpha = gamma_l / (gamma_l + cfg.beta)
-                cols_parts.append(nz)
-                p_parts.append(row[nz])
-                pb_parts.append(alpha * row[nz])
-                indptr[x + 1] = indptr[x] + len(nz)
-            else:
-                indptr[x + 1] = indptr[x]  # idling never ends; row stays empty
-            continue
-        s = summaries[EVENT_BY_ACTION[action][l1]]
-        if action == SERVE:
-            d1, d2 = (1, 0) if l1 == 0 else (0, 1)
-            new_l1 = l1
-        else:
-            d1 = d2 = 0
-            new_l1 = 1 - l1
-        dest = indexer.flatten(
-            np.clip(n1 - d1 + arr1, 0, X1),
-            np.clip(n2 - d2 + arr2, 0, X2),
-            np.full(lat.size, new_l1),
-        )
-        row = np.bincount(dest, weights=s.P, minlength=n_states)
-        row_b = np.bincount(dest, weights=s.P_beta, minlength=n_states)
-        moved = row.sum()
-        if abs(moved - s.P.sum()) > 1e-12:
-            raise AssertionError("pooling lost transition mass")
-        nz = np.flatnonzero(row)
-        cols_parts.append(nz)
-        p_parts.append(row[nz])
-        pb_parts.append(row_b[nz])
-        indptr[x + 1] = indptr[x] + len(nz)
+        def entries(x):
+            q1 = np.clip((n1[x] - leave1[x])[:, None] + arr1, 0, cfg.X1)
+            q2 = np.clip((n2[x] - leave2[x])[:, None] + arr2, 0, cfg.X2)
+            return s_n1 * q1 + s_n2 * q2 + new_l1[x, None], P[l1[x]], P_beta[l1[x]]
 
-    cols = np.concatenate(cols_parts) if cols_parts else np.zeros(0, dtype=int)
-    pvals = np.concatenate(p_parts) if p_parts else np.zeros(0)
-    pbvals = np.concatenate(pb_parts) if pb_parts else np.zeros(0)
+        counts, cols, (pvals, pbvals) = _pooled_rows(states, n_states, entries)
+
+    indptr = np.zeros(n_states + 1, dtype=np.int64)
+    indptr[states + 1] = counts
+    np.cumsum(indptr, out=indptr)
     P = sparse.csr_matrix((pvals, cols, indptr), shape=(n_states, n_states))
     P_beta = sparse.csr_matrix((pbvals, cols.copy(), indptr.copy()),
                                shape=(n_states, n_states))
     return ActionModel(action=action, P=P, P_beta=P_beta, C=C, feasible_mask=feasible_mask)
 
 
+def _stack_action_models(models: List[ActionModel]) -> ValueGraph:
+    """One Q node per feasible (state, action): state-major, actions ascending.
+
+    ``models[a]`` is the model of action a.  A feasible row's entries are
+    contiguous in its model and an infeasible row is empty, so each model's
+    entries are scattered, in order, to its nodes' ranges.
+    """
+    q_state, q_action = np.nonzero(np.stack([m.feasible_mask for m in models], axis=1))
+    lengths = np.stack([np.diff(m.P.indptr) for m in models], axis=1)[q_state, q_action]
+    q_indptr = np.concatenate(([0], np.cumsum(lengths)))
+    q_cost = np.empty(len(q_state))
+    q_cols = np.empty(q_indptr[-1], dtype=np.int64)
+    q_probs, q_dprobs = np.empty(q_indptr[-1]), np.empty(q_indptr[-1])
+    for a, m in enumerate(models):
+        nodes = np.flatnonzero(q_action == a)
+        x = q_state[nodes]
+        at = np.repeat(q_indptr[nodes] - m.P.indptr[x], lengths[nodes]) + np.arange(m.P.nnz)
+        q_cols[at] = m.P.indices
+        q_probs[at] = m.P.data
+        q_dprobs[at] = m.P_beta.data
+        q_cost[nodes] = m.C[x]
+    return ValueGraph(n_states=len(models[0].C), q_state=q_state, q_action=q_action,
+                      q_cost=q_cost, q_indptr=q_indptr, q_cols=q_cols, q_probs=q_probs,
+                      q_dprobs=q_dprobs)
+
+
 def build_smdp(cfg: ScenarioConfig,
                summaries: Optional[Dict[str, ArrivalSummary]] = None,
                dt: Optional[float] = None) -> SmdpModel:
-    """Build the full embedded decision model for a scenario."""
+    """Build the embedded decision model of a scenario as one state-action
+    graph, whose nodes at each state are its feasible actions in the order
+    idle < serve < switch."""
     if summaries is None:
         summaries = build_arrival_summaries(cfg, dt=dt)
-    models = {a: build_action_model(cfg, summaries, a) for a in ACTIONS}
-    return SmdpModel(cfg, summaries, models)
+    return SmdpModel(cfg, _stack_action_models(
+        [build_action_model(cfg, summaries, a) for a in ACTIONS]))
 
 
 def write_action_model_csv(model: ActionModel, path) -> None:

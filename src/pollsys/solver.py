@@ -1,11 +1,17 @@
 """Policy evaluation, policy iteration and asynchronous value iteration.
 
-Solvers are generic over a small model protocol: ``n_states``,
-``decision_states``, ``fixed_states``, ``actions_at(x)``,
-``action_row(x, a) -> (cols, plain, discounted, cost)`` and
-``fixed_row(x)`` for states without a choice.  Ties in the greedy step are
-broken by the fixed action order idle < serve < switch, which makes every
-solve bit-reproducible.
+Every model reaches the solvers as one state-action graph, a
+:class:`ValueGraph`: one Q node per feasible (state, action) pair and a
+single node with action -1 per state without a choice, grouped by state in
+state order.  Each node carries its cost and its transition row with plain
+and with discounted probabilities, so each entry may have its own discount
+(the semi-Markov model) or a row may share one (the uniformised models).
+Policy evaluation selects one node per state and solves one linear system;
+policy improvement and each value-iteration sweep are a sparse
+matrix-vector product over the nodes followed by a per-state minimum.  A
+tie in that minimum goes to the state's first node, which for the polling
+models is the lowest action id (idle < serve < switch), so every solve is
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -13,17 +19,86 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .ctmdp import ValueGraph
 from .model import ACTION_NAMES, triple_indexer
+
 
 class SingularSystemError(RuntimeError):
     """Policy evaluation hit a cycle of undiscounted linking transitions."""
+
+
+@dataclass(frozen=True)
+class ValueGraph:
+    """State-action graph: Q nodes grouped contiguously per state, in state order.
+
+    Node i belongs to state ``q_state[i]``, takes action ``q_action[i]``
+    (-1 at a state without a choice), costs ``q_cost[i]`` and moves to the
+    states ``q_cols[q_indptr[i]:q_indptr[i + 1]]`` with the plain
+    probabilities ``q_probs`` and the discounted probabilities ``q_dprobs``
+    of that range.  Every state has at least one node.
+    """
+
+    n_states: int
+    q_state: np.ndarray
+    q_action: np.ndarray
+    q_cost: np.ndarray
+    q_indptr: np.ndarray
+    q_cols: np.ndarray
+    q_probs: np.ndarray
+    q_dprobs: np.ndarray
+
+    def __post_init__(self):
+        empty = np.flatnonzero(self.state_nq == 0)
+        if len(empty):
+            raise ValueError(f"state {empty[0]} has no Q node")
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.q_cost)
+
+    @cached_property
+    def state_nq(self) -> np.ndarray:
+        """Number of Q nodes per state."""
+        return np.bincount(self.q_state, minlength=self.n_states)
+
+    @cached_property
+    def node_start(self) -> np.ndarray:
+        """First Q node of each state."""
+        return np.concatenate(([0], np.cumsum(self.state_nq)[:-1]))
+
+    @cached_property
+    def decision_mask(self) -> np.ndarray:
+        """States with a choice, i.e. whose nodes carry actions."""
+        return self.q_action[self.node_start] >= 0
+
+    @cached_property
+    def discounted(self) -> sparse.csr_matrix:
+        """The discounted rows as an (n_nodes, n_states) CSR matrix."""
+        return sparse.csr_matrix((self.q_dprobs, self.q_cols, self.q_indptr),
+                                 shape=(self.n_nodes, self.n_states))
+
+    def row(self, x: int, a: int = -1):
+        """``(cols, plain, discounted, cost)`` of state x's node for action a
+        (-1 at a state without a choice)."""
+        lo = self.node_start[x]
+        hit = np.flatnonzero(self.q_action[lo:lo + self.state_nq[x]] == a)
+        if len(hit) == 0:
+            raise KeyError(f"action {a} is not available at state {x}")
+        node = lo + hit[0]
+        entries = slice(self.q_indptr[node], self.q_indptr[node + 1])
+        return (self.q_cols[entries], self.q_probs[entries], self.q_dprobs[entries],
+                float(self.q_cost[node]))
+
+
+def build_value_graph(model) -> ValueGraph:
+    """The model's state-action graph, which every solver reads."""
+    return model.graph
 
 
 @dataclass
@@ -46,63 +121,69 @@ class Policy:
     J_history: Optional[List[np.ndarray]] = field(default=None, repr=False)
 
 
-def _assemble(model, actions):
-    """Stack the policy's discounted rows into (I-ready) CSR pieces."""
-    n = model.n_states
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    cols_parts, disc_parts = [], []
-    plain_parts = []
-    cost = np.zeros(n)
-    link_next = np.full(n, -1, dtype=np.int64)
-    fixed = set(int(x) for x in model.fixed_states)
-    for x in range(n):
-        if x in fixed:
-            cols, plain, disc, c = model.fixed_row(x)
-        else:
-            a = int(actions[x])
-            feas = model.actions_at(x)
-            if a not in feas:
-                raise ValueError(f"policy assigns infeasible action {a} at state {x}")
-            cols, plain, disc, c = model.action_row(x, a)
-        if len(cols) == 1 and disc[0] >= 1.0 - 1e-15 and len(plain) == 1:
-            link_next[x] = cols[0]
-        cols_parts.append(np.asarray(cols, dtype=np.int64))
-        disc_parts.append(np.asarray(disc, dtype=float))
-        plain_parts.append(np.asarray(plain, dtype=float))
-        cost[x] = c
-        indptr[x + 1] = indptr[x] + len(cols)
-    cols = np.concatenate(cols_parts) if cols_parts else np.zeros(0, dtype=np.int64)
-    disc = np.concatenate(disc_parts) if disc_parts else np.zeros(0)
-    plain = np.concatenate(plain_parts) if plain_parts else np.zeros(0)
-    A = sparse.csr_matrix((disc, cols, indptr), shape=(n, n))
-    P = sparse.csr_matrix((plain, cols.copy(), indptr.copy()), shape=(n, n))
-    return A, P, cost, link_next
+def _policy_nodes(graph: ValueGraph, actions) -> np.ndarray:
+    """The node each state follows under ``actions``; a state without a
+    choice follows its only node whatever ``actions`` holds there."""
+    actions = np.asarray(actions)
+    follows = ((graph.q_action == actions[graph.q_state])
+               | ~graph.decision_mask[graph.q_state])
+    missing = np.flatnonzero(np.bincount(graph.q_state[follows], minlength=graph.n_states) == 0)
+    if len(missing):
+        x = missing[0]
+        raise ValueError(f"policy assigns infeasible action {actions[x]} at state {x}")
+    return np.flatnonzero(follows)
 
 
-def _check_linking_cycles(link_next: np.ndarray) -> None:
-    n = len(link_next)
-    for start in range(n):
-        x, steps = start, 0
-        while x >= 0 and link_next[x] >= 0:
-            x = int(link_next[x])
-            steps += 1
-            if x == start or steps > n:
-                raise SingularSystemError(
-                    f"cycle of undiscounted linking transitions through state {start}"
-                )
+def _greedy_actions(graph: ValueGraph, J: np.ndarray) -> np.ndarray:
+    """Per state, the action of the node minimising cost + discounted row @ J.
+
+    A tie goes to the state's first node; a state without a choice gets the
+    action -1 of its only node.
+    """
+    q = graph.q_cost + graph.discounted @ J
+    best = np.repeat(np.minimum.reduceat(q, graph.node_start), graph.state_nq)
+    node = np.minimum.reduceat(np.where(q == best, np.arange(len(q)), len(q)), graph.node_start)
+    bad = np.flatnonzero(node == len(q))  # a NaN value matches no minimum
+    if len(bad):
+        raise ValueError(f"action values at state {bad[0]} are NaN")
+    return graph.q_action[node]
+
+
+def _check_linking_cycles(A) -> None:
+    """Reject a policy whose linking rows (one entry, discounted probability
+    1) form a cycle, which makes I - A singular."""
+    n = A.shape[0]
+    single = np.flatnonzero(np.diff(A.indptr) == 1)
+    linking = single[A.data[A.indptr[single]] >= 1.0 - 1e-15]
+    link = np.full(n + 1, n)  # state n is a sink for chains that end
+    link[linking] = A.indices[A.indptr[linking]]
+    # a chain without a cycle ends within n links, and 2**bit_length(n) > n
+    for _ in range(n.bit_length()):
+        link = link[link]
+    cyclic = np.flatnonzero(link[:n] != n)
+    if len(cyclic):
+        raise SingularSystemError(
+            f"cycle of undiscounted linking transitions through state {cyclic[0]}"
+        )
 
 
 def assemble_policy_matrix(model, actions, discounted: bool = True):
     """Policy transition matrix (discounted or plain) and its cost vector."""
-    A, P, cost, _ = _assemble(model, actions)
-    return (A if discounted else P), cost
+    graph = model.graph
+    nodes = _policy_nodes(graph, actions)
+    if discounted:
+        rows = graph.discounted
+    else:
+        rows = sparse.csr_matrix((graph.q_probs, graph.q_cols, graph.q_indptr),
+                                 shape=(graph.n_nodes, graph.n_states))
+    return rows[nodes], graph.q_cost[nodes]
 
 
 def policy_evaluate(model, actions) -> np.ndarray:
     """Solve (I - P_pi^beta) J = C_pi exactly for the policy's state values."""
-    A, _, cost, link_next = _assemble(model, actions)
-    _check_linking_cycles(link_next)
-    n = model.n_states
+    A, cost = assemble_policy_matrix(model, actions)
+    _check_linking_cycles(A)
+    n = A.shape[0]
     eye = sparse.identity(n, format="csr")
     system = (eye - A).tocsc()
     density = A.nnz / max(n * n, 1)
@@ -121,31 +202,19 @@ def policy_evaluate(model, actions) -> np.ndarray:
 
 def policy_improve(model, J, actions=None):
     """Greedy one-step look-ahead; returns (new_actions, changed)."""
-    n = model.n_states
-    new_actions = np.full(n, -1, dtype=int)
-    for x in model.decision_states:
-        x = int(x)
-        best_a, best_q = -1, np.inf
-        for a in model.actions_at(x):
-            cols, _, disc, cost = model.action_row(x, a)
-            q = cost + float(disc @ J[cols])
-            if q < best_q:
-                best_q, best_a = q, a
-        if best_a < 0:
-            raise ValueError(f"no feasible action at decision state {x}")
-        new_actions[x] = best_a
+    graph = model.graph
+    new_actions = _greedy_actions(graph, J)
+    decision = graph.decision_mask
     changed = actions is None or bool(
-        np.any(new_actions[model.decision_states] != np.asarray(actions)[model.decision_states])
+        np.any(new_actions[decision] != np.asarray(actions)[decision])
     )
     return new_actions, changed
 
 
 def initial_policy(model) -> np.ndarray:
-    """First feasible action per state (idle, for the polling models)."""
-    actions = np.full(model.n_states, -1, dtype=int)
-    for x in model.decision_states:
-        actions[int(x)] = model.actions_at(int(x))[0]
-    return actions
+    """Each state's first node's action (idle, for the polling models)."""
+    graph = model.graph
+    return graph.q_action[graph.node_start]
 
 
 def policy_iteration(model, pi0=None, maxiter: int = 100,
@@ -155,7 +224,7 @@ def policy_iteration(model, pi0=None, maxiter: int = 100,
         raise ValueError("maxiter must be >= 1")
     actions = initial_policy(model) if pi0 is None else np.asarray(pi0, dtype=int).copy()
     history = [] if keep_history else None
-    J = np.zeros(model.n_states)
+    J = np.zeros(model.graph.n_states)
     converged = False
     iterations = 0
     for _ in range(maxiter):
@@ -175,12 +244,10 @@ def policy_iteration(model, pi0=None, maxiter: int = 100,
 def _vi_phases(graph: ValueGraph):
     """Per-phase sweep data: dynamics states first, then decision states.
 
-    Each phase is ``(states, P, cost, disc, starts, actions)``: the states it
-    updates, the plain rows of their Q nodes as one CSR matrix, the nodes'
-    costs, discounts and actions, and where each state's nodes start.
+    Each phase is ``(states, rows, cost, starts)``: the states it updates,
+    the discounted rows of their Q nodes as one CSR matrix, the nodes'
+    costs, and where each state's nodes start.
     """
-    P = sparse.csr_matrix((graph.q_probs, graph.q_cols, graph.q_indptr),
-                          shape=(graph.n_nodes, graph.n_states))
     node_is_decision = graph.decision_mask[graph.q_state]
     phases = []
     for decision in (False, True):
@@ -189,36 +256,37 @@ def _vi_phases(graph: ValueGraph):
             continue
         nodes = np.flatnonzero(node_is_decision == decision)
         starts = np.concatenate(([0], np.cumsum(graph.state_nq[states])[:-1]))
-        phases.append((states, P[nodes], graph.q_cost[nodes], graph.q_disc[nodes], starts,
-                       graph.q_action[nodes]))
+        phases.append((states, graph.discounted[nodes], graph.q_cost[nodes], starts))
     return phases
 
 
 def value_iterate(graph: ValueGraph, eps: Optional[float] = None,
                   maxiter: int = 100000) -> Policy:
-    """Two-phase asynchronous value iteration over the state-value graph.
+    """Two-phase asynchronous value iteration over the state-action graph.
 
     Each sweep first updates every dynamics state (a state without a choice,
     one Q node) from the current values, then every decision state, as the
     minimum over its Q nodes, from the values the first phase just wrote.
-    Each phase is one sparse matrix-vector product over its Q nodes; the
-    decision phase adds one segment minimum.  The order is chosen for the
-    non-preemptive model, whose linking rows (commit to serve or switch)
-    carry discount 1: a decision state reads the in-progress state it links
-    to after that state's update in the same sweep, so every sweep contracts
-    by the largest uniformised discount, where a Jacobi sweep would pass the
-    update through a linking row only one sweep later.  Every state is
-    updated once per sweep in a fixed order, so the iteration converges like
-    any asynchronous value iteration (Bertsekas & Tsitsiklis, *Parallel and
-    Distributed Computation*, 1989, section 6.3).
+    Each phase is one sparse matrix-vector product over its Q nodes'
+    discounted rows; the decision phase adds one segment minimum.  The order
+    is chosen for the non-preemptive model, whose linking rows (commit to
+    serve or switch) carry discount 1: a decision state reads the
+    in-progress state it links to after that state's update in the same
+    sweep, so every sweep contracts by the largest uniformised discount,
+    where a Jacobi sweep would pass the update through a linking row only
+    one sweep later.  Every state is updated once per sweep in a fixed
+    order, so the iteration converges like any asynchronous value iteration
+    (Bertsekas & Tsitsiklis, *Parallel and Distributed Computation*, 1989,
+    section 6.3).
 
     Starts from J = 0 and stops when the largest value change in a sweep is
     at most ``eps`` (default 1e-8 * max cost); that change is returned as
     ``residual``.  It is not an error bound: with discounts near 1 the
     values can still be far more than ``eps`` from the fixed point (9.7e-5
     against eps = 6.2e-7 at slow_mode X=40).  The greedy actions are
-    re-read from the final values; a tie goes to the first Q node of the
-    state, i.e. the lowest action id (idle < serve < switch).
+    re-read from the final values by policy improvement's step; a tie goes
+    to the first Q node of the state, i.e. the lowest action id (idle <
+    serve < switch).
     """
     if eps is None:
         eps = 1e-8 * float(np.abs(graph.q_cost).max())
@@ -232,22 +300,14 @@ def value_iterate(graph: ValueGraph, eps: Optional[float] = None,
     while sweeps < maxiter:
         sweeps += 1
         delta = 0.0
-        for states, P, cost, disc, starts, _ in phases:
-            best = np.minimum.reduceat(cost + disc * (P @ J), starts)
+        for states, rows, cost, starts in phases:
+            best = np.minimum.reduceat(cost + rows @ J, starts)
             delta = max(delta, float(np.abs(best - J[states]).max()))
             J[states] = best
         if delta <= eps:
             converged = True
             break
-
-    actions = np.full(graph.n_states, -1, dtype=int)
-    if graph.decision_mask.any():  # the decision phase is the last one
-        states, P, cost, disc, starts, node_action = phases[-1]
-        q = cost + disc * (P @ J)
-        best = np.repeat(np.minimum.reduceat(q, starts), graph.state_nq[states])
-        node = np.where(q == best, np.arange(len(q)), len(q))
-        actions[states] = node_action[np.minimum.reduceat(node, starts)]
-    return Policy(actions=actions, J=J, iterations=sweeps,
+    return Policy(actions=_greedy_actions(graph, J), J=J, iterations=sweeps,
                   converged=converged, residual=float(delta))
 
 
@@ -275,33 +335,28 @@ class TabularModel:
 
     def __init__(self, n_states, rows, feasible, fixed_rows=None):
         """``rows[(x, a)] = (cols, plain, discounted, cost)``;
-        ``feasible[x]`` lists actions; ``fixed_rows[x]`` covers states
-        without a choice."""
+        ``feasible[x]`` lists actions, whose nodes follow that order;
+        ``fixed_rows[x]`` covers states without a choice."""
+        fixed_rows = fixed_rows or {}
+        nodes = []
+        for x in range(n_states):
+            if x in fixed_rows:
+                nodes.append((x, -1, fixed_rows[x]))
+            else:
+                nodes.extend((x, a, rows[(x, a)]) for a in feasible.get(x, ()))
+        q_state, q_action, entries = zip(*nodes)
+        cols, plain, disc, cost = zip(*entries)
         self.n_states = n_states
-        self._rows = {
-            k: (np.asarray(c, dtype=np.int64), np.asarray(p, float),
-                np.asarray(d, float), float(cost))
-            for k, (c, p, d, cost) in rows.items()
-        }
-        self._feasible = {x: tuple(a) for x, a in feasible.items()}
-        self._fixed = {}
-        if fixed_rows:
-            self._fixed = {
-                x: (np.asarray(c, dtype=np.int64), np.asarray(p, float),
-                    np.asarray(d, float), float(cost))
-                for x, (c, p, d, cost) in fixed_rows.items()
-            }
-        self.decision_states = np.array(sorted(self._feasible), dtype=np.int64)
-        self.fixed_states = np.array(sorted(self._fixed), dtype=np.int64)
-
-    def actions_at(self, x):
-        return self._feasible[x]
-
-    def action_row(self, x, a):
-        return self._rows[(x, a)]
-
-    def fixed_row(self, x):
-        return self._fixed[x]
+        self.graph = ValueGraph(
+            n_states=n_states,
+            q_state=np.array(q_state, dtype=np.int64),
+            q_action=np.array(q_action, dtype=np.int64),
+            q_cost=np.array(cost, dtype=float),
+            q_indptr=np.concatenate(([0], np.cumsum([len(c) for c in cols]))).astype(np.int64),
+            q_cols=np.concatenate(cols).astype(np.int64),
+            q_probs=np.concatenate(plain).astype(float),
+            q_dprobs=np.concatenate(disc).astype(float),
+        )
 
     def decision_table(self, actions):
         return np.asarray(actions, dtype=int).copy()

@@ -188,7 +188,7 @@ def test_criterion_4_cross_model_consistency():
     smdp20 = build_smdp(cfg20)
     policy_iteration(smdp20)
     t20 = time.time() - t0
-    d20 = np20.decision_states
+    d20 = np20.graph.decision_mask
     alg23_20 = np.array_equal(pi20.actions[d20], vi20.actions[d20])
 
     cfg = slow_mode_config(X1=40, X2=40, N1=35, N2=35).with_exponential_durations()
@@ -197,7 +197,7 @@ def test_criterion_4_cross_model_consistency():
     npm = build_nonpreemptive(cfg)
     pol_pi = policy_iteration(npm)
     pol_vi = value_iterate(build_value_graph(npm))
-    d = npm.decision_states
+    d = npm.graph.decision_mask
     alg23_40 = np.array_equal(pol_pi.actions[d], pol_vi.actions[d])
 
     tab_s = smdp.decision_table(pol_s.actions)

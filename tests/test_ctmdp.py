@@ -7,9 +7,11 @@ from pollsys import (
     SWITCH,
     Exponential,
     Gamma,
+    PollingState,
     build_nonpreemptive,
     build_preemptive,
     build_value_graph,
+    feasible_actions,
 )
 from pollsys.ctmdp import ModelError
 
@@ -45,7 +47,7 @@ def test_preemptive_idle_row():
     model = build_preemptive(slow_exp_config())
     idx = model.indexer
     x = idx.flatten(1, 1, 0)
-    cols, plain, disc, cost = model.action_row(x, IDLE)
+    cols, plain, disc, cost = model.graph.row(x, IDLE)
     row = dict(zip(cols.tolist(), plain.tolist()))
     assert row[idx.flatten(2, 1, 0)] == pytest.approx(1.5 / 11.9)
     assert row[idx.flatten(1, 2, 0)] == pytest.approx(0.4 / 11.9)
@@ -57,7 +59,7 @@ def test_preemptive_idle_row():
 def test_preemptive_serve_row():
     model = build_preemptive(slow_exp_config())
     idx = model.indexer
-    cols, plain, _, _ = model.action_row(idx.flatten(1, 2, 0), SERVE)
+    cols, plain, _, _ = model.graph.row(idx.flatten(1, 2, 0), SERVE)
     row = dict(zip(cols.tolist(), plain.tolist()))
     assert row[idx.flatten(0, 2, 0)] == pytest.approx(10.0 / 11.9)
     assert sum(row.values()) == pytest.approx(1.0, abs=1e-12)
@@ -67,7 +69,8 @@ def test_preemptive_cost_action_invariant():
     model = build_preemptive(slow_exp_config())
     idx = model.indexer
     x = idx.flatten(2, 1, 1)
-    costs = [model.action_row(x, a)[3] for a in model.actions_at(x)]
+    graph = model.graph
+    costs = [graph.row(x, a)[3] for a in graph.q_action[graph.q_state == x]]
     assert costs == pytest.approx([(2.0 * 2 + 1.0 * 1) / 11.95] * len(costs))
 
 
@@ -75,12 +78,12 @@ def test_nonpreemptive_linking_rows():
     model = build_nonpreemptive(slow_exp_config())
     idx = model.indexer
     x = idx.flatten(2, 0, 0, 0)
-    cols, plain, disc, cost = model.action_row(x, SERVE)
+    cols, plain, disc, cost = model.graph.row(x, SERVE)
     assert cols.tolist() == [idx.flatten(2, 0, 0, 1)]
     assert plain.tolist() == [1.0]
     assert disc.tolist() == [1.0]
     assert cost == 0.0
-    cols, plain, disc, cost = model.action_row(x, SWITCH)
+    cols, plain, disc, cost = model.graph.row(x, SWITCH)
     assert cols.tolist() == [idx.flatten(2, 0, 0, 2)]
     assert cost == 0.0 and disc.tolist() == [1.0]
 
@@ -89,7 +92,7 @@ def test_nonpreemptive_idle_row():
     model = build_nonpreemptive(slow_exp_config())
     idx = model.indexer
     x = idx.flatten(0, 0, 0, 0)
-    cols, plain, disc, cost = model.action_row(x, IDLE)
+    cols, plain, disc, cost = model.graph.row(x, IDLE)
     row = dict(zip(cols.tolist(), plain.tolist()))
     gl = 1.9
     assert row == {
@@ -102,7 +105,7 @@ def test_nonpreemptive_idle_row():
     for n1 in range(3):
         for n2 in range(3):
             y = idx.flatten(n1, n2, 1, 0)
-            cols, _, _, _ = model.action_row(y, IDLE)
+            cols, _, _, _ = model.graph.row(y, IDLE)
             assert y not in cols.tolist()
 
 
@@ -110,7 +113,7 @@ def test_nonpreemptive_service_in_progress_row():
     model = build_nonpreemptive(slow_exp_config())
     idx = model.indexer
     x = idx.flatten(1, 1, 0, 1)
-    cols, plain, disc, cost = model.fixed_row(x)
+    cols, plain, disc, cost = model.graph.row(x)
     row = dict(zip(cols.tolist(), plain.tolist()))
     assert row[idx.flatten(0, 1, 0, 0)] == pytest.approx(10.0 / 11.9)
     assert row[idx.flatten(2, 1, 0, 1)] == pytest.approx(1.5 / 11.9)
@@ -122,25 +125,24 @@ def test_nonpreemptive_service_in_progress_row():
 
 
 def test_nonpreemptive_rows_stochastic_and_sparse():
-    model = build_nonpreemptive(slow_exp_config(X1=3, X2=3))
-    for x in model.fixed_states:
-        cols, plain, _, _ = model.fixed_row(int(x))
+    graph = build_nonpreemptive(slow_exp_config(X1=3, X2=3)).graph
+    for x in np.flatnonzero(~graph.decision_mask):
+        cols, plain, _, _ = graph.row(x)
         assert len(cols) <= 4
         assert plain.sum() == pytest.approx(1.0, abs=1e-12)
-    for x in model.decision_states:
-        for a in model.actions_at(int(x)):
-            cols, plain, _, _ = model.action_row(int(x), a)
+    for x in np.flatnonzero(graph.decision_mask):
+        for a in graph.q_action[graph.q_state == x]:
+            cols, plain, _, _ = graph.row(x, a)
             assert len(cols) <= 4
             assert plain.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_nonpreemptive_reachability_structure():
-    model = build_nonpreemptive(slow_exp_config(X1=3, X2=3))
-    idx = model.indexer
-    decision = set(int(x) for x in model.decision_states)
+    graph = build_nonpreemptive(slow_exp_config(X1=3, X2=3)).graph
+    decision = set(np.flatnonzero(graph.decision_mask).tolist())
     for x in decision:
-        for a in model.actions_at(x):
-            cols, _, _, _ = model.action_row(x, a)
+        for a in graph.q_action[graph.q_state == x]:
+            cols, _, _, _ = graph.row(x, a)
             if a == IDLE:
                 assert all(int(c) in decision for c in cols)
             else:
@@ -148,25 +150,30 @@ def test_nonpreemptive_reachability_structure():
 
 
 def test_discount_values_limited():
+    # a row's discount is the ratio of its discounted to its plain entries
     model = build_nonpreemptive(slow_exp_config())
+    graph = model.graph
     allowed = (1.0, model.alpha, model.alpha_idle)
-    for x in model.decision_states:
-        for a in model.actions_at(int(x)):
-            d = model.discount_of(int(x), a)
-            assert min(abs(d - v) for v in allowed) < 1e-15
-    for x in model.fixed_states:
-        assert model.discount_of(int(x), -1) == pytest.approx(model.alpha)
+    for x in np.flatnonzero(graph.decision_mask):
+        for a in graph.q_action[graph.q_state == x]:
+            _, plain, disc, _ = graph.row(x, a)
+            for d in disc / plain:
+                assert min(abs(d - v) for v in allowed) < 1e-15
+    for x in np.flatnonzero(~graph.decision_mask):
+        _, plain, disc, _ = graph.row(x)
+        assert disc / plain == pytest.approx(model.alpha)
 
 
 def test_value_graph_counts():
     model = build_nonpreemptive(slow_exp_config(X1=2, X2=2))
     graph = build_value_graph(model)
     assert graph.n_states == 3 * 3 * 2 * 3
-    assert len(model.decision_states) == 3 * 3 * 2
-    assert len(model.fixed_states) == 36
+    assert graph.decision_mask.sum() == 3 * 3 * 2
+    assert (~graph.decision_mask).sum() == 36
     # one node per feasible decision action plus one per dynamics state
     n_decision_nodes = sum(
-        len(model.actions_at(int(x))) for x in model.decision_states
+        len(feasible_actions(PollingState(n1, n2, l1)))
+        for n1 in range(3) for n2 in range(3) for l1 in range(2)
     )
     assert graph.n_nodes == n_decision_nodes + 36
     # dynamics nodes have at most four neighbours
@@ -188,13 +195,6 @@ def test_value_graph_probabilities_sum_to_one():
     for i in range(graph.n_nodes):
         lo, hi = graph.q_indptr[i], graph.q_indptr[i + 1]
         assert graph.q_probs[lo:hi].sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_value_graph_rejects_per_entry_discounts():
-    from pollsys import build_smdp
-
-    with pytest.raises(ModelError, match="scalar discount"):
-        build_value_graph(build_smdp(slow_exp_config(X1=2, X2=2)))
 
 
 def test_preemptive_and_nonpreemptive_share_rates():

@@ -101,7 +101,8 @@ def test_policy_improve_dominance_and_ties():
 
 def brute_force_best(model, horizon_tol=1e-12):
     best_actions, best_J = None, None
-    spaces = [model.actions_at(int(x)) for x in model.decision_states]
+    graph = model.graph
+    spaces = [graph.q_action[graph.q_state == x] for x in np.flatnonzero(graph.decision_mask)]
     for combo in itertools.product(*spaces):
         actions = np.array(combo)
         J = policy_evaluate(model, actions)
@@ -176,9 +177,18 @@ def test_cross_algorithm_agreement_slow_mode():
     pi_pol = policy_iteration(model)
     vi_pol = value_iterate(build_value_graph(model))
     assert vi_pol.converged
-    d = model.decision_states
+    d = model.graph.decision_mask
     assert np.array_equal(pi_pol.actions[d], vi_pol.actions[d])
     assert np.abs(pi_pol.J - vi_pol.J).max() < 1e-4
+
+
+def test_value_iterate_on_smdp_graph_matches_policy_iteration():
+    # the semi-Markov graph discounts each entry by its own factor
+    cfg = slow_mode_config(X1=8, X2=8, N1=8, N2=8)
+    model = build_smdp(cfg)
+    vi = value_iterate(build_value_graph(model))
+    assert vi.converged
+    assert np.array_equal(vi.actions, policy_iteration(model).actions)
 
 
 def test_contraction_property(rng):
