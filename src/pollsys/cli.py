@@ -118,13 +118,18 @@ def solve_policies(cfg: ScenarioConfig, which: Sequence[str], algo: str = "defau
 
     Tables live on the (n1, n2, l1) box so every policy can drive the
     simulator directly.  The uniformised model solves the scenario with all
-    durations replaced by exponentials of equal mean.
+    durations replaced by exponentials of equal mean.  ``algo`` is
+    "policy-iteration" or "value-iteration"; by default the SMDP takes
+    policy iteration and the uniformised model value iteration.
     """
     tables = {}
     diagnostics = {}
     if "smdp" in which:
         model = build_smdp(cfg)
-        pol = policy_iteration(model)
+        if algo == "value-iteration":
+            pol = value_iterate(build_value_graph(model))
+        else:
+            pol = policy_iteration(model)
         tables["smdp"] = model.decision_table(pol.actions)
         diagnostics["smdp"] = {"iterations": pol.iterations, "converged": pol.converged}
     if "ctmdp" in which:
@@ -146,6 +151,18 @@ def make_sim_policy(name: str, cfg: ScenarioConfig, tables: Dict[str, np.ndarray
     if name == "heuristic":
         return HeuristicPolicy(cfg)
     raise ValueError(f"unknown policy {name!r}")
+
+
+def sample_etas(cfg: ScenarioConfig, names: Sequence[str], tables: Dict[str, np.ndarray],
+                plan: ExperimentPlan) -> Dict[str, np.ndarray]:
+    """Sample every named policy's performance in one common-random-number
+    batch; policy k's samples are shuffled with seed ``plan.seed + 7919 (k + 1)``."""
+    etas = sample_performance(
+        cfg, [make_sim_policy(name, cfg, tables) for name in names], None, plan.seed,
+        plan.horizon, plan.rollouts,
+        shuffle_seeds=[plan.seed + 7919 * (k + 1) for k in range(len(names))],
+    )
+    return dict(zip(names, etas))
 
 
 def applicable_policies(cfg: ScenarioConfig, requested: Sequence[str]) -> list:
@@ -237,13 +254,8 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     summary["solve"] = diag
 
     try:
-        etas = {}
-        for k, name in enumerate(policies):
-            pol = make_sim_policy(name, cfg, tables)
-            etas[name] = sample_performance(
-                cfg, pol, None, plan.seed, plan.horizon, plan.rollouts,
-                shuffle_seed=plan.seed + 7919 * (k + 1),
-            )
+        etas = sample_etas(cfg, policies, tables, plan)
+        for name in policies:
             _write_csv(
                 os.path.join(plan.out_dir, f"eta_{name}.csv"), ["eta"],
                 [[_fmt(v)] for v in etas[name]],
@@ -379,11 +391,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "solve":
         cfg = load_scenario(args.scenario, overrides)
-        algo = args.algo or ("policy-iteration" if args.model == "smdp" else "value-iteration")
-        if args.model == "smdp" and algo == "value-iteration":
-            parser.error("value-iteration is available for the ctmdp model only")
         os.makedirs(args.out, exist_ok=True)
-        tables, diag = solve_policies(cfg, [args.model], algo)
+        tables, diag = solve_policies(cfg, [args.model], args.algo or "default")
         paths = export_policy_csv(tables[args.model], cfg, args.out, args.model)
         print(f"solved {args.model} ({diag[args.model]}); wrote {', '.join(paths)}")
         return 0
@@ -406,12 +415,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         names = applicable_policies(cfg, plan.policies)
         tables, _ = solve_policies(cfg, [p for p in names if p in MDP_POLICIES])
         os.makedirs(plan.out_dir, exist_ok=True)
-        for k, name in enumerate(names):
-            pol = make_sim_policy(name, cfg, tables)
-            eta = sample_performance(
-                cfg, pol, None, plan.seed, plan.horizon, plan.rollouts,
-                shuffle_seed=plan.seed + 7919 * (k + 1),
-            )
+        for name, eta in sample_etas(cfg, names, tables, plan).items():
             path = os.path.join(plan.out_dir, f"eta_{name}.csv")
             _write_csv(path, ["eta"], [[_fmt(v)] for v in eta])
             print(f"{name}: mean={eta.mean():.3f} std={eta.std(ddof=1):.3f} -> {path}")
@@ -421,13 +425,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = load_scenario(plan.scenario, plan.overrides)
         names = applicable_policies(cfg, plan.policies)
         tables, _ = solve_policies(cfg, [p for p in names if p in MDP_POLICIES])
-        etas = {}
-        for k, name in enumerate(names):
-            pol = make_sim_policy(name, cfg, tables)
-            etas[name] = sample_performance(
-                cfg, pol, None, plan.seed, plan.horizon, plan.rollouts,
-                shuffle_seed=plan.seed + 7919 * (k + 1),
-            )
+        etas = sample_etas(cfg, names, tables, plan)
         os.makedirs(plan.out_dir, exist_ok=True)
         welch_rows, mann_rows, student_rows, pearson_rows = test_matrices(etas, plan.zeta)
         header = ["row_policy", "col_policy", "statistic", "p", "reject"]

@@ -87,13 +87,17 @@ class ArrivalSummary:
     tail_mass: float  # duration mass beyond the mesh cutoff (diagnostic)
 
 
-def _cell_rates(cfg: ScenarioConfig, a1: int, a2: int):
+def _cell_rates(cfg: ScenarioConfig, a1: np.ndarray, a2: np.ndarray):
+    """Arrival rates of the lattice cells (a1, a2), as two float arrays."""
     if cfg.rate_fn is None:
-        return cfg.lambda1, cfg.lambda2
-    r1, r2 = cfg.rate_fn(a1, a2)
-    if r1 < 0 or r2 < 0:
-        raise ValueError(f"rate_fn returned negative rates at ({a1}, {a2})")
-    return float(r1), float(r2)
+        return np.full(a1.shape, float(cfg.lambda1)), np.full(a1.shape, float(cfg.lambda2))
+    rates = np.array([cfg.rate_fn(x, y) for x, y in zip(a1.tolist(), a2.tolist())],
+                     dtype=float).reshape(-1, 2)
+    negative = np.flatnonzero((rates < 0).any(axis=1))
+    if negative.size:
+        j = negative[0]
+        raise ValueError(f"rate_fn returned negative rates at ({a1[j]}, {a2[j]})")
+    return rates[:, 0], rates[:, 1]
 
 
 def build_generator(cfg: ScenarioConfig) -> GeneratorMatrix:
@@ -105,36 +109,24 @@ def build_generator(cfg: ScenarioConfig) -> GeneratorMatrix:
     """
     N1, N2 = cfg.N1, cfg.N2
     indexer = StateIndexer((N1, N2))
-    rows, cols, vals = [], [], []
-    gamma_max = 0.0
-    for a1 in range(N1 + 1):
-        for a2 in range(N2 + 1):
-            i = indexer.flatten(a1, a2)
-            lam1, lam2 = _cell_rates(cfg, a1, a2)
-            if cfg.truncation_mode is Truncation.ABSORBING:
-                out1 = lam1 if a1 < N1 else 0.0
-                out2 = lam2 if a2 < N2 else 0.0
-                diag = -(out1 + out2)
-            else:
-                out1 = lam1 if a1 < N1 else 0.0
-                out2 = lam2 if a2 < N2 else 0.0
-                diag = -(lam1 + lam2)
-            if out1 > 0:
-                rows.append(i)
-                cols.append(indexer.flatten(a1 + 1, a2))
-                vals.append(out1)
-            if out2 > 0:
-                rows.append(i)
-                cols.append(indexer.flatten(a1, a2 + 1))
-                vals.append(out2)
-            if diag != 0.0:
-                rows.append(i)
-                cols.append(i)
-                vals.append(diag)
-            gamma_max = max(gamma_max, -diag)
+    cell = np.arange(indexer.size)
+    a1, a2 = indexer.unflatten(cell)
+    lam1, lam2 = _cell_rates(cfg, a1, a2)
+    out1 = np.where(a1 < N1, lam1, 0.0)
+    out2 = np.where(a2 < N2, lam2, 0.0)
+    if cfg.truncation_mode is Truncation.ABSORBING:
+        diag = -(out1 + out2)
+    else:
+        diag = -(lam1 + lam2)
+    s1, s2 = indexer.strides
+    vals = np.stack([out1, out2, diag], axis=1)
+    keep = np.stack([out1 > 0, out2 > 0, diag != 0.0], axis=1)
+    rows = np.broadcast_to(cell[:, None], keep.shape)[keep]
+    cols = np.stack([cell + s1, cell + s2, cell], axis=1)[keep]
     Q = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(indexer.size, indexer.size), dtype=float
+        (vals[keep], (rows, cols)), shape=(indexer.size, indexer.size), dtype=float
     )
+    gamma_max = max(0.0, float(-diag.min()))
     return GeneratorMatrix(Q=Q, mode=cfg.truncation_mode, N1=N1, N2=N2,
                            indexer=indexer, gamma_max=gamma_max)
 

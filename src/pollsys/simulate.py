@@ -7,8 +7,8 @@ step costs.  Running two policies with the same base seed reuses identical
 event samples, which is what makes paired performance comparisons fair.
 
 `rollout` and `simulate_trace` step one rollout at a time.
-`sample_performance` steps all its rollouts together as arrays over the
-policy's action table and gives the same values bit for bit.
+`sample_performance` steps the rollouts of all its policies together as
+arrays over their action tables and gives the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -321,6 +321,7 @@ _GAP_BLOCK = 256  # values pre-drawn per arrival substream and rollout
 _GAP_RESERVE = 64  # arrival gaps a row holds whenever it is read
 _WINDOW = 4  # arrival gaps first examined per interval
 _CHUNK = 1 << 12  # rollout steps whose costs are added in one pass
+_LANES = 1 << 12  # about the most (policy, seed) rollouts stepped together
 
 # codes in a batch action table for decisions the scalar path rejects
 _UNDEFINED, _EMPTY_SERVE, _UNKNOWN = -1, -2, -3
@@ -355,9 +356,9 @@ def _exp(x: np.ndarray) -> np.ndarray:
 
 
 class _Blocks:
-    """Pre-drawn values of a set of substreams, one row per (substream, rollout).
+    """Pre-drawn values of a set of substreams, one row per (substream, lane).
 
-    Row ``s * M + k`` holds the next values of substream ``s`` of rollout
+    Row ``s * L + k`` holds the next values of substream ``s`` of lane
     ``k`` from ``pos[row]`` on.  Before a row is read it is topped up to at
     least ``reserve`` values: the unused ones move to the front and the rest
     are drawn from the row's Philox stream, resumed from its saved state.
@@ -370,12 +371,12 @@ class _Blocks:
         self.philox = philox
         self.gen = np.random.Generator(philox)
         self.dists = dists
-        self.M = len(keys[0]) if keys else 0
+        self.lanes = len(keys[0]) if keys else 0
         self.width = width
         self.reserve = reserve
-        self.buf = np.empty((len(dists) * self.M, width))
+        self.buf = np.empty((len(dists) * self.lanes, width))
         self.flat = self.buf.reshape(-1)
-        self.pos = np.full(len(dists) * self.M, width, dtype=np.intp)
+        self.pos = np.full(len(dists) * self.lanes, width, dtype=np.intp)
         self.states = [_philox_words(key) for row in keys for key in row]
 
     def take(self, rows: np.ndarray) -> np.ndarray:
@@ -407,7 +408,7 @@ class _Blocks:
         values = self.buf[row]
         values[:self.width - used] = values[used:].copy()
         self.philox.state = _philox_state(self.states[row])
-        values[self.width - used:] = self.dists[row // self.M].sample(self.gen, used)
+        values[self.width - used:] = self.dists[row // self.lanes].sample(self.gen, used)
         self.states[row] = _philox_state_words(self.philox.state)
         self.pos[row] = 0
 
@@ -421,9 +422,7 @@ def _arrivals(gaps: _Blocks, rows: np.ndarray, dt: np.ndarray, width: int = _WIN
     with ``width`` arrivals or more are redone with four times the gaps, up
     to ``gaps.reserve``, and past that one gap at a time.
     """
-    sums = gaps.window(rows, width)
-    for j in range(1, width):
-        sums[j] += sums[j - 1]
+    sums = np.cumsum(gaps.window(rows, width), axis=0)
     inside = sums < dt
     count = inside.sum(axis=0)
     long = (count == width).nonzero()[0]
@@ -496,47 +495,58 @@ def _charge(total, cfg: ScenarioConfig, log):
 
 
 def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds, T: float) -> np.ndarray:
-    """Discounted costs of rollouts from states ``x0`` on ``seeds``, all
-    stepped together as arrays.
+    """Discounted costs of every policy's rollouts from states ``x0`` on
+    ``seeds``, all stepped together as arrays; row p holds policy p's.
 
-    Rollout k equals ``_run`` from ``x0[:, k]`` with ``SeedStream(seeds[k])``
-    bit for bit: it draws the same values from the same substreams and sums
-    its costs in the same order with ``math.exp``.  The dynamics advance
-    one step of every live rollout at a time; the costs of about ``_CHUNK``
-    logged rollout steps at a time are added afterwards in one pass
-    (`_charge`), which bounds the log's memory whatever M is.
+    ``codes[p]`` is the code table of policy p (`_action_codes`).  A lane is
+    one (policy, seed) pair with its own substreams and its own slice of
+    the stacked tables.  Lane (p, k) equals ``_run`` of policy p from
+    ``x0[:, k]`` with ``SeedStream(seeds[k])`` bit for bit: it draws the
+    same values from the same substreams and sums its costs in the same
+    order with ``math.exp``.  The dynamics advance one step of every live
+    lane at a time; the costs of about ``_CHUNK`` logged rollout steps at a
+    time are added afterwards in one pass (`_charge`), which bounds the
+    log's memory whatever the number of lanes is.
     """
-    M = len(seeds)
+    P, B = codes.shape[0], len(seeds)
+    L = P * B
+    lane_seeds = list(seeds) * P  # lane p * B + k runs policy p on seed k
+    table = codes.reshape(-1)
+    offset = np.repeat(np.arange(P) * codes.shape[1], B)
     lam = cfg.arrival_rates
     c1, c2 = cfg.c1, cfg.c2
     cap1, cap2 = 10 * cfg.X1, 10 * cfg.X2
     philox = np.random.Philox(key=0)
     durations = _Blocks(
         philox, cfg.serve_dists + cfg.switch_dists,
-        [[(s << 6) + tag for s in seeds] for tag in TAG_SERVE + TAG_SWITCH],
+        [[(s << 6) + tag for s in lane_seeds] for tag in TAG_SERVE + TAG_SWITCH],
         _DURATION_BLOCK, 1,
     )
     classes = np.array([c for c in (0, 1) if lam[c] > 0], dtype=int)
     gaps = _Blocks(
         philox, [Exponential(lam[c]) for c in classes],
-        [[(s << 6) + TAG_LAMBDA[c] for s in seeds] for c in classes],
+        [[(s << 6) + TAG_LAMBDA[c] for s in lane_seeds] for c in classes],
         _GAP_BLOCK, _GAP_RESERVE,
     )
     switch_costs = np.array(cfg.switch_costs) if any(cfg.switch_costs) else None
     strides = np.array([(cap1 + 1) * (cap2 + 1) * 2, (cap2 + 1) * 2, 2, 1])
 
-    total = np.zeros(M)
-    k = np.arange(M)
-    state = np.array([np.zeros(M, dtype=int), *x0])  # rows: served, n1, n2, l1
-    t = np.zeros(M)
+    def rollout_of(j):
+        p, seed = divmod(int(k[j]), B)
+        return f"in the rollout of policy {p} with seed {seeds[seed]}"
+
+    total = np.zeros(L)
+    k = np.arange(L)
+    state = np.array([np.zeros(L, dtype=int), *np.tile(x0, P)])  # rows: served, n1, n2, l1
+    t = np.zeros(L)
     log = []
     logged = 0
     while k.size:
         served, n1, n2, l1 = state
-        a = codes[strides @ state]
+        a = table[strides @ state + offset[k]]
         if a.min() < 0:
             j = int(np.flatnonzero(a < 0)[0])
-            where = f"({n1[j]},{n2[j]},{l1[j]}) in the rollout with seed {seeds[k[j]]}"
+            where = f"({n1[j]},{n2[j]},{l1[j]}) {rollout_of(j)}"
             raise ValueError({
                 _UNDEFINED: f"policy undefined at state {where}",
                 _EMPTY_SERVE: f"policy serves an empty queue at {where}",
@@ -558,7 +568,7 @@ def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds, T: float) -> np
         arrived = np.zeros((2, m), dtype=int)
         if rest.size:
             first = np.full((2, rest.size), np.inf)
-            first[classes] = gaps.take((classes[:, None] * M + k[rest]).reshape(-1)).reshape(
+            first[classes] = gaps.take((classes[:, None] * L + k[rest]).reshape(-1)).reshape(
                 len(classes), rest.size)
             dt[rest] = np.minimum(first[0], first[1])
             second = first[1] < first[0]  # class 0 wins a tie
@@ -567,9 +577,9 @@ def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds, T: float) -> np
         event, when, cls = np.empty(0, dtype=int), np.empty(0), np.empty(0, dtype=int)
         if busy.size:
             stream = (a[busy] - SERVE) * 2 + l1[busy]  # serve at 0/1, then switch from 0/1
-            dt[busy] = durations.take(stream * M + k[busy])
+            dt[busy] = durations.take(stream * L + k[busy])
         if busy.size and classes.size:
-            rows = (classes[:, None] * M + k[busy]).reshape(-1)
+            rows = (classes[:, None] * L + k[busy]).reshape(-1)
             where, when, count = _arrivals(gaps, rows, np.concatenate([dt[busy]] * len(classes)))
             arrived[classes[:, None], busy] = count.reshape(len(classes), busy.size)
             event = logged + busy[where % busy.size]
@@ -590,8 +600,8 @@ def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds, T: float) -> np
             j = int(np.flatnonzero((n1 > cap1) | (n2 > cap2))[0])
             raise QueueOverflowError(
                 f"queue exceeded simulator cap at t={t[j]:.2f}: "
-                f"({n1[j]},{n2[j]}) vs caps ({cap1},{cap2}) in the rollout with "
-                f"seed {seeds[k[j]]}; policy-induced instability"
+                f"({n1[j]},{n2[j]}) vs caps ({cap1},{cap2}) {rollout_of(j)}; "
+                "policy-induced instability"
             )
         t = t + dt
         live = t < T
@@ -602,25 +612,37 @@ def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds, T: float) -> np
             log = []
             logged = 0
     _charge(total, cfg, log)
-    return total
+    return total.reshape(P, B)
 
 
-def sample_performance(cfg: ScenarioConfig, policy, initial_dist, seed0: int,
-                       T: float, M: int, shuffle_seed: Optional[int] = None) -> np.ndarray:
-    """M rollouts on consecutive seeds, returned in shuffled order.
+def sample_performance(cfg: ScenarioConfig, policies, initial_dist, seed0: int,
+                       T: float, M: int, shuffle_seeds=None) -> list:
+    """M rollouts of each policy on consecutive seeds, one array per policy,
+    each in its own shuffled order.
 
-    The rollouts run in lockstep as arrays over the policy's action table
-    (``policy.action_table(cfg)``); before the shuffle, entry k equals
-    ``rollout(cfg, policy, initial_dist, seed0 + k, T)`` bit for bit.  The
-    shuffle decouples the pairing that common random numbers would
-    otherwise induce between two policies sampled from the same seed block;
-    pass distinct ``shuffle_seed`` values per policy.
+    Every policy's rollouts run in lockstep as arrays over the policies'
+    action tables (``policy.action_table(cfg)``), a block of seeds at a
+    time with every policy of its seeds, about ``_LANES`` rollouts at most.
+    Before the shuffle, entry k of policy p's array equals
+    ``rollout(cfg, policies[p], initial_dist, seed0 + k, T)`` bit for bit;
+    errors name the policy by its position p.  The shuffle decouples the
+    pairing that common random numbers would otherwise induce between two
+    policies sampled from the same seed block: ``shuffle_seeds`` holds one
+    seed per policy (``seed0`` for every policy by default); pass distinct
+    ones.
     """
     if M < 2:
         raise ValueError("need at least two rollouts (M >= 2)")
     if T <= 0:
         raise ValueError("horizon T must be positive")
-    codes = _action_codes(cfg, policy)
+    policies = list(policies)
+    if not policies:
+        raise ValueError("need at least one policy")
+    if shuffle_seeds is None:
+        shuffle_seeds = [seed0] * len(policies)
+    if len(shuffle_seeds) != len(policies):
+        raise ValueError("need one shuffle seed per policy")
+    codes = np.stack([_action_codes(cfg, pol) for pol in policies])
     seeds = [int(seed0) + k for k in range(M)]
     philox = np.random.Philox(key=0)
     gen = np.random.Generator(philox)
@@ -628,11 +650,15 @@ def sample_performance(cfg: ScenarioConfig, policy, initial_dist, seed0: int,
     for k, seed in enumerate(seeds):
         philox.state = _philox_state(_philox_words((seed << 6) + TAG_INIT))
         u[k] = gen.random()
-    x0 = _initial_states(cfg, _initial_cdf(cfg, initial_dist), u)
-    eta = _lockstep(cfg, codes, x0, seeds, T)
-    key = (int(shuffle_seed if shuffle_seed is not None else seed0) << 6) + TAG_SHUFFLE
-    rng = np.random.Generator(np.random.Philox(key=key))
-    return eta[rng.permutation(M)]
+    x0 = np.array(_initial_states(cfg, _initial_cdf(cfg, initial_dist), u))
+    blocks = np.array_split(np.arange(M), -(-M * len(policies) // _LANES))
+    eta = np.concatenate(
+        [_lockstep(cfg, codes, x0[:, b], seeds[b[0]:b[-1] + 1], T) for b in blocks], axis=1)
+    out = []
+    for row, shuffle_seed in zip(eta, shuffle_seeds):
+        key = (int(shuffle_seed) << 6) + TAG_SHUFFLE
+        out.append(row[np.random.Generator(np.random.Philox(key=key)).permutation(M)])
+    return out
 
 
 def embedded_stationary(trace: RolloutTrace, burn_in: Optional[int] = None):

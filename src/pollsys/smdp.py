@@ -143,12 +143,16 @@ def build_action_model(cfg: ScenarioConfig, summaries: Dict[str, ArrivalSummary]
         gamma_l = lam1 + lam2
         # idling never ends without arrivals; its rows then stay empty
         probs = np.array([lam1, lam2]) / gamma_l if gamma_l > 0 else np.zeros(2)
-
-        def entries(x):
-            dest = np.stack([x + s_n1 * (n1[x] < cfg.X1), x + s_n2 * (n2[x] < cfg.X2)], axis=1)
-            return dest, np.broadcast_to(probs, dest.shape)
-
-        counts, cols, (pvals,) = _pooled_rows(states, n_states, entries)
+        # each row has its two arrival successors, pooled in place where both
+        # are capped, then ordered by column; zero entries are dropped
+        dest = np.stack([states + s_n1 * (n1 < cfg.X1), states + s_n2 * (n2 < cfg.X2)], axis=1)
+        w = np.tile(probs, (n_states, 1))
+        same = dest[:, 0] == dest[:, 1]
+        w[same] = [0.0 + probs[0] + probs[1], 0.0]
+        swap = dest[:, 1] < dest[:, 0]
+        dest[swap], w[swap] = dest[swap, ::-1], w[swap, ::-1]
+        keep = w != 0.0
+        counts, cols, pvals = keep.sum(axis=1), dest[keep], w[keep]
         alpha = gamma_l / (gamma_l + cfg.beta)
         pbvals = alpha * pvals
     else:

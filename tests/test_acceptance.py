@@ -85,13 +85,11 @@ def slow_experiment():
     t0 = time.time()
     tables, _ = solve_policies(cfg, ["smdp", "ctmdp"])
     p0 = envelope_uniform(cfg)
-    etas = {}
     names = ("smdp", "ctmdp", "exhaustive", "heuristic")
-    for k, name in enumerate(names):
-        pol = ps.cli.make_sim_policy(name, cfg, tables)
-        etas[name] = ps.sample_performance(
-            cfg, pol, p0, 0, HORIZON, M_ROLLOUTS, shuffle_seed=7919 * (k + 1)
-        )
+    etas = dict(zip(names, ps.sample_performance(
+        cfg, [ps.cli.make_sim_policy(name, cfg, tables) for name in names], p0, 0,
+        HORIZON, M_ROLLOUTS, shuffle_seeds=[7919 * (k + 1) for k in range(len(names))],
+    )))
     return {"cfg": cfg, "tables": tables, "etas": etas, "p0": p0,
             "elapsed": time.time() - t0}
 
@@ -101,13 +99,11 @@ def asym_experiment():
     cfg = asym_var_config(X1=40, X2=40, N1=35, N2=35)
     tables, _ = solve_policies(cfg, ["smdp", "ctmdp"])
     p0 = envelope_uniform(cfg)
-    etas = {}
     names = ("smdp", "ctmdp", "exhaustive")
-    for k, name in enumerate(names):
-        pol = ps.cli.make_sim_policy(name, cfg, tables)
-        etas[name] = ps.sample_performance(
-            cfg, pol, p0, 0, HORIZON, M_ROLLOUTS, shuffle_seed=7919 * (k + 1)
-        )
+    etas = dict(zip(names, ps.sample_performance(
+        cfg, [ps.cli.make_sim_policy(name, cfg, tables) for name in names], p0, 0,
+        HORIZON, M_ROLLOUTS, shuffle_seeds=[7919 * (k + 1) for k in range(len(names))],
+    )))
     return {"cfg": cfg, "tables": tables, "etas": etas, "p0": p0}
 
 

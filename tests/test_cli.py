@@ -88,10 +88,17 @@ def test_solve_command_ctmdp_value_iteration(tiny_scenario, tmp_path):
     assert len(lines) == 1 + 36
 
 
-def test_solve_rejects_smdp_value_iteration(tiny_scenario):
-    with pytest.raises(SystemExit):
-        main(["solve", "--scenario", tiny_scenario, "--model", "smdp",
-              "--algo", "value-iteration"])
+def test_solve_command_smdp_value_iteration(tiny_scenario, tmp_path):
+    """Value iteration on the SMDP writes the policy-iteration table."""
+    for algo in ("policy-iteration", "value-iteration"):
+        rc = main(["solve", "--scenario", tiny_scenario, "--model", "smdp",
+                   "--algo", algo, "--out", str(tmp_path / algo)])
+        assert rc == 0
+    for loc in ("q1", "q2"):
+        name = f"policy_smdp_{loc}.csv"
+        vi = (tmp_path / "value-iteration" / name).read_text()
+        assert vi == (tmp_path / "policy-iteration" / name).read_text()
+        assert len(vi.strip().splitlines()) == 1 + 36
 
 
 def test_simulate_command(tiny_scenario, tmp_path):

@@ -70,6 +70,13 @@ def test_generator_rate_fn_cell():
     assert gen.Q[idx.flatten(1, 0), idx.flatten(2, 0)] == 2.0
 
 
+def test_generator_rejects_negative_rate_fn():
+    cfg = exp_config(N1=3, N2=3,
+                     rate_fn=lambda a1, a2: (1.0, -1.0 if (a1, a2) == (2, 1) else 1.0))
+    with pytest.raises(ValueError, match=r"negative rates at \(2, 1\)"):
+        build_generator(cfg)
+
+
 @pytest.mark.parametrize("mode", ["absorbing", "unassigned"])
 @pytest.mark.parametrize("N", [(1, 1), (5, 3), (40, 40)])
 def test_generator_row_sums(mode, N, rng):

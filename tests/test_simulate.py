@@ -28,6 +28,7 @@ from pollsys import (
     simulate_trace,
     step_wise_cost,
 )
+from pollsys import simulate
 from pollsys.baselines import LimitCycle
 from pollsys.cli import solve_policies
 from pollsys.model import triple_indexer, validate_scenario
@@ -155,8 +156,12 @@ def test_rollout_matches_fine_grained_integral():
 def test_sample_performance_contracts():
     cfg = exp_config(X1=3, X2=3)
     with pytest.raises(ValueError):
-        sample_performance(cfg, ExhaustivePolicy(), None, 0, 10.0, 1)
-    eta = sample_performance(cfg, ExhaustivePolicy(), None, 0, 10.0, 2)
+        sample_performance(cfg, [ExhaustivePolicy()], None, 0, 10.0, 1)
+    with pytest.raises(ValueError, match="at least one policy"):
+        sample_performance(cfg, [], None, 0, 10.0, 2)
+    with pytest.raises(ValueError, match="one shuffle seed per policy"):
+        sample_performance(cfg, [ExhaustivePolicy()] * 2, None, 0, 10.0, 2, shuffle_seeds=[1])
+    (eta,) = sample_performance(cfg, [ExhaustivePolicy()], None, 0, 10.0, 2)
     assert len(eta) == 2
 
 
@@ -165,17 +170,15 @@ def test_sample_performance_degenerate_model_identical_values():
                      serve2=Deterministic(1.0), switch12=Deterministic(1.0),
                      switch21=Deterministic(1.0), X1=2, X2=2)
     dist = _point_dist(cfg, 1, 0, 0)
-    eta = sample_performance(cfg, ExhaustivePolicy(), dist, 0, 10.0, 8)
+    (eta,) = sample_performance(cfg, [ExhaustivePolicy()], dist, 0, 10.0, 8)
     # one unit-length service of the single customer, then idle for ever
     assert np.all(eta == pytest.approx((1 - math.exp(-0.05)) / 0.05, rel=1e-12))
 
 
 def test_sample_performance_shuffles_with_distinct_seeds():
     cfg = exp_config(X1=4, X2=4)
-    base = sample_performance(cfg, ExhaustivePolicy(), None, 0, 20.0, 32,
-                              shuffle_seed=1)
-    other = sample_performance(cfg, ExhaustivePolicy(), None, 0, 20.0, 32,
-                               shuffle_seed=2)
+    base, other = sample_performance(cfg, [ExhaustivePolicy()] * 2, None, 0, 20.0, 32,
+                                     shuffle_seeds=[1, 2])
     assert sorted(base) == pytest.approx(sorted(other))
     assert not np.allclose(base, other)
 
@@ -222,24 +225,50 @@ BATCH_CASES = {
 ])
 @pytest.mark.parametrize("start", ["uniform", "point"])
 def test_sample_performance_matches_scalar_rollouts(case, name, start):
-    """The lockstep batch equals the per-seed scalar rollouts bit for bit."""
+    """A lockstep batch of every policy kind equals the per-seed scalar
+    rollouts of the named policy bit for bit."""
     cfg = BATCH_CASES[case]
-    if name == "exhaustive":
-        pol = ExhaustivePolicy()
-    elif name == "heuristic":
-        pol = HeuristicPolicy(cfg)
-    elif isinstance(cfg.serve1, Deterministic):  # no SMDP: leave queue 2 below 5
+    policies = {"exhaustive": ExhaustivePolicy()}
+    if validate_scenario(cfg).priority_queue == 1:
+        policies["heuristic"] = HeuristicPolicy(cfg)
+    if isinstance(cfg.serve1, Deterministic):  # no SMDP: leave queue 2 below 5
         n1, n2, l1 = triple_indexer(cfg).unflatten(np.arange(triple_indexer(cfg).size))
         table = np.array([_exhaustive_action(*x) for x in zip(n1, n2, l1)])
         table[(l1 == 1) & (n2 < 5) & (n1 > 0)] = SWITCH
-        pol = TabularPolicy(table, cfg.X1, cfg.X2)
+        policies["tabular"] = TabularPolicy(table, cfg.X1, cfg.X2)
     else:
-        pol = TabularPolicy(_smdp_table(cfg), cfg.X1, cfg.X2)
+        policies["tabular"] = TabularPolicy(_smdp_table(cfg), cfg.X1, cfg.X2)
     dist = None if start == "uniform" else _point_dist(cfg, 1, 2, 1)
     M, T = 24, 150.0 if case != "deterministic" else 400.0
-    eta = sample_performance(cfg, pol, dist, 11, T, M, shuffle_seed=5)
-    want = [rollout(cfg, pol, dist, 11 + k, T) for k in range(M)]
-    assert np.array_equal(_unshuffle(eta, 11, 5), want)
+    shuffle = [5 + p for p in range(len(policies))]
+    etas = sample_performance(cfg, list(policies.values()), dist, 11, T, M,
+                              shuffle_seeds=shuffle)
+    p = list(policies).index(name)
+    want = [rollout(cfg, policies[name], dist, 11 + k, T) for k in range(M)]
+    assert np.array_equal(_unshuffle(etas[p], 11, shuffle[p]), want)
+
+
+def test_sample_performance_seed_blocks_under_a_small_lane_cap(monkeypatch):
+    """Unequal seed blocks, each with every policy, give the uncapped values."""
+    cfg = HEURISTIC_FLAG_CONFIG
+    policies = [HeuristicPolicy(cfg), ExhaustivePolicy()]
+    M, T = 10, 60.0
+    whole = sample_performance(cfg, policies, None, 3, T, M, shuffle_seeds=[1, 2])
+    blocks = []
+    lockstep = simulate._lockstep
+
+    def spy(cfg, codes, x0, seeds, T):
+        blocks.append((len(codes), list(seeds)))
+        return lockstep(cfg, codes, x0, seeds, T)
+
+    monkeypatch.setattr(simulate, "_LANES", 7)
+    monkeypatch.setattr(simulate, "_lockstep", spy)
+    capped = sample_performance(cfg, policies, None, 3, T, M, shuffle_seeds=[1, 2])
+    assert blocks == [(2, [3, 4, 5, 6]), (2, [7, 8, 9]), (2, [10, 11, 12])]
+    for pol, got, want, shuffle in zip(policies, capped, whole, (1, 2)):
+        assert np.array_equal(got, want)
+        scalar = [rollout(cfg, pol, None, 3 + k, T) for k in range(M)]
+        assert np.array_equal(_unshuffle(got, 3, shuffle), scalar)
 
 
 def test_action_tables_match_scalar_policies():
@@ -261,24 +290,42 @@ def test_sample_performance_overflow_names_the_seed():
     cfg = exp_config(lambda1=2.0, lambda2=0.0, serve1=Exponential(5.0), X1=1, X2=1)
     idle = TabularPolicy(np.full(8, IDLE), 1, 1)
     with pytest.raises(QueueOverflowError, match=r"seed (\d+)") as info:
-        sample_performance(cfg, idle, None, 40, 2000.0, 6)
+        sample_performance(cfg, [idle], None, 40, 2000.0, 6)
     seed = int(re.search(r"seed (\d+)", str(info.value)).group(1))
     assert 40 <= seed < 46
     with pytest.raises(QueueOverflowError):
         rollout(cfg, idle, None, seed, 2000.0)
 
 
+def test_sample_performance_overflow_names_the_policy():
+    """Only the second policy overflows; the error names it and its seed."""
+    cfg = exp_config(lambda1=2.0, lambda2=0.0, serve1=Exponential(5.0), X1=1, X2=1)
+    idle = TabularPolicy(np.full(8, IDLE), 1, 1)
+    stable = ExhaustivePolicy()
+    T = 50.0
+    for seed in range(40, 46):
+        rollout(cfg, stable, None, seed, T)  # does not overflow
+    with pytest.raises(QueueOverflowError, match=r"policy 1 with seed (\d+)") as info:
+        sample_performance(cfg, [stable, idle], None, 40, T, 6)
+    seed = int(re.search(r"seed (\d+)", str(info.value)).group(1))
+    assert 40 <= seed < 46
+    with pytest.raises(QueueOverflowError):
+        rollout(cfg, idle, None, seed, T)
+
+
 def test_sample_performance_rejects_empty_serve_and_undefined_entries():
     cfg = exp_config(X1=2, X2=2)
     start = _point_dist(cfg, 0, 1, 0)
     with pytest.raises(ValueError, match="empty queue at \\(0,1,0\\)"):
-        sample_performance(cfg, TabularPolicy(np.full(18, SERVE), 2, 2), start, 0, 10.0, 4)
+        sample_performance(cfg, [TabularPolicy(np.full(18, SERVE), 2, 2)], start, 0, 10.0, 4)
     table = np.full(18, SERVE)
     table[(0 * 3 + 1) * 2 + 0] = -1
-    with pytest.raises(ValueError, match="undefined at state \\(0,1,0\\)"):
-        sample_performance(cfg, TabularPolicy(table, 2, 2), start, 0, 10.0, 4)
+    with pytest.raises(ValueError, match="undefined at state \\(0,1,0\\) in the rollout "
+                                         "of policy 1 with seed 0"):
+        sample_performance(cfg, [ExhaustivePolicy(), TabularPolicy(table, 2, 2)],
+                           start, 0, 10.0, 4)
     with pytest.raises(TypeError, match="action_table"):
-        sample_performance(cfg, AlwaysIdle(), start, 0, 10.0, 4)
+        sample_performance(cfg, [AlwaysIdle()], start, 0, 10.0, 4)
 
 
 def test_queue_overflow_detected():

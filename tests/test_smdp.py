@@ -237,3 +237,26 @@ def test_action_rows_match_per_state_bincount():
             assert np.array_equal(m.P_beta.indices[lo:hi], nz)
             assert np.array_equal(m.P.data[lo:hi], row[nz])
             assert np.array_equal(m.P_beta.data[lo:hi], row_b[nz])
+
+
+@pytest.mark.parametrize("lambda2", [0.0, 0.7])
+def test_idle_rows_match_per_state_bincount(lambda2):
+    # reference: each state's two arrival successors pooled on their own
+    cfg = exp_config(lambda1=1.2, lambda2=lambda2, X1=3, X2=4, N1=3, N2=3)
+    m = build_action_model(cfg, build_arrival_summaries(cfg), IDLE)
+    idx = triple_indexer(cfg)
+    n = idx.size
+    probs = np.array([1.2, lambda2]) / (1.2 + lambda2)
+    alpha = (1.2 + lambda2) / (1.2 + lambda2 + cfg.beta)
+    assert m.feasible_mask.all()
+    for x in range(n):
+        n1, n2, l1 = idx.unflatten(x)
+        dest = [idx.flatten(min(n1 + 1, cfg.X1), n2, l1),
+                idx.flatten(n1, min(n2 + 1, cfg.X2), l1)]
+        row = np.bincount(dest, weights=probs, minlength=n)
+        nz = np.flatnonzero(row)
+        lo, hi = m.P.indptr[x], m.P.indptr[x + 1]
+        assert np.array_equal(m.P.indices[lo:hi], nz)
+        assert np.array_equal(m.P_beta.indices[lo:hi], nz)
+        assert np.array_equal(m.P.data[lo:hi], row[nz])
+        assert np.array_equal(m.P_beta.data[lo:hi], alpha * row[nz])
