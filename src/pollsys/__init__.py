@@ -26,9 +26,6 @@ from .model import (
 from .lattice import (
     ArrivalSummary,
     GeneratorMatrix,
-    MeshCoverageError,
-    MeshStabilityError,
-    TransientMesh,
     build_arrival_summaries,
     build_generator,
     expected_arrival_probs,
@@ -36,7 +33,6 @@ from .lattice import (
     holding_cost_existing,
     pool_lattice,
     snapshot_lattice,
-    transient_mesh,
 )
 from .smdp import ActionModel, SmdpModel, build_action_model, build_cost_vector, build_smdp
 from .ctmdp import NonPreemptiveModel, PreemptiveModel, build_nonpreemptive, build_preemptive

@@ -3,8 +3,10 @@
 Three families are supported: exponential, gamma (shape/scale) and a
 deterministic point mass.  All times are in the same abstract unit as the
 arrival rates.  Every distribution exposes the handful of functionals the
-model builders need: density, CDF, quantile, mean, variance, and the two
-discounting moments E[exp(-b*t)] and E[t*exp(-b*t)].
+model builders need: density, mean, variance, the two discounting moments
+E[exp(-b*t)] and E[t*exp(-b*t)], and the closed-form pmf and tail of the
+number of Poisson events within one duration (the mixed Poisson law: a
+negative binomial for gamma durations, a Poisson for a point mass).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 
 class DurationDist:
@@ -30,18 +32,23 @@ class DurationDist:
     def pdf(self, t):
         raise NotImplementedError
 
-    def cdf(self, t):
-        raise NotImplementedError
-
-    def quantile(self, p: float) -> float:
-        raise NotImplementedError
-
     def discount_factor(self, beta: float) -> float:
         """E[exp(-beta * t)] for t drawn from this distribution."""
         raise NotImplementedError
 
     def discounted_mean(self, beta: float) -> float:
         """E[t * exp(-beta * t)] for t drawn from this distribution."""
+        raise NotImplementedError
+
+    def poisson_mixture(self, rate: float, k, beta: float = 0.0) -> np.ndarray:
+        """E[exp(-beta t) Pois(k; rate t)] at the integers ``k``: the pmf of the
+        number of events of a rate-``rate`` Poisson process within one
+        duration t, discounted over the duration when beta > 0."""
+        raise NotImplementedError
+
+    def poisson_tail(self, rate: float, k) -> np.ndarray:
+        """P(at least k events of a rate-``rate`` Poisson process within one
+        duration), at the integers ``k`` >= 1."""
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size=None):
@@ -83,20 +90,17 @@ class Exponential(DurationDist):
         t = np.asarray(t, dtype=float)
         return np.where(t >= 0, self.rate * np.exp(-self.rate * t), 0.0)
 
-    def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t >= 0, 1.0 - np.exp(-self.rate * t), 0.0)
-
-    def quantile(self, p):
-        if not 0 < p < 1:
-            raise ValueError("quantile requires 0 < p < 1")
-        return -math.log1p(-p) / self.rate
-
     def discount_factor(self, beta):
         return self.rate / (self.rate + beta)
 
     def discounted_mean(self, beta):
         return self.rate / (self.rate + beta) ** 2
+
+    def poisson_mixture(self, rate, k, beta=0.0):
+        return Gamma(1.0, 1.0 / self.rate).poisson_mixture(rate, k, beta)
+
+    def poisson_tail(self, rate, k):
+        return Gamma(1.0, 1.0 / self.rate).poisson_tail(rate, k)
 
     def sample(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size)
@@ -137,30 +141,22 @@ class Gamma(DurationDist):
             out = np.where(t == 0, 1.0 / self.scale, out)
         return out
 
-    def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t > 0, special.gammainc(self.shape, np.maximum(t, 0.0) / self.scale), 0.0)
-
-    def quantile(self, p):
-        # Bracketed root-find on the regularised incomplete gamma function.
-        if not 0 < p < 1:
-            raise ValueError("quantile requires 0 < p < 1")
-        hi = self.mean() + 10.0 * math.sqrt(self.var())
-        while special.gammainc(self.shape, hi / self.scale) < p:
-            hi *= 2.0
-        return optimize.brentq(
-            lambda t: special.gammainc(self.shape, t / self.scale) - p,
-            0.0,
-            hi,
-            xtol=1e-10,
-            rtol=8.9e-16,
-        )
-
     def discount_factor(self, beta):
         return (1.0 + beta * self.scale) ** (-self.shape)
 
     def discounted_mean(self, beta):
         return self.shape * self.scale * (1.0 + beta * self.scale) ** (-(self.shape + 1.0))
+
+    def poisson_mixture(self, rate, k, beta=0.0):
+        # negative binomial: gamma(k+s)/(k! gamma(s)) (rate th)^k / (1 + (rate+beta) th)^(k+s)
+        k = np.asarray(k, dtype=float)
+        s, th = self.shape, self.scale
+        return np.exp(special.gammaln(k + s) - special.gammaln(k + 1.0) - special.gammaln(s)
+                      + special.xlogy(k, rate * th) - (k + s) * math.log1p((rate + beta) * th))
+
+    def poisson_tail(self, rate, k):
+        q = rate * self.scale / (1.0 + rate * self.scale)
+        return special.betainc(np.asarray(k, dtype=float), self.shape, q)
 
     def sample(self, rng, size=None):
         return rng.gamma(self.shape, self.scale, size)
@@ -187,20 +183,19 @@ class Deterministic(DurationDist):
     def pdf(self, t):
         raise ValueError("point mass has no density; integrate by point evaluation instead")
 
-    def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        return (t >= self.value).astype(float)
-
-    def quantile(self, p):
-        if not 0 < p < 1:
-            raise ValueError("quantile requires 0 < p < 1")
-        return self.value
-
     def discount_factor(self, beta):
         return math.exp(-beta * self.value)
 
     def discounted_mean(self, beta):
         return self.value * math.exp(-beta * self.value)
+
+    def poisson_mixture(self, rate, k, beta=0.0):
+        k = np.asarray(k, dtype=float)
+        m = rate * self.value
+        return np.exp(special.xlogy(k, m) - m - special.gammaln(k + 1.0) - beta * self.value)
+
+    def poisson_tail(self, rate, k):
+        return special.gammainc(np.asarray(k, dtype=float), rate * self.value)
 
     def sample(self, rng, size=None):
         return self.value if size is None else np.full(size, float(self.value))

@@ -1,36 +1,34 @@
-"""Truncated bi-variate arrival lattice and its transient integrals.
+"""Truncated bi-variate arrival lattice and its uniformised transient sums.
 
 Within one non-preemptive action interval the pair of accumulated arrival
 counts is a bi-variate birth process.  This module builds its truncated
-generator, integrates the transient probabilities with an explicit Euler
-mesh, and computes the expected (optionally discounted) arrival
+generator Q and computes the expected (optionally discounted) arrival
 probabilities plus the two holding-cost components that the decision-model
 builders consume.
+
+The transient probabilities come from uniformisation (Jensen 1953; Gross &
+Miller, Oper. Res. 32(2), 1984): with Lambda the largest row outflow,
+p(t) = sum_k Pois(k; Lambda t) v_k where v_{k+1} = v_k (I + Q/Lambda) and
+v_0 is the origin.  Averaged over an event duration t_e the Poisson pmf
+becomes the closed-form mixed-Poisson pmf of the duration
+(:meth:`DurationDist.poisson_mixture`), so no time mesh, step size or
+quadrature is involved.  A sum stops after the fewest terms that leave at
+most ``TAIL_EPS`` of the weight out, and that weight is reported as the
+event's tail mass.
 """
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, sparse
+from scipy import sparse
 
-from .distributions import Deterministic, DurationDist
+from .distributions import DurationDist
 from .model import ScenarioConfig, StateIndexer, Truncation
 
-TAIL_QUANTILE = 1.0 - 1e-9  # cutoff percentile for event-duration support
-NEGATIVE_TOL = -1e-12  # float noise clamped to zero; worse aborts
-
-
-class MeshStabilityError(ValueError):
-    """Euler step too large for the generator's fastest outflow."""
-
-
-class MeshCoverageError(ValueError):
-    """Mesh does not cover the required duration support."""
+TAIL_EPS = 1e-13  # mixed-Poisson weight left out of a uniformised sum
 
 
 @dataclass(frozen=True)
@@ -42,36 +40,11 @@ class GeneratorMatrix:
     N1: int
     N2: int
     indexer: StateIndexer
-    gamma_max: float  # largest row outflow, bounds the stable Euler step
+    gamma_max: float  # largest row outflow, the uniformisation rate Lambda
 
     @property
     def size(self) -> int:
         return self.indexer.size
-
-
-@dataclass(frozen=True)
-class TransientMesh:
-    """Transient probability vectors phi(tau_k) on a fixed-step time mesh."""
-
-    times: np.ndarray  # (K+1,)
-    probs: np.ndarray  # (K+1, size)
-    mode: Truncation
-    N1: int
-    N2: int
-
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
-
-    def interpolate(self, t: float) -> np.ndarray:
-        """Linear interpolation of the probability vector at time t."""
-        if t < 0 or t > self.times[-1] + 1e-12:
-            raise MeshCoverageError(f"t={t} outside mesh [0, {self.times[-1]}]")
-        k = int(np.searchsorted(self.times, t, side="right")) - 1
-        k = min(max(k, 0), len(self.times) - 2)
-        t0, t1 = self.times[k], self.times[k + 1]
-        w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        return (1.0 - w) * self.probs[k] + w * self.probs[k + 1]
 
 
 @dataclass(frozen=True)
@@ -84,7 +57,7 @@ class ArrivalSummary:
     P_beta: np.ndarray  # discounted counterpart (not a pmf)
     C_H: float  # discounted unit holding cost of customers present at entry
     C_I: float  # expected discounted holding cost of in-interval arrivals
-    tail_mass: float  # duration mass beyond the mesh cutoff (diagnostic)
+    tail_mass: float  # mixed-Poisson weight beyond the last term: 1 - sum(w_k)
 
 
 def _cell_rates(cfg: ScenarioConfig, a1: np.ndarray, a2: np.ndarray):
@@ -131,133 +104,73 @@ def build_generator(cfg: ScenarioConfig) -> GeneratorMatrix:
                            indexer=indexer, gamma_max=gamma_max)
 
 
-def default_step(gen: GeneratorMatrix, t_end: float) -> float:
-    """Fixed Euler step: min(0.05 / gamma_max, t_end / 2000)."""
-    if gen.gamma_max <= 0:
-        return t_end / 2000.0 if t_end > 0 else 1.0
-    return min(0.05 / gen.gamma_max, t_end / 2000.0)
+def _poisson_terms(f_e: DurationDist, rate: float) -> int:
+    """Fewest terms K whose omitted weight P(N >= K) is at most ``TAIL_EPS``,
+    N being the number of rate-``rate`` Poisson events within one duration."""
+    n = 32
+    while True:
+        tail = f_e.poisson_tail(rate, np.arange(1, n + 1))
+        if tail[-1] <= TAIL_EPS:
+            return int(np.argmax(tail <= TAIL_EPS)) + 1
+        n *= 2
 
 
-def transient_mesh(gen: GeneratorMatrix, t_end: float, dt: float) -> TransientMesh:
-    """Integrate d(phi)/dt = phi Q with explicit forward Euler steps.
+def _uniformised_steps(gen: GeneratorMatrix, terms: int) -> np.ndarray:
+    """Rows v_0..v_{terms-1} with v_0 the origin and v_{k+1} = v_k (I + Q/Lambda).
 
-    The step must satisfy dt <= 0.1 / gamma_max or the explicit scheme is
-    rejected outright.
+    Lambda = ``gen.gamma_max``, so I + Q/Lambda is entrywise non-negative and
+    every v_k is a probability vector (sub-stochastic in unassigned mode).
     """
-    if t_end < 0:
-        raise ValueError("t_end must be non-negative")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if gen.gamma_max > 0 and dt > 0.1 / gen.gamma_max + 1e-15:
-        raise MeshStabilityError(
-            f"dt={dt} exceeds stability bound {0.1 / gen.gamma_max:.3e} "
-            f"(gamma_max={gen.gamma_max})"
-        )
-    K = max(int(math.ceil(t_end / dt)), 1) if t_end > 0 else 0
-    times = np.arange(K + 1, dtype=float) * dt
-    size = gen.size
-    probs = np.empty((K + 1, size), dtype=float)
-    phi = np.zeros(size, dtype=float)
-    phi[0] = 1.0
-    probs[0] = phi
-    QT = gen.Q.T.tocsr()
-    for k in range(K):
-        phi = phi + dt * QT.dot(phi)
-        low = phi.min()
-        if low < 0:
-            if low < NEGATIVE_TOL:
-                raise ValueError(
-                    f"transient probability went negative ({low:.3e}) at step {k + 1}"
-                )
-            phi = np.maximum(phi, 0.0)
-        probs[k + 1] = phi
-    mesh = TransientMesh(times=times, probs=probs, mode=gen.mode, N1=gen.N1, N2=gen.N2)
-    _check_mass(mesh)
-    return mesh
+    steps = np.zeros((terms, gen.size))
+    steps[0, 0] = 1.0
+    if terms > 1:  # a zero Lambda needs one term only
+        step = (sparse.identity(gen.size, format="csr") + gen.Q / gen.gamma_max).T.tocsr()
+        for k in range(1, terms):
+            steps[k] = step @ steps[k - 1]
+    return steps
 
 
-def _check_mass(mesh: TransientMesh) -> None:
-    sums = mesh.probs.sum(axis=1)
-    if mesh.mode is Truncation.ABSORBING:
-        worst = np.abs(sums - 1.0).max()
-        if worst > 1e-6:
-            raise ValueError(f"absorbing mesh lost mass: |sum-1| up to {worst:.3e}")
-    else:
-        if sums.max() > 1.0 + 1e-9:
-            raise ValueError("unassigned-outflow mesh exceeded unit mass")
-        if np.any(np.diff(sums) > 1e-9):
-            raise ValueError("unassigned-outflow mesh mass increased over time")
-
-
-def _require_coverage(mesh: TransientMesh, f_e: DurationDist) -> float:
-    """Return the duration tail mass beyond the mesh; error when material."""
-    if isinstance(f_e, Deterministic):
-        needed = f_e.value
-        tail = 0.0 if mesh.t_end + 1e-12 >= needed else 1.0
-    else:
-        needed = f_e.quantile(TAIL_QUANTILE)
-        tail = float(1.0 - f_e.cdf(mesh.t_end))
-    if mesh.t_end + 1e-12 < needed:
-        raise MeshCoverageError(
-            f"mesh ends at {mesh.t_end:.6g} but event support extends to "
-            f"{needed:.6g}; truncated tail mass {tail:.3e}"
-        )
-    return tail
+def _weighted_sum(w: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """sum_k w_k v_k, added in k order at every cell, so that a cell's value
+    does not depend on the size of the lattice."""
+    return (w[:, None] * steps[:len(w)]).sum(axis=0)
 
 
 def expected_arrival_probs(
-    mesh: TransientMesh, f_e: DurationDist, beta: Optional[float] = None
+    gen: GeneratorMatrix, f_e: DurationDist, beta: Optional[float] = None
 ) -> np.ndarray:
-    """Expected arrival probabilities over one event, optionally discounted.
+    """Expected arrival probabilities E[e^{-beta t_e} p(t_e)] over one event.
 
-    Composite trapezoid of phi(t) * f_e(t) * exp(-beta t) on the Euler mesh;
-    a deterministic duration short-circuits to point evaluation.
+    With ``beta`` None this is E[p(t_e)], a pmf up to the tail mass; an exact
+    p(t) is ``expected_arrival_probs(gen, Deterministic(t))``.
     """
-    _require_coverage(mesh, f_e)
-    if isinstance(f_e, Deterministic):
-        vec = mesh.interpolate(f_e.value)
-        if beta is not None:
-            vec = vec * math.exp(-beta * f_e.value)
-        return vec.copy()
-    w = f_e.pdf(mesh.times)
-    if beta is not None:
-        w = w * np.exp(-beta * mesh.times)
-    return np.trapezoid(w[:, None] * mesh.probs, mesh.times, axis=0)
+    terms = _poisson_terms(f_e, gen.gamma_max)
+    w = f_e.poisson_mixture(gen.gamma_max, np.arange(terms), 0.0 if beta is None else beta)
+    return _weighted_sum(w, _uniformised_steps(gen, terms))
 
 
 def holding_cost_existing(f_e: DurationDist, beta: float) -> float:
-    """Discounted unit holding cost over one event duration.
-
-    Integrates f_e(t) * (1 - exp(-beta t)) / beta by adaptive quadrature; the
-    caller scales by (c1 n1 + c2 n2).
-    """
+    """Discounted unit holding cost over one event duration,
+    E[(1 - e^{-beta t_e}) / beta]; the caller scales by (c1 n1 + c2 n2)."""
     if not beta > 0:
         raise ValueError("beta must be positive")
-    if isinstance(f_e, Deterministic):
-        return (1.0 - math.exp(-beta * f_e.value)) / beta
-    upper = f_e.quantile(1.0 - 1e-12)
-    val, _ = integrate.quad(
-        lambda t: float(f_e.pdf(t)) * (1.0 - math.exp(-beta * t)) / beta,
-        0.0,
-        upper,
-        limit=200,
-    )
-    return val
+    return (1.0 - f_e.discount_factor(beta)) / beta
 
 
 def holding_cost_arrivals(
-    mesh: Optional[TransientMesh], f_e: DurationDist, cfg: ScenarioConfig
+    gen: Optional[GeneratorMatrix], f_e: DurationDist, cfg: ScenarioConfig
 ) -> float:
     """Expected discounted holding cost of the arrivals within one event.
 
     A customer arriving at time tau accrues cost from tau until the event
-    completes, so the expected cost is the duration-weighted integral of
-    the discounted accumulation of c1*E[a1(tau)] + c2*E[a2(tau)].  With
-    homogeneous rates the expected counts grow linearly and the whole double
-    integral collapses to the closed form
-    (c1 l1 + c2 l2) * (1 - E[e^{-bt}] - b E[t e^{-bt}]) / b^2, which is both
-    fast and free of lattice truncation error.  Non-homogeneous rates fall
-    back to nested trapezoid quadrature on the mesh.
+    completes, so the cost is int_0^inf e^{-beta s} P(t_e > s) c.E[a(s)] ds.
+    With homogeneous rates the expected counts grow linearly and this
+    collapses to the closed form
+    (c1 l1 + c2 l2) * (1 - E[e^{-bt}] - b E[t e^{-bt}]) / b^2, free of lattice
+    truncation.  Non-homogeneous rates use the uniformised lattice ``gen``:
+    the cost is sum_k u_k c.v_k with
+    u_k = int e^{-beta s} P(t_e > s) Pois(k; Lambda s) ds
+        = Lambda^k / (Lambda+beta)^(k+1) P(N_{Lambda+beta}(t_e) >= k+1).
     """
     beta = cfg.beta
     if cfg.rate_fn is None:
@@ -269,31 +182,22 @@ def holding_cost_arrivals(
             * (1.0 - f_e.discount_factor(beta) - beta * f_e.discounted_mean(beta))
             / beta**2
         )
-    if mesh is None:
-        raise ValueError("non-homogeneous arrival costs require a transient mesh")
-    _require_coverage(mesh, f_e)
-    indexer = StateIndexer((mesh.N1, mesh.N2))
-    a1, a2 = indexer.unflatten(np.arange(indexer.size))
+    if gen is None:
+        raise ValueError("non-homogeneous arrival costs require the lattice generator")
+    lam = gen.gamma_max
+    k = np.arange(_poisson_terms(f_e, lam))
+    u = (lam / (lam + beta)) ** k / (lam + beta) * f_e.poisson_tail(lam + beta, k + 1)
+    a1, a2 = gen.indexer.unflatten(np.arange(gen.size))
     cell_cost = cfg.c1 * np.asarray(a1, dtype=float) + cfg.c2 * np.asarray(a2, dtype=float)
-    rate = mesh.probs @ cell_cost  # expected cost-weighted counts at each time
-    integrand = np.exp(-beta * mesh.times) * rate
-    # inner accumulation G(t) = int_0^t e^{-beta tau} rate(tau) d tau
-    seg = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(mesh.times)
-    G = np.concatenate(([0.0], np.cumsum(seg)))
-    if isinstance(f_e, Deterministic):
-        k = int(np.searchsorted(mesh.times, f_e.value, side="right")) - 1
-        k = min(max(k, 0), len(mesh.times) - 2)
-        t0, t1 = mesh.times[k], mesh.times[k + 1]
-        w = 0.0 if t1 == t0 else (f_e.value - t0) / (t1 - t0)
-        return float((1.0 - w) * G[k] + w * G[k + 1])
-    return float(np.trapezoid(f_e.pdf(mesh.times) * G, mesh.times))
+    return float(u @ (_uniformised_steps(gen, len(k)) @ cell_cost))
 
 
-def build_arrival_summaries(cfg: ScenarioConfig, dt: Optional[float] = None) -> dict:
+def build_arrival_summaries(cfg: ScenarioConfig) -> dict:
     """Arrival summaries for the four serial events of the polling model.
 
-    One generator and one mesh (long enough for the slowest event) are shared
-    by all events.  Keys: 'serve1', 'serve2', 'switch12', 'switch21'.
+    One generator and one run of uniformised steps (long enough for the
+    event with the most terms) are shared by all events.  Keys: 'serve1',
+    'serve2', 'switch12', 'switch21'.
     """
     events = {
         "serve1": cfg.serve1,
@@ -302,31 +206,21 @@ def build_arrival_summaries(cfg: ScenarioConfig, dt: Optional[float] = None) -> 
         "switch21": cfg.switch21,
     }
     gen = build_generator(cfg)
-    t_end = max(
-        d.value if isinstance(d, Deterministic) else d.quantile(TAIL_QUANTILE)
-        for d in events.values()
-    )
-    t_end = max(t_end, 1e-9)
-    step = default_step(gen, t_end) if dt is None else dt
-    mesh = transient_mesh(gen, t_end, step)
+    lam = gen.gamma_max
+    terms = {name: _poisson_terms(dist, lam) for name, dist in events.items()}
+    steps = _uniformised_steps(gen, max(terms.values()))
     out = {}
     for name, dist in events.items():
-        tail = _require_coverage(mesh, dist)
-        P = expected_arrival_probs(mesh, dist)
-        P_beta = expected_arrival_probs(mesh, dist, beta=cfg.beta)
-        total = P.sum()
-        if cfg.truncation_mode is Truncation.ABSORBING and total > 1.0:
-            # quadrature overshoot; rescale so transition rows stay sub-stochastic
-            P /= total
-            P_beta /= total
+        k = np.arange(terms[name])
+        w = dist.poisson_mixture(lam, k)
         out[name] = ArrivalSummary(
             event=name,
             dist=dist,
-            P=P,
-            P_beta=P_beta,
+            P=_weighted_sum(w, steps),
+            P_beta=_weighted_sum(dist.poisson_mixture(lam, k, cfg.beta), steps),
             C_H=holding_cost_existing(dist, cfg.beta),
-            C_I=holding_cost_arrivals(mesh, dist, cfg),
-            tail_mass=tail,
+            C_I=holding_cost_arrivals(gen, dist, cfg),
+            tail_mass=1.0 - float(w.sum()),
         )
     return out
 
@@ -354,23 +248,8 @@ def snapshot_lattice(vec: np.ndarray, fine_dims, coarse_dims) -> np.ndarray:
     """Restrict a fine-lattice vector to the cells of a coarser lattice."""
     Nf1, Nf2 = fine_dims
     N1, N2 = coarse_dims
-    fine = StateIndexer((Nf1, Nf2))
-    coarse = StateIndexer((N1, N2))
-    out = np.zeros(coarse.size, dtype=float)
-    for a1 in range(N1 + 1):
-        for a2 in range(N2 + 1):
-            out[coarse.flatten(a1, a2)] = vec[fine.flatten(a1, a2)]
-    return out
-
-
-def write_mesh_csv(mesh: TransientMesh, path, stride: int = 1) -> None:
-    """Dump the mesh as rows (t, idx, n1, n2, phi) for plotting/debugging."""
-    indexer = StateIndexer((mesh.N1, mesh.N2))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "idx", "n1", "n2", "phi"])
-        for k in range(0, len(mesh.times), stride):
-            t = mesh.times[k]
-            for idx in range(indexer.size):
-                a1, a2 = indexer.unflatten(idx)
-                writer.writerow([repr(float(t)), idx, a1, a2, repr(float(mesh.probs[k, idx]))])
+    if len(vec) != (Nf1 + 1) * (Nf2 + 1):
+        raise ValueError("vector length does not match fine lattice")
+    if N1 > Nf1 or N2 > Nf2:
+        raise ValueError("coarse lattice exceeds the fine lattice")
+    return np.asarray(vec, dtype=float).reshape(Nf1 + 1, Nf2 + 1)[:N1 + 1, :N2 + 1].flatten()

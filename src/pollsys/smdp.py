@@ -209,13 +209,12 @@ def _stack_action_models(models: List[ActionModel]) -> ValueGraph:
 
 
 def build_smdp(cfg: ScenarioConfig,
-               summaries: Optional[Dict[str, ArrivalSummary]] = None,
-               dt: Optional[float] = None) -> SmdpModel:
+               summaries: Optional[Dict[str, ArrivalSummary]] = None) -> SmdpModel:
     """Build the embedded decision model of a scenario as one state-action
     graph, whose nodes at each state are its feasible actions in the order
     idle < serve < switch."""
     if summaries is None:
-        summaries = build_arrival_summaries(cfg, dt=dt)
+        summaries = build_arrival_summaries(cfg)
     return SmdpModel(cfg, _stack_action_models(
         [build_action_model(cfg, summaries, a) for a in ACTIONS]))
 

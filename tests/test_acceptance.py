@@ -18,6 +18,7 @@ from scipy import stats as sps
 import pollsys as ps
 from pollsys import (
     CycleKind,
+    Deterministic,
     Exponential,
     IDLE,
     SERVE,
@@ -31,7 +32,6 @@ from pollsys import (
     pool_lattice,
     policy_iteration,
     snapshot_lattice,
-    transient_mesh,
     truncation_bounds,
     value_iterate,
     welch_t_test,
@@ -111,9 +111,8 @@ def test_criterion_1_poisson_product_oracle():
     t0 = time.time()
     cfg = exp_config(lambda1=1.0, lambda2=1.0, N1=10, N2=10)
     gen = build_generator(cfg)
-    mesh = transient_mesh(gen, 0.5, 1e-4)
     idx = gen.indexer
-    phi = mesh.probs[-1]
+    phi = expected_arrival_probs(gen, Deterministic(0.5))  # exact p(0.5)
     checked = 0
     worst = 0.0
     for a1 in range(5):
@@ -124,7 +123,7 @@ def test_criterion_1_poisson_product_oracle():
             worst = max(worst, abs(phi[idx.flatten(a1, a2)] - oracle))
             checked += 1
     elapsed = time.time() - t0
-    report(1, checked == 20 and worst <= 1e-3 and elapsed < 5.0,
+    report(1, checked == 20 and worst <= 1e-12 and elapsed < 5.0,
            f"transient vs Poisson product at {checked} cells, "
            f"max err {worst:.2e}, {elapsed:.1f}s")
 
@@ -132,9 +131,7 @@ def test_criterion_1_poisson_product_oracle():
 def test_criterion_2_competing_exponentials():
     cfg = exp_config(lambda1=1.0, lambda2=1.0, N1=14, N2=14)
     gen = build_generator(cfg)
-    dist = Exponential(1.0)
-    mesh = transient_mesh(gen, dist.quantile(1 - 1e-9), 1e-3)
-    vec = expected_arrival_probs(mesh, dist)
+    vec = expected_arrival_probs(gen, Exponential(1.0))
     idx = gen.indexer
     total = 3.0
     worst = 0.0
@@ -145,22 +142,21 @@ def test_criterion_2_competing_exponentials():
                 * (1 / total)
             )
             worst = max(worst, abs(vec[idx.flatten(a1, a2)] - oracle))
-    report(2, worst <= 1e-3,
+    report(2, worst <= 1e-12,
            f"expected arrival probs vs closed form on n1+n2<=6, max err {worst:.2e}")
 
 
 def test_criterion_3_truncation_structure():
     dist = Exponential(1.0)
-    t_end = dist.quantile(1 - 1e-9)
-    dt = 0.002
-    small, big = (3, 3), (12, 12)
+    # the true model is the unbounded lattice: at (48, 48) at most
+    # 2 * (1/2)^49 of the mass leaves the large window
+    small, big = (3, 3), (48, 48)
     vecs = {}
     for mode, dims in (("absorbing", small), ("unassigned", small),
                        ("unassigned", big)):
         cfg = exp_config(lambda1=1.0, lambda2=1.0, N1=dims[0], N2=dims[1],
                          truncation_mode=mode)
-        mesh = transient_mesh(build_generator(cfg), t_end, dt)
-        vecs[(mode, dims)] = expected_arrival_probs(mesh, dist)
+        vecs[(mode, dims)] = expected_arrival_probs(build_generator(cfg), dist)
     pooled_err = np.abs(
         vecs[("absorbing", small)] - pool_lattice(vecs[("unassigned", big)], big, small)
     ).max()
@@ -168,7 +164,7 @@ def test_criterion_3_truncation_structure():
         vecs[("unassigned", small)]
         - snapshot_lattice(vecs[("unassigned", big)], big, small)
     ).max()
-    report(3, pooled_err <= 1e-3 and snap_err <= 1e-6,
+    report(3, pooled_err <= 1e-12 and snap_err == 0.0,
            f"absorbing==pooled ({pooled_err:.2e}) and unassigned==snapshot "
            f"({snap_err:.2e})")
 

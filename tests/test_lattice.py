@@ -2,14 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, linalg, stats
 
 from pollsys import (
     Deterministic,
     Exponential,
     Gamma,
-    MeshCoverageError,
-    MeshStabilityError,
     build_generator,
     build_arrival_summaries,
     expected_arrival_probs,
@@ -17,11 +15,15 @@ from pollsys import (
     holding_cost_existing,
     pool_lattice,
     snapshot_lattice,
-    transient_mesh,
 )
-from pollsys.lattice import default_step, write_mesh_csv
+from pollsys.lattice import TAIL_EPS
 
-from conftest import asym_var_config, exp_config
+from conftest import asym_var_config, exp_config, slow_mode_config
+
+
+def transient(gen, t):
+    """Exact p(t) over the lattice: the point-mass duration at t."""
+    return expected_arrival_probs(gen, Deterministic(t))
 
 
 def poisson_product(lam1, lam2, t, a1, a2):
@@ -106,113 +108,149 @@ def test_generator_row_sums(mode, N, rng):
 def test_mesh_initial_condition_and_conservation():
     cfg = exp_config(lambda1=1.0, lambda2=1.0, N1=4, N2=4)
     gen = build_generator(cfg)
-    mesh = transient_mesh(gen, 3.0, 0.002)
     e0 = np.zeros(gen.size)
     e0[0] = 1.0
-    assert np.array_equal(mesh.probs[0], e0)
-    assert np.abs(mesh.probs.sum(axis=1) - 1.0).max() <= 1e-6
+    assert np.array_equal(transient(gen, 0.0), e0)
+    for t in (0.1, 0.5, 1.0, 3.0):
+        assert abs(transient(gen, t).sum() - 1.0) <= 1e-12
 
 
 def test_mesh_poisson_product_oracle():
     cfg = exp_config(lambda1=1.0, lambda2=1.0, N1=6, N2=6)
     gen = build_generator(cfg)
-    mesh = transient_mesh(gen, 0.5, 1e-4)
     idx = gen.indexer
-    phi = mesh.probs[-1]
+    phi = transient(gen, 0.5)
     assert phi[idx.flatten(1, 1)] == pytest.approx(
-        poisson_product(1.0, 1.0, 0.5, 1, 1), abs=1e-3
+        poisson_product(1.0, 1.0, 0.5, 1, 1), abs=1e-12
     )
     assert poisson_product(1.0, 1.0, 0.5, 1, 1) == pytest.approx(0.09197, abs=1e-5)
     for a1 in range(4):
         for a2 in range(4):
             assert phi[idx.flatten(a1, a2)] == pytest.approx(
-                poisson_product(1.0, 1.0, 0.5, a1, a2), abs=1e-3
+                poisson_product(1.0, 1.0, 0.5, a1, a2), abs=1e-12
             )
 
 
 def test_mesh_absorbing_mass_at_corner():
     cfg = exp_config(lambda1=1.0, lambda2=1.0, N1=2, N2=2)
     gen = build_generator(cfg)
-    mesh = transient_mesh(gen, 10.0, 0.002)
+    phi = transient(gen, 10.0)
     corner = gen.indexer.flatten(2, 2)
     # oracle: both classes see >= 2 arrivals by t=10 with probability
     # (1 - P(Pois(10) <= 1))^2
     oracle = (1.0 - stats.poisson.cdf(1, 10.0)) ** 2
     assert oracle > 0.99
-    assert mesh.probs[-1, corner] >= 0.99
-    assert mesh.probs[-1, corner] == pytest.approx(oracle, abs=1e-3)
+    assert phi[corner] >= 0.99
+    assert phi[corner] == pytest.approx(oracle, abs=1e-12)
 
 
-def test_mesh_step_stability_guard():
-    cfg = exp_config(lambda1=5.0, lambda2=5.0, N1=3, N2=3)
+@pytest.mark.parametrize("mode", ["absorbing", "unassigned"])
+def test_transient_matches_matrix_exponential_with_rate_fn(mode):
+    # cell-dependent rates: p(t) is row 0 of expm(Q t)
+    cfg = exp_config(N1=5, N2=4, truncation_mode=mode,
+                     rate_fn=lambda a1, a2: (0.5 + 0.3 * a1, 1.2 / (1 + a2 + a1)))
     gen = build_generator(cfg)
-    with pytest.raises(MeshStabilityError):
-        transient_mesh(gen, 1.0, 0.5)
+    for t in (0.3, 2.0, 7.5):
+        want = linalg.expm(gen.Q.toarray() * t)[0]
+        assert np.abs(transient(gen, t) - want).max() <= 1e-12
 
 
 def test_unassigned_validity_error_monotone():
     cfg = exp_config(lambda1=1.0, lambda2=1.0, N1=3, N2=3,
                      truncation_mode="unassigned")
     gen = build_generator(cfg)
-    mesh = transient_mesh(gen, 6.0, 0.002)
-    eps2 = 1.0 - mesh.probs.sum(axis=1)
-    assert np.all(np.diff(eps2) >= -1e-9)
+    times = np.linspace(0.0, 6.0, 61)
+    eps2 = np.array([1.0 - transient(gen, t).sum() for t in times])
+    assert np.all(np.diff(eps2) >= -1e-12)
+    # the mass left in the window is P(Pois(t) <= 3)^2
+    assert np.abs(eps2 - (1.0 - stats.poisson.cdf(3, times) ** 2)).max() <= 1e-12
     assert eps2[-1] > 0.5  # most mass has left the small window by t=6
 
 
 def test_expected_arrival_probs_competing_exponentials():
     cfg = exp_config(lambda1=1.0, lambda2=1.0, N1=10, N2=10)
     gen = build_generator(cfg)
-    dist = Exponential(1.0)
-    mesh = transient_mesh(gen, dist.quantile(1 - 1e-9), 1e-3)
-    vec = expected_arrival_probs(mesh, dist)
+    vec = expected_arrival_probs(gen, Exponential(1.0))
     idx = gen.indexer
-    assert vec[idx.flatten(0, 0)] == pytest.approx(1 / 3, abs=1e-3)
-    assert vec[idx.flatten(1, 1)] == pytest.approx(2 / 27, abs=1e-3)
+    assert vec[idx.flatten(0, 0)] == pytest.approx(1 / 3, abs=1e-12)
+    assert vec[idx.flatten(1, 1)] == pytest.approx(2 / 27, abs=1e-12)
     for a1 in range(5):
         for a2 in range(5):
             if a1 + a2 <= 5:
                 assert vec[idx.flatten(a1, a2)] == pytest.approx(
-                    competing_exponential_prob(1.0, 1.0, 1.0, a1, a2), abs=1e-3
+                    competing_exponential_prob(1.0, 1.0, 1.0, a1, a2), abs=1e-12
                 )
+
+
+def mixed_poisson_oracle(f_e, rate, beta, n):
+    """E[e^{-beta t} Pois(n; rate t)] from scipy's negative binomial / Poisson."""
+    if isinstance(f_e, Deterministic):
+        return stats.poisson.pmf(n, rate * f_e.value) * math.exp(-beta * f_e.value)
+    shape, scale = (1.0, 1.0 / f_e.rate) if isinstance(f_e, Exponential) else (f_e.shape, f_e.scale)
+    p = 1.0 / (1.0 + (rate + beta) * scale)
+    return stats.nbinom.pmf(n, shape, p) * (rate / (rate + beta)) ** n
+
+
+@pytest.mark.parametrize("f_e", [Gamma(30, 4 / 30), Gamma(1, 0.4), Gamma(0.5, 0.2),
+                                 Exponential(2.0), Deterministic(3.0), Deterministic(0.0)])
+@pytest.mark.parametrize("beta", [None, 0.05])
+def test_interior_cells_match_mixed_poisson_oracle(f_e, beta):
+    # uniformised at L = l1 + l2, an interior cell (a1, a2) is reached by
+    # exactly n = a1 + a2 steps, each of class 1 with probability l1 / L
+    lam1, lam2, N = 0.8, 0.5, 30
+    gen = build_generator(exp_config(lambda1=lam1, lambda2=lam2, N1=N, N2=N))
+    vec = expected_arrival_probs(gen, f_e, beta=beta)
+    L = lam1 + lam2
+    worst = 0.0
+    for a1 in range(N):
+        for a2 in range(N):
+            n = a1 + a2
+            want = (mixed_poisson_oracle(f_e, L, beta or 0.0, n) * math.comb(n, a1)
+                    * (lam1 / L) ** a1 * (lam2 / L) ** a2)
+            worst = max(worst, abs(vec[gen.indexer.flatten(a1, a2)] - want))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("f_e", [Gamma(2, 0.5), Deterministic(4.0)])
+def test_zero_rates_put_all_mass_at_the_origin(f_e):
+    cfg = exp_config(lambda1=0.0, lambda2=0.0, N1=3, N2=3, serve1=f_e)
+    gen = build_generator(cfg)
+    assert gen.gamma_max == 0.0
+    e0 = np.zeros(gen.size)
+    e0[0] = 1.0
+    assert np.array_equal(expected_arrival_probs(gen, f_e), e0)
+    assert expected_arrival_probs(gen, f_e, beta=0.05) == pytest.approx(
+        f_e.discount_factor(0.05) * e0, rel=1e-15, abs=0.0)
+    s = build_arrival_summaries(cfg)["serve1"]
+    assert s.tail_mass == 0.0 and s.C_I == 0.0
 
 
 def test_expected_arrival_probs_zero_duration():
     cfg = exp_config(N1=3, N2=3)
     gen = build_generator(cfg)
-    mesh = transient_mesh(gen, 1.0, 0.001)
-    vec = expected_arrival_probs(mesh, Deterministic(0.0))
+    vec = expected_arrival_probs(gen, Deterministic(0.0))
     e0 = np.zeros(gen.size)
     e0[0] = 1.0
-    assert np.allclose(vec, e0)
-
-
-def test_expected_arrival_probs_coverage_error():
-    cfg = exp_config(N1=3, N2=3)
-    gen = build_generator(cfg)
-    mesh = transient_mesh(gen, 0.5, 0.001)
-    with pytest.raises(MeshCoverageError):
-        expected_arrival_probs(mesh, Exponential(1.0))
+    assert np.array_equal(vec, e0)
 
 
 def test_discounted_probs_dominated_by_plain():
     cfg = exp_config(lambda1=0.8, lambda2=0.8, N1=8, N2=8)
     gen = build_generator(cfg)
     dist = Gamma(2, 0.5)
-    mesh = transient_mesh(gen, dist.quantile(1 - 1e-9), 0.002)
-    plain = expected_arrival_probs(mesh, dist)
-    disc = expected_arrival_probs(mesh, dist, beta=0.05)
+    plain = expected_arrival_probs(gen, dist)
+    disc = expected_arrival_probs(gen, dist, beta=0.05)
     assert np.all(disc <= plain + 1e-15)
-    assert plain.sum() == pytest.approx(1.0, abs=2e-4)
+    assert plain.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_truncation_structure_identities():
     """Absorbing == pooled true model; unassigned == snapshot of true model."""
     lam1 = lam2 = 1.0
     dist = Exponential(1.0)
-    t_end = dist.quantile(1 - 1e-9)
-    dt = 0.002
-    small, big = (3, 3), (12, 12)
+    # the true model is the unbounded lattice: at (48, 48) at most
+    # 2 * (1/2)^49 of the mass leaves the large window
+    small, big = (3, 3), (48, 48)
 
     vecs = {}
     for mode, dims in (
@@ -222,13 +260,23 @@ def test_truncation_structure_identities():
     ):
         cfg = exp_config(lambda1=lam1, lambda2=lam2, N1=dims[0], N2=dims[1],
                          truncation_mode=mode)
-        mesh = transient_mesh(build_generator(cfg), t_end, dt)
-        vecs[(mode, dims)] = expected_arrival_probs(mesh, dist)
+        vecs[(mode, dims)] = expected_arrival_probs(build_generator(cfg), dist)
 
     pooled = pool_lattice(vecs[("unassigned", big)], big, small)
     snap = snapshot_lattice(vecs[("unassigned", big)], big, small)
-    assert np.abs(vecs[("absorbing", small)] - pooled).max() <= 1e-3
-    assert np.abs(vecs[("unassigned", small)] - snap).max() <= 1e-6
+    assert np.abs(vecs[("absorbing", small)] - pooled).max() <= 1e-12
+    assert np.array_equal(vecs[("unassigned", small)], snap)
+
+
+def test_snapshot_lattice_rejects_length_mismatch():
+    with pytest.raises(ValueError, match="does not match fine lattice"):
+        snapshot_lattice(np.arange(16.0), (5, 5), (1, 1))
+    with pytest.raises(ValueError, match="does not match fine lattice"):
+        pool_lattice(np.arange(16.0), (5, 5), (1, 1))
+    with pytest.raises(ValueError, match="exceeds the fine lattice"):
+        snapshot_lattice(np.arange(36.0), (5, 5), (6, 2))
+    vec = np.arange(36.0)
+    assert snapshot_lattice(vec, (5, 5), (1, 1)).tolist() == [0.0, 1.0, 6.0, 7.0]
 
 
 def test_holding_cost_existing_closed_forms():
@@ -251,12 +299,9 @@ def quad_arrival_cost(f_e, weight, beta):
     def inner(t):
         return weight * (1.0 - math.exp(-beta * t) * (1.0 + beta * t)) / beta**2
 
-    upper = (
-        f_e.value if isinstance(f_e, Deterministic) else f_e.quantile(1 - 1e-12)
-    )
     if isinstance(f_e, Deterministic):
-        return inner(upper)
-    val, _ = integrate.quad(lambda t: float(f_e.pdf(t)) * inner(t), 0, upper, limit=300)
+        return inner(f_e.value)
+    val, _ = integrate.quad(lambda t: float(f_e.pdf(t)) * inner(t), 0, np.inf, limit=300)
     return val
 
 
@@ -277,34 +322,47 @@ def test_holding_cost_arrivals_zero_rates():
 
 
 def test_holding_cost_arrivals_constant_rate_fn_matches_closed_form():
-    # the mesh path with a constant rate function is the general integral;
-    # the homogeneous closed form is its oracle
+    # the uniformised lattice sum with a constant rate function is the
+    # general integral; the homogeneous closed form is its oracle
     base = asym_var_config(N1=25, N2=25)
     cfg = asym_var_config(N1=25, N2=25, rate_fn=lambda a1, a2: (0.8, 0.8))
     gen = build_generator(cfg)
-    for f_e in (Gamma(30, 4 / 30), Gamma(1, 0.4)):
-        t_end = f_e.quantile(1 - 1e-9)
-        mesh = transient_mesh(gen, t_end, default_step(gen, t_end))
-        got = holding_cost_arrivals(mesh, f_e, cfg)
+    for f_e in (Gamma(30, 4 / 30), Gamma(1, 0.4), Gamma(0.5, 0.2), Exponential(2.0),
+                Deterministic(3.0)):
+        got = holding_cost_arrivals(gen, f_e, cfg)
         want = holding_cost_arrivals(None, f_e, base)
-        assert got == pytest.approx(want, rel=5e-3)
+        assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_build_arrival_summaries_bundle(asym_cfg):
     summaries = build_arrival_summaries(asym_cfg)
     assert set(summaries) == {"serve1", "serve2", "switch12", "switch21"}
     for s in summaries.values():
-        assert s.P.sum() == pytest.approx(1.0, abs=2e-4)
+        assert abs(1.0 - s.tail_mass - s.P.sum()) <= 1e-12
         assert np.all(s.P_beta <= s.P + 1e-15)
         assert s.C_H >= 0 and s.C_I >= 0
-        assert s.tail_mass <= 1e-8
+        assert 0.0 <= s.tail_mass <= TAIL_EPS
 
 
-def test_write_mesh_csv(tmp_path):
-    cfg = exp_config(N1=1, N2=1)
-    mesh = transient_mesh(build_generator(cfg), 0.01, 0.005)
-    path = tmp_path / "mesh.csv"
-    write_mesh_csv(mesh, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,idx,n1,n2,phi"
-    assert len(lines) == 1 + len(mesh.times) * 4
+@pytest.mark.parametrize("cfg", [
+    slow_mode_config(X1=8, X2=8, N1=20, N2=20, serve1=Gamma(0.5, 0.2)),
+    slow_mode_config(X1=24, X2=24, N1=20, N2=20),
+    asym_var_config(X1=24, X2=24, N1=20, N2=20),
+], ids=["slow_gamma_half", "slow", "asym"])
+def test_absorbing_rows_keep_all_mass(cfg):
+    # a gamma shape below 1 puts a density spike at t = 0; every event's row
+    # still sums to 1 - tail_mass
+    for s in build_arrival_summaries(cfg).values():
+        assert abs(1.0 - s.tail_mass - s.P.sum()) <= 1e-12
+
+
+def test_unassigned_rows_are_sub_stochastic():
+    cfg = slow_mode_config(N1=6, N2=6, truncation_mode="unassigned")
+    big = slow_mode_config(N1=20, N2=20, truncation_mode="unassigned")
+    large = build_arrival_summaries(big)
+    small = build_arrival_summaries(cfg)
+    for name, s in small.items():
+        assert s.P.sum() <= 1.0 - s.tail_mass + 1e-15
+        assert np.array_equal(s.P, snapshot_lattice(large[name].P, (20, 20), (6, 6)))
+    # about 4.5 class-1 arrivals in a switch 2 -> 1: much of it leaves the window
+    assert small["switch21"].P.sum() < 0.9
