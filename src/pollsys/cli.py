@@ -114,7 +114,12 @@ def stage_screen(cfg: ScenarioConfig, margin: float = 4.0) -> dict:
 
 
 def solve_policies(cfg: ScenarioConfig, which: Sequence[str], algo: str = "default"):
-    """Solve the requested decision models; returns name -> action table.
+    """Solve the requested decision models.
+
+    Returns ``(tables, diagnostics)``: name -> action table, and name ->
+    iterations, convergence, the decision actions each policy improvement
+    changed and the dense factorisations made (both empty or 0 under value
+    iteration).
 
     Tables live on the (n1, n2, l1) box so every policy can drive the
     simulator directly.  The uniformised model solves the scenario with all
@@ -124,6 +129,11 @@ def solve_policies(cfg: ScenarioConfig, which: Sequence[str], algo: str = "defau
     """
     tables = {}
     diagnostics = {}
+
+    def report(pol):
+        return {"iterations": pol.iterations, "converged": pol.converged,
+                "changes": pol.changes, "factorizations": pol.factorizations}
+
     if "smdp" in which:
         model = build_smdp(cfg)
         if algo == "value-iteration":
@@ -131,7 +141,7 @@ def solve_policies(cfg: ScenarioConfig, which: Sequence[str], algo: str = "defau
         else:
             pol = policy_iteration(model)
         tables["smdp"] = model.decision_table(pol.actions)
-        diagnostics["smdp"] = {"iterations": pol.iterations, "converged": pol.converged}
+        diagnostics["smdp"] = report(pol)
     if "ctmdp" in which:
         np_model = build_nonpreemptive(cfg.with_exponential_durations())
         if algo == "policy-iteration":
@@ -139,7 +149,7 @@ def solve_policies(cfg: ScenarioConfig, which: Sequence[str], algo: str = "defau
         else:
             pol = value_iterate(build_value_graph(np_model))
         tables["ctmdp"] = np_model.decision_table(pol.actions)
-        diagnostics["ctmdp"] = {"iterations": pol.iterations, "converged": pol.converged}
+        diagnostics["ctmdp"] = report(pol)
     return tables, diagnostics
 
 

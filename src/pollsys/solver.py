@@ -24,6 +24,7 @@ from typing import List, Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import lapack
 from scipy.sparse.linalg import spsolve
 
 from .model import ACTION_NAMES, triple_indexer
@@ -110,7 +111,9 @@ class Policy:
     ``residual`` is set by value iteration only: the largest value change
     in its last sweep.  It is not a bound on the error of ``J``: at
     slow_mode X=40 a stop at residual <= 6.2e-7 leaves ``J`` up to 9.7e-5
-    from the exact policy-iteration values.
+    from the exact policy-iteration values.  ``changes`` (the number of
+    decision actions each improvement changed) and ``factorizations`` (the
+    dense LU factorisations made) are set by policy iteration only.
     """
 
     actions: np.ndarray
@@ -118,6 +121,8 @@ class Policy:
     iterations: int
     converged: bool
     residual: float = 0.0
+    changes: List[int] = field(default_factory=list)
+    factorizations: int = 0
     J_history: Optional[List[np.ndarray]] = field(default=None, repr=False)
 
 
@@ -179,24 +184,128 @@ def assemble_policy_matrix(model, actions, discounted: bool = True):
     return rows[nodes], graph.q_cost[nodes]
 
 
-def policy_evaluate(model, actions) -> np.ndarray:
-    """Solve (I - P_pi^beta) J = C_pi exactly for the policy's state values."""
-    A, cost = assemble_policy_matrix(model, actions)
+# A dense policy whose nodes differ from the factored policy's in more than
+# n // UPDATE_RANK_DIVISOR rows is factored afresh instead of updated.
+UPDATE_RANK_DIVISOR = 4
+
+
+class _Factorization:
+    """Dense LU of I - A_base for one factored policy, kept across policy
+    iteration so that later policies are solved by low-rank updates.
+
+    ``rows`` lists every state whose node has differed from the factored
+    policy's since the factorisation; column j of the Fortran block ``Z``
+    holds LU^-1 e_rows[j].  ``count`` is the number of factorisations.
+    """
+
+    def __init__(self):
+        self.count = 0
+        self.drop()
+
+    def drop(self):
+        self.lu = self.piv = self.nodes = self.Z = None
+        self.rows = np.empty(0, dtype=np.int64)
+
+    def factor(self, system, nodes) -> bool:
+        """Factor the dense ``system`` in place; False if it is singular."""
+        self.drop()  # release the old factor before building the new one
+        self.lu, self.piv, info = lapack.dgetrf(system.toarray(order="F"), overwrite_a=True)
+        self.nodes = nodes
+        self.count += 1
+        return info == 0
+
+    def _lu_solve(self, b):
+        return lapack.dgetrs(self.lu, self.piv, b, overwrite_b=True)[0]
+
+    def update(self, nodes) -> bool:
+        """Extend ``rows`` and ``Z`` to the states where ``nodes`` differs
+        from the factored policy; False if that makes more than n //
+        UPDATE_RANK_DIVISOR rows."""
+        n = len(nodes)
+        new = np.setdiff1d(np.flatnonzero(nodes != self.nodes), self.rows)
+        k0, k = len(self.rows), len(self.rows) + len(new)
+        if k > n // UPDATE_RANK_DIVISOR:
+            return False
+        if len(new):
+            if self.Z is None:  # pages are only touched as columns are filled
+                self.Z = np.empty((n, n // UPDATE_RANK_DIVISOR), order="F")
+            block = self.Z[:, k0:k]
+            block[:] = 0.0
+            block[new, np.arange(len(new))] = 1.0
+            self._lu_solve(block)
+            self.rows = np.concatenate((self.rows, new))
+        return True
+
+    def solve(self, system, cost) -> np.ndarray:
+        """Solve ``system @ J = cost`` with the factor, corrected on ``rows``
+        by the capacitance matrix K = system[rows] @ Z, then refined once."""
+        rows = self.rows
+        if len(rows) == 0:
+            return self._lu_solve(cost.copy())
+        Z = self.Z[:, :len(rows)]
+        S_rows = system[rows]
+        K_lu, K_piv, info = lapack.dgetrf(S_rows @ Z, overwrite_a=True)
+        if info != 0:
+            return np.full(len(cost), np.nan)
+
+        def apply(rhs):
+            y = self._lu_solve(rhs.copy())
+            w = lapack.dgetrs(K_lu, K_piv, rhs[rows] - S_rows @ y, overwrite_b=True)[0]
+            return y + Z @ w
+
+        J = apply(cost)
+        return J + apply(cost - system @ J)
+
+
+def _residual(system, J, cost) -> float:
+    return float(np.abs(system @ J - cost).max()) if np.isfinite(J).all() else np.inf
+
+
+def policy_evaluate(model, actions, factorization: Optional[_Factorization] = None) -> np.ndarray:
+    """Solve (I - A_pi) J = C_pi exactly for the policy's state values.
+
+    A cycle of undiscounted linking rows raises :class:`SingularSystemError`.
+    A sparse policy (at most 2% of A_pi's entries set, or more than 6000
+    states) takes a sparse LU.  A dense one is solved from the dense LU of
+    I - A_base held in ``factorization``, A_base being the policy factored
+    last (policy iteration passes one holder to all its evaluations; a
+    standalone call factors every dense policy afresh).  Let ``rows`` be
+    the states whose node has differed from A_base's since that
+    factorisation.  While there are at most n / UPDATE_RANK_DIVISOR of
+    them, J is the Sherman-Morrison-Woodbury solution
+
+        J = y + Z K^-1 (C_pi[rows] - (I - A_pi)[rows] y),
+
+    with y = LU^-1 C_pi, Z = LU^-1 E_rows and the capacitance matrix
+    K = (I - A_pi)[rows] Z (Golub & Van Loan, *Matrix Computations*, 4th
+    ed., section 2.1.4), followed by one step of iterative refinement.
+    Past that rank, or when the updated J misses the residual check, the
+    policy is factored afresh.  The check is on the true system:
+    max |(I - A_pi) J - C_pi| <= 1e-8 * max(max |C_pi|, 1).  Only a sparse
+    solve or a fresh factorisation that misses it raises
+    :class:`SingularSystemError`.
+    """
+    graph = model.graph
+    nodes = _policy_nodes(graph, actions)
+    A, cost = graph.discounted[nodes], graph.q_cost[nodes]
     _check_linking_cycles(A)
     n = A.shape[0]
-    eye = sparse.identity(n, format="csr")
-    system = (eye - A).tocsc()
-    density = A.nnz / max(n * n, 1)
-    if density > 0.02 and n <= 6000:
-        J = np.linalg.solve(system.toarray(), cost)
+    system = sparse.identity(n, format="csr") - A
+    tol = 1e-8 * max(np.abs(cost).max(), 1.0)
+    if A.nnz / max(n * n, 1) <= 0.02 or n > 6000:
+        J = spsolve(system.tocsc(), cost)
     else:
-        J = spsolve(system, cost)
-    resid = np.abs(system @ J - cost).max()
-    scale = max(np.abs(cost).max(), 1.0)
-    if not np.isfinite(J).all() or resid > 1e-8 * scale:
-        raise SingularSystemError(
-            f"policy evaluation residual {resid:.3e} exceeds tolerance"
-        )
+        factor = _Factorization() if factorization is None else factorization
+        J = None
+        if factor.lu is not None and factor.update(nodes):
+            J = factor.solve(system, cost)
+        if J is None or not _residual(system, J, cost) <= tol:
+            if not factor.factor(system, nodes):
+                raise SingularSystemError("policy evaluation matrix is singular")
+            J = factor.solve(system, cost)
+    resid = _residual(system, J, cost)
+    if not resid <= tol:
+        raise SingularSystemError(f"policy evaluation residual {resid:.3e} exceeds tolerance")
     return J
 
 
@@ -219,26 +328,40 @@ def initial_policy(model) -> np.ndarray:
 
 def policy_iteration(model, pi0=None, maxiter: int = 100,
                      keep_history: bool = False) -> Policy:
-    """Alternate exact evaluation and greedy improvement until stable."""
+    """Alternate exact evaluation and greedy improvement until stable
+    (Howard's policy iteration; Puterman, *Markov Decision Processes*,
+    1994, section 6.4).
+
+    One dense factorisation is kept across the iterations: each later
+    dense policy is evaluated by a low-rank update of it until more than
+    n / UPDATE_RANK_DIVISOR rows have changed since it was made (see
+    :func:`policy_evaluate`).  ``changes`` records the decision actions
+    each improvement changed and ``factorizations`` the dense
+    factorisations made.
+    """
     if maxiter < 1:
         raise ValueError("maxiter must be >= 1")
     actions = initial_policy(model) if pi0 is None else np.asarray(pi0, dtype=int).copy()
+    decision = model.graph.decision_mask
+    factor = _Factorization()
     history = [] if keep_history else None
+    changes = []
     J = np.zeros(model.graph.n_states)
     converged = False
     iterations = 0
     for _ in range(maxiter):
         iterations += 1
-        J = policy_evaluate(model, actions)
+        J = policy_evaluate(model, actions, factor)
         if keep_history:
             history.append(J.copy())
         new_actions, changed = policy_improve(model, J, actions)
+        changes.append(int(np.count_nonzero(new_actions[decision] != actions[decision])))
         actions = new_actions
         if not changed:
             converged = True
             break
-    return Policy(actions=actions, J=J, iterations=iterations,
-                  converged=converged, J_history=history)
+    return Policy(actions=actions, J=J, iterations=iterations, converged=converged,
+                  changes=changes, factorizations=factor.count, J_history=history)
 
 
 def _vi_phases(graph: ValueGraph):

@@ -14,13 +14,15 @@ from pollsys import (
     value_iterate,
 )
 from pollsys.solver import (
+    UPDATE_RANK_DIVISOR,
     SingularSystemError,
+    _Factorization,
     assemble_policy_matrix,
     export_policy_csv,
     initial_policy,
 )
 
-from conftest import exp_config, slow_mode_config
+from conftest import asym_var_config, exp_config, slow_mode_config
 
 
 def single_state_model(cost=1.0, disc=0.5):
@@ -131,6 +133,80 @@ def test_policy_iteration_fixed_point_terminates_fast():
     model = two_state_alternation()
     pol = policy_iteration(model, pi0=np.array([0, 0]))
     assert pol.converged and pol.iterations == 1
+
+
+def fresh_policy_iteration(model):
+    """Policy iteration by a loop of standalone evaluations: the J and the
+    improved actions of each step."""
+    actions, steps = initial_policy(model), []
+    while True:
+        J = policy_evaluate(model, actions)
+        new_actions, changed = policy_improve(model, J, actions)
+        steps.append((J, new_actions))
+        actions = new_actions
+        if not changed:
+            return steps
+
+
+@pytest.mark.parametrize("make_cfg", [slow_mode_config, asym_var_config])
+def test_policy_iteration_reuse_matches_fresh_solves(make_cfg):
+    model = build_smdp(make_cfg())
+    fresh = fresh_policy_iteration(model)
+    pol = policy_iteration(model, keep_history=True)
+    assert pol.converged and pol.iterations == len(fresh)
+    for J, (J_fresh, actions) in zip(pol.J_history, fresh):
+        assert np.abs(J - J_fresh).max() <= 1e-10 * np.abs(J_fresh).max()
+        assert np.array_equal(policy_improve(model, J)[0], actions)
+    assert np.array_equal(pol.actions, fresh[-1][1])
+    decision = model.graph.decision_mask
+    sequence = [initial_policy(model)] + [actions for _, actions in fresh]
+    assert pol.changes == [np.count_nonzero(a[decision] != b[decision])
+                           for a, b in zip(sequence, sequence[1:])]
+    assert 1 <= pol.factorizations < pol.iterations - 1
+
+
+def test_low_rank_update_refactors_past_rank_limit(rng):
+    """A dense tabular model evaluated through one holder: a one-row change
+    is an update, a change of more than n / UPDATE_RANK_DIVISOR rows since
+    the factorisation or a failed residual check forces a fresh factor, and
+    every J matches a standalone solve."""
+    n = 8
+    rows = {}
+    for x in range(n):
+        for a in (0, 1):
+            p = rng.uniform(0.1, 1.0, size=n)
+            p /= p.sum()
+            rows[(x, a)] = (list(range(n)), p, 0.95 * p, float(rng.uniform(0, 2)))
+    model = TabularModel(n_states=n, rows=rows, feasible={x: (0, 1) for x in range(n)})
+    factor = _Factorization()
+    base = np.zeros(n, dtype=int)
+    one_row = base.copy()
+    one_row[0] = 1
+    many_rows = one_row.copy()
+    many_rows[1:n // UPDATE_RANK_DIVISOR + 1] = 1
+    after = many_rows.copy()
+    after[-1] = 1
+    for actions, count in ((base, 1), (one_row, 1), (many_rows, 2), (after, 2)):
+        J = policy_evaluate(model, actions, factor)
+        assert factor.count == count
+        assert np.abs(J - policy_evaluate(model, actions)).max() <= 1e-12
+    assert list(factor.rows) == [n - 1]
+    # an update that misses the residual check is replaced by a fresh factor
+    factor.Z[:, 0] += 0.1
+    J = policy_evaluate(model, after, factor)
+    assert factor.count == 3 and len(factor.rows) == 0
+    assert np.abs(J - policy_evaluate(model, after)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("make_cfg", [slow_mode_config, asym_var_config])
+def test_policy_iteration_reuse_at_bundle_scale(make_cfg):
+    """At X=24, N=20 the updated evaluations reach the fresh-solve loop's
+    final actions in as many iterations."""
+    model = build_smdp(make_cfg(X1=24, X2=24, N1=20, N2=20))
+    fresh = fresh_policy_iteration(model)
+    pol = policy_iteration(model)
+    assert pol.iterations == len(fresh)
+    assert np.array_equal(pol.actions, fresh[-1][1])
 
 
 def test_policy_iteration_monotone_J(slow_cfg):
