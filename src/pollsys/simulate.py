@@ -9,10 +9,13 @@ event samples, which is what makes paired performance comparisons fair.
 `rollout` and `simulate_trace` step one rollout at a time.
 `sample_performance` steps the rollouts of all its policies together as
 arrays over their action tables and gives the same values bit for bit.
+Both paths draw each substream in blocks, which Philox returns exactly as
+the same number of single draws.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -42,6 +45,11 @@ TAG_SERVE = (2, 3)
 TAG_SWITCH = (4, 5)
 TAG_INIT = 6
 TAG_SHUFFLE = 7
+
+
+# values drawn at a time from one substream; a batch row draws at least these
+_DURATION_BLOCK = 128
+_GAP_BLOCK = 256
 
 
 class QueueOverflowError(RuntimeError):
@@ -170,29 +178,46 @@ def step_wise_cost(n1, n2, arrivals, dt, c1, c2, beta):
     return total
 
 
-def _draw_arrivals(lam, gen, dt):
-    """Arrival times of one class within [0, dt) by exponential gaps."""
+def _draws(dist, gen: np.random.Generator, block: int):
+    """The values of ``dist`` drawn from ``gen`` in order, one at a time.
+
+    They are drawn ``block`` at a time, which Philox returns exactly as the
+    same number of single draws.
+    """
+    while True:
+        yield from dist.sample(gen, block).tolist()
+
+
+def _draw_arrivals(gaps, dt):
+    """Arrival times of one class within [0, dt), summing the gaps that the
+    iterator ``gaps`` yields; the gap that overshoots ``dt`` is consumed."""
     times = []
-    if lam <= 0:
-        return times
-    t = gen.exponential(1.0 / lam)
+    t = next(gaps)
     while t < dt:
         times.append(t)
-        t += gen.exponential(1.0 / lam)
+        t += next(gaps)
     return times
 
 
 def _run(cfg: ScenarioConfig, policy, x0, seeds: SeedStream, T: float,
          collect: bool = False):
-    lam1, lam2 = cfg.lambda1, cfg.lambda2
+    """Step one rollout of ``policy`` from ``x0`` until time ``T``.
+
+    Each substream of ``seeds`` is read through a `_draws` iterator; a
+    class without arrivals reads an endless gap.  Returns the discounted
+    cost and, with ``collect``, the `RolloutTrace`.
+    """
     c1, c2, beta = cfg.c1, cfg.c2, cfg.beta
     cap1, cap2 = 10 * cfg.X1, 10 * cfg.X2
-    serve_dists = cfg.serve_dists
-    switch_dists = cfg.switch_dists
     switch_costs = cfg.switch_costs
-    gen_lam = (seeds.generator(TAG_LAMBDA[0]), seeds.generator(TAG_LAMBDA[1]))
-    gen_serve = (seeds.generator(TAG_SERVE[0]), seeds.generator(TAG_SERVE[1]))
-    gen_switch = (seeds.generator(TAG_SWITCH[0]), seeds.generator(TAG_SWITCH[1]))
+    gaps = [_draws(Exponential(lam), seeds.generator(tag), _GAP_BLOCK) if lam > 0
+            else itertools.repeat(math.inf)
+            for lam, tag in zip(cfg.arrival_rates, TAG_LAMBDA)]
+    serve = [_draws(dist, seeds.generator(tag), _DURATION_BLOCK)
+             for dist, tag in zip(cfg.serve_dists, TAG_SERVE)]
+    switch = [_draws(dist, seeds.generator(tag), _DURATION_BLOCK)
+              for dist, tag in zip(cfg.switch_dists, TAG_SWITCH)]
+    no_arrivals = cfg.lambda1 <= 0 and cfg.lambda2 <= 0
 
     n1, n2, l1 = x0
     t = 0.0
@@ -204,10 +229,10 @@ def _run(cfg: ScenarioConfig, policy, x0, seeds: SeedStream, T: float,
     while t < T:
         a, carry = policy.act(n1, n2, l1, carry)
         if a == IDLE:
-            if lam1 <= 0 and lam2 <= 0:
+            if no_arrivals:
                 break  # empty of randomness: idling would last forever
-            t1 = gen_lam[0].exponential(1.0 / lam1) if lam1 > 0 else math.inf
-            t2 = gen_lam[1].exponential(1.0 / lam2) if lam2 > 0 else math.inf
+            t1 = next(gaps[0])
+            t2 = next(gaps[1])
             if t1 <= t2:
                 dt, winner = t1, 0
             else:
@@ -218,9 +243,9 @@ def _run(cfg: ScenarioConfig, policy, x0, seeds: SeedStream, T: float,
         elif a == SERVE:
             if (n1 if l1 == 0 else n2) <= 0:
                 raise ValueError(f"policy serves an empty queue at ({n1},{n2},{l1})")
-            dt = serve_dists[l1].sample(gen_serve[l1])
-            arr = [(0, ta) for ta in _draw_arrivals(lam1, gen_lam[0], dt)]
-            arr += [(1, ta) for ta in _draw_arrivals(lam2, gen_lam[1], dt)]
+            dt = next(serve[l1])
+            arr = [(0, ta) for ta in _draw_arrivals(gaps[0], dt)]
+            arr += [(1, ta) for ta in _draw_arrivals(gaps[1], dt)]
             arr.sort(key=lambda pair: pair[1])
             step = step_wise_cost(n1, n2, arr, dt, c1, c2, beta)
             a1 = sum(1 for cls, _ in arr if cls == 0)
@@ -230,9 +255,9 @@ def _run(cfg: ScenarioConfig, policy, x0, seeds: SeedStream, T: float,
             else:
                 nxt = (n1 + a1, n2 - 1 + a2, l1)
         elif a == SWITCH:
-            dt = switch_dists[l1].sample(gen_switch[l1])
-            arr = [(0, ta) for ta in _draw_arrivals(lam1, gen_lam[0], dt)]
-            arr += [(1, ta) for ta in _draw_arrivals(lam2, gen_lam[1], dt)]
+            dt = next(switch[l1])
+            arr = [(0, ta) for ta in _draw_arrivals(gaps[0], dt)]
+            arr += [(1, ta) for ta in _draw_arrivals(gaps[1], dt)]
             arr.sort(key=lambda pair: pair[1])
             step = step_wise_cost(n1, n2, arr, dt, c1, c2, beta)
             step += switch_costs[l1]
@@ -307,18 +332,27 @@ def rollout(cfg: ScenarioConfig, policy, initial_dist, seed: int, T: float) -> f
 
 def simulate_trace(cfg: ScenarioConfig, policy, T: float, seed: int = 0,
                    x0=(0, 0, 0)) -> RolloutTrace:
-    """Record a full embedded-chain trajectory from a fixed initial state."""
+    """Record a full embedded-chain trajectory from a fixed initial state.
+
+    ``x0`` holds integers (n1, n2, l1) within the simulator's cap box
+    [0, 10 X1] x [0, 10 X2] x {0, 1}.
+    """
+    if T <= 0:
+        raise ValueError("horizon T must be positive")
+    x0 = tuple(x0)
+    caps = (10 * cfg.X1, 10 * cfg.X2, 1)
+    if len(x0) != 3 or not all(isinstance(v, (int, np.integer)) and 0 <= v <= cap
+                               for v, cap in zip(x0, caps)):
+        raise ValueError(f"initial state {x0} is not integers (n1, n2, l1) in "
+                         f"[0, {caps[0]}] x [0, {caps[1]}] x {{0, 1}}")
     seeds = SeedStream(seed)
-    _, trace = _run(cfg, policy, tuple(x0), seeds, T, collect=True)
+    _, trace = _run(cfg, policy, tuple(int(v) for v in x0), seeds, T, collect=True)
     return trace
 
 
-# Lockstep batch of rollouts.  Every rollout keeps its own substreams; their
-# values are pre-drawn in blocks, which Philox returns exactly as the same
-# number of single draws, so a batch reproduces the scalar rollouts bit for bit.
-_DURATION_BLOCK = 128  # values pre-drawn per duration substream and rollout
-_GAP_BLOCK = 256  # values pre-drawn per arrival substream and rollout
-_GAP_RESERVE = 64  # arrival gaps a row holds whenever it is read
+# Lockstep batch of rollouts.  Every seed keeps its own substreams; their
+# values are read by the policies' rollouts of that seed from one pre-drawn
+# row each, so a batch reproduces the scalar rollouts bit for bit.
 _WINDOW = 4  # arrival gaps first examined per interval
 _CHUNK = 1 << 12  # rollout steps whose costs are added in one pass
 _LANES = 1 << 12  # about the most (policy, seed) rollouts stepped together
@@ -356,73 +390,82 @@ def _exp(x: np.ndarray) -> np.ndarray:
 
 
 class _Blocks:
-    """Pre-drawn values of a set of substreams, one row per (substream, lane).
+    """Pre-drawn values of a set of substreams, one row per (substream, seed).
 
-    Row ``s * L + k`` holds the next values of substream ``s`` of lane
-    ``k`` from ``pos[row]`` on.  Before a row is read it is topped up to at
-    least ``reserve`` values: the unused ones move to the front and the rest
-    are drawn from the row's Philox stream, resumed from its saved state.
-    A row starts empty at the start of its stream, so a substream that is
-    never read is never drawn.  One bit generator serves every row, so the
-    memory is O(rows x width).
+    Of ``L`` lanes on ``B`` seeds, lane ``j`` runs on seed ``j % B``, and
+    index ``s * L + j`` names substream ``s`` of lane ``j``.  Its next value
+    is ``buf[s * B + j % B, pos[s * L + j]]``: the policy lanes of a seed read
+    one row, each at its own position.  A row only grows.  A read past its
+    end draws as many values again as the row holds (at least ``block``)
+    from the row's Philox stream, resumed from its saved state, and the
+    buffer widens to any row that outgrows it.  A row starts empty at
+    the start of its stream, so a substream that is never read is never
+    drawn.  One bit generator serves every row; the memory is
+    O(rows x the longest row).
     """
 
-    def __init__(self, philox, dists, keys, width: int, reserve: int):
+    def __init__(self, philox, dists, keys, lanes: int, block: int):
         self.philox = philox
         self.gen = np.random.Generator(philox)
         self.dists = dists
-        self.lanes = len(keys[0]) if keys else 0
-        self.width = width
-        self.reserve = reserve
-        self.buf = np.empty((len(dists) * self.lanes, width))
-        self.flat = self.buf.reshape(-1)
-        self.pos = np.full(len(dists) * self.lanes, width, dtype=np.intp)
+        self.seeds = len(keys[0]) if keys else 0
+        self.lanes = lanes
+        self.block = block
+        self.buf = np.empty((len(dists) * self.seeds, block))
+        self.size = np.zeros(len(dists) * self.seeds, dtype=np.intp)
+        self.pos = np.zeros(len(dists) * lanes, dtype=np.intp)
         self.states = [_philox_words(key) for row in keys for key in row]
 
-    def take(self, rows: np.ndarray) -> np.ndarray:
-        """The next value of each (distinct) row."""
-        self._top_up(rows)
-        vals = self.flat[rows * self.width + self.pos[rows]]
-        self.pos[rows] += 1
-        return vals
+    def take(self, idx: np.ndarray) -> np.ndarray:
+        """The next value at each (distinct) index."""
+        start = self._start(idx, 1)
+        self.pos[idx] += 1
+        return self.buf.reshape(-1)[start]
 
-    def window(self, rows: np.ndarray, count: int) -> np.ndarray:
-        """The next ``count <= reserve`` values of each row, one column per
-        row, not consumed."""
-        self._top_up(rows)
-        start = rows * self.width + self.pos[rows]
-        return self.flat[start + np.arange(count)[:, None]]
+    def window(self, idx: np.ndarray, count: int) -> np.ndarray:
+        """The next ``count`` values at each index, one column per index,
+        not consumed."""
+        start = self._start(idx, count)
+        return self.buf.reshape(-1)[start + np.arange(count)[:, None]]
 
-    def next(self, row: int) -> float:
-        if self.pos[row] == self.width:
-            self._refill(row)
-        self.pos[row] += 1
-        return float(self.buf[row, self.pos[row] - 1])
+    def _start(self, idx: np.ndarray, count: int) -> np.ndarray:
+        """Flat buffer offsets of the next value at each index, once its row
+        holds ``count`` values from there."""
+        rows = idx // self.lanes * self.seeds + idx % self.seeds
+        end = self.pos[idx] + count
+        short = end > self.size[rows]
+        if short.any():
+            self._grow(rows[short], end[short])
+        return rows * self.buf.shape[1] + self.pos[idx]
 
-    def _top_up(self, rows: np.ndarray):
-        for row in rows[self.pos[rows] > self.width - self.reserve]:
-            self._refill(row)
+    def _grow(self, rows: np.ndarray, ends: np.ndarray):
+        """Draw on each row until it holds ``ends`` values."""
+        for row, end in zip(rows.tolist(), ends.tolist()):
+            lo = hi = int(self.size[row])
+            while hi < end:
+                hi = max(2 * hi, self.block)
+            if hi == lo:
+                continue  # grown for another lane of its seed
+            if hi > self.buf.shape[1]:  # rows hold block * 2**k values
+                buf = np.empty((len(self.buf), hi))
+                buf[:, :self.buf.shape[1]] = self.buf
+                self.buf = buf
+            self.philox.state = _philox_state(self.states[row])
+            self.buf[row, lo:hi] = self.dists[row // self.seeds].sample(self.gen, hi - lo)
+            self.states[row] = _philox_state_words(self.philox.state)
+            self.size[row] = hi
 
-    def _refill(self, row: int):
-        used = self.pos[row]
-        values = self.buf[row]
-        values[:self.width - used] = values[used:].copy()
-        self.philox.state = _philox_state(self.states[row])
-        values[self.width - used:] = self.dists[row // self.lanes].sample(self.gen, used)
-        self.states[row] = _philox_state_words(self.philox.state)
-        self.pos[row] = 0
 
-
-def _arrivals(gaps: _Blocks, rows: np.ndarray, dt: np.ndarray, width: int = _WINDOW):
-    """Arrivals in each interval [0, dt) of the substreams ``rows``: the row
-    position and time of each arrival, in no set order, and the count per row.
+def _arrivals(gaps: _Blocks, idx: np.ndarray, dt: np.ndarray, width: int = _WINDOW):
+    """Arrivals in each interval [0, dt) of the substream indices ``idx``:
+    the position in ``idx`` and time of each arrival, in no set order, and
+    the count per index.
 
     As in `_draw_arrivals`, the gaps are summed from 0 in the order drawn
-    and the gap that overshoots ``dt`` is consumed and thrown away.  Rows
-    with ``width`` arrivals or more are redone with four times the gaps, up
-    to ``gaps.reserve``, and past that one gap at a time.
+    and the gap that overshoots ``dt`` is consumed and thrown away.  Indices
+    with ``width`` arrivals or more are redone with four times the gaps.
     """
-    sums = np.cumsum(gaps.window(rows, width), axis=0)
+    sums = np.cumsum(gaps.window(idx, width), axis=0)
     inside = sums < dt
     count = inside.sum(axis=0)
     long = (count == width).nonzero()[0]
@@ -431,25 +474,11 @@ def _arrivals(gaps: _Blocks, rows: np.ndarray, dt: np.ndarray, width: int = _WIN
         count[long] = -1  # consumes nothing here
     where = inside.nonzero()[1]
     times = sums[inside]
-    gaps.pos[rows] += count + 1
+    gaps.pos[idx] += count + 1
     if not long.size:
         return where, times, count
-    where, times = [where], [times]
-    if width < gaps.reserve:
-        w, t, count[long] = _arrivals(gaps, rows[long], dt[long], min(4 * width, gaps.reserve))
-        where.append(long[w])
-        times.append(t)
-    else:
-        for j in long:
-            run = []
-            t = gaps.next(rows[j])
-            while t < dt[j]:
-                run.append(t)
-                t += gaps.next(rows[j])
-            count[j] = len(run)
-            where.append(np.full(len(run), j))
-            times.append(run)
-    return np.concatenate(where), np.concatenate(times), count
+    w, t, count[long] = _arrivals(gaps, idx[long], dt[long], 4 * width)
+    return np.concatenate([where, long[w]]), np.concatenate([times, t]), count
 
 
 def _action_codes(cfg: ScenarioConfig, policy) -> np.ndarray:
@@ -499,18 +528,20 @@ def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds, T: float) -> np
     ``seeds``, all stepped together as arrays; row p holds policy p's.
 
     ``codes[p]`` is the code table of policy p (`_action_codes`).  A lane is
-    one (policy, seed) pair with its own substreams and its own slice of
-    the stacked tables.  Lane (p, k) equals ``_run`` of policy p from
-    ``x0[:, k]`` with ``SeedStream(seeds[k])`` bit for bit: it draws the
-    same values from the same substreams and sums its costs in the same
-    order with ``math.exp``.  The dynamics advance one step of every live
-    lane at a time; the costs of about ``_CHUNK`` logged rollout steps at a
-    time are added afterwards in one pass (`_charge`), which bounds the
-    log's memory whatever the number of lanes is.
+    one (policy, seed) pair: lane ``p * B + k`` runs policy p on seed k with
+    its own slice of the stacked tables and its own read position in each
+    substream of its seed.  Each substream is drawn once per seed into one
+    row that every policy's lane of the seed reads (`_Blocks`).  Lane
+    (p, k) equals ``_run`` of policy p from ``x0[:, k]`` with
+    ``SeedStream(seeds[k])`` bit for bit: it reads the same values of the
+    same substreams and sums its costs in the same order with ``math.exp``.
+    The dynamics advance one step of every live lane at a time; the costs
+    of about ``_CHUNK`` logged rollout steps at a time are added afterwards
+    in one pass (`_charge`), which bounds the log's memory whatever the
+    number of lanes is.  The pre-drawn rows grow with ``T``.
     """
     P, B = codes.shape[0], len(seeds)
     L = P * B
-    lane_seeds = list(seeds) * P  # lane p * B + k runs policy p on seed k
     table = codes.reshape(-1)
     offset = np.repeat(np.arange(P) * codes.shape[1], B)
     lam = cfg.arrival_rates
@@ -519,14 +550,14 @@ def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds, T: float) -> np
     philox = np.random.Philox(key=0)
     durations = _Blocks(
         philox, cfg.serve_dists + cfg.switch_dists,
-        [[(s << 6) + tag for s in lane_seeds] for tag in TAG_SERVE + TAG_SWITCH],
-        _DURATION_BLOCK, 1,
+        [[(s << 6) + tag for s in seeds] for tag in TAG_SERVE + TAG_SWITCH],
+        L, _DURATION_BLOCK,
     )
     classes = np.array([c for c in (0, 1) if lam[c] > 0], dtype=int)
     gaps = _Blocks(
         philox, [Exponential(lam[c]) for c in classes],
-        [[(s << 6) + TAG_LAMBDA[c] for s in lane_seeds] for c in classes],
-        _GAP_BLOCK, _GAP_RESERVE,
+        [[(s << 6) + TAG_LAMBDA[c] for s in seeds] for c in classes],
+        L, _GAP_BLOCK,
     )
     switch_costs = np.array(cfg.switch_costs) if any(cfg.switch_costs) else None
     strides = np.array([(cap1 + 1) * (cap2 + 1) * 2, (cap2 + 1) * 2, 2, 1])
@@ -623,7 +654,9 @@ def sample_performance(cfg: ScenarioConfig, policies, initial_dist, seed0: int,
     Every policy's rollouts run in lockstep as arrays over the policies'
     action tables (``policy.action_table(cfg)``), a block of seeds at a
     time with every policy of its seeds, about ``_LANES`` rollouts at most.
-    Before the shuffle, entry k of policy p's array equals
+    Each substream of a seed is drawn once for all the policies
+    (`_lockstep`); the draws held grow with ``T``.  Before the shuffle,
+    entry k of policy p's array equals
     ``rollout(cfg, policies[p], initial_dist, seed0 + k, T)`` bit for bit;
     errors name the policy by its position p.  The shuffle decouples the
     pairing that common random numbers would otherwise induce between two

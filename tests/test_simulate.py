@@ -15,6 +15,7 @@ from pollsys import (
     Deterministic,
     ExhaustivePolicy,
     Exponential,
+    Gamma,
     HeuristicPolicy,
     QueueOverflowError,
     TabularPolicy,
@@ -217,17 +218,8 @@ BATCH_CASES = {
 }
 
 
-@pytest.mark.parametrize("case, name", [
-    (case, name) for case in sorted(BATCH_CASES)
-    for name in ("exhaustive", "heuristic", "tabular")
-    # the heuristic needs queue 1 as the priority queue
-    if name != "heuristic" or validate_scenario(BATCH_CASES[case]).priority_queue == 1
-])
-@pytest.mark.parametrize("start", ["uniform", "point"])
-def test_sample_performance_matches_scalar_rollouts(case, name, start):
-    """A lockstep batch of every policy kind equals the per-seed scalar
-    rollouts of the named policy bit for bit."""
-    cfg = BATCH_CASES[case]
+def _case_policies(cfg):
+    """Every policy kind that applies to ``cfg``, by name."""
     policies = {"exhaustive": ExhaustivePolicy()}
     if validate_scenario(cfg).priority_queue == 1:
         policies["heuristic"] = HeuristicPolicy(cfg)
@@ -238,6 +230,25 @@ def test_sample_performance_matches_scalar_rollouts(case, name, start):
         policies["tabular"] = TabularPolicy(table, cfg.X1, cfg.X2)
     else:
         policies["tabular"] = TabularPolicy(_smdp_table(cfg), cfg.X1, cfg.X2)
+    return policies
+
+
+def _case_names(cases):
+    return [
+        (case, name) for case in cases
+        for name in ("exhaustive", "heuristic", "tabular")
+        # the heuristic needs queue 1 as the priority queue
+        if name != "heuristic" or validate_scenario(BATCH_CASES[case]).priority_queue == 1
+    ]
+
+
+@pytest.mark.parametrize("case, name", _case_names(sorted(BATCH_CASES)))
+@pytest.mark.parametrize("start", ["uniform", "point"])
+def test_sample_performance_matches_scalar_rollouts(case, name, start):
+    """A lockstep batch of every policy kind equals the per-seed scalar
+    rollouts of the named policy bit for bit."""
+    cfg = BATCH_CASES[case]
+    policies = _case_policies(cfg)
     dist = None if start == "uniform" else _point_dist(cfg, 1, 2, 1)
     M, T = 24, 150.0 if case != "deterministic" else 400.0
     shuffle = [5 + p for p in range(len(policies))]
@@ -269,6 +280,51 @@ def test_sample_performance_seed_blocks_under_a_small_lane_cap(monkeypatch):
         assert np.array_equal(got, want)
         scalar = [rollout(cfg, pol, None, 3 + k, T) for k in range(M)]
         assert np.array_equal(_unshuffle(got, 3, shuffle), scalar)
+
+
+def test_sample_performance_draws_each_stream_once_per_seed(monkeypatch):
+    """P copies of one policy read the same pre-drawn rows: every
+    distribution is sampled as often, and as many values, as for one copy."""
+    cfg = BATCH_CASES["asym_var"]
+    calls = {}
+
+    def spy(kind):
+        sample = kind.sample
+
+        def counted(self, rng, size=None):
+            n, values = calls.get(self, (0, 0))
+            calls[self] = (n + 1, values + (1 if size is None else size))
+            return sample(self, rng, size)
+        return counted
+
+    for kind in (Exponential, Gamma, Deterministic):
+        monkeypatch.setattr(kind, "sample", spy(kind))
+    counts, etas = [], []
+    for P in (1, 3):
+        calls.clear()
+        etas.append(sample_performance(cfg, [ExhaustivePolicy()] * P, None, 4, 150.0, 24))
+        counts.append(dict(calls))
+    assert counts[0] and counts[0] == counts[1]
+    assert all(np.array_equal(eta, etas[0][0]) for eta in etas[1])
+
+
+def test_sample_performance_rows_grow_past_first_block(monkeypatch):
+    """Rows that outgrow their first block keep the scalar values bit for bit."""
+    cfg = BATCH_CASES["deterministic"]
+    blocks = []
+
+    class Recorded(simulate._Blocks):
+        def __init__(self, *args):
+            super().__init__(*args)
+            blocks.append(self)
+
+    monkeypatch.setattr(simulate, "_Blocks", Recorded)
+    policy = ExhaustivePolicy()
+    M, T = 12, 400.0
+    (eta,) = sample_performance(cfg, [policy], None, 11, T, M)
+    assert any(b.size.max() > b.block for b in blocks)
+    want = [rollout(cfg, policy, None, 11 + k, T) for k in range(M)]
+    assert np.array_equal(_unshuffle(eta, 11), want)
 
 
 def test_action_tables_match_scalar_policies():
@@ -326,6 +382,106 @@ def test_sample_performance_rejects_empty_serve_and_undefined_entries():
                            start, 0, 10.0, 4)
     with pytest.raises(TypeError, match="action_table"):
         sample_performance(cfg, [AlwaysIdle()], start, 0, 10.0, 4)
+
+
+def _reference_trace(cfg, policy, x0, seed, T):
+    """The simulator's scalar loop with one generator call per draw, kept
+    as an oracle for the block-buffered reads of `simulate_trace`."""
+    lam1, lam2 = cfg.lambda1, cfg.lambda2
+    c1, c2, beta = cfg.c1, cfg.c2, cfg.beta
+    seeds = simulate.SeedStream(seed)
+    gen_lam = [seeds.generator(tag) for tag in simulate.TAG_LAMBDA]
+    gen_serve = [seeds.generator(tag) for tag in simulate.TAG_SERVE]
+    gen_switch = [seeds.generator(tag) for tag in simulate.TAG_SWITCH]
+
+    def draw_arrivals(lam, gen, dt):
+        times = []
+        if lam <= 0:
+            return times
+        t = gen.exponential(1.0 / lam)
+        while t < dt:
+            times.append(t)
+            t += gen.exponential(1.0 / lam)
+        return times
+
+    n1, n2, l1 = x0
+    t = 0.0
+    carry = policy.start()
+    rec = {key: [] for key in ("n1", "n2", "l1", "action", "cost", "dt", "t", "arrivals")}
+    while t < T:
+        a, carry = policy.act(n1, n2, l1, carry)
+        if a == IDLE:
+            if lam1 <= 0 and lam2 <= 0:
+                break
+            t1 = gen_lam[0].exponential(1.0 / lam1) if lam1 > 0 else math.inf
+            t2 = gen_lam[1].exponential(1.0 / lam2) if lam2 > 0 else math.inf
+            dt, winner = (t1, 0) if t1 <= t2 else (t2, 1)
+            step = step_wise_cost(n1, n2, (), dt, c1, c2, beta)
+            arr = ()
+            nxt = (n1 + 1, n2, l1) if winner == 0 else (n1, n2 + 1, l1)
+        elif a == SERVE:
+            dt = cfg.serve_dists[l1].sample(gen_serve[l1])
+            arr = [(0, ta) for ta in draw_arrivals(lam1, gen_lam[0], dt)]
+            arr += [(1, ta) for ta in draw_arrivals(lam2, gen_lam[1], dt)]
+            arr.sort(key=lambda pair: pair[1])
+            step = step_wise_cost(n1, n2, arr, dt, c1, c2, beta)
+            a1 = sum(1 for cls, _ in arr if cls == 0)
+            a2 = len(arr) - a1
+            if l1 == 0:
+                nxt = (n1 - 1 + a1, n2 + a2, l1)
+            else:
+                nxt = (n1 + a1, n2 - 1 + a2, l1)
+        else:
+            dt = cfg.switch_dists[l1].sample(gen_switch[l1])
+            arr = [(0, ta) for ta in draw_arrivals(lam1, gen_lam[0], dt)]
+            arr += [(1, ta) for ta in draw_arrivals(lam2, gen_lam[1], dt)]
+            arr.sort(key=lambda pair: pair[1])
+            step = step_wise_cost(n1, n2, arr, dt, c1, c2, beta)
+            step += cfg.switch_costs[l1]
+            a1 = sum(1 for cls, _ in arr if cls == 0)
+            a2 = len(arr) - a1
+            nxt = (n1 + a1, n2 + a2, 1 - l1)
+        for key, value in zip(rec, (n1, n2, l1, a, step, dt, t, tuple(arr))):
+            rec[key].append(value)
+        n1, n2, l1 = nxt
+        t += dt
+    return rec
+
+
+@pytest.mark.parametrize("case, name", _case_names(["asym_var", "deterministic", "slow_mode"]))
+def test_simulate_trace_matches_per_draw_oracle(case, name):
+    """Block-buffered draws give the per-draw trajectory bit for bit, past
+    the first block of an arrival substream."""
+    cfg = BATCH_CASES[case]
+    policy = _case_policies(cfg)[name]
+    x0, seed, T = (1, 2, 1), 11, 200.0 if case == "slow_mode" else 400.0
+    tr = simulate_trace(cfg, policy, T, seed=seed, x0=x0)
+    want = _reference_trace(cfg, _case_policies(cfg)[name], x0, seed, T)
+    for key in ("n1", "n2", "l1", "action", "cost", "dt", "t"):
+        assert np.array_equal(getattr(tr, key), want[key]), key
+    assert tr.arrivals == want["arrivals"]
+    # every step reads one gap of each class besides its arrivals
+    arrived = [sum(1 for arr in tr.arrivals for c, _ in arr if c == cls) for cls in (0, 1)]
+    assert len(tr) + max(arrived) > simulate._GAP_BLOCK
+
+
+def test_simulate_trace_rejects_nonpositive_horizon():
+    cfg = exp_config(X1=2, X2=2)
+    for T in (0.0, -5.0):
+        with pytest.raises(ValueError, match="horizon"):
+            simulate_trace(cfg, ExhaustivePolicy(), T)
+
+
+@pytest.mark.parametrize("x0", [(-1, 3, 0), (21, 0, 0), (0, 21, 1), (0, 0, 2), (1.0, 0, 0),
+                                (0, 0)])
+def test_simulate_trace_rejects_start_outside_cap_box(x0):
+    """The cap box of X1 = X2 = 2 is [0, 20] x [0, 20] x {0, 1}."""
+    cfg = exp_config(X1=2, X2=2)
+    idle = TabularPolicy(np.full(18, IDLE), 2, 2)
+    with pytest.raises(ValueError, match="initial state"):
+        simulate_trace(cfg, idle, 50.0, x0=x0)
+    tr = simulate_trace(cfg, ExhaustivePolicy(), 5.0, x0=(np.int64(3), 0, 1))
+    assert tr.n1[0] == 3 and tr.l1[0] == 1
 
 
 def test_queue_overflow_detected():
