@@ -10,7 +10,8 @@ event samples, which is what makes paired performance comparisons fair.
 `sample_performance` steps the rollouts of all its policies together as
 arrays over their action tables and gives the same values bit for bit.
 Both paths draw each substream in blocks, which Philox returns exactly as
-the same number of single draws.
+the same number of single draws, and both charge the steps they logged by
+one routine, `_costs`, whose exponentials are ``np.exp`` over the whole log.
 """
 
 from __future__ import annotations
@@ -167,15 +168,40 @@ def step_wise_cost(n1, n2, arrivals, dt, c1, c2, beta):
 
     ``arrivals`` holds (class, time) pairs with times in [0, dt].  Customers
     present at entry accrue cost over the whole interval; each arrival from
-    its arrival time to the interval end.
+    its arrival time to the interval end.  This is one step of `_costs`, so
+    it gives the simulator's step cost bit for bit.
     """
-    base = c1 * n1 + c2 * n2
-    total = (base / beta) * (1.0 - math.exp(-beta * dt)) if base else 0.0
-    edt = math.exp(-beta * dt)
-    for cls, ta in arrivals:
-        c = c1 if cls == 0 else c2
-        total += (c / beta) * (math.exp(-beta * ta) - edt)
-    return total
+    arr = np.array(arrivals, dtype=float).reshape(-1, 2)
+    step = _costs(np.zeros(1), np.zeros(1, dtype=int), np.zeros(1), np.array([dt], dtype=float),
+                  np.array([c1 * n1 + c2 * n2]), None, np.zeros(len(arr), dtype=int),
+                  arr[:, 1], arr[:, 0].astype(int), c1, c2, beta)
+    return float(step[0])
+
+
+def _costs(total, k, t, dt, base, extra, event, when, cls, c1, c2, beta) -> np.ndarray:
+    """The locally discounted cost of each logged step, whose cost
+    discounted to time 0 is added to its rollout's ``total``.
+
+    Per step i: rollout ``k[i]``, start ``t[i]``, length ``dt[i]``,
+    ``base[i] = c1 n1 + c2 n2`` and switch cost ``extra[i]`` (None when there
+    are none); per arrival: its step ``event`` (numbered across the log),
+    time ``when`` in [0, dt] and class ``cls``.  Step i costs
+    ``base/beta (1 - e^(-beta dt))``, plus ``c/beta (e^(-beta t_a) - e^(-beta dt))``
+    per arrival in time order, class 0 first on a tie, plus its switch
+    cost.  ``np.add.at`` adds in index order, so each rollout's total sums
+    its steps in order.  Every exponential is taken by one ``np.exp`` over
+    the log; ``np.exp`` is elementwise, so a step's cost does not depend on
+    what else is logged with it, and every caller gets the same bits.
+    """
+    edt = np.exp(-beta * dt)
+    step = (base / beta) * (1.0 - edt)
+    weight = np.array([c1 / beta, c2 / beta])[cls]
+    order = np.lexsort((cls, when))
+    np.add.at(step, event[order], (weight * (np.exp(-beta * when) - edt[event]))[order])
+    if extra is not None:
+        step += extra
+    np.add.at(total, k, np.exp(-beta * t) * step)
+    return step
 
 
 def _draws(dist, gen: np.random.Generator, block: int):
@@ -199,17 +225,16 @@ def _draw_arrivals(gaps, dt):
     return times
 
 
-def _run(cfg: ScenarioConfig, policy, x0, seeds: SeedStream, T: float,
-         collect: bool = False):
+def _run(cfg: ScenarioConfig, policy, x0, seeds: SeedStream, T: float):
     """Step one rollout of ``policy`` from ``x0`` until time ``T``.
 
     Each substream of ``seeds`` is read through a `_draws` iterator; a
-    class without arrivals reads an endless gap.  Returns the discounted
-    cost and, with ``collect``, the `RolloutTrace`.
+    class without arrivals reads an endless gap.  The loop records each
+    step's entry state, action, start, length and arrivals; the costs are
+    charged once at the end by `_costs`.  Returns the discounted cost and
+    the `RolloutTrace`.
     """
-    c1, c2, beta = cfg.c1, cfg.c2, cfg.beta
     cap1, cap2 = 10 * cfg.X1, 10 * cfg.X2
-    switch_costs = cfg.switch_costs
     gaps = [_draws(Exponential(lam), seeds.generator(tag), _GAP_BLOCK) if lam > 0
             else itertools.repeat(math.inf)
             for lam, tag in zip(cfg.arrival_rates, TAG_LAMBDA)]
@@ -221,61 +246,45 @@ def _run(cfg: ScenarioConfig, policy, x0, seeds: SeedStream, T: float,
 
     n1, n2, l1 = x0
     t = 0.0
-    total = 0.0
     carry = policy.start()
-    rec_n1, rec_n2, rec_l1, rec_a, rec_c, rec_dt, rec_t = [], [], [], [], [], [], []
-    rec_arr = []
+    rec_n1, rec_n2, rec_l1, rec_a, rec_dt, rec_t, rec_arr = [], [], [], [], [], [], []
 
     while t < T:
         a, carry = policy.act(n1, n2, l1, carry)
         if a == IDLE:
             if no_arrivals:
                 break  # empty of randomness: idling would last forever
-            t1 = next(gaps[0])
-            t2 = next(gaps[1])
-            if t1 <= t2:
-                dt, winner = t1, 0
-            else:
-                dt, winner = t2, 1
-            step = step_wise_cost(n1, n2, (), dt, c1, c2, beta)
+            t1, t2 = next(gaps[0]), next(gaps[1])
+            dt = min(t1, t2)
             arr = ()
-            nxt = (n1 + 1, n2, l1) if winner == 0 else (n1, n2 + 1, l1)
-        elif a == SERVE:
-            if (n1 if l1 == 0 else n2) <= 0:
-                raise ValueError(f"policy serves an empty queue at ({n1},{n2},{l1})")
-            dt = next(serve[l1])
-            arr = [(0, ta) for ta in _draw_arrivals(gaps[0], dt)]
-            arr += [(1, ta) for ta in _draw_arrivals(gaps[1], dt)]
+            nxt = (n1 + 1, n2, l1) if t1 <= t2 else (n1, n2 + 1, l1)
+        elif a == SERVE or a == SWITCH:
+            if a == SERVE:
+                if (n1 if l1 == 0 else n2) <= 0:
+                    raise ValueError(f"policy serves an empty queue at ({n1},{n2},{l1})")
+                dt = next(serve[l1])
+            else:
+                dt = next(switch[l1])
+            arr1 = _draw_arrivals(gaps[0], dt)
+            arr2 = _draw_arrivals(gaps[1], dt)
+            arr = [(0, ta) for ta in arr1] + [(1, ta) for ta in arr2]
             arr.sort(key=lambda pair: pair[1])
-            step = step_wise_cost(n1, n2, arr, dt, c1, c2, beta)
-            a1 = sum(1 for cls, _ in arr if cls == 0)
-            a2 = len(arr) - a1
-            if l1 == 0:
+            a1, a2 = len(arr1), len(arr2)
+            if a == SWITCH:
+                nxt = (n1 + a1, n2 + a2, 1 - l1)
+            elif l1 == 0:
                 nxt = (n1 - 1 + a1, n2 + a2, l1)
             else:
                 nxt = (n1 + a1, n2 - 1 + a2, l1)
-        elif a == SWITCH:
-            dt = next(switch[l1])
-            arr = [(0, ta) for ta in _draw_arrivals(gaps[0], dt)]
-            arr += [(1, ta) for ta in _draw_arrivals(gaps[1], dt)]
-            arr.sort(key=lambda pair: pair[1])
-            step = step_wise_cost(n1, n2, arr, dt, c1, c2, beta)
-            step += switch_costs[l1]
-            a1 = sum(1 for cls, _ in arr if cls == 0)
-            a2 = len(arr) - a1
-            nxt = (n1 + a1, n2 + a2, 1 - l1)
         else:
             raise ValueError(f"unknown action {a}")
-        total += math.exp(-beta * t) * step
-        if collect:
-            rec_n1.append(n1)
-            rec_n2.append(n2)
-            rec_l1.append(l1)
-            rec_a.append(a)
-            rec_c.append(step)
-            rec_dt.append(dt)
-            rec_t.append(t)
-            rec_arr.append(tuple(arr))
+        rec_n1.append(n1)
+        rec_n2.append(n2)
+        rec_l1.append(l1)
+        rec_a.append(a)
+        rec_dt.append(dt)
+        rec_t.append(t)
+        rec_arr.append(tuple(arr))
         n1, n2, l1 = nxt
         if n1 > cap1 or n2 > cap2:
             raise QueueOverflowError(
@@ -284,20 +293,20 @@ def _run(cfg: ScenarioConfig, policy, x0, seeds: SeedStream, T: float,
             )
         t += dt
 
-    trace = None
-    if collect:
-        trace = RolloutTrace(
-            n1=np.array(rec_n1, dtype=np.int32),
-            n2=np.array(rec_n2, dtype=np.int32),
-            l1=np.array(rec_l1, dtype=np.int32),
-            action=np.array(rec_a, dtype=np.int32),
-            cost=np.array(rec_c),
-            dt=np.array(rec_dt),
-            t=np.array(rec_t),
-            horizon=T,
-            arrivals=rec_arr,
-        )
-    return total, trace
+    n1, n2, l1, action = (np.array(v, dtype=np.int32) for v in (rec_n1, rec_n2, rec_l1, rec_a))
+    dt, t = np.array(rec_dt, dtype=float), np.array(rec_t, dtype=float)
+    flat = list(itertools.chain.from_iterable(rec_arr))
+    cls, when = zip(*flat) if flat else ((), ())
+    extra = None
+    if any(cfg.switch_costs):
+        extra = np.where(action == SWITCH, np.array(cfg.switch_costs)[l1], 0.0)
+    total = np.zeros(1)
+    cost = _costs(total, np.zeros(len(t), dtype=int), t, dt, cfg.c1 * n1 + cfg.c2 * n2, extra,
+                  np.repeat(np.arange(len(t)), [len(arr) for arr in rec_arr]),
+                  np.array(when, dtype=float), np.array(cls, dtype=int), cfg.c1, cfg.c2, cfg.beta)
+    trace = RolloutTrace(n1=n1, n2=n2, l1=l1, action=action, cost=cost, dt=dt, t=t,
+                         horizon=T, arrivals=rec_arr)
+    return float(total[0]), trace
 
 
 def _initial_cdf(cfg: ScenarioConfig, initial_dist) -> np.ndarray:
@@ -307,7 +316,8 @@ def _initial_cdf(cfg: ScenarioConfig, initial_dist) -> np.ndarray:
         p = np.full(size, 1.0 / size)
     else:
         p = np.asarray(initial_dist, dtype=float)
-        if len(p) != size or p.min() < 0:
+        # a NaN or inf entry, or a zero total, fails the test of the sum
+        if len(p) != size or p.min() < 0 or not 0 < p.sum() < math.inf:
             raise ValueError("initial distribution must be a pmf over the state box")
         p = p / p.sum()
     return np.cumsum(p)
@@ -326,7 +336,7 @@ def rollout(cfg: ScenarioConfig, policy, initial_dist, seed: int, T: float) -> f
     seeds = SeedStream(seed)
     u = seeds.generator(TAG_INIT).random()
     x0 = _initial_states(cfg, _initial_cdf(cfg, initial_dist), u)
-    total, _ = _run(cfg, policy, x0, seeds, T, collect=False)
+    total, _ = _run(cfg, policy, x0, seeds, T)
     return total
 
 
@@ -346,7 +356,7 @@ def simulate_trace(cfg: ScenarioConfig, policy, T: float, seed: int = 0,
         raise ValueError(f"initial state {x0} is not integers (n1, n2, l1) in "
                          f"[0, {caps[0]}] x [0, {caps[1]}] x {{0, 1}}")
     seeds = SeedStream(seed)
-    _, trace = _run(cfg, policy, tuple(int(v) for v in x0), seeds, T, collect=True)
+    _, trace = _run(cfg, policy, tuple(int(v) for v in x0), seeds, T)
     return trace
 
 
@@ -383,12 +393,6 @@ def _philox_state_words(state: dict) -> list:
             state["uinteger"]]
 
 
-def _exp(x: np.ndarray) -> np.ndarray:
-    """Elementwise ``math.exp``, which the scalar path uses; ``np.exp`` can
-    differ from it in the last bit."""
-    return np.fromiter(map(math.exp, x.tolist()), dtype=float, count=len(x))
-
-
 class _Blocks:
     """Pre-drawn values of a set of substreams, one row per (substream, seed).
 
@@ -423,8 +427,8 @@ class _Blocks:
         return self.buf.reshape(-1)[start]
 
     def window(self, idx: np.ndarray, count: int) -> np.ndarray:
-        """The next ``count`` values at each index, one column per index,
-        not consumed."""
+        """The next ``count`` values at each index, one column per index of
+        a new array, not consumed."""
         start = self._start(idx, count)
         return self.buf.reshape(-1)[start + np.arange(count)[:, None]]
 
@@ -462,10 +466,15 @@ def _arrivals(gaps: _Blocks, idx: np.ndarray, dt: np.ndarray, width: int = _WIND
     the count per index.
 
     As in `_draw_arrivals`, the gaps are summed from 0 in the order drawn
-    and the gap that overshoots ``dt`` is consumed and thrown away.  Indices
-    with ``width`` arrivals or more are redone with four times the gaps.
+    and the gap that overshoots ``dt`` is consumed and thrown away.  The
+    window's rows are added in place, one after the other, which gives the
+    bits of ``np.cumsum(axis=0)`` without its walk down each column.
+    Indices with ``width`` arrivals or more are redone with four times the
+    gaps.
     """
-    sums = np.cumsum(gaps.window(idx, width), axis=0)
+    sums = gaps.window(idx, width)
+    for r in range(1, width):
+        sums[r] += sums[r - 1]
     inside = sums < dt
     count = inside.sum(axis=0)
     long = (count == width).nonzero()[0]
@@ -497,30 +506,12 @@ def _action_codes(cfg: ScenarioConfig, policy) -> np.ndarray:
 
 
 def _charge(total, cfg: ScenarioConfig, log):
-    """Add the discounted costs of the logged steps to ``total``.
-
-    Each log entry holds, per step i: rollout ``k[i]``, start ``t[i]``,
-    length ``dt[i]``, ``base[i] = c1 n1 + c2 n2``, switch cost ``extra[i]``
-    (or None when there are none), and per arrival: its step ``event``
-    (numbered across the log), time ``when`` and class ``cls``.  Every sum
-    runs in the order `step_wise_cost` and `_run` use: ``np.add.at`` adds
-    in index order, and the arrivals are sorted by time, class 0 first on
-    a tie.
-    """
-    if not log:
-        return
-    k, t, dt, base, extra, event, when, cls = (
-        None if part[0] is None else np.concatenate(part) for part in zip(*log))
-    beta = cfg.beta
-    e = _exp(np.concatenate([-beta * dt, -beta * t, -beta * when]))
-    edt, discount, e_arr = e[:len(t)], e[len(t):2 * len(t)], e[2 * len(t):]
-    step = (base / beta) * (1.0 - edt)
-    weight = np.array([cfg.c1 / beta, cfg.c2 / beta])[cls]
-    order = np.lexsort((cls, when))
-    np.add.at(step, event[order], (weight * (e_arr - edt[event]))[order])
-    if extra is not None:
-        step += extra
-    np.add.at(total, k, discount * step)
+    """Add the discounted costs of the logged steps to ``total``: each log
+    entry holds `_costs`' arguments from ``k`` to ``cls`` for its steps, with
+    the arrivals' steps numbered across the log."""
+    if log:
+        _costs(total, *(None if part[0] is None else np.concatenate(part) for part in zip(*log)),
+               cfg.c1, cfg.c2, cfg.beta)
 
 
 def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds, T: float) -> np.ndarray:
@@ -534,7 +525,7 @@ def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds, T: float) -> np
     row that every policy's lane of the seed reads (`_Blocks`).  Lane
     (p, k) equals ``_run`` of policy p from ``x0[:, k]`` with
     ``SeedStream(seeds[k])`` bit for bit: it reads the same values of the
-    same substreams and sums its costs in the same order with ``math.exp``.
+    same substreams and charges its steps by the same routine, `_costs`.
     The dynamics advance one step of every live lane at a time; the costs
     of about ``_CHUNK`` logged rollout steps at a time are added afterwards
     in one pass (`_charge`), which bounds the log's memory whatever the

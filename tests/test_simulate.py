@@ -465,6 +465,74 @@ def test_simulate_trace_matches_per_draw_oracle(case, name):
     assert len(tr) + max(arrived) > simulate._GAP_BLOCK
 
 
+def _math_exp_step_cost(n1, n2, arrivals, dt, c1, c2, beta):
+    """A step's cost by the formula with one ``math.exp`` per value, kept as
+    the reference for the simulator's ``np.exp`` pass."""
+    base = c1 * n1 + c2 * n2
+    total = (base / beta) * (1.0 - math.exp(-beta * dt)) if base else 0.0
+    edt = math.exp(-beta * dt)
+    for cls, ta in arrivals:
+        total += ((c1 if cls == 0 else c2) / beta) * (math.exp(-beta * ta) - edt)
+    return total
+
+
+@pytest.mark.parametrize("case, name", _case_names(["asym_var", "deterministic", "slow_mode"]))
+def test_costs_match_math_exp_reference(case, name):
+    """``np.exp`` can differ from ``math.exp`` in the last bit: each step
+    cost stays within 1e-14 of its scale and the rollout within 1e-13
+    relative of the ``math.exp`` reference.
+
+    A step's scale is (c1 n1 + c2 n2 + the c of each arrival) / beta, the
+    factor that multiplies an exponential's error.  Relative to the cost
+    itself the error is unbounded: 1 - e^(-beta dt) cancels for short steps.
+    """
+    cfg = BATCH_CASES[case]
+    policy = _case_policies(cfg)[name]
+    x0, seed, T = (1, 2, 1), 11, 200.0 if case == "slow_mode" else 400.0
+    tr = simulate_trace(cfg, policy, T, seed=seed, x0=x0)
+    want, scale = [], []
+    for n1, n2, l1, a, dt, arr in zip(tr.n1.tolist(), tr.n2.tolist(), tr.l1.tolist(),
+                                      tr.action.tolist(), tr.dt.tolist(), tr.arrivals):
+        want.append(_math_exp_step_cost(n1, n2, arr, dt, cfg.c1, cfg.c2, cfg.beta)
+                    + (cfg.switch_costs[l1] if a == SWITCH else 0.0))
+        arrived = [sum(c == cls for c, _ in arr) for cls in (0, 1)]
+        scale.append((cfg.c1 * (n1 + arrived[0]) + cfg.c2 * (n2 + arrived[1])) / cfg.beta)
+    assert np.all(np.abs(tr.cost - want) <= 1e-14 * np.array(scale))
+    total = 0.0
+    for t, step in zip(tr.t.tolist(), want):
+        total += math.exp(-cfg.beta * t) * step
+    got = rollout(cfg, policy, _point_dist(cfg, *x0), seed, T)
+    assert got == pytest.approx(total, rel=1e-13, abs=0)
+
+
+def test_np_exp_is_elementwise_and_position_independent():
+    """Scalar and batch costs agree bit for bit because ``np.exp`` gives an
+    entry the same bits alone as at any offset of a longer array."""
+    cfg = slow_mode_config()
+    T = 200.0
+    x = -cfg.beta * np.random.default_rng(9).uniform(0.0, 10 * T, 100_000)
+    e = np.exp(x)
+    alone = np.array([np.exp(x[i:i + 1])[0] for i in range(len(x))])
+    assert np.array_equal(alone, e)
+    for cut in range(1, 17):
+        assert np.array_equal(np.exp(x[cut:]), e[cut:])
+        assert np.array_equal(np.exp(x[:-cut]), e[:-cut])
+
+
+@pytest.mark.parametrize("kind", ["zero", "nan", "inf"])
+def test_initial_dist_needs_a_finite_positive_total(kind):
+    """An all-zero, all-NaN or inf-holding pmf is rejected; it used to start
+    every rollout from the last state of the box."""
+    cfg = exp_config(X1=2, X2=2)
+    dist = {"zero": np.zeros(18), "nan": np.full(18, np.nan), "inf": np.full(18, 1.0)}[kind]
+    if kind == "inf":
+        dist[4] = np.inf
+    with pytest.raises(ValueError, match="pmf over the state box"):
+        rollout(cfg, ExhaustivePolicy(), dist, 0, 10.0)
+    with pytest.raises(ValueError, match="pmf over the state box"):
+        sample_performance(cfg, [ExhaustivePolicy()], dist, 0, 10.0, 4)
+
+
 def test_simulate_trace_rejects_nonpositive_horizon():
     cfg = exp_config(X1=2, X2=2)
     for T in (0.0, -5.0):
