@@ -69,6 +69,19 @@ def exhaustive_actions(n1, n2, l1):
     return np.where(current, _SERVE8, np.where(other, _SWITCH8, _IDLE8))
 
 
+def exhaustive_start(model) -> np.ndarray:
+    """The exhaustive rule as one action per state of a polling decision
+    model (the SMDP or either uniformised model), -1 at a state without a
+    choice: a first policy for :func:`pollsys.solver.policy_iteration`.
+
+    Its action is feasible at every decision state, since it serves only a
+    non-empty queue.  Policy iteration converges from any start; from this
+    one its first improvement changes far fewer actions than from all-idle.
+    """
+    n1, n2, l1 = model.indexer.unflatten(np.arange(model.n_states))[:3]
+    return np.where(model.graph.decision_mask, exhaustive_actions(n1, n2, l1), -1)
+
+
 def _heuristic_params(cfg: ScenarioConfig):
     """Validated constants of the heuristic: (mu1, serve threshold, t12, t21)."""
     mu1 = 1.0 / cfg.serve1.mean()

@@ -19,7 +19,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .baselines import analyze_limit_cycle, limit_cycle_report
+from .baselines import analyze_limit_cycle, exhaustive_start, limit_cycle_report
 from .ctmdp import build_nonpreemptive
 from .model import IDLE, SERVE, SWITCH, ScenarioConfig, validate_scenario
 from .simulate import (
@@ -125,7 +125,10 @@ def solve_policies(cfg: ScenarioConfig, which: Sequence[str], algo: str = "defau
     simulator directly.  The uniformised model solves the scenario with all
     durations replaced by exponentials of equal mean.  ``algo`` is
     "policy-iteration" or "value-iteration"; by default the SMDP takes
-    policy iteration and the uniformised model value iteration.
+    policy iteration and the uniformised model value iteration.  Policy
+    iteration starts from the exhaustive rule (``exhaustive_start``), which
+    reaches the same tables as the all-idle start in fewer iterations and
+    dense factorisations.
     """
     tables = {}
     diagnostics = {}
@@ -139,13 +142,13 @@ def solve_policies(cfg: ScenarioConfig, which: Sequence[str], algo: str = "defau
         if algo == "value-iteration":
             pol = value_iterate(build_value_graph(model))
         else:
-            pol = policy_iteration(model)
+            pol = policy_iteration(model, exhaustive_start(model))
         tables["smdp"] = model.decision_table(pol.actions)
         diagnostics["smdp"] = report(pol)
     if "ctmdp" in which:
         np_model = build_nonpreemptive(cfg.with_exponential_durations())
         if algo == "policy-iteration":
-            pol = policy_iteration(np_model)
+            pol = policy_iteration(np_model, exhaustive_start(np_model))
         else:
             pol = value_iterate(build_value_graph(np_model))
         tables["ctmdp"] = np_model.decision_table(pol.actions)

@@ -413,11 +413,12 @@ class _Blocks:
         self.gen = np.random.Generator(philox)
         self.dists = dists
         self.seeds = len(keys[0]) if keys else 0
-        self.lanes = lanes
         self.block = block
         self.buf = np.empty((len(dists) * self.seeds, block))
         self.size = np.zeros(len(dists) * self.seeds, dtype=np.intp)
         self.pos = np.zeros(len(dists) * lanes, dtype=np.intp)
+        idx = np.arange(len(dists) * lanes)
+        self.row = idx // lanes * self.seeds + idx % self.seeds  # index -> its row
         self.states = [_philox_words(key) for row in keys for key in row]
 
     def take(self, idx: np.ndarray) -> np.ndarray:
@@ -435,12 +436,12 @@ class _Blocks:
     def _start(self, idx: np.ndarray, count: int) -> np.ndarray:
         """Flat buffer offsets of the next value at each index, once its row
         holds ``count`` values from there."""
-        rows = idx // self.lanes * self.seeds + idx % self.seeds
-        end = self.pos[idx] + count
-        short = end > self.size[rows]
+        rows = self.row[idx]
+        pos = self.pos[idx]
+        short = pos + count > self.size[rows]
         if short.any():
-            self._grow(rows[short], end[short])
-        return rows * self.buf.shape[1] + self.pos[idx]
+            self._grow(rows[short], pos[short] + count)
+        return rows * self.buf.shape[1] + pos
 
     def _grow(self, rows: np.ndarray, ends: np.ndarray):
         """Draw on each row until it holds ``ends`` values."""
@@ -685,6 +686,18 @@ def sample_performance(cfg: ScenarioConfig, policies, initial_dist, seed0: int,
     return out
 
 
+def _burn_in(trace: RolloutTrace, burn_in: Optional[int]) -> int:
+    """The number of leading trace entries to discard: ``burn_in``, by
+    default 10% of the trace.  It must be non-negative and leave at least
+    one entry."""
+    B = len(trace) // 10 if burn_in is None else int(burn_in)
+    if B < 0:
+        raise ValueError(f"burn_in must be non-negative, got {burn_in}")
+    if len(trace) - B <= 0:
+        raise ValueError("trace too short for the requested burn-in")
+    return B
+
+
 def embedded_stationary(trace: RolloutTrace, burn_in: Optional[int] = None):
     """Empirical stationary distribution of the embedded chain.
 
@@ -692,10 +705,7 @@ def embedded_stationary(trace: RolloutTrace, burn_in: Optional[int] = None):
     visits at queue 2) after discarding the first ``burn_in`` entries
     (default: 10% of the trace).
     """
-    K = len(trace)
-    B = K // 10 if burn_in is None else int(burn_in)
-    if K - B <= 0:
-        raise ValueError("trace too short for the requested burn-in")
+    B = _burn_in(trace, burn_in)
     n1 = trace.n1[B:]
     n2 = trace.n2[B:]
     l1 = trace.l1[B:]
@@ -717,10 +727,7 @@ def action_time_fractions(trace: RolloutTrace, burn_in: Optional[int] = None):
     Returns (fractions dict action -> share of time, total time, per-queue
     duration tables T1 and T2 keyed by action).
     """
-    K = len(trace)
-    B = K // 10 if burn_in is None else int(burn_in)
-    if K - B <= 0:
-        raise ValueError("trace too short for the requested burn-in")
+    B = _burn_in(trace, burn_in)
     act = trace.action[B:]
     dt = trace.dt[B:]
     l1 = trace.l1[B:]
@@ -775,10 +782,7 @@ def work_fraction(trace: RolloutTrace, cfg: ScenarioConfig,
     fraction, which equals the utilisation rho for every stable policy, this
     measure exceeds rho and reflects how decisively a policy serves.
     """
-    K = len(trace)
-    B = K // 10 if burn_in is None else int(burn_in)
-    if K - B <= 0:
-        raise ValueError("trace too short for the requested burn-in")
+    B = _burn_in(trace, burn_in)
     act = trace.action[B:]
     l1 = trace.l1[B:]
     total = 0.0

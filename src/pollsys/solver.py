@@ -332,21 +332,29 @@ def policy_iteration(model, pi0=None, maxiter: int = 100,
     (Howard's policy iteration; Puterman, *Markov Decision Processes*,
     1994, section 6.4).
 
+    ``pi0`` is the first policy, one action per state (its entries at
+    states without a choice are ignored); by default each state's first
+    node's action (:func:`initial_policy`).
+
     One dense factorisation is kept across the iterations: each later
     dense policy is evaluated by a low-rank update of it until more than
     n / UPDATE_RANK_DIVISOR rows have changed since it was made (see
     :func:`policy_evaluate`).  ``changes`` records the decision actions
-    each improvement changed and ``factorizations`` the dense
-    factorisations made.
+    each improvement changed, the first against ``pi0``, and
+    ``factorizations`` the dense factorisations made.
     """
     if maxiter < 1:
         raise ValueError("maxiter must be >= 1")
-    actions = initial_policy(model) if pi0 is None else np.asarray(pi0, dtype=int).copy()
+    n = model.graph.n_states
+    actions = initial_policy(model) if pi0 is None else np.array(pi0, dtype=int)
+    if actions.shape != (n,):
+        raise ValueError(f"pi0 has shape {actions.shape}; the model has {n} states, "
+                         f"so it needs shape ({n},)")
     decision = model.graph.decision_mask
     factor = _Factorization()
     history = [] if keep_history else None
     changes = []
-    J = np.zeros(model.graph.n_states)
+    J = np.zeros(n)
     converged = False
     iterations = 0
     for _ in range(maxiter):

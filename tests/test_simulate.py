@@ -588,6 +588,24 @@ def test_embedded_stationary_requires_data_after_burn_in():
         embedded_stationary(tr, burn_in=3)
 
 
+@pytest.mark.parametrize("stat", [
+    embedded_stationary,
+    action_time_fractions,
+    lambda tr, burn_in: simulate.work_fraction(tr, exp_config(), burn_in),
+])
+def test_negative_burn_in_rejected(stat):
+    """A negative burn_in is an error, not "the last |burn_in| entries"."""
+    tr = RolloutTrace(
+        n1=np.zeros(20, dtype=np.int32), n2=np.zeros(20, dtype=np.int32),
+        l1=np.zeros(20, dtype=np.int32), action=np.zeros(20, dtype=np.int32),
+        cost=np.zeros(20), dt=np.ones(20), t=np.arange(20, dtype=float),
+        horizon=20.0,
+    )
+    stat(tr, burn_in=0)
+    with pytest.raises(ValueError, match="burn_in must be non-negative"):
+        stat(tr, burn_in=-5)
+
+
 def test_embedded_stationary_matches_linear_solve():
     """Long-trace frequencies against the stationary vector of P_pi."""
     cfg = asym_var_config(X1=12, X2=12, N1=12, N2=12)

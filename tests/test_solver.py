@@ -6,6 +6,7 @@ import pytest
 from pollsys import (
     TabularModel,
     build_nonpreemptive,
+    build_preemptive,
     build_smdp,
     build_value_graph,
     policy_evaluate,
@@ -13,6 +14,8 @@ from pollsys import (
     policy_iteration,
     value_iterate,
 )
+from pollsys.baselines import exhaustive_policy, exhaustive_start
+from pollsys.model import PollingState
 from pollsys.solver import (
     UPDATE_RANK_DIVISOR,
     SingularSystemError,
@@ -207,6 +210,65 @@ def test_policy_iteration_reuse_at_bundle_scale(make_cfg):
     pol = policy_iteration(model)
     assert pol.iterations == len(fresh)
     assert np.array_equal(pol.actions, fresh[-1][1])
+
+
+@pytest.mark.parametrize("make_cfg", [slow_mode_config, asym_var_config])
+def test_exhaustive_start_reaches_idle_start_actions(make_cfg):
+    """From the exhaustive rule, SMDP policy iteration at X=24, N=20 ends
+    at the all-idle start's actions."""
+    model = build_smdp(make_cfg(X1=24, X2=24, N1=20, N2=20))
+    idle = policy_iteration(model)
+    pol = policy_iteration(model, exhaustive_start(model))
+    assert idle.converged and pol.converged
+    assert np.array_equal(pol.actions, idle.actions)
+
+
+@pytest.mark.parametrize("build", [build_preemptive, build_nonpreemptive])
+@pytest.mark.parametrize("make_cfg", [slow_mode_config, asym_var_config])
+def test_exhaustive_start_reaches_idle_start_actions_ctmdp(make_cfg, build):
+    model = build(make_cfg(X1=8, X2=8, N1=8, N2=8).with_exponential_durations())
+    idle = policy_iteration(model)
+    pol = policy_iteration(model, exhaustive_start(model))
+    assert idle.converged and pol.converged
+    d = model.graph.decision_mask
+    assert np.array_equal(pol.actions[d], idle.actions[d])
+
+
+@pytest.mark.parametrize("build", [
+    build_smdp,
+    lambda cfg: build_preemptive(cfg.with_exponential_durations()),
+    lambda cfg: build_nonpreemptive(cfg.with_exponential_durations()),
+])
+def test_exhaustive_start_is_feasible_exhaustive_rule(build):
+    """At every decision state the start is the scalar exhaustive rule and
+    one of the state's nodes; elsewhere it is -1."""
+    model = build(slow_mode_config(X1=4, X2=3, N1=4, N2=4))
+    graph = model.graph
+    start = exhaustive_start(model)
+    decision = graph.decision_mask
+    assert start.shape == (model.n_states,)
+    assert np.all(start[~decision] == -1)
+    follows = graph.q_action == start[graph.q_state]
+    assert np.all(np.bincount(graph.q_state[follows], minlength=graph.n_states)[decision] == 1)
+    for x in np.flatnonzero(decision):
+        n1, n2, l1 = model.indexer.unflatten(x)[:3]
+        assert start[x] == exhaustive_policy(PollingState(n1, n2, l1))
+
+
+def test_policy_iteration_changes_count_from_pi0():
+    model = build_smdp(slow_mode_config(X1=6, X2=6, N1=6, N2=6))
+    pi0 = exhaustive_start(model)
+    pol = policy_iteration(model, pi0)
+    first, _ = policy_improve(model, policy_evaluate(model, pi0))
+    decision = model.graph.decision_mask
+    assert pol.changes[0] == np.count_nonzero(first[decision] != pi0[decision]) > 0
+    assert policy_iteration(model, pol.actions).changes == [0]
+
+
+@pytest.mark.parametrize("pi0", [[0], [0, 0, 0], [[0, 0]]])
+def test_policy_iteration_rejects_wrong_length_pi0(pi0):
+    with pytest.raises(ValueError, match=r"pi0 has shape .* 2 states"):
+        policy_iteration(two_state_alternation(), pi0=pi0)
 
 
 def test_policy_iteration_monotone_J(slow_cfg):
