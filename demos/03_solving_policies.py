@@ -13,6 +13,7 @@ from pollsys import (
     build_nonpreemptive,
     build_smdp,
     build_value_graph,
+    exhaustive_start,
     policy_iteration,
     value_iterate,
 )
@@ -24,12 +25,12 @@ cfg = load_scenario("slow_mode", {"X1": X, "X2": X, "N1": X, "N2": X})
 cfg = cfg.with_exponential_durations()
 
 smdp = build_smdp(cfg)
-pol_s = policy_iteration(smdp)
+pol_s = policy_iteration(smdp, exhaustive_start(smdp))
 print(f"semi-Markov model: {smdp.n_states} states, "
       f"policy iteration converged in {pol_s.iterations} iterations")
 
 npm = build_nonpreemptive(cfg)
-pol_pi = policy_iteration(npm)
+pol_pi = policy_iteration(npm, exhaustive_start(npm))
 graph = build_value_graph(npm)
 pol_vi = value_iterate(graph)
 print(f"uniformised model: {npm.n_states} states, {graph.n_nodes} Q-nodes; "

@@ -15,6 +15,7 @@ from pollsys import (
     TabularPolicy,
     analyze_limit_cycle,
     build_smdp,
+    exhaustive_start,
     mann_whitney_u,
     pearson_r,
     policy_iteration,
@@ -29,7 +30,7 @@ X, M, T = 20, 400, 200.0
 cfg = load_scenario("slow_mode", {"X1": X, "X2": X, "N1": X, "N2": X})
 
 smdp = build_smdp(cfg)
-table = smdp.decision_table(policy_iteration(smdp).actions)
+table = smdp.decision_table(policy_iteration(smdp, exhaustive_start(smdp)).actions)
 
 # initial states: uniform over the limit cycle's envelope
 b1, b2 = truncation_bounds(analyze_limit_cycle(cfg), margin=1.0)

@@ -17,6 +17,7 @@ from pollsys import (
     analyze_limit_cycle,
     build_smdp,
     embedded_stationary,
+    exhaustive_start,
     limit_cycle_occupancy,
     overall_stationary,
     policy_iteration,
@@ -31,7 +32,7 @@ cfg = load_scenario("asym_var", {"X1": X, "X2": X, "N1": X, "N2": X})
 rep = validate_scenario(cfg)
 
 smdp = build_smdp(cfg)
-table = smdp.decision_table(policy_iteration(smdp).actions)
+table = smdp.decision_table(policy_iteration(smdp, exhaustive_start(smdp)).actions)
 trace = simulate_trace(cfg, TabularPolicy(table, X, X), T=100000.0, seed=7,
                        x0=(0, 0, 0))
 print(f"trace: {len(trace)} embedded epochs over {trace.t[-1]:.0f} time units")

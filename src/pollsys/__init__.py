@@ -50,8 +50,7 @@ from .baselines import (
     CycleKind,
     LimitCycle,
     analyze_limit_cycle,
-    exhaustive_policy,
-    heuristic_policy,
+    exhaustive_start,
     limit_cycle_report,
     truncation_bounds,
 )

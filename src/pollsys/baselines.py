@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import IDLE, SERVE, SWITCH, PollingState, ScenarioConfig, validate_scenario
+from .model import IDLE, SERVE, SWITCH, ScenarioConfig, validate_scenario
 
 
 class CycleKind(str, Enum):
@@ -48,22 +48,14 @@ class LimitCycle:
         return (self.c1, self.c2, self.c3, self.c4, self.c5)
 
 
-def exhaustive_policy(state: PollingState) -> int:
-    """Serve the current queue to depletion; switch only when it is empty
-    and the other queue is not; idle in an empty system."""
-    if state.current_queue_length > 0:
-        return SERVE
-    if state.other_queue_length > 0:
-        return SWITCH
-    return IDLE
-
-
 # action codes as int8, so that action tables over large boxes stay small
 _IDLE8, _SERVE8, _SWITCH8 = np.int8(IDLE), np.int8(SERVE), np.int8(SWITCH)
 
 
 def exhaustive_actions(n1, n2, l1):
-    """Array form of :func:`exhaustive_policy` over broadcast coordinates."""
+    """The exhaustive rule over broadcast coordinates: serve the current
+    queue to depletion; switch only when it is empty and the other queue is
+    not; idle in an empty system."""
     current = np.where(l1 == 0, n1 > 0, n2 > 0)
     other = np.where(l1 == 0, n2 > 0, n1 > 0)
     return np.where(current, _SERVE8, np.where(other, _SWITCH8, _IDLE8))
@@ -99,45 +91,16 @@ def _heuristic_params(cfg: ScenarioConfig):
     return mu1, threshold, t12, t21
 
 
-def heuristic_policy(cfg: ScenarioConfig, state: PollingState, served_flag: bool):
-    """Priority-queue heuristic; returns (action, served_flag').
+def heuristic_actions(cfg: ScenarioConfig, n1, n2, l1, served):
+    """Priority-queue heuristic: the action at broadcast coordinates
+    (n1, n2, l1) with the served flag ``served``.
 
     Queue 1 must be the priority queue (c1*lambda1 > c2*lambda2), the
-    scenario stable and some switch-over time positive.  ``served_flag``
-    records whether at least one queue-2 job has been served during the
-    current visit; the caller threads it between decisions.  The returned
-    flag is ``action == SERVE`` at queue 2 and unchanged at queue 1.
+    scenario stable and some switch-over time positive.  ``served`` records
+    whether at least one queue-2 job has been served during the current
+    visit: the caller carries it between decisions as ``action == SERVE``
+    at queue 2, unchanged at queue 1.
     """
-    return _heuristic_action(cfg, _heuristic_params(cfg), state.n1, state.n2, state.l1,
-                             served_flag)
-
-
-def _heuristic_action(cfg: ScenarioConfig, params, n1: int, n2: int, l1: int,
-                      served_flag: bool):
-    """:func:`heuristic_policy` at (n1, n2, l1), given the scenario's
-    validated constants ``params`` from :func:`_heuristic_params`."""
-    mu1, threshold, t12, t21 = params
-    if l1 == 0:  # at the priority queue
-        if n1 > 0:
-            return SERVE, served_flag
-        if n2 > cfg.lambda2 * t21:
-            return SWITCH, served_flag
-        return IDLE, served_flag
-    if n2 > 0:
-        ratio = (n1 + cfg.lambda1 * t12) / (n1 + mu1 * t12 + (mu1 - cfg.lambda1) * t21)
-        if ratio <= threshold:
-            return SERVE, True
-        if not served_flag:
-            return SERVE, True
-        return SWITCH, False
-    if n1 > cfg.lambda1 * t12:
-        return SWITCH, False
-    return IDLE, False
-
-
-def heuristic_actions(cfg: ScenarioConfig, n1, n2, l1, served):
-    """Array form of :func:`heuristic_policy`: the action at broadcast
-    coordinates (n1, n2, l1) with the served flag ``served``."""
     mu1, threshold, t12, t21 = _heuristic_params(cfg)
     ratio = (n1 + cfg.lambda1 * t12) / (n1 + mu1 * t12 + (mu1 - cfg.lambda1) * t21)
     at_queue1 = np.where(n1 > 0, _SERVE8, np.where(n2 > cfg.lambda2 * t21, _SWITCH8, _IDLE8))

@@ -1,14 +1,16 @@
 """Semi-Markov simulation with common random numbers.
 
-Each rollout consults a policy at the embedded-chain epochs, draws the
+Each rollout reads its policy's action at the embedded-chain epochs, draws the
 committed event's duration from its own deterministic substream, superposes
 the Poisson arrivals inside the interval, and accumulates locally discounted
 step costs.  Running two policies with the same base seed reuses identical
 event samples, which is what makes paired performance comparisons fair.
 
-`rollout` and `simulate_trace` step one rollout at a time.
-`sample_performance` steps the rollouts of all its policies together as
-arrays over their action tables and gives the same values bit for bit.
+A policy is its action table over the simulator's cap box
+(``policy.action_table(cfg)``), read as one flat code table
+(`_action_codes`) by both paths.  `rollout` and `simulate_trace` step one
+rollout at a time; `sample_performance` steps the rollouts of all its
+policies together as arrays and gives the same values bit for bit.
 Both paths draw each substream in blocks, which Philox returns exactly as
 the same number of single draws, and both charge the steps they logged by
 one routine, `_costs`, whose exponentials are ``np.exp`` over the whole log.
@@ -23,21 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (
-    IDLE,
-    SERVE,
-    SWITCH,
-    PollingState,
-    ScenarioConfig,
-    triple_indexer,
-)
-from .baselines import (
-    _heuristic_action,
-    _heuristic_params,
-    exhaustive_actions,
-    exhaustive_policy,
-    heuristic_actions,
-)
+from .model import IDLE, SERVE, SWITCH, ScenarioConfig, triple_indexer
+from .baselines import _heuristic_params, exhaustive_actions, heuristic_actions
 from .distributions import Exponential
 
 # substream tags: one per event type, plus bookkeeping streams
@@ -96,25 +85,41 @@ class RolloutTrace:
         return len(self.t)
 
 
-def _cap_grid(cfg: ScenarioConfig):
-    """Broadcastable (served, n1, n2, l1) coordinates of the simulator's cap box."""
-    served, n1, n2, l1 = np.ogrid[0:2, 0:10 * cfg.X1 + 1, 0:10 * cfg.X2 + 1, 0:2]
-    return served.astype(bool), n1, n2, l1
+def _over_cap_box(cfg: ScenarioConfig, rule) -> np.ndarray:
+    """``rule(served, n1, n2, l1)`` over the simulator's cap box, broadcastable
+    to (served, n1, n2, l1).
+
+    The rule sees broadcastable (served, n1, n2) coordinates at l1 = 0 and
+    at l1 = 1, and the two results are stacked last: numpy broadcasts over
+    a long last axis several times faster than over one of length 2.
+    """
+    served, n1, n2 = np.ogrid[0:2, 0:10 * cfg.X1 + 1, 0:10 * cfg.X2 + 1]
+    served = served.astype(bool)
+    return np.stack(np.broadcast_arrays(*(rule(served, n1, n2, l1) for l1 in (0, 1))), axis=-1)
+
+
+# codes in an action table for the decisions that the simulator rejects
+_UNDEFINED, _EMPTY_SERVE, _UNKNOWN = -1, -2, -3
+_ERRORS = {
+    _UNDEFINED: "policy undefined at state {}",
+    _EMPTY_SERVE: "policy serves an empty queue at {}",
+    _UNKNOWN: "unknown action at state {}",
+}
+
+
+def _strides(cfg: ScenarioConfig):
+    """Strides of (served, n1, n2, l1) in a flat code table (`_action_codes`)."""
+    cap2 = 10 * cfg.X2
+    return ((10 * cfg.X1 + 1) * (cap2 + 1) * 2, (cap2 + 1) * 2, 2, 1)
 
 
 class ExhaustivePolicy:
-    """Stateless adapter around the exhaustive rule."""
-
-    def start(self):
-        return None
-
-    def act(self, n1, n2, l1, carry):
-        return exhaustive_policy(PollingState(n1, n2, l1)), carry
+    """The exhaustive rule: serve the current queue to depletion, switch
+    when it is empty and the other queue is not, idle in an empty system."""
 
     def action_table(self, cfg):
         """Actions over the cap box, broadcastable to (served, n1, n2, l1)."""
-        _, n1, n2, l1 = _cap_grid(cfg)
-        return exhaustive_actions(n1, n2, l1)
+        return _over_cap_box(cfg, lambda served, n1, n2, l1: exhaustive_actions(n1, n2, l1))
 
 
 class HeuristicPolicy:
@@ -122,19 +127,14 @@ class HeuristicPolicy:
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self._params = _heuristic_params(cfg)  # fails fast on inapplicable scenarios
-
-    def start(self):
-        return False
-
-    def act(self, n1, n2, l1, carry):
-        return _heuristic_action(self.cfg, self._params, n1, n2, l1, carry)
+        _heuristic_params(cfg)  # fails fast on inapplicable scenarios
 
     def action_table(self, cfg):
-        """Actions over the cap box; the next flag is ``action == SERVE`` at
-        queue 2 and unchanged at queue 1, as `heuristic_policy` returns it."""
-        served, n1, n2, l1 = _cap_grid(cfg)
-        return heuristic_actions(self.cfg, n1, n2, l1, served)
+        """Actions over the cap box, broadcastable to (served, n1, n2, l1);
+        the simulator carries the flag as ``action == SERVE`` at queue 2,
+        unchanged at queue 1."""
+        return _over_cap_box(
+            cfg, lambda served, n1, n2, l1: heuristic_actions(self.cfg, n1, n2, l1, served))
 
 
 class TabularPolicy:
@@ -145,22 +145,11 @@ class TabularPolicy:
         self.X1 = X1
         self.X2 = X2
 
-    def start(self):
-        return None
-
-    def act(self, n1, n2, l1, carry):
-        a = self.table[
-            (min(n1, self.X1) * (self.X2 + 1) + min(n2, self.X2)) * 2 + l1
-        ]
-        if a < 0:
-            raise ValueError(f"policy undefined at state ({n1},{n2},{l1})")
-        return int(a), carry
-
     def action_table(self, cfg):
-        """The table over the cap box, clamped to the (X1, X2) box like `act`."""
-        _, n1, n2, l1 = _cap_grid(cfg)
+        """The table over the cap box, each state clamped to the (X1, X2) box."""
         box = self.table.reshape(self.X1 + 1, self.X2 + 1, 2)
-        return box[np.minimum(n1, self.X1), np.minimum(n2, self.X2), l1]
+        return _over_cap_box(cfg, lambda served, n1, n2, l1:
+                             box[np.minimum(n1, self.X1), np.minimum(n2, self.X2), l1])
 
 
 def step_wise_cost(n1, n2, arrivals, dt, c1, c2, beta):
@@ -225,16 +214,22 @@ def _draw_arrivals(gaps, dt):
     return times
 
 
-def _run(cfg: ScenarioConfig, policy, x0, seeds: SeedStream, T: float):
-    """Step one rollout of ``policy`` from ``x0`` until time ``T``.
+def _run(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds: SeedStream, T: float):
+    """Step one rollout of the policy with code table ``codes``
+    (`_action_codes`) from ``x0`` until time ``T``.
 
-    Each substream of ``seeds`` is read through a `_draws` iterator; a
-    class without arrivals reads an endless gap.  The loop records each
-    step's entry state, action, start, length and arrivals; the costs are
-    charged once at the end by `_costs`.  Returns the discounted cost and
-    the `RolloutTrace`.
+    This is one lane of `_lockstep`: the served flag starts at 0 and
+    becomes ``a == SERVE`` at queue 2, the action is
+    ``codes[served s0 + n1 s1 + n2 s2 + l1]`` with the strides of
+    `_strides`, and an error code raises its `_ERRORS` message.  Each
+    substream of ``seeds`` is read through a `_draws` iterator; a class
+    without arrivals reads an endless gap.  The loop records each step's
+    entry state, action, start, length and arrivals; the costs are charged
+    once at the end by `_costs`.  Returns the discounted cost and the
+    `RolloutTrace`.
     """
     cap1, cap2 = 10 * cfg.X1, 10 * cfg.X2
+    s0, s1, s2, _ = _strides(cfg)
     gaps = [_draws(Exponential(lam), seeds.generator(tag), _GAP_BLOCK) if lam > 0
             else itertools.repeat(math.inf)
             for lam, tag in zip(cfg.arrival_rates, TAG_LAMBDA)]
@@ -246,11 +241,11 @@ def _run(cfg: ScenarioConfig, policy, x0, seeds: SeedStream, T: float):
 
     n1, n2, l1 = x0
     t = 0.0
-    carry = policy.start()
+    served = False
     rec_n1, rec_n2, rec_l1, rec_a, rec_dt, rec_t, rec_arr = [], [], [], [], [], [], []
 
     while t < T:
-        a, carry = policy.act(n1, n2, l1, carry)
+        a = codes.item(served * s0 + n1 * s1 + n2 * s2 + l1)
         if a == IDLE:
             if no_arrivals:
                 break  # empty of randomness: idling would last forever
@@ -258,13 +253,10 @@ def _run(cfg: ScenarioConfig, policy, x0, seeds: SeedStream, T: float):
             dt = min(t1, t2)
             arr = ()
             nxt = (n1 + 1, n2, l1) if t1 <= t2 else (n1, n2 + 1, l1)
-        elif a == SERVE or a == SWITCH:
-            if a == SERVE:
-                if (n1 if l1 == 0 else n2) <= 0:
-                    raise ValueError(f"policy serves an empty queue at ({n1},{n2},{l1})")
-                dt = next(serve[l1])
-            else:
-                dt = next(switch[l1])
+        else:
+            if a < 0:
+                raise ValueError(_ERRORS[a].format(f"({n1},{n2},{l1})"))
+            dt = next(serve[l1] if a == SERVE else switch[l1])
             arr1 = _draw_arrivals(gaps[0], dt)
             arr2 = _draw_arrivals(gaps[1], dt)
             arr = [(0, ta) for ta in arr1] + [(1, ta) for ta in arr2]
@@ -276,8 +268,8 @@ def _run(cfg: ScenarioConfig, policy, x0, seeds: SeedStream, T: float):
                 nxt = (n1 - 1 + a1, n2 + a2, l1)
             else:
                 nxt = (n1 + a1, n2 - 1 + a2, l1)
-        else:
-            raise ValueError(f"unknown action {a}")
+        if l1 == 1:
+            served = a == SERVE
         rec_n1.append(n1)
         rec_n2.append(n2)
         rec_l1.append(l1)
@@ -336,7 +328,7 @@ def rollout(cfg: ScenarioConfig, policy, initial_dist, seed: int, T: float) -> f
     seeds = SeedStream(seed)
     u = seeds.generator(TAG_INIT).random()
     x0 = _initial_states(cfg, _initial_cdf(cfg, initial_dist), u)
-    total, _ = _run(cfg, policy, x0, seeds, T)
+    total, _ = _run(cfg, _action_codes(cfg, policy), x0, seeds, T)
     return total
 
 
@@ -355,8 +347,8 @@ def simulate_trace(cfg: ScenarioConfig, policy, T: float, seed: int = 0,
                                for v, cap in zip(x0, caps)):
         raise ValueError(f"initial state {x0} is not integers (n1, n2, l1) in "
                          f"[0, {caps[0]}] x [0, {caps[1]}] x {{0, 1}}")
-    seeds = SeedStream(seed)
-    _, trace = _run(cfg, policy, tuple(int(v) for v in x0), seeds, T)
+    codes = _action_codes(cfg, policy)
+    _, trace = _run(cfg, codes, tuple(int(v) for v in x0), SeedStream(seed), T)
     return trace
 
 
@@ -366,9 +358,6 @@ def simulate_trace(cfg: ScenarioConfig, policy, T: float, seed: int = 0,
 _WINDOW = 4  # arrival gaps first examined per interval
 _CHUNK = 1 << 12  # rollout steps whose costs are added in one pass
 _LANES = 1 << 12  # about the most (policy, seed) rollouts stepped together
-
-# codes in a batch action table for decisions the scalar path rejects
-_UNDEFINED, _EMPTY_SERVE, _UNKNOWN = -1, -2, -3
 
 
 def _philox_words(key: int) -> list:
@@ -493,17 +482,15 @@ def _arrivals(gaps: _Blocks, idx: np.ndarray, dt: np.ndarray, width: int = _WIND
 
 def _action_codes(cfg: ScenarioConfig, policy) -> np.ndarray:
     """The policy's actions over the cap box, flat over (served, n1, n2, l1),
-    with the decisions the scalar path rejects replaced by error codes."""
+    with the decisions that the simulator rejects replaced by error codes."""
     table = getattr(policy, "action_table", None)
     if table is None:
-        raise TypeError("sample_performance needs a policy with action_table(cfg); "
-                        "use rollout() for other policies")
-    _, n1, n2, l1 = _cap_grid(cfg)
+        raise TypeError("the simulator needs a policy with action_table(cfg)")
     codes = np.clip(table(cfg), _UNDEFINED, SWITCH + 1).astype(np.int8)
     codes[codes > SWITCH] = _UNKNOWN
-    empty = ((l1 == 0) & (n1 == 0)) | ((l1 == 1) & (n2 == 0))
+    empty = _over_cap_box(cfg, lambda served, n1, n2, l1: (n2 if l1 else n1) == 0)
     codes[(codes == SERVE) & empty] = _EMPTY_SERVE
-    return np.broadcast_to(codes, (2, n1.size, n2.size, 2)).reshape(-1)
+    return np.broadcast_to(codes, (2, *empty.shape[1:])).reshape(-1)
 
 
 def _charge(total, cfg: ScenarioConfig, log):
@@ -524,9 +511,10 @@ def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds, T: float) -> np
     its own slice of the stacked tables and its own read position in each
     substream of its seed.  Each substream is drawn once per seed into one
     row that every policy's lane of the seed reads (`_Blocks`).  Lane
-    (p, k) equals ``_run`` of policy p from ``x0[:, k]`` with
-    ``SeedStream(seeds[k])`` bit for bit: it reads the same values of the
-    same substreams and charges its steps by the same routine, `_costs`.
+    (p, k) equals ``_run`` of ``codes[p]`` from ``x0[:, k]`` with
+    ``SeedStream(seeds[k])`` bit for bit: it reads the same actions, the
+    same values of the same substreams, and charges its steps by the same
+    routine, `_costs`.
     The dynamics advance one step of every live lane at a time; the costs
     of about ``_CHUNK`` logged rollout steps at a time are added afterwards
     in one pass (`_charge`), which bounds the log's memory whatever the
@@ -552,7 +540,7 @@ def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds, T: float) -> np
         L, _GAP_BLOCK,
     )
     switch_costs = np.array(cfg.switch_costs) if any(cfg.switch_costs) else None
-    strides = np.array([(cap1 + 1) * (cap2 + 1) * 2, (cap2 + 1) * 2, 2, 1])
+    strides = np.array(_strides(cfg))
 
     def rollout_of(j):
         p, seed = divmod(int(k[j]), B)
@@ -570,11 +558,7 @@ def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds, T: float) -> np
         if a.min() < 0:
             j = int(np.flatnonzero(a < 0)[0])
             where = f"({n1[j]},{n2[j]},{l1[j]}) {rollout_of(j)}"
-            raise ValueError({
-                _UNDEFINED: f"policy undefined at state {where}",
-                _EMPTY_SERVE: f"policy serves an empty queue at {where}",
-                _UNKNOWN: f"unknown action at state {where}",
-            }[int(a[j])])
+            raise ValueError(_ERRORS[int(a[j])].format(where))
         idle = a == IDLE
         if not classes.size and idle.any():
             # empty of randomness: idling would last forever, the rollout ends

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pollsys import Exponential, Gamma, ScenarioConfig
+from pollsys import IDLE, SERVE, SWITCH, Exponential, Gamma, ScenarioConfig
 
 
 def asym_var_config(**kw):
@@ -42,6 +42,46 @@ def exp_config(**kw):
     )
     base.update(kw)
     return ScenarioConfig(**base)
+
+
+def exhaustive_action(n1, n2, l1):
+    """The exhaustive rule at one state, the scalar oracle of the tables."""
+    current = n1 if l1 == 0 else n2
+    other = n2 if l1 == 0 else n1
+    if current > 0:
+        return SERVE
+    if other > 0:
+        return SWITCH
+    return IDLE
+
+
+def heuristic_action(cfg, n1, n2, l1, served):
+    """The priority-queue heuristic at one state with the served flag, the
+    scalar oracle of the tables; returns (action, served').
+
+    ``served`` records whether a queue-2 job has been served during the
+    current visit; served' is ``action == SERVE`` at queue 2 and ``served``
+    at queue 1.  The scenario's preconditions are not checked here.
+    """
+    mu1 = 1.0 / cfg.serve1.mean()
+    mu2 = 1.0 / cfg.serve2.mean()
+    rho = cfg.lambda1 / mu1 + cfg.lambda2 / mu2
+    t12, t21 = cfg.switch12.mean(), cfg.switch21.mean()
+    threshold = cfg.c1 * mu1 * rho + cfg.c2 * mu2 * (1.0 - rho)
+    if l1 == 0:  # at the priority queue
+        if n1 > 0:
+            return SERVE, served
+        if n2 > cfg.lambda2 * t21:
+            return SWITCH, served
+        return IDLE, served
+    if n2 > 0:
+        ratio = (n1 + cfg.lambda1 * t12) / (n1 + mu1 * t12 + (mu1 - cfg.lambda1) * t21)
+        if ratio <= threshold or not served:
+            return SERVE, True
+        return SWITCH, False
+    if n1 > cfg.lambda1 * t12:
+        return SWITCH, False
+    return IDLE, False
 
 
 @pytest.fixture

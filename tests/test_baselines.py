@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pollsys import (
@@ -7,60 +8,64 @@ from pollsys import (
     CycleKind,
     Deterministic,
     Exponential,
-    PollingState,
+    HeuristicPolicy,
     analyze_limit_cycle,
-    exhaustive_policy,
-    heuristic_policy,
     limit_cycle_report,
     truncation_bounds,
 )
-from pollsys.baselines import LimitCycle
+from pollsys.baselines import LimitCycle, exhaustive_actions, heuristic_actions
 
 from conftest import asym_var_config, exp_config, slow_mode_config
 
 
+def heuristic(cfg, n1, n2, l1, served):
+    """The heuristic's action at one state and the served flag that the
+    simulator carries from it: ``action == SERVE`` at queue 2, unchanged at
+    queue 1."""
+    a = heuristic_actions(cfg, n1, n2, l1, np.bool_(served))
+    return a, bool(a == SERVE) if l1 == 1 else served
+
+
 def test_exhaustive_policy_cases():
-    assert exhaustive_policy(PollingState(3, 0, 0)) == SERVE
-    assert exhaustive_policy(PollingState(0, 2, 0)) == SWITCH
-    assert exhaustive_policy(PollingState(0, 0, 1)) == IDLE
+    assert exhaustive_actions(3, 0, 0) == SERVE
+    assert exhaustive_actions(0, 2, 0) == SWITCH
+    assert exhaustive_actions(0, 0, 1) == IDLE
 
 
 def test_exhaustive_never_idles_in_nonempty_system():
-    for n1 in range(5):
-        for n2 in range(5):
-            for l1 in (0, 1):
-                a = exhaustive_policy(PollingState(n1, n2, l1))
-                if n1 + n2 > 0:
-                    assert a != IDLE
+    n1, n2, l1 = np.ogrid[0:5, 0:5, 0:2]
+    a = exhaustive_actions(n1, n2, l1)
+    assert a.shape == (5, 5, 2)
+    assert np.all(a[np.broadcast_to(n1 + n2 > 0, a.shape)] != IDLE)
 
 
 def test_heuristic_serves_priority_queue():
     cfg = slow_mode_config()
-    a, flag = heuristic_policy(cfg, PollingState(4, 0, 0), False)
+    a, flag = heuristic(cfg, 4, 0, 0, False)
     assert a == SERVE and flag is False
 
 
 def test_heuristic_switch_threshold_at_empty_priority_queue():
     cfg = slow_mode_config()
     # threshold lambda2 * mean(switch21) = 0.4 * 3 = 1.2
-    a, _ = heuristic_policy(cfg, PollingState(0, 2, 0), False)
+    a, _ = heuristic(cfg, 0, 2, 0, False)
     assert a == SWITCH
-    a, _ = heuristic_policy(cfg, PollingState(0, 1, 0), False)
+    a, _ = heuristic(cfg, 0, 1, 0, False)
     assert a == IDLE
 
 
 def test_heuristic_ratio_test_serves_queue_two():
     cfg = slow_mode_config()
-    a, flag = heuristic_policy(cfg, PollingState(1, 3, 1), False)
+    a, flag = heuristic(cfg, 1, 3, 1, False)
     assert a == SERVE and flag is True
 
 
 def test_heuristic_queue_two_empty_branch():
     cfg = slow_mode_config()
     # switch back when n1 > lambda1 * mean(switch12) = 3
-    a, flag = heuristic_policy(cfg, PollingState(4, 0, 1), True)
+    a, flag = heuristic(cfg, 4, 0, 1, True)
     assert a == SWITCH and flag is False
-    a, flag = heuristic_policy(cfg, PollingState(2, 0, 1), True)
+    a, flag = heuristic(cfg, 2, 0, 1, True)
     assert a == IDLE and flag is False
 
 
@@ -68,17 +73,17 @@ def test_heuristic_requires_a_switch_over_time():
     # with both switch-over times zero the queue-2 ratio is 0/0 at n1 = 0
     cfg = slow_mode_config(switch12=Deterministic(0.0), switch21=Deterministic(0.0))
     with pytest.raises(ValueError, match="switch-over"):
-        heuristic_policy(cfg, PollingState(0, 1, 1), False)
+        HeuristicPolicy(cfg)
 
 
 def test_heuristic_preconditions():
     cfg = asym_var_config()  # symmetric: no priority queue
     with pytest.raises(ValueError, match="priority"):
-        heuristic_policy(cfg, PollingState(1, 1, 0), False)
+        HeuristicPolicy(cfg)
     unstable = exp_config(lambda1=3.0, lambda2=0.1, serve1=Exponential(2.0),
                           c1=5.0)
     with pytest.raises(ValueError, match="stable"):
-        heuristic_policy(unstable, PollingState(1, 1, 0), False)
+        HeuristicPolicy(unstable)
 
 
 def test_limit_cycle_asym_var_pure_bow_tie():

@@ -36,12 +36,17 @@ from pollsys.model import triple_indexer, validate_scenario
 from pollsys.simulate import TAG_SHUFFLE, RolloutTrace
 from pollsys.solver import assemble_policy_matrix
 
-from conftest import asym_var_config, exp_config, slow_mode_config
+from conftest import (
+    asym_var_config,
+    exhaustive_action,
+    exp_config,
+    heuristic_action,
+    slow_mode_config,
+)
 
 
 class AlwaysIdle:
-    def start(self):
-        return None
+    """A scalar rule without ``action_table``, which the simulator rejects."""
 
     def act(self, n1, n2, l1, carry):
         return IDLE, carry
@@ -51,16 +56,6 @@ def _point_dist(cfg, n1, n2, l1):
     dist = np.zeros((cfg.X1 + 1) * (cfg.X2 + 1) * 2)
     dist[(n1 * (cfg.X2 + 1) + n2) * 2 + l1] = 1.0
     return dist
-
-
-def _exhaustive_action(n1, n2, l1):
-    current = n1 if l1 == 0 else n2
-    other = n2 if l1 == 0 else n1
-    if current > 0:
-        return SERVE
-    if other > 0:
-        return SWITCH
-    return IDLE
 
 
 def test_step_wise_cost_examples():
@@ -225,12 +220,25 @@ def _case_policies(cfg):
         policies["heuristic"] = HeuristicPolicy(cfg)
     if isinstance(cfg.serve1, Deterministic):  # no SMDP: leave queue 2 below 5
         n1, n2, l1 = triple_indexer(cfg).unflatten(np.arange(triple_indexer(cfg).size))
-        table = np.array([_exhaustive_action(*x) for x in zip(n1, n2, l1)])
+        table = np.array([exhaustive_action(*x) for x in zip(n1, n2, l1)])
         table[(l1 == 1) & (n2 < 5) & (n1 > 0)] = SWITCH
         policies["tabular"] = TabularPolicy(table, cfg.X1, cfg.X2)
     else:
         policies["tabular"] = TabularPolicy(_smdp_table(cfg), cfg.X1, cfg.X2)
     return policies
+
+
+def _scalar_rule(cfg, policy):
+    """The scalar oracle of ``policy``: (n1, n2, l1, served) -> (action, served')."""
+    if isinstance(policy, ExhaustivePolicy):
+        return lambda n1, n2, l1, served: (exhaustive_action(n1, n2, l1), served)
+    if isinstance(policy, HeuristicPolicy):
+        return functools.partial(heuristic_action, cfg)
+    X1, X2 = policy.X1, policy.X2
+
+    def tabular(n1, n2, l1, served):  # beyond the (X1, X2) box, the box's edge
+        return int(policy.table[(min(n1, X1) * (X2 + 1) + min(n2, X2)) * 2 + l1]), served
+    return tabular
 
 
 def _case_names(cases):
@@ -334,11 +342,12 @@ def test_action_tables_match_scalar_policies():
     policies = [ExhaustivePolicy(), HeuristicPolicy(cfg), TabularPolicy(table, *X)]
     for pol in policies:
         got = np.broadcast_to(pol.action_table(cfg), (2, cap1 + 1, cap2 + 1, 2))
+        rule = _scalar_rule(cfg, pol)
         for served in (False, True):
             for n1 in range(cap1 + 1):
                 for n2 in range(cap2 + 1):
                     for l1 in (0, 1):
-                        a, _ = pol.act(n1, n2, l1, served)
+                        a, _ = rule(n1, n2, l1, served)
                         assert got[int(served), n1, n2, l1] == a
 
 
@@ -384,9 +393,39 @@ def test_sample_performance_rejects_empty_serve_and_undefined_entries():
         sample_performance(cfg, [AlwaysIdle()], start, 0, 10.0, 4)
 
 
+@pytest.mark.parametrize("entry, message", [
+    (SERVE, "policy serves an empty queue at"),
+    (-1, "policy undefined at state"),
+    (SWITCH + 1, "unknown action at state"),
+])
+def test_both_paths_reject_a_state_by_the_same_message(entry, message):
+    """The scalar path raises the batch's message from the same code table."""
+    cfg = exp_config(X1=2, X2=2)
+    table = np.full(18, SERVE)
+    table[(0 * 3 + 1) * 2 + 0] = entry
+    policy = TabularPolicy(table, 2, 2)
+    where = f"^{message} \\(0,1,0\\)"
+    with pytest.raises(ValueError, match=where + "$"):
+        simulate_trace(cfg, policy, 10.0, x0=(0, 1, 0))
+    with pytest.raises(ValueError, match=where + " in the rollout of policy 0 with seed 0$"):
+        sample_performance(cfg, [policy], _point_dist(cfg, 0, 1, 0), 0, 10.0, 4)
+
+
+def test_every_entry_point_rejects_a_policy_without_action_table():
+    cfg = exp_config(X1=2, X2=2)
+    message = "^the simulator needs a policy with action_table\\(cfg\\)$"
+    with pytest.raises(TypeError, match=message):
+        rollout(cfg, AlwaysIdle(), None, 0, 10.0)
+    with pytest.raises(TypeError, match=message):
+        simulate_trace(cfg, AlwaysIdle(), 10.0)
+    with pytest.raises(TypeError, match=message):
+        sample_performance(cfg, [AlwaysIdle()], None, 0, 10.0, 4)
+
+
 def _reference_trace(cfg, policy, x0, seed, T):
-    """The simulator's scalar loop with one generator call per draw, kept
-    as an oracle for the block-buffered reads of `simulate_trace`."""
+    """The simulator's scalar loop with one generator call per draw and the
+    policy's scalar rule (`_scalar_rule`), kept as an oracle for the
+    block-buffered reads and the code-table lookups of `simulate_trace`."""
     lam1, lam2 = cfg.lambda1, cfg.lambda2
     c1, c2, beta = cfg.c1, cfg.c2, cfg.beta
     seeds = simulate.SeedStream(seed)
@@ -404,12 +443,13 @@ def _reference_trace(cfg, policy, x0, seed, T):
             t += gen.exponential(1.0 / lam)
         return times
 
+    rule = _scalar_rule(cfg, policy)
     n1, n2, l1 = x0
     t = 0.0
-    carry = policy.start()
+    served = False
     rec = {key: [] for key in ("n1", "n2", "l1", "action", "cost", "dt", "t", "arrivals")}
     while t < T:
-        a, carry = policy.act(n1, n2, l1, carry)
+        a, served = rule(n1, n2, l1, served)
         if a == IDLE:
             if lam1 <= 0 and lam2 <= 0:
                 break
@@ -556,7 +596,8 @@ def test_queue_overflow_detected():
     cfg = exp_config(lambda1=2.0, lambda2=0.0, serve1=Exponential(5.0),
                      X1=1, X2=1)
     with pytest.raises(QueueOverflowError):
-        simulate_trace(cfg, AlwaysIdle(), T=2000.0, seed=0, x0=(0, 0, 0))
+        simulate_trace(cfg, TabularPolicy(np.full(8, IDLE), 1, 1), T=2000.0, seed=0,
+                       x0=(0, 0, 0))
 
 
 def test_embedded_stationary_alternation():
@@ -612,7 +653,7 @@ def test_embedded_stationary_matches_linear_solve():
     model = build_smdp(cfg)
     idx = model.indexer
     actions = np.array([
-        _exhaustive_action(*idx.unflatten(x)) for x in range(model.n_states)
+        exhaustive_action(*idx.unflatten(x)) for x in range(model.n_states)
     ])
     P, _ = assemble_policy_matrix(model, actions, discounted=False)
     dense = P.toarray()
@@ -711,5 +752,5 @@ def test_idle_durations_are_exponential():
 def test_tabular_policy_clamps_beyond_box():
     table = np.full((3 * 3 * 2), SERVE)
     pol = TabularPolicy(table, 2, 2)
-    a, _ = pol.act(10, 0, 0, None)
-    assert a == SERVE
+    got = pol.action_table(exp_config(X1=2, X2=2))
+    assert got[0, 10, 0, 0] == SERVE

@@ -14,8 +14,7 @@ from pollsys import (
     policy_iteration,
     value_iterate,
 )
-from pollsys.baselines import exhaustive_policy, exhaustive_start
-from pollsys.model import PollingState
+from pollsys.baselines import exhaustive_start
 from pollsys.solver import (
     UPDATE_RANK_DIVISOR,
     SingularSystemError,
@@ -25,7 +24,7 @@ from pollsys.solver import (
     initial_policy,
 )
 
-from conftest import asym_var_config, exp_config, slow_mode_config
+from conftest import asym_var_config, exhaustive_action, exp_config, slow_mode_config
 
 
 def single_state_model(cost=1.0, disc=0.5):
@@ -252,7 +251,7 @@ def test_exhaustive_start_is_feasible_exhaustive_rule(build):
     assert np.all(np.bincount(graph.q_state[follows], minlength=graph.n_states)[decision] == 1)
     for x in np.flatnonzero(decision):
         n1, n2, l1 = model.indexer.unflatten(x)[:3]
-        assert start[x] == exhaustive_policy(PollingState(n1, n2, l1))
+        assert start[x] == exhaustive_action(n1, n2, l1)
 
 
 def test_policy_iteration_changes_count_from_pi0():
