@@ -1,8 +1,13 @@
-"""Experiment runner: screen, solve, simulate, test, and the composite run.
+"""Experiment runner: screen, solve, simulate, test and the composite run.
 
-Every stage writes deterministic CSV/JSON artifacts; rerunning a plan with
-the same inputs reproduces the files byte for byte.  Scenario files are
-plain JSON; the two bundled scenarios can be addressed by name
+``simulate``, ``test`` and ``run`` share one staged pipeline: load, plan
+(stability and the rule policies' preconditions, before any solve), solve,
+simulate; ``test`` and ``run`` go on to the test matrices, and ``run`` also
+screens and traces the occupancy.  A stage's failure is a ``StageError``
+that reads ``[stage] message``.  Every stage writes deterministic CSV/JSON
+artifacts; rerunning a plan reproduces the files byte for byte, and the
+three commands write the same bytes for the files they share.  Scenario
+files are plain JSON; the two bundled scenarios can be addressed by name
 (``asym_var``, ``slow_mode``).
 """
 
@@ -13,7 +18,8 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from typing import Dict, Optional, Sequence
 
@@ -46,7 +52,6 @@ from .stats import (
 )
 
 MDP_POLICIES = ("smdp", "ctmdp")
-ALL_POLICIES = ("smdp", "ctmdp", "exhaustive", "heuristic")
 
 
 class StageError(RuntimeError):
@@ -89,11 +94,19 @@ def load_scenario(name_or_path: str, overrides: Optional[dict] = None) -> Scenar
     return ScenarioConfig.from_json(doc)
 
 
-def _write_csv(path, header, rows):
+def _write_csv(out_dir, name, header, rows) -> str:
+    path = os.path.join(out_dir, name)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+    return path
+
+
+def _write_json(path, doc):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _fmt(x) -> str:
@@ -166,30 +179,6 @@ def make_sim_policy(name: str, cfg: ScenarioConfig, tables: Dict[str, np.ndarray
     raise ValueError(f"unknown policy {name!r}")
 
 
-def sample_etas(cfg: ScenarioConfig, names: Sequence[str], tables: Dict[str, np.ndarray],
-                plan: ExperimentPlan) -> Dict[str, np.ndarray]:
-    """Sample every named policy's performance in one common-random-number
-    batch; policy k's samples are shuffled with seed ``plan.seed + 7919 (k + 1)``."""
-    etas = sample_performance(
-        cfg, [make_sim_policy(name, cfg, tables) for name in names], None, plan.seed,
-        plan.horizon, plan.rollouts,
-        shuffle_seeds=[plan.seed + 7919 * (k + 1) for k in range(len(names))],
-    )
-    return dict(zip(names, etas))
-
-
-def applicable_policies(cfg: ScenarioConfig, requested: Sequence[str]) -> list:
-    report = validate_scenario(cfg)
-    out = []
-    for name in requested:
-        if name == "heuristic" and report.priority_queue != 1:
-            raise StageError(
-                "plan", "heuristic policy requires queue 1 to be the priority queue"
-            )
-        out.append(name)
-    return out
-
-
 def summary_row(name: str, eta: np.ndarray, zeta: float):
     row = [
         name,
@@ -233,6 +222,66 @@ def test_matrices(etas: Dict[str, np.ndarray], zeta: float):
     return welch_rows, mann_rows, student_rows, pearson_rows
 
 
+# The stages of the pipeline, shared by `run_experiment` and the `simulate`
+# and `test` commands.  The pipeline's public steps are looked up as module
+# globals at call time, so a wrapper installed on this module sees them.
+
+@contextmanager
+def _stage(name: str):
+    """Re-raise an error of the block as a StageError naming the stage."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, str(exc)) from exc
+
+
+def _load(plan: ExperimentPlan) -> ScenarioConfig:
+    with _stage("load"):
+        return load_scenario(plan.scenario, plan.overrides)
+
+
+def _solve(plan: ExperimentPlan, cfg: ScenarioConfig):
+    """Stages plan and solve: check stability and build the rule policies
+    (the heuristic checks its priority queue) before any solve, then solve
+    the decision models.  Returns name -> simulator policy, name -> action
+    table and the solver diagnostics."""
+    with _stage("plan"):
+        validate_scenario(cfg)
+        rules = {n: make_sim_policy(n, cfg, {}) for n in plan.policies if n not in MDP_POLICIES}
+    with _stage("solve"):
+        tables, diag = solve_policies(cfg, [n for n in plan.policies if n in MDP_POLICIES])
+    policies = {**rules, **{n: make_sim_policy(n, cfg, tables) for n in tables}}
+    return policies, tables, diag
+
+
+def _sample(plan: ExperimentPlan, cfg: ScenarioConfig, policies) -> Dict[str, np.ndarray]:
+    """Stage simulate: sample every policy in one common-random-number batch;
+    policy k's samples are shuffled with seed ``plan.seed + 7919 (k + 1)``."""
+    names = plan.policies
+    with _stage("simulate"):
+        return dict(zip(names, sample_performance(
+            cfg, [policies[n] for n in names], None, plan.seed, plan.horizon, plan.rollouts,
+            shuffle_seeds=[plan.seed + 7919 * (k + 1) for k in range(len(names))],
+        )))
+
+
+def _write_etas(plan: ExperimentPlan, etas: Dict[str, np.ndarray]) -> Dict[str, str]:
+    return {name: _write_csv(plan.out_dir, f"eta_{name}.csv", ["eta"], [[_fmt(v)] for v in eta])
+            for name, eta in etas.items()}
+
+
+def _test(plan: ExperimentPlan, etas: Dict[str, np.ndarray]) -> list:
+    """Stage test: write the four test matrices; returns the Welch rows."""
+    with _stage("test"):
+        welch, mann, student, pearson = test_matrices(etas, plan.zeta)
+        header = ["row_policy", "col_policy", "statistic", "p", "reject"]
+        _write_csv(plan.out_dir, "welch.csv", header, welch)
+        _write_csv(plan.out_dir, "mannwhitney.csv", header, mann)
+        _write_csv(plan.out_dir, "student.csv", header, student)
+        _write_csv(plan.out_dir, "pearson.csv", ["row_policy", "col_policy", "r"], pearson)
+    return welch
+
+
 def run_experiment(plan: ExperimentPlan) -> dict:
     """Screen, solve, simulate, test and report; returns the summary dict."""
     os.makedirs(plan.out_dir, exist_ok=True)
@@ -241,86 +290,44 @@ def run_experiment(plan: ExperimentPlan) -> dict:
         "rollouts": plan.rollouts, "horizon": plan.horizon, "seed": plan.seed,
         "zeta": plan.zeta,
     }}
+    cfg = _load(plan)
+    with _stage("screen"):
+        summary["screening"] = stage_screen(cfg)
+    _write_json(os.path.join(plan.out_dir, "screening.json"), summary["screening"])
 
-    try:
-        cfg = load_scenario(plan.scenario, plan.overrides)
-    except Exception as exc:
-        raise StageError("load", str(exc)) from exc
-
-    try:
-        screening = stage_screen(cfg)
-    except Exception as exc:
-        raise StageError("screen", str(exc)) from exc
-    with open(os.path.join(plan.out_dir, "screening.json"), "w") as fh:
-        json.dump(screening, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    summary["screening"] = screening
-
-    policies = applicable_policies(cfg, plan.policies)
-
-    try:
-        tables, diag = solve_policies(cfg, [p for p in policies if p in MDP_POLICIES])
-    except Exception as exc:
-        raise StageError("solve", str(exc)) from exc
+    policies, tables, summary["solve"] = _solve(plan, cfg)
     for name, table in tables.items():
         export_policy_csv(table, cfg, plan.out_dir, name)
-    summary["solve"] = diag
 
-    try:
-        etas = sample_etas(cfg, policies, tables, plan)
-        for name in policies:
-            _write_csv(
-                os.path.join(plan.out_dir, f"eta_{name}.csv"), ["eta"],
-                [[_fmt(v)] for v in etas[name]],
-            )
-    except Exception as exc:
-        raise StageError("simulate", str(exc)) from exc
-
-    try:
+    etas = _sample(plan, cfg, policies)
+    _write_etas(plan, etas)
+    with _stage("test"):
         _write_csv(
-            os.path.join(plan.out_dir, "summary_stats.csv"),
-            ["policy", "mean", "std", "min", "max", "skewness", "kurtosis",
-             "k2", "p", "normal"],
-            [summary_row(name, etas[name], plan.zeta) for name in policies],
+            plan.out_dir, "summary_stats.csv",
+            ["policy", "mean", "std", "min", "max", "skewness", "kurtosis", "k2", "p", "normal"],
+            [summary_row(name, etas[name], plan.zeta) for name in plan.policies],
         )
-        welch_rows, mann_rows, student_rows, pearson_rows = test_matrices(etas, plan.zeta)
-        header = ["row_policy", "col_policy", "statistic", "p", "reject"]
-        _write_csv(os.path.join(plan.out_dir, "welch.csv"), header, welch_rows)
-        _write_csv(os.path.join(plan.out_dir, "mannwhitney.csv"), header, mann_rows)
-        _write_csv(os.path.join(plan.out_dir, "student.csv"), header, student_rows)
-        _write_csv(os.path.join(plan.out_dir, "pearson.csv"),
-                   ["row_policy", "col_policy", "r"], pearson_rows)
-    except Exception as exc:
-        raise StageError("test", str(exc)) from exc
-    summary["means"] = {name: float(etas[name].mean()) for name in policies}
+    _test(plan, etas)
+    summary["means"] = {name: float(eta.mean()) for name, eta in etas.items()}
 
-    try:
-        occupancy = {}
+    summary["occupancy"] = {}
+    with _stage("occupancy"):
         cycle = analyze_limit_cycle(cfg)
-        for name in policies:
-            pol = make_sim_policy(name, cfg, tables)
-            trace = simulate_trace(cfg, pol, plan.occupancy_horizon, seed=plan.seed)
+        for name in plan.policies:
+            trace = simulate_trace(cfg, policies[name], plan.occupancy_horizon, seed=plan.seed)
             phi, _, _, _ = action_time_fractions(trace)
             freq, _, _ = embedded_stationary(trace)
-            occupancy[name] = {
+            summary["occupancy"][name] = {
                 "phi_idle": phi[IDLE],
                 "phi_serve": phi[SERVE],
                 "phi_switch": phi[SWITCH],
                 "work_fraction": work_fraction(trace, cfg),
                 "phi_star": limit_cycle_occupancy(freq, cycle),
             }
-            _write_csv(
-                os.path.join(plan.out_dir, f"freq_{name}.csv"),
-                ["n1", "n2", "l1", "freq"],
-                [[a, b, c, _fmt(f)] for (a, b, c), f in sorted(freq.items())],
-            )
-    except Exception as exc:
-        raise StageError("occupancy", str(exc)) from exc
-    summary["occupancy"] = occupancy
+            _write_csv(plan.out_dir, f"freq_{name}.csv", ["n1", "n2", "l1", "freq"],
+                       [[a, b, c, _fmt(f)] for (a, b, c), f in sorted(freq.items())])
 
-    with open(os.path.join(plan.out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(plan.out_dir, "summary.json"), summary)
     return summary
 
 
@@ -341,6 +348,18 @@ def _overrides(args) -> dict:
     return out
 
 
+def _policy_names(text: str) -> tuple:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+# (flag, ExperimentPlan field, type): simulate takes the first five, test
+# also --zeta, run also --occupancy-horizon
+_PLAN_FLAGS = (("--policies", "policies", _policy_names), ("--rollouts", "rollouts", int),
+               ("--horizon", "horizon", float), ("--seed", "seed", int),
+               ("--out", "out_dir", str), ("--zeta", "zeta", float),
+               ("--occupancy-horizon", "occupancy_horizon", float))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="pollsys", description="Two-queue polling system control experiments"
@@ -359,32 +378,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                          default=None)
     p_solve.add_argument("--out", default="out")
 
-    p_sim = sub.add_parser("simulate", help="sample performance distributions")
-    _add_common(p_sim)
-    p_sim.add_argument("--policies", default="exhaustive")
-    p_sim.add_argument("--rollouts", type=int, default=10000)
-    p_sim.add_argument("--horizon", type=float, default=200.0)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--out", default="out")
-
-    p_test = sub.add_parser("test", help="simulate and run the hypothesis-test matrices")
-    _add_common(p_test)
-    p_test.add_argument("--policies", default="smdp,ctmdp,exhaustive")
-    p_test.add_argument("--rollouts", type=int, default=10000)
-    p_test.add_argument("--horizon", type=float, default=200.0)
-    p_test.add_argument("--seed", type=int, default=0)
-    p_test.add_argument("--zeta", type=float, default=0.05)
-    p_test.add_argument("--out", default="out")
-
-    p_run = sub.add_parser("run", help="full experiment bundle")
-    _add_common(p_run)
-    p_run.add_argument("--policies", default="smdp,ctmdp,exhaustive")
-    p_run.add_argument("--rollouts", type=int, default=10000)
-    p_run.add_argument("--horizon", type=float, default=200.0)
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--zeta", type=float, default=0.05)
-    p_run.add_argument("--occupancy-horizon", type=float, default=20000.0)
-    p_run.add_argument("--out", default="out")
+    for count, (command, text) in enumerate((
+            ("simulate", "sample performance distributions"),
+            ("test", "simulate and run the hypothesis-test matrices"),
+            ("run", "full experiment bundle")), start=5):
+        p = sub.add_parser(command, help=text)
+        _add_common(p)
+        for flag, dest, kind in _PLAN_FLAGS[:count]:
+            p.add_argument(flag, dest=dest, type=kind, default=getattr(ExperimentPlan, dest))
+    sub.choices["simulate"].set_defaults(policies=("exhaustive",))
 
     args = parser.parse_args(argv)
     overrides = _overrides(args)
@@ -397,9 +399,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"recommended bounds: X1 >= {doc['recommended_X1']}, "
               f"X2 >= {doc['recommended_X2']}")
         if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(args.out, doc)
         return 0
 
     if args.command == "solve":
@@ -410,46 +410,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"solved {args.model} ({diag[args.model]}); wrote {', '.join(paths)}")
         return 0
 
-    policies = tuple(s.strip() for s in args.policies.split(",") if s.strip())
-    plan = ExperimentPlan(
-        scenario=args.scenario,
-        policies=policies,
-        rollouts=args.rollouts,
-        horizon=args.horizon,
-        seed=args.seed,
-        zeta=getattr(args, "zeta", 0.05),
-        out_dir=args.out,
-        occupancy_horizon=getattr(args, "occupancy_horizon", 20000.0),
-        overrides=overrides,
-    )
-
-    if args.command == "simulate":
-        cfg = load_scenario(plan.scenario, plan.overrides)
-        names = applicable_policies(cfg, plan.policies)
-        tables, _ = solve_policies(cfg, [p for p in names if p in MDP_POLICIES])
-        os.makedirs(plan.out_dir, exist_ok=True)
-        for name, eta in sample_etas(cfg, names, tables, plan).items():
-            path = os.path.join(plan.out_dir, f"eta_{name}.csv")
-            _write_csv(path, ["eta"], [[_fmt(v)] for v in eta])
-            print(f"{name}: mean={eta.mean():.3f} std={eta.std(ddof=1):.3f} -> {path}")
-        return 0
-
-    if args.command == "test":
-        cfg = load_scenario(plan.scenario, plan.overrides)
-        names = applicable_policies(cfg, plan.policies)
-        tables, _ = solve_policies(cfg, [p for p in names if p in MDP_POLICIES])
-        etas = sample_etas(cfg, names, tables, plan)
-        os.makedirs(plan.out_dir, exist_ok=True)
-        welch_rows, mann_rows, student_rows, pearson_rows = test_matrices(etas, plan.zeta)
-        header = ["row_policy", "col_policy", "statistic", "p", "reject"]
-        _write_csv(os.path.join(plan.out_dir, "welch.csv"), header, welch_rows)
-        _write_csv(os.path.join(plan.out_dir, "mannwhitney.csv"), header, mann_rows)
-        _write_csv(os.path.join(plan.out_dir, "student.csv"), header, student_rows)
-        _write_csv(os.path.join(plan.out_dir, "pearson.csv"),
-                   ["row_policy", "col_policy", "r"], pearson_rows)
-        for row in welch_rows:
-            print("welch", *row)
-        return 0
+    plan = ExperimentPlan(overrides=overrides, **{
+        f.name: getattr(args, f.name) for f in fields(ExperimentPlan) if hasattr(args, f.name)})
 
     if args.command == "run":
         summary = run_experiment(plan)
@@ -457,8 +419,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"bundle written to {plan.out_dir}")
         return 0
 
-    parser.error(f"unknown command {args.command}")
-    return 2
+    cfg = _load(plan)
+    policies, _, _ = _solve(plan, cfg)
+    etas = _sample(plan, cfg, policies)
+    os.makedirs(plan.out_dir, exist_ok=True)
+    if args.command == "simulate":
+        for name, path in _write_etas(plan, etas).items():
+            eta = etas[name]
+            print(f"{name}: mean={eta.mean():.3f} std={eta.std(ddof=1):.3f} -> {path}")
+    else:
+        for row in _test(plan, etas):
+            print("welch", *row)
+    return 0
 
 
 if __name__ == "__main__":

@@ -82,8 +82,6 @@ class StateIndexer:
         self.size = strides[0] * sizes[0] if dims else 1
 
     def flatten(self, *coords):
-        if len(coords) == 1 and isinstance(coords[0], (tuple, list, np.ndarray)):
-            coords = tuple(coords[0]) if not isinstance(coords[0], np.ndarray) else tuple(coords[0].T)
         if len(coords) != len(self.dims):
             raise ValueError(f"expected {len(self.dims)} coordinates, got {len(coords)}")
         idx = 0
@@ -106,16 +104,6 @@ class StateIndexer:
         if coords and isinstance(coords[0], np.ndarray) and coords[0].ndim > 0:
             return tuple(c.astype(int) for c in coords)
         return tuple(int(c) for c in coords)
-
-
-def mixed_radix_flatten(indexer: StateIndexer, coords) -> int:
-    """Flatten ``coords`` through ``indexer`` (bounds-checked)."""
-    return indexer.flatten(*coords)
-
-
-def mixed_radix_unflatten(indexer: StateIndexer, idx):
-    """Inverse of :func:`mixed_radix_flatten`."""
-    return indexer.unflatten(idx)
 
 
 @dataclass(frozen=True)

@@ -321,10 +321,19 @@ def _initial_states(cfg: ScenarioConfig, cdf: np.ndarray, u):
     return triple_indexer(cfg).unflatten(idx)
 
 
-def rollout(cfg: ScenarioConfig, policy, initial_dist, seed: int, T: float) -> float:
-    """One discounted Monte-Carlo rollout from a sampled initial state."""
+def _check_inputs(cfg: ScenarioConfig, T: float):
+    """The checks of every entry point, made before any draw.  The simulator
+    draws homogeneous Poisson arrivals, so it cannot honour ``cfg.rate_fn``."""
     if T <= 0:
         raise ValueError("horizon T must be positive")
+    if cfg.rate_fn is not None:
+        raise ValueError("the simulator draws homogeneous Poisson arrivals; "
+                         "a scenario with rate_fn cannot be simulated")
+
+
+def rollout(cfg: ScenarioConfig, policy, initial_dist, seed: int, T: float) -> float:
+    """One discounted Monte-Carlo rollout from a sampled initial state."""
+    _check_inputs(cfg, T)
     seeds = SeedStream(seed)
     u = seeds.generator(TAG_INIT).random()
     x0 = _initial_states(cfg, _initial_cdf(cfg, initial_dist), u)
@@ -339,8 +348,7 @@ def simulate_trace(cfg: ScenarioConfig, policy, T: float, seed: int = 0,
     ``x0`` holds integers (n1, n2, l1) within the simulator's cap box
     [0, 10 X1] x [0, 10 X2] x {0, 1}.
     """
-    if T <= 0:
-        raise ValueError("horizon T must be positive")
+    _check_inputs(cfg, T)
     x0 = tuple(x0)
     caps = (10 * cfg.X1, 10 * cfg.X2, 1)
     if len(x0) != 3 or not all(isinstance(v, (int, np.integer)) and 0 <= v <= cap
@@ -642,8 +650,7 @@ def sample_performance(cfg: ScenarioConfig, policies, initial_dist, seed0: int,
     """
     if M < 2:
         raise ValueError("need at least two rollouts (M >= 2)")
-    if T <= 0:
-        raise ValueError("horizon T must be positive")
+    _check_inputs(cfg, T)
     policies = list(policies)
     if not policies:
         raise ValueError("need at least one policy")

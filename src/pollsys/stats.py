@@ -128,36 +128,6 @@ def welch_t_test(X, Y, alternative: str = "two-sided") -> TestResult:
     )
 
 
-def _u_statistic(X, Y) -> float:
-    # double-sum definition with half weights on ties
-    u = 0.0
-    for x in X:
-        u += np.sum(x > Y) + 0.5 * np.sum(x == Y)
-    return float(u)
-
-
-def _u_statistic_ranked(X, Y):
-    # rank-sum form, O((n+m) log(n+m)); equivalent to the double sum
-    joined = np.concatenate([X, Y])
-    order = np.argsort(joined, kind="mergesort")
-    ranks = np.empty(len(joined))
-    sorted_vals = joined[order]
-    ranks_sorted = np.arange(1, len(joined) + 1, dtype=float)
-    # average ranks over ties
-    i = 0
-    while i < len(sorted_vals):
-        j = i
-        while j + 1 < len(sorted_vals) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            ranks_sorted[i : j + 1] = ranks_sorted[i : j + 1].mean()
-        i = j + 1
-    ranks[order] = ranks_sorted
-    r_x = ranks[: len(X)].sum()
-    u_xy = r_x - len(X) * (len(X) + 1) / 2.0
-    return float(u_xy)
-
-
 def _u_exact_cdf(n: int, m: int, u: float) -> float:
     """P(U <= u) under the null by full enumeration (tie-free samples).
 
@@ -194,20 +164,20 @@ def mann_whitney_u(X, Y, alternative: str = "two-sided") -> TestResult:
     n, m = len(X), len(Y)
     if n == 0 or m == 0:
         raise ValueError("samples must be non-empty")
-    if n * m <= 10000:
-        u_xy = _u_statistic(X, Y)
-    else:
-        u_xy = _u_statistic_ranked(X, Y)
-    u_yx = n * m - u_xy
+    # rank-sum form of U(X, Y): the average rank of a run of c equal values
+    # ending at rank r is r - (c - 1) / 2, a half-integer, so U is exact
     joined = np.concatenate([X, Y])
-    has_ties = len(np.unique(joined)) < len(joined)
+    values, inverse, tie_counts = np.unique(joined, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(tie_counts) - (tie_counts - 1) / 2.0)[inverse]
+    u_xy = float(ranks[:n].sum() - n * (n + 1) / 2.0)
+    u_yx = n * m - u_xy
+    has_ties = len(values) < len(joined)
 
     if n + m <= 20 and not has_ties:
         p_less = _u_exact_cdf(n, m, u_xy)
         p_greater = _u_exact_cdf(n, m, u_yx)
     else:
         mean_u = n * m / 2.0
-        _, tie_counts = np.unique(joined, return_counts=True)
         tie_term = float(np.sum(tie_counts**3 - tie_counts)) / ((n + m) * (n + m - 1.0))
         var_u = n * m / 12.0 * ((n + m + 1.0) - tie_term)
         if var_u <= 0:

@@ -125,6 +125,34 @@ def test_test_command(tiny_scenario, tmp_path):
     assert len(lines) == 1 + 2  # two ordered pairs
 
 
+def test_simulate_and_test_write_the_run_files(tiny_scenario, tmp_path):
+    """With one plan, the three commands write the same bytes for the files
+    they share."""
+    plan = ["--scenario", tiny_scenario, "--policies", "smdp,ctmdp,exhaustive,heuristic",
+            "--rollouts", "24", "--horizon", "30", "--seed", "1"]
+    for command in ("run", "simulate", "test"):
+        extra = ["--occupancy-horizon", "300"] if command == "run" else []
+        assert main([command, *plan, *extra, "--out", str(tmp_path / command)]) == 0
+    etas = [f"eta_{p}.csv" for p in ("smdp", "ctmdp", "exhaustive", "heuristic")]
+    tests = ["welch.csv", "mannwhitney.csv", "student.csv", "pearson.csv"]
+    for command, names in (("simulate", etas), ("test", tests)):
+        assert sorted(os.listdir(tmp_path / command)) == sorted(names)
+        for name in names:
+            assert (tmp_path / command / name).read_bytes() == \
+                (tmp_path / "run" / name).read_bytes(), f"{command} {name}"
+
+
+@pytest.mark.parametrize("command", ["simulate", "test", "run"])
+def test_unstable_scenario_fails_in_a_named_stage(tmp_path, command):
+    cfg = slow_mode_config(lambda1=12.0, X1=3, X2=3, N1=3, N2=3)
+    path = tmp_path / "bad.json"
+    cfg.save(path)
+    with pytest.raises(StageError, match=r"^\[(plan|screen)\] unstable") as info:
+        main([command, "--scenario", str(path), "--rollouts", "4",
+              "--out", str(tmp_path / "o")])
+    assert info.value.stage == ("screen" if command == "run" else "plan")
+
+
 def test_run_experiment_bundle_and_determinism(tiny_scenario, tmp_path):
     def bundle(out_dir):
         plan = ExperimentPlan(

@@ -17,7 +17,6 @@ from pollsys import (
     feasible_actions,
     validate_scenario,
 )
-from pollsys.model import mixed_radix_flatten, mixed_radix_unflatten
 
 from conftest import asym_var_config, slow_mode_config
 
@@ -27,7 +26,8 @@ def test_flatten_zero_and_hand_value():
     assert idx.flatten(0, 0) == 0
     # stride of the first coordinate is N2 + 1 = 4
     assert idx.flatten(1, 2) == 1 * 4 + 2 == 6
-    assert mixed_radix_flatten(idx, (1, 2)) == 6
+    with pytest.raises(ValueError):
+        idx.flatten((1, 2))  # one coordinate per argument
 
 
 def test_flatten_roundtrip_small():
@@ -35,7 +35,7 @@ def test_flatten_roundtrip_small():
     seen = set()
     for c in itertools.product(range(4), repeat=2):
         flat = idx.flatten(*c)
-        assert mixed_radix_unflatten(idx, flat) == c
+        assert idx.unflatten(flat) == c
         seen.add(flat)
     assert seen == set(range(16))
 

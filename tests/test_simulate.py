@@ -573,6 +573,21 @@ def test_initial_dist_needs_a_finite_positive_total(kind):
         sample_performance(cfg, [ExhaustivePolicy()], dist, 0, 10.0, 4)
 
 
+def test_every_entry_point_rejects_rate_fn():
+    """The simulator draws homogeneous arrivals, so a scenario with arrival
+    rates that depend on the counts is rejected, not silently simulated."""
+    cfg = slow_mode_config(X1=6, X2=6, N1=6, N2=6, rate_fn=lambda a, b: (3.0, 0.1))
+    policy = ExhaustivePolicy()
+    calls = (
+        lambda: rollout(cfg, policy, None, 0, 50.0),
+        lambda: simulate_trace(cfg, policy, 50.0),
+        lambda: sample_performance(cfg, [policy], None, 0, 50.0, 4),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="rate_fn"):
+            call()
+
+
 def test_simulate_trace_rejects_nonpositive_horizon():
     cfg = exp_config(X1=2, X2=2)
     for T in (0.0, -5.0):

@@ -113,6 +113,20 @@ def test_mann_whitney_normal_approx_against_reference(rng):
     assert res.p_less == pytest.approx(ref.pvalue, rel=1e-6)
 
 
+@pytest.mark.parametrize("n, m", [(30, 40), (120, 100), (1, 7)])
+def test_mann_whitney_u_matches_double_sum(rng, n, m):
+    """U from the average ranks equals the double sum with half weights on
+    ties, exactly, on tie-heavy samples on both sides of n m = 10000."""
+    for _ in range(20):
+        x = rng.integers(0, 6, size=n).astype(float)
+        y = rng.integers(0, 6, size=m).astype(float) + rng.choice([0.0, 0.5], size=m)
+        want = sum(float(np.sum(v > y) + 0.5 * np.sum(v == y)) for v in x)
+        res = mann_whitney_u(x, y)
+        assert res.details["u_xy"] == want
+        assert res.details["u_yx"] == n * m - want
+        assert res.details["ties"] == (len(np.unique(np.concatenate([x, y]))) < n + m)
+
+
 def test_mann_whitney_empty_sample():
     with pytest.raises(ValueError):
         mann_whitney_u([], [1.0])
