@@ -1,14 +1,15 @@
 """Experiment runner: screen, solve, simulate, test and the composite run.
 
 ``simulate``, ``test`` and ``run`` share one staged pipeline: load, plan
-(stability and the rule policies' preconditions, before any solve), solve,
-simulate; ``test`` and ``run`` go on to the test matrices, and ``run`` also
-screens and traces the occupancy.  A stage's failure is a ``StageError``
-that reads ``[stage] message``.  Every stage writes deterministic CSV/JSON
-artifacts; rerunning a plan reproduces the files byte for byte, and the
-three commands write the same bytes for the files they share.  Scenario
-files are plain JSON; the two bundled scenarios can be addressed by name
-(``asym_var``, ``slow_mode``).
+(distinct policy names, stability and the rule policies' preconditions,
+before any solve), solve, simulate; ``test`` and ``run`` go on to the test
+matrices, and ``run`` also screens and traces the occupancy.  ``screen``
+and ``solve`` load through the same stage.  A stage's failure is a
+``StageError`` that reads ``[stage] message``.  Every stage writes
+deterministic CSV/JSON artifacts; rerunning a plan reproduces the files
+byte for byte, and the three commands write the same bytes for the files
+they share.  Scenario files are plain JSON; the two bundled scenarios can
+be addressed by name (``asym_var``, ``slow_mode``).
 """
 
 from __future__ import annotations
@@ -236,8 +237,15 @@ def _stage(name: str):
 
 
 def _load(plan: ExperimentPlan) -> ScenarioConfig:
+    """Stage load, then the plan stage's check that no policy is listed
+    twice, before any solve or file write."""
     with _stage("load"):
-        return load_scenario(plan.scenario, plan.overrides)
+        cfg = load_scenario(plan.scenario, plan.overrides)
+    with _stage("plan"):
+        repeated = [n for k, n in enumerate(plan.policies) if n in plan.policies[:k]]
+        if repeated:
+            raise ValueError(f"policy {repeated[0]!r} is listed more than once")
+    return cfg
 
 
 def _solve(plan: ExperimentPlan, cfg: ScenarioConfig):
@@ -284,7 +292,6 @@ def _test(plan: ExperimentPlan, etas: Dict[str, np.ndarray]) -> list:
 
 def run_experiment(plan: ExperimentPlan) -> dict:
     """Screen, solve, simulate, test and report; returns the summary dict."""
-    os.makedirs(plan.out_dir, exist_ok=True)
     summary = {"plan": {
         "scenario": plan.scenario, "policies": list(plan.policies),
         "rollouts": plan.rollouts, "horizon": plan.horizon, "seed": plan.seed,
@@ -293,6 +300,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     cfg = _load(plan)
     with _stage("screen"):
         summary["screening"] = stage_screen(cfg)
+    os.makedirs(plan.out_dir, exist_ok=True)
     _write_json(os.path.join(plan.out_dir, "screening.json"), summary["screening"])
 
     policies, tables, summary["solve"] = _solve(plan, cfg)
@@ -389,11 +397,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sub.choices["simulate"].set_defaults(policies=("exhaustive",))
 
     args = parser.parse_args(argv)
-    overrides = _overrides(args)
+    plan = ExperimentPlan(overrides=_overrides(args), **{
+        f.name: getattr(args, f.name) for f in fields(ExperimentPlan) if hasattr(args, f.name)})
 
     if args.command == "screen":
-        cfg = load_scenario(args.scenario, overrides)
-        doc = stage_screen(cfg, args.margin)
+        cfg = _load(plan)
+        with _stage("screen"):
+            doc = stage_screen(cfg, args.margin)
         print(f"rho1={doc['rho1']:.4f} rho2={doc['rho2']:.4f} rho={doc['rho']:.4f}")
         print(f"cycle kind: {doc['kind']}  alpha1={doc['alpha1']:.6f}")
         print(f"recommended bounds: X1 >= {doc['recommended_X1']}, "
@@ -403,15 +413,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.command == "solve":
-        cfg = load_scenario(args.scenario, overrides)
+        cfg = _load(plan)
+        with _stage("solve"):
+            tables, diag = solve_policies(cfg, [args.model], args.algo or "default")
         os.makedirs(args.out, exist_ok=True)
-        tables, diag = solve_policies(cfg, [args.model], args.algo or "default")
         paths = export_policy_csv(tables[args.model], cfg, args.out, args.model)
         print(f"solved {args.model} ({diag[args.model]}); wrote {', '.join(paths)}")
         return 0
-
-    plan = ExperimentPlan(overrides=overrides, **{
-        f.name: getattr(args, f.name) for f in fields(ExperimentPlan) if hasattr(args, f.name)})
 
     if args.command == "run":
         summary = run_experiment(plan)

@@ -701,12 +701,12 @@ def embedded_stationary(trace: RolloutTrace, burn_in: Optional[int] = None):
     n2 = trace.n2[B:]
     l1 = trace.l1[B:]
     count = len(n1)
-    freq = {}
-    keys, counts = np.unique(
-        np.stack([n1, n2, l1], axis=1), axis=0, return_counts=True
-    )
-    for (a, b, c), m in zip(keys, counts):
-        freq[(int(a), int(b), int(c))] = m / count
+    # visits per flat (n1, n2, l1) index, whose order is the keys' sort order
+    shape = (int(n1.max(initial=0)) + 1, int(n2.max(initial=0)) + 1, 2)
+    counts = np.bincount(np.ravel_multi_index((n1, n2, l1), shape))
+    flat = np.flatnonzero(counts)
+    keys = zip(*(k.tolist() for k in np.unravel_index(flat, shape)))
+    freq = dict(zip(keys, counts[flat] / count))
     visits_q1 = int(np.sum(l1 == 0))
     visits_q2 = int(np.sum(l1 == 1))
     return freq, visits_q1, visits_q2

@@ -8,7 +8,8 @@ and with discounted probabilities, so each entry may have its own discount
 (the semi-Markov model) or a row may share one (the uniformised models).
 Policy evaluation selects one node per state and solves one linear system;
 policy improvement and each value-iteration sweep are a sparse
-matrix-vector product over the nodes followed by a per-state minimum.  A
+matrix-vector product over the nodes followed by a per-state minimum, read
+from a padded table with one column per state (:func:`_padded_slots`).  A
 tie in that minimum goes to the state's first node, which for the polling
 models is the lowest action id (idle < serve < switch), so every solve is
 bit-reproducible.
@@ -79,6 +80,11 @@ class ValueGraph:
         return self.q_action[self.node_start] >= 0
 
     @cached_property
+    def padded_slots(self):
+        """Each node's slot in the padded per-state table, and its depth."""
+        return _padded_slots(self.node_start, self.n_nodes)
+
+    @cached_property
     def discounted(self) -> sparse.csr_matrix:
         """The discounted rows as an (n_nodes, n_states) CSR matrix."""
         return sparse.csr_matrix((self.q_dprobs, self.q_cols, self.q_indptr),
@@ -95,6 +101,22 @@ class ValueGraph:
         entries = slice(self.q_indptr[node], self.q_indptr[node + 1])
         return (self.q_cols[entries], self.q_probs[entries], self.q_dprobs[entries],
                 float(self.q_cost[node]))
+
+
+def _padded_slots(starts: np.ndarray, n_nodes: int):
+    """Lay out nodes grouped by state in a (depth, states) table.
+
+    ``starts[s]`` is state s's first node; depth is the most nodes of any
+    state.  A node of rank r within state s (r = 0 for its first node) gets
+    the flat slot r * n_states + s, so column s of the table holds state
+    s's nodes in order and the slots past its last node are left free.
+    With the free slots at +inf, ``np.minimum.reduce(table, axis=0)`` is
+    the per-state minimum and ``np.argmin(table, axis=0)`` the rank of the
+    first minimising node.  Returns ``(slots, depth)``.
+    """
+    counts = np.diff(starts, append=n_nodes)
+    state = np.repeat(np.arange(len(starts)), counts)
+    return (np.arange(n_nodes) - starts[state]) * len(starts) + state, int(counts.max())
 
 
 def build_value_graph(model) -> ValueGraph:
@@ -146,9 +168,11 @@ def _greedy_actions(graph: ValueGraph, J: np.ndarray) -> np.ndarray:
     action -1 of its only node.
     """
     q = graph.q_cost + graph.discounted @ J
-    best = np.repeat(np.minimum.reduceat(q, graph.node_start), graph.state_nq)
-    node = np.minimum.reduceat(np.where(q == best, np.arange(len(q)), len(q)), graph.node_start)
-    bad = np.flatnonzero(node == len(q))  # a NaN value matches no minimum
+    slots, depth = graph.padded_slots
+    table = np.full((depth, graph.n_states), np.inf)
+    table.flat[slots] = q
+    node = graph.node_start + np.argmin(table, axis=0)
+    bad = np.flatnonzero(np.isnan(q[node]))  # argmin picks a state's first NaN
     if len(bad):
         raise ValueError(f"action values at state {bad[0]} are NaN")
     return graph.q_action[node]
@@ -375,9 +399,12 @@ def policy_iteration(model, pi0=None, maxiter: int = 100,
 def _vi_phases(graph: ValueGraph):
     """Per-phase sweep data: dynamics states first, then decision states.
 
-    Each phase is ``(states, rows, cost, starts)``: the states it updates,
-    the discounted rows of their Q nodes as one CSR matrix, the nodes'
-    costs, and where each state's nodes start.
+    Each phase is ``(states, rows, cost, depth)``: the states it updates,
+    the discounted rows of their Q nodes as one CSR matrix and the nodes'
+    costs, both laid out in the phase's padded table of ``depth`` rows
+    (:func:`_padded_slots`).  A free slot is an empty row of cost +inf, so
+    ``cost + rows @ J`` is the table itself.  A phase whose states have one
+    node each has depth 1 and no free slot.
     """
     node_is_decision = graph.decision_mask[graph.q_state]
     phases = []
@@ -387,7 +414,16 @@ def _vi_phases(graph: ValueGraph):
             continue
         nodes = np.flatnonzero(node_is_decision == decision)
         starts = np.concatenate(([0], np.cumsum(graph.state_nq[states])[:-1]))
-        phases.append((states, graph.discounted[nodes], graph.q_cost[nodes], starts))
+        slots, depth = _padded_slots(starts, len(nodes))
+        size = depth * len(states)
+        indptr = np.zeros(size + 1, dtype=graph.q_indptr.dtype)
+        indptr[slots + 1] = np.diff(graph.q_indptr)[nodes]
+        picked = graph.discounted[nodes[np.argsort(slots)]]
+        rows = sparse.csr_matrix((picked.data, picked.indices, np.cumsum(indptr)),
+                                 shape=(size, graph.n_states))
+        cost = np.full(size, np.inf)
+        cost[slots] = graph.q_cost[nodes]
+        phases.append((states, rows, cost, depth))
     return phases
 
 
@@ -399,7 +435,10 @@ def value_iterate(graph: ValueGraph, eps: Optional[float] = None,
     one Q node) from the current values, then every decision state, as the
     minimum over its Q nodes, from the values the first phase just wrote.
     Each phase is one sparse matrix-vector product over its Q nodes'
-    discounted rows; the decision phase adds one segment minimum.  The order
+    discounted rows, laid out before the first sweep in a padded table with
+    one column per state (:func:`_padded_slots`); a phase with more than
+    one node at some state adds one minimum down the table's columns.  A
+    sweep copies J once and measures its change once.  The order
     is chosen for the non-preemptive model, whose linking rows (commit to
     serve or switch) carry discount 1: a decision state reads the
     in-progress state it links to after that state's update in the same
@@ -430,11 +469,11 @@ def value_iterate(graph: ValueGraph, eps: Optional[float] = None,
     delta = np.inf
     while sweeps < maxiter:
         sweeps += 1
-        delta = 0.0
-        for states, rows, cost, starts in phases:
-            best = np.minimum.reduceat(cost + rows @ J, starts)
-            delta = max(delta, float(np.abs(best - J[states]).max()))
-            J[states] = best
+        old = J.copy()
+        for states, rows, cost, depth in phases:
+            q = cost + rows @ J
+            J[states] = q if depth == 1 else np.minimum.reduce(q.reshape(depth, -1), axis=0)
+        delta = float(np.abs(J - old).max())
         if delta <= eps:
             converged = True
             break

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from pollsys import cli
 from pollsys.cli import (
     ExperimentPlan,
     StageError,
@@ -151,6 +152,46 @@ def test_unstable_scenario_fails_in_a_named_stage(tmp_path, command):
         main([command, "--scenario", str(path), "--rollouts", "4",
               "--out", str(tmp_path / "o")])
     assert info.value.stage == ("screen" if command == "run" else "plan")
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solve stage reached")
+
+
+def test_repeated_policy_rejected_in_plan_stage(tiny_scenario, tmp_path, monkeypatch):
+    """A repeated name stops run and run_experiment before any solve or file."""
+    monkeypatch.setattr(cli, "solve_policies", _no_solve)
+    out = tmp_path / "o"
+    with pytest.raises(StageError, match=r"^\[plan\] policy 'exhaustive' is listed more"):
+        main(["run", "--scenario", tiny_scenario, "--policies", "exhaustive,exhaustive",
+              "--out", str(out)])
+    plan = ExperimentPlan(scenario=tiny_scenario, policies=("smdp", "exhaustive", "smdp"),
+                          out_dir=str(out))
+    with pytest.raises(StageError, match=r"^\[plan\] policy 'smdp' is listed more") as info:
+        run_experiment(plan)
+    assert info.value.stage == "plan"
+    assert not out.exists()
+
+
+def test_screen_fails_in_a_named_stage(tmp_path):
+    with pytest.raises(StageError, match=r"^\[load\] scenario 'missing_scenario'"):
+        main(["screen", "--scenario", "missing_scenario"])
+    cfg = slow_mode_config(lambda1=12.0, X1=3, X2=3, N1=3, N2=3)
+    cfg.save(tmp_path / "bad.json")
+    with pytest.raises(StageError, match=r"^\[screen\] unstable") as info:
+        main(["screen", "--scenario", str(tmp_path / "bad.json")])
+    assert info.value.stage == "screen"
+
+
+def test_solve_fails_in_a_named_stage(tiny_scenario, tmp_path, monkeypatch):
+    out = tmp_path / "solved"
+    with pytest.raises(StageError, match=r"^\[load\] scenario 'missing_scenario'"):
+        main(["solve", "--scenario", "missing_scenario", "--out", str(out)])
+    monkeypatch.setattr(cli, "solve_policies", _no_solve)
+    with pytest.raises(StageError, match=r"^\[solve\] solve stage reached") as info:
+        main(["solve", "--scenario", tiny_scenario, "--out", str(out)])
+    assert info.value.stage == "solve"
+    assert not out.exists()
 
 
 def test_run_experiment_bundle_and_determinism(tiny_scenario, tmp_path):

@@ -19,6 +19,8 @@ from pollsys.solver import (
     UPDATE_RANK_DIVISOR,
     SingularSystemError,
     _Factorization,
+    _greedy_actions,
+    _vi_phases,
     assemble_policy_matrix,
     export_policy_csv,
     initial_policy,
@@ -326,6 +328,96 @@ def test_value_iterate_on_smdp_graph_matches_policy_iteration():
     vi = value_iterate(build_value_graph(model))
     assert vi.converged
     assert np.array_equal(vi.actions, policy_iteration(model).actions)
+
+
+def segment_minimum_value_iterate(graph):
+    """Value iteration by per-phase segment minima (``np.minimum.reduceat``)
+    and per-phase change measurements, with the greedy step's two segment
+    minima: the sweep that the padded layout replaced, kept as its oracle.
+    Returns (J, sweeps, converged, residual, actions)."""
+    eps = 1e-8 * float(np.abs(graph.q_cost).max())
+    node_is_decision = graph.decision_mask[graph.q_state]
+    phases = []
+    for decision in (False, True):
+        states = np.flatnonzero(graph.decision_mask == decision)
+        if len(states):
+            nodes = np.flatnonzero(node_is_decision == decision)
+            starts = np.concatenate(([0], np.cumsum(graph.state_nq[states])[:-1]))
+            phases.append((states, graph.discounted[nodes], graph.q_cost[nodes], starts))
+    J = np.zeros(graph.n_states)
+    sweeps, converged = 0, False
+    while sweeps < 100000:
+        sweeps += 1
+        delta = 0.0
+        for states, rows, cost, starts in phases:
+            best = np.minimum.reduceat(cost + rows @ J, starts)
+            delta = max(delta, float(np.abs(best - J[states]).max()))
+            J[states] = best
+        if delta <= eps:
+            converged = True
+            break
+    q = graph.q_cost + graph.discounted @ J
+    best = np.repeat(np.minimum.reduceat(q, graph.node_start), graph.state_nq)
+    node = np.minimum.reduceat(np.where(q == best, np.arange(len(q)), len(q)), graph.node_start)
+    return J, sweeps, converged, delta, graph.q_action[node]
+
+
+def assert_matches_segment_minimum(graph):
+    pol = value_iterate(graph)
+    J, sweeps, converged, residual, actions = segment_minimum_value_iterate(graph)
+    assert pol.converged and converged
+    assert np.array_equal(pol.J, J)
+    assert pol.iterations == sweeps and pol.residual == residual
+    assert np.array_equal(pol.actions, actions)
+
+
+@pytest.mark.parametrize("build", [
+    build_smdp,
+    lambda cfg: build_preemptive(cfg.with_exponential_durations()),
+    lambda cfg: build_nonpreemptive(cfg.with_exponential_durations()),
+], ids=["smdp", "preemptive", "nonpreemptive"])
+@pytest.mark.parametrize("make_cfg", [slow_mode_config, asym_var_config])
+def test_value_iterate_bit_identical_to_segment_minimum(make_cfg, build):
+    assert_matches_segment_minimum(build(make_cfg(X1=8, X2=8, N1=8, N2=8)).graph)
+
+
+def random_tabular_model(rng, n_states, n_actions, fixed=()):
+    """Dense random rows with discount 0.9; state x offers the first
+    ``n_actions[x]`` of actions 0, 1, 2, and the states in ``fixed`` have
+    no choice."""
+    def row():
+        p = rng.uniform(0.1, 1.0, size=n_states)
+        p /= p.sum()
+        return list(range(n_states)), p, 0.9 * p, float(rng.uniform(0, 2))
+
+    feasible = {x: tuple(range(n_actions[x])) for x in range(n_states) if x not in fixed}
+    rows = {(x, a): row() for x, acts in feasible.items() for a in acts}
+    return TabularModel(n_states, rows, feasible, {x: row() for x in fixed})
+
+
+def test_value_iterate_bit_identical_on_one_to_three_nodes(rng):
+    """Decision states with 1, 2 and 3 nodes, beside dynamics states."""
+    model = random_tabular_model(rng, 9, [1, 2, 3, 3, 2, 1, 2, 1, 3], fixed=(2, 5))
+    assert list(model.graph.state_nq) == [1, 2, 1, 3, 2, 1, 2, 1, 3]
+    assert len(_vi_phases(model.graph)) == 2
+    assert_matches_segment_minimum(model.graph)
+
+
+def test_value_iterate_bit_identical_on_decision_states_only(rng):
+    model = random_tabular_model(rng, 6, [3, 1, 2, 3, 2, 1])
+    assert len(_vi_phases(model.graph)) == 1
+    assert_matches_segment_minimum(model.graph)
+
+
+@pytest.mark.parametrize("action", [0, 1, 2])
+def test_greedy_actions_reject_nan(action):
+    """A NaN action value at any node of a state, first or not, is an error."""
+    rows = {(0, a): ([0, 1], [0.5, 0.5], [0.45, 0.45], float(a)) for a in range(3)}
+    rows[(0, action)] = ([0, 1], [0.5, 0.5], [0.45, 0.45], np.nan)
+    model = TabularModel(n_states=2, rows=rows, feasible={0: (0, 1, 2)},
+                         fixed_rows={1: ([0], [1.0], [0.9], 2.0)})
+    with pytest.raises(ValueError, match="state 0 are NaN"):
+        _greedy_actions(model.graph, np.zeros(2))
 
 
 def test_contraction_property(rng):
