@@ -21,7 +21,7 @@ import csv
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 from scipy import sparse
@@ -130,8 +130,10 @@ class Policy:
 
     ``actions[x]`` is -1 at states without a choice; ``J`` carries the
     discounted state values from the final evaluation or sweep.
-    ``residual`` is set by value iteration only: the largest value change
-    in its last sweep.  It is not a bound on the error of ``J``: at
+    ``residual`` and ``error_bound`` are set by value iteration only: the
+    largest value change in its last sweep, and a bound on the largest
+    distance of ``J`` from the optimal values that it implies (see
+    :func:`value_iterate`).  The residual alone bounds nothing: at
     slow_mode X=40 a stop at residual <= 6.2e-7 leaves ``J`` up to 9.7e-5
     from the exact policy-iteration values.  ``changes`` (the number of
     decision actions each improvement changed) and ``factorizations`` (the
@@ -143,6 +145,7 @@ class Policy:
     iterations: int
     converged: bool
     residual: float = 0.0
+    error_bound: float = 0.0
     changes: List[int] = field(default_factory=list)
     factorizations: int = 0
     J_history: Optional[List[np.ndarray]] = field(default=None, repr=False)
@@ -159,6 +162,17 @@ def _policy_nodes(graph: ValueGraph, actions) -> np.ndarray:
         x = missing[0]
         raise ValueError(f"policy assigns infeasible action {actions[x]} at state {x}")
     return np.flatnonzero(follows)
+
+
+def _check_finite(graph: ValueGraph) -> None:
+    """Reject a NaN or infinite cost or discounted probability, naming the
+    state of the first node that has one."""
+    bad = ~np.isfinite(graph.q_cost)
+    bad[np.searchsorted(graph.q_indptr, np.flatnonzero(~np.isfinite(graph.q_dprobs)),
+                        side="right") - 1] = True
+    if bad.any():
+        x = graph.q_state[np.argmax(bad)]
+        raise ValueError(f"a Q node of state {x} has a non-finite cost or discounted probability")
 
 
 def _greedy_actions(graph: ValueGraph, J: np.ndarray) -> np.ndarray:
@@ -369,6 +383,7 @@ def policy_iteration(model, pi0=None, maxiter: int = 100,
     """
     if maxiter < 1:
         raise ValueError("maxiter must be >= 1")
+    _check_finite(model.graph)
     n = model.graph.n_states
     actions = initial_policy(model) if pi0 is None else np.array(pi0, dtype=int)
     if actions.shape != (n,):
@@ -396,35 +411,125 @@ def policy_iteration(model, pi0=None, maxiter: int = 100,
                   changes=changes, factorizations=factor.count, J_history=history)
 
 
-def _vi_phases(graph: ValueGraph):
-    """Per-phase sweep data: dynamics states first, then decision states.
+class _Sweep(NamedTuple):
+    """Value iteration's sweep, laid out once before the first sweep.
 
-    Each phase is ``(states, rows, cost, depth)``: the states it updates,
-    the discounted rows of their Q nodes as one CSR matrix and the nodes'
-    costs, both laid out in the phase's padded table of ``depth`` rows
-    (:func:`_padded_slots`).  A free slot is an empty row of cost +inf, so
-    ``cost + rows @ J`` is the table itself.  A phase whose states have one
-    node each has depth 1 and no free slot.
+    Inside the loop J is ordered [dynamics | decision]: ``order`` lists the
+    states in that order and ``n_dynamics`` counts the dynamics states.  The
+    first product ``cost + rows @ J`` has one entry per dynamics node, then
+    one per slot of the decision states' padded table of ``depth`` rows
+    (one column per state, as in :func:`_padded_slots`); a free slot is an
+    empty row of cost +inf, and the table's first row follows the dynamics
+    entries.  Its rows are the
+    nodes that read decision states only.  Each ``(dst, src, cost)`` of
+    ``links`` fills the slots ``dst`` of linking nodes (one entry, of
+    discounted probability exactly 1, into a dynamics state) with the
+    entries ``src`` that the product gave their dynamics states, plus
+    ``cost`` unless it is None (every linking cost 0).  Any other node that
+    reads a dynamics state is a row of ``second = (slots, rows, cost)``,
+    evaluated once the dynamics values are known; None when there is no
+    such node.  ``modulus`` is the largest discounted row sum over the
+    nodes that are not linking.
     """
-    node_is_decision = graph.decision_mask[graph.q_state]
-    phases = []
-    for decision in (False, True):
-        states = np.flatnonzero(graph.decision_mask == decision)
-        if len(states) == 0:
-            continue
-        nodes = np.flatnonzero(node_is_decision == decision)
-        starts = np.concatenate(([0], np.cumsum(graph.state_nq[states])[:-1]))
-        slots, depth = _padded_slots(starts, len(nodes))
-        size = depth * len(states)
-        indptr = np.zeros(size + 1, dtype=graph.q_indptr.dtype)
-        indptr[slots + 1] = np.diff(graph.q_indptr)[nodes]
+
+    order: np.ndarray
+    n_dynamics: int
+    depth: int
+    rows: sparse.csr_matrix
+    cost: np.ndarray
+    links: list
+    second: Optional[tuple]
+    modulus: float
+
+
+def _vi_phases(graph: ValueGraph) -> _Sweep:
+    """Lay out value iteration's two phases as one product, slice copies
+    for the linking nodes and, only for a node that reads a dynamics state
+    and is not linking, a second product (see :class:`_Sweep`).
+
+    In the padded table each decision state's linking nodes take the rows
+    after those of its other nodes, and the states are ordered by falling
+    number of linking nodes, so the r-th linking nodes of all states fill a
+    prefix of one table row.  When no dynamics state is linked twice, the
+    dynamics states are ordered as those prefixes link them, so each prefix
+    is one slice copy of the product's leading entries.
+    """
+    n, n_nodes = graph.n_states, graph.n_nodes
+    decision = graph.decision_mask
+    nnz = np.diff(graph.q_indptr)
+    entry_node = np.repeat(np.arange(n_nodes), nnz)
+    node_is_decision = decision[graph.q_state]
+    reads_dynamics = np.zeros(n_nodes, dtype=bool)
+    reads_dynamics[entry_node[~decision[graph.q_cols]]] = True
+    single = np.flatnonzero(node_is_decision & reads_dynamics & (nnz == 1))
+    linking = np.zeros(n_nodes, dtype=bool)
+    linking[single[graph.q_dprobs[graph.q_indptr[single]] == 1.0]] = True
+    lead = np.flatnonzero(node_is_decision & ~linking)
+    link = np.flatnonzero(linking)
+
+    def per_state(nodes):
+        """Each of ``nodes``' rank among those of its state, and their
+        number per state."""
+        states = graph.q_state[nodes]
+        count = np.bincount(states, minlength=n)
+        return np.arange(len(nodes)) - np.searchsorted(states, states), count
+
+    lead_rank, lead_count = per_state(lead)
+    link_rank, link_count = per_state(link)
+    lead_depth = int(lead_count.max())
+    dec_states = np.flatnonzero(decision)
+    dec_states = dec_states[np.argsort(-link_count[dec_states], kind="stable")]
+    n_dec = len(dec_states)
+    n_dyn = n - n_dec
+    column = np.empty(n, dtype=np.int64)
+    column[dec_states] = np.arange(n_dec)
+    slot = np.empty(n_nodes, dtype=np.int64)
+    slot[lead] = n_dyn + lead_rank * n_dec + column[graph.q_state[lead]]
+    slot[link] = n_dyn + (lead_depth + link_rank) * n_dec + column[graph.q_state[link]]
+    by_slot = np.argsort(slot[link])
+    link, link_rank = link[by_slot], link_rank[by_slot]
+    target = graph.q_cols[graph.q_indptr[link]]
+
+    dyn_states = np.flatnonzero(~decision)
+    distinct = len(np.unique(target)) == len(target)
+    if distinct:
+        dyn_states = np.concatenate((target, np.setdiff1d(dyn_states, target)))
+    order = np.concatenate((dyn_states, dec_states))
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    dynamic = np.flatnonzero(~node_is_decision)
+    slot[dynamic] = position[graph.q_state[dynamic]]
+
+    links = []
+    link_cost = graph.q_cost[link] if graph.q_cost[link].any() else None
+    bounds = np.flatnonzero(np.diff(link_rank, prepend=-1, append=-1))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        links.append((slice(slot[link[lo]], slot[link[lo]] + hi - lo),
+                      slice(lo, hi) if distinct else position[target[lo:hi]],
+                      None if link_cost is None else link_cost[lo:hi]))
+
+    def product(nodes, slots, length):
+        """``nodes``' discounted rows at ``slots`` of a ``length``-row CSR,
+        columns in sweep order, each row's entries in graph order."""
+        indptr = np.zeros(length + 1, dtype=graph.q_indptr.dtype)
+        indptr[slots + 1] = nnz[nodes]
         picked = graph.discounted[nodes[np.argsort(slots)]]
-        rows = sparse.csr_matrix((picked.data, picked.indices, np.cumsum(indptr)),
-                                 shape=(size, graph.n_states))
-        cost = np.full(size, np.inf)
-        cost[slots] = graph.q_cost[nodes]
-        phases.append((states, rows, cost, depth))
-    return phases
+        return sparse.csr_matrix((picked.data, position[picked.indices], np.cumsum(indptr)),
+                                 shape=(length, n))
+
+    depth = lead_depth + int(link_count.max())
+    cost = np.full(n_dyn + depth * n_dec, np.inf)
+    cost[slot] = graph.q_cost
+    first = np.flatnonzero(~(node_is_decision & reads_dynamics))
+    second = np.flatnonzero(node_is_decision & reads_dynamics & ~linking)
+    row_sum = np.bincount(entry_node, weights=graph.q_dprobs, minlength=n_nodes)
+    return _Sweep(
+        order=order, n_dynamics=n_dyn, depth=depth,
+        rows=product(first, slot[first], len(cost)), cost=cost, links=links,
+        second=(slot[second], product(second, np.arange(len(second)), len(second)),
+                graph.q_cost[second]) if len(second) else None,
+        modulus=float(row_sum[~linking].max()),
+    )
 
 
 def value_iterate(graph: ValueGraph, eps: Optional[float] = None,
@@ -434,13 +539,8 @@ def value_iterate(graph: ValueGraph, eps: Optional[float] = None,
     Each sweep first updates every dynamics state (a state without a choice,
     one Q node) from the current values, then every decision state, as the
     minimum over its Q nodes, from the values the first phase just wrote.
-    Each phase is one sparse matrix-vector product over its Q nodes'
-    discounted rows, laid out before the first sweep in a padded table with
-    one column per state (:func:`_padded_slots`); a phase with more than
-    one node at some state adds one minimum down the table's columns.  A
-    sweep copies J once and measures its change once.  The order
-    is chosen for the non-preemptive model, whose linking rows (commit to
-    serve or switch) carry discount 1: a decision state reads the
+    The order is chosen for the non-preemptive model, whose linking rows
+    (commit to serve or switch) carry discount 1: a decision state reads the
     in-progress state it links to after that state's update in the same
     sweep, so every sweep contracts by the largest uniformised discount,
     where a Jacobi sweep would pass the update through a linking row only
@@ -449,36 +549,74 @@ def value_iterate(graph: ValueGraph, eps: Optional[float] = None,
     (Bertsekas & Tsitsiklis, *Parallel and Distributed Computation*, 1989,
     section 6.3).
 
+    A sweep is one sparse matrix-vector product, laid out before the first
+    sweep (:func:`_vi_phases`).  Its rows are the dynamics nodes and every
+    decision node that reads decision states only, whose values the first
+    phase does not change, so the product may read the previous sweep's
+    values.  A linking node then copies the value the product gave the
+    in-progress state it links to; a node that reads a dynamics state
+    otherwise takes a second product (none in the polling models).  The
+    decision nodes sit in a padded table with one column per state, whose
+    minimum down the columns is written over its first row, so the
+    product's leading entries are the new J.  Each entry sums the same
+    products in the same order as a phase-by-phase sweep, so the values
+    are bit-identical to it.
+
     Starts from J = 0 and stops when the largest value change in a sweep is
     at most ``eps`` (default 1e-8 * max cost); that change is returned as
-    ``residual``.  It is not an error bound: with discounts near 1 the
-    values can still be far more than ``eps`` from the fixed point (9.7e-5
-    against eps = 6.2e-7 at slow_mode X=40).  The greedy actions are
-    re-read from the final values by policy improvement's step; a tie goes
-    to the first Q node of the state, i.e. the lowest action id (idle <
-    serve < switch).
+    ``residual``.  A sweep contracts the distance to the fixed point by the
+    modulus rho, the largest discounted row sum over the nodes that are not
+    linking (a linking node passes on its in-progress state's update), so
+    the returned values are within ``error_bound`` = rho / (1 - rho) *
+    ``residual`` of it in every state (Puterman, *Markov Decision
+    Processes*, 1994, chapter 6); the bound is infinite when rho >= 1.
+    The stop rule does not use the bound.
+    The greedy actions are re-read from the final values by policy
+    improvement's step; a tie goes to the first Q node of the state, i.e.
+    the lowest action id (idle < serve < switch).
     """
+    _check_finite(graph)
+    if maxiter < 1:
+        raise ValueError("maxiter must be >= 1")
     if eps is None:
         eps = 1e-8 * float(np.abs(graph.q_cost).max())
     if eps < 0:
         raise ValueError("eps must be non-negative")
-    phases = _vi_phases(graph)
-    J = np.zeros(graph.n_states)
+    sweep = _vi_phases(graph)
+    n, n_dyn = graph.n_states, sweep.n_dynamics
+    rows, cost, links, second = sweep.rows, sweep.cost, sweep.links, sweep.second
+    ranks = [slice(n_dyn + r * (n - n_dyn), n_dyn + (r + 1) * (n - n_dyn))
+             for r in range(1, sweep.depth)]
+    J = np.zeros(n)
     converged = False
     sweeps = 0
-    delta = np.inf
     while sweeps < maxiter:
         sweeps += 1
-        old = J.copy()
-        for states, rows, cost, depth in phases:
-            q = cost + rows @ J
-            J[states] = q if depth == 1 else np.minimum.reduce(q.reshape(depth, -1), axis=0)
-        delta = float(np.abs(J - old).max())
+        q = rows @ J
+        q += cost
+        if second is not None:
+            slots, rows2, cost2 = second
+            q[slots] = cost2 + rows2 @ np.concatenate((q[:n_dyn], J[n_dyn:]))
+        for dst, src, link_cost in links:
+            if link_cost is None:
+                q[dst] = q[src]
+            else:
+                np.add(link_cost, q[src], out=q[dst])
+        head = q[n_dyn:n]
+        for rank in ranks:
+            np.minimum(head, q[rank], out=head)
+        new = q[:n]
+        delta = float(np.abs(new - J).max())
+        J = new
         if delta <= eps:
             converged = True
             break
-    return Policy(actions=_greedy_actions(graph, J), J=J, iterations=sweeps,
-                  converged=converged, residual=float(delta))
+    values = np.empty(n)
+    values[sweep.order] = J
+    rho = sweep.modulus
+    return Policy(actions=_greedy_actions(graph, values), J=values, iterations=sweeps,
+                  converged=converged, residual=delta,
+                  error_bound=rho / (1.0 - rho) * delta if rho < 1.0 else np.inf)
 
 
 def export_policy_csv(table: np.ndarray, cfg, out_dir, name: str):

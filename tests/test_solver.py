@@ -399,14 +399,118 @@ def test_value_iterate_bit_identical_on_one_to_three_nodes(rng):
     """Decision states with 1, 2 and 3 nodes, beside dynamics states."""
     model = random_tabular_model(rng, 9, [1, 2, 3, 3, 2, 1, 2, 1, 3], fixed=(2, 5))
     assert list(model.graph.state_nq) == [1, 2, 1, 3, 2, 1, 2, 1, 3]
-    assert len(_vi_phases(model.graph)) == 2
+    assert _vi_phases(model.graph).n_dynamics == 2  # both phases present
     assert_matches_segment_minimum(model.graph)
 
 
 def test_value_iterate_bit_identical_on_decision_states_only(rng):
     model = random_tabular_model(rng, 6, [3, 1, 2, 3, 2, 1])
-    assert len(_vi_phases(model.graph)) == 1
+    assert _vi_phases(model.graph).n_dynamics == 0  # the decision phase only
     assert_matches_segment_minimum(model.graph)
+
+
+def linking_tabular_model(rng, linked_twice):
+    """Decision states 0-2 and dynamics states 3-5 (discount 0.9).  Node
+    kinds: rows that read decision states only (0/a0, 2/a0), linking rows
+    with a nonzero cost (0/a1, 1/a1) and with cost 0 (0/a2), and a general
+    row that reads a dynamics state (1/a0).  With ``linked_twice``, 2/a1
+    links to state 3 as 0/a1 does."""
+    def row(cols, cost):
+        p = rng.uniform(0.1, 1.0, size=len(cols))
+        p /= p.sum()
+        return list(cols), p, 0.9 * p, cost
+
+    def linking(col, cost):
+        return [col], [1.0], [1.0], cost
+
+    rows = {
+        (0, 0): row([0, 1, 2], 1.5), (0, 1): linking(3, 0.5), (0, 2): linking(4, 0.0),
+        (1, 0): row([2, 5], 1.0), (1, 1): linking(5, 0.25),
+        (2, 0): row([0, 1], 2.0),
+    }
+    feasible = {0: (0, 1, 2), 1: (0, 1), 2: (0,)}
+    if linked_twice:
+        rows[(2, 1)] = linking(3, 0.75)
+        feasible[2] = (0, 1)
+    fixed = {3: row([0, 4], 1.0), 4: row([1, 2, 3], 0.5), 5: row([5, 0], 3.0)}
+    return TabularModel(6, rows, feasible, fixed)
+
+
+@pytest.mark.parametrize("linked_twice", [False, True])
+def test_value_iterate_bit_identical_with_linking_costs_and_second_product(rng, linked_twice):
+    graph = linking_tabular_model(rng, linked_twice).graph
+    sweep = _vi_phases(graph)
+    assert sweep.second is not None and len(sweep.second[0]) == 1
+    assert all(link_cost is not None for _, _, link_cost in sweep.links)
+    # a dynamics state linked twice is read by index, not by one slice
+    assert all(isinstance(src, slice) for _, src, _ in sweep.links) != linked_twice
+    assert_matches_segment_minimum(graph)
+
+
+@pytest.mark.parametrize("make_cfg", [slow_mode_config, asym_var_config])
+def test_value_iterate_bit_identical_at_x24(make_cfg):
+    cfg = make_cfg(X1=24, X2=24, N1=20, N2=20).with_exponential_durations()
+    assert_matches_segment_minimum(build_nonpreemptive(cfg).graph)
+
+
+@pytest.mark.parametrize("make_cfg", [slow_mode_config, asym_var_config])
+def test_polling_graphs_need_no_second_product(make_cfg):
+    """Every decision node of the non-preemptive model reads decision states
+    only or links to an in-progress state, which one slice copy reads."""
+    cfg = make_cfg(X1=8, X2=8, N1=8, N2=8).with_exponential_durations()
+    sweep = _vi_phases(build_nonpreemptive(cfg).graph)
+    assert sweep.second is None
+    assert sweep.depth == 3 and len(sweep.links) == 2
+    assert all(isinstance(src, slice) and link_cost is None for _, src, link_cost in sweep.links)
+
+
+@pytest.mark.parametrize("X, N", [(8, 8), (24, 20)])
+@pytest.mark.parametrize("make_cfg", [slow_mode_config, asym_var_config])
+def test_value_iterate_error_bound_holds(make_cfg, X, N):
+    """|J_VI - J*| <= rho / (1 - rho) * residual against exact policy
+    iteration on the non-preemptive graph, and on the SMDP graph at X=8."""
+    cfg = make_cfg(X1=X, X2=X, N1=N, N2=N)
+    models = [build_nonpreemptive(cfg.with_exponential_durations())]
+    if X == 8:
+        models.append(build_smdp(cfg))
+    for model in models:
+        vi = value_iterate(build_value_graph(model))
+        exact = policy_iteration(model, exhaustive_start(model)).J
+        error = np.abs(vi.J - exact).max()
+        assert 0 < error <= vi.error_bound < np.inf
+        assert vi.error_bound < 1e-3
+
+
+def test_value_iterate_error_bound_on_linking_graph(rng):
+    model = linking_tabular_model(rng, linked_twice=True)
+    vi = value_iterate(model.graph, eps=1e-6)
+    # linking rows pass on discount 1; every other row sums to 0.9
+    assert vi.error_bound == pytest.approx(9.0 * vi.residual, rel=1e-12)
+    assert np.abs(vi.J - policy_iteration(model).J).max() <= vi.error_bound
+    # a row of discounted sum 1 that is not linking leaves no bound
+    lazy = TabularModel(1, {(0, 0): ([0], [1.0], [1.0], 0.0)}, {0: (0,)})
+    assert value_iterate(lazy.graph, eps=0.0, maxiter=3).error_bound == np.inf
+
+
+@pytest.mark.parametrize("field, where", [("q_cost", 0), ("q_cost", 2), ("q_dprobs", 3)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solvers_reject_non_finite_inputs(field, where, bad):
+    """A NaN or inf cost or discounted probability is rejected before any
+    sweep or solve, naming the state of the first bad node."""
+    rows = {(0, a): ([0, 1], [0.5, 0.5], [0.45, 0.45], float(a)) for a in range(2)}
+    model = TabularModel(n_states=2, rows=rows, feasible={0: (0, 1)},
+                         fixed_rows={1: ([0, 1], [0.5, 0.5], [0.45, 0.45], 2.0)})
+    getattr(model.graph, field)[where] = bad  # cost index = node, dprob index = entry
+    state = 0 if where < 2 or field == "q_dprobs" else 1
+    with pytest.raises(ValueError, match=f"state {state} has a non-finite"):
+        value_iterate(model.graph)
+    with pytest.raises(ValueError, match=f"state {state} has a non-finite"):
+        policy_iteration(model)
+
+
+def test_value_iterate_rejects_maxiter_below_one():
+    with pytest.raises(ValueError, match="maxiter"):
+        value_iterate(build_value_graph(single_state_model()), maxiter=0)
 
 
 @pytest.mark.parametrize("action", [0, 1, 2])
