@@ -133,7 +133,8 @@ def solve_policies(cfg: ScenarioConfig, which: Sequence[str], algo: str = "defau
     Returns ``(tables, diagnostics)``: name -> action table, and name ->
     iterations, convergence, the decision actions each policy improvement
     changed and the dense factorisations made (both empty or 0 under value
-    iteration).
+    iteration).  A value-iteration entry adds the last sweep's ``residual``
+    and the ``error_bound`` it implies, None when that bound is infinite.
 
     Tables live on the (n1, n2, l1) box so every policy can drive the
     simulator directly.  The uniformised model solves the scenario with all
@@ -147,26 +148,33 @@ def solve_policies(cfg: ScenarioConfig, which: Sequence[str], algo: str = "defau
     tables = {}
     diagnostics = {}
 
-    def report(pol):
-        return {"iterations": pol.iterations, "converged": pol.converged,
-                "changes": pol.changes, "factorizations": pol.factorizations}
+    def report(pol, by_vi):
+        doc = {"iterations": pol.iterations, "converged": pol.converged,
+               "changes": pol.changes, "factorizations": pol.factorizations}
+        if by_vi:
+            # json.dump would write an infinite bound as the non-JSON Infinity
+            doc["residual"] = pol.residual
+            doc["error_bound"] = float(pol.error_bound) if np.isfinite(pol.error_bound) else None
+        return doc
 
     if "smdp" in which:
         model = build_smdp(cfg)
-        if algo == "value-iteration":
+        by_vi = algo == "value-iteration"
+        if by_vi:
             pol = value_iterate(build_value_graph(model))
         else:
             pol = policy_iteration(model, exhaustive_start(model))
         tables["smdp"] = model.decision_table(pol.actions)
-        diagnostics["smdp"] = report(pol)
+        diagnostics["smdp"] = report(pol, by_vi)
     if "ctmdp" in which:
         np_model = build_nonpreemptive(cfg.with_exponential_durations())
-        if algo == "policy-iteration":
-            pol = policy_iteration(np_model, exhaustive_start(np_model))
-        else:
+        by_vi = algo != "policy-iteration"
+        if by_vi:
             pol = value_iterate(build_value_graph(np_model))
+        else:
+            pol = policy_iteration(np_model, exhaustive_start(np_model))
         tables["ctmdp"] = np_model.decision_table(pol.actions)
-        diagnostics["ctmdp"] = report(pol)
+        diagnostics["ctmdp"] = report(pol, by_vi)
     return tables, diagnostics
 
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 
 class DurationDist:
@@ -126,6 +125,8 @@ class Gamma(DurationDist):
         return self.shape * self.scale**2
 
     def pdf(self, t):
+        from scipy import special
+
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
         pos = t > 0
@@ -149,12 +150,16 @@ class Gamma(DurationDist):
 
     def poisson_mixture(self, rate, k, beta=0.0):
         # negative binomial: gamma(k+s)/(k! gamma(s)) (rate th)^k / (1 + (rate+beta) th)^(k+s)
+        from scipy import special
+
         k = np.asarray(k, dtype=float)
         s, th = self.shape, self.scale
         return np.exp(special.gammaln(k + s) - special.gammaln(k + 1.0) - special.gammaln(s)
                       + special.xlogy(k, rate * th) - (k + s) * math.log1p((rate + beta) * th))
 
     def poisson_tail(self, rate, k):
+        from scipy import special
+
         q = rate * self.scale / (1.0 + rate * self.scale)
         return special.betainc(np.asarray(k, dtype=float), self.shape, q)
 
@@ -190,11 +195,15 @@ class Deterministic(DurationDist):
         return self.value * math.exp(-beta * self.value)
 
     def poisson_mixture(self, rate, k, beta=0.0):
+        from scipy import special
+
         k = np.asarray(k, dtype=float)
         m = rate * self.value
         return np.exp(special.xlogy(k, m) - m - special.gammaln(k + 1.0) - beta * self.value)
 
     def poisson_tail(self, rate, k):
+        from scipy import special
+
         return special.gammainc(np.asarray(k, dtype=float), rate * self.value)
 
     def sample(self, rng, size=None):

@@ -25,8 +25,6 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lapack
-from scipy.sparse.linalg import spsolve
 
 from .model import ACTION_NAMES, triple_indexer
 
@@ -246,6 +244,8 @@ class _Factorization:
 
     def factor(self, system, nodes) -> bool:
         """Factor the dense ``system`` in place; False if it is singular."""
+        from scipy.linalg import lapack
+
         self.drop()  # release the old factor before building the new one
         self.lu, self.piv, info = lapack.dgetrf(system.toarray(order="F"), overwrite_a=True)
         self.nodes = nodes
@@ -253,6 +253,8 @@ class _Factorization:
         return info == 0
 
     def _lu_solve(self, b):
+        from scipy.linalg import lapack
+
         return lapack.dgetrs(self.lu, self.piv, b, overwrite_b=True)[0]
 
     def update(self, nodes) -> bool:
@@ -277,6 +279,8 @@ class _Factorization:
     def solve(self, system, cost) -> np.ndarray:
         """Solve ``system @ J = cost`` with the factor, corrected on ``rows``
         by the capacitance matrix K = system[rows] @ Z, then refined once."""
+        from scipy.linalg import lapack
+
         rows = self.rows
         if len(rows) == 0:
             return self._lu_solve(cost.copy())
@@ -331,6 +335,8 @@ def policy_evaluate(model, actions, factorization: Optional[_Factorization] = No
     system = sparse.identity(n, format="csr") - A
     tol = 1e-8 * max(np.abs(cost).max(), 1.0)
     if A.nnz / max(n * n, 1) <= 0.02 or n > 6000:
+        from scipy.sparse.linalg import spsolve
+
         J = spsolve(system.tocsc(), cost)
     else:
         factor = _Factorization() if factorization is None else factorization

@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 
 def student_t_cdf(x: float, df: float) -> float:
     """CDF of Student's t via the regularised incomplete beta function."""
+    from scipy import special
+
     if df <= 0:
         raise ValueError("degrees of freedom must be positive")
     if x == 0:
@@ -28,6 +29,8 @@ def student_t_cdf(x: float, df: float) -> float:
 
 def chi2_sf(x: float, df: float) -> float:
     """Survival function of chi-square via the regularised incomplete gamma."""
+    from scipy import special
+
     if x < 0:
         return 1.0
     return float(special.gammaincc(df / 2.0, x / 2.0))
@@ -135,6 +138,8 @@ def _u_exact_cdf(n: int, m: int, u: float) -> float:
     the largest remaining element is either an X (beating all j remaining
     Y's) or a Y, so f(i, j, v) = f(i-1, j, v-j) + f(i, j-1, v).
     """
+    from scipy import special
+
     total_u = n * m
     prev = np.zeros((m + 1, total_u + 1))
     prev[:, 0] = 1.0  # zero X's left: statistic is 0

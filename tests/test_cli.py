@@ -1,10 +1,14 @@
+import ast
 import json
 import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pollsys import cli
+from pollsys import cli, solver
 from pollsys.cli import (
     ExperimentPlan,
     StageError,
@@ -13,6 +17,7 @@ from pollsys.cli import (
     run_experiment,
     solve_policies,
 )
+from pollsys.ctmdp import build_nonpreemptive
 
 from conftest import slow_mode_config
 
@@ -87,6 +92,58 @@ def test_solve_command_ctmdp_value_iteration(tiny_scenario, tmp_path):
     lines = (out / "policy_ctmdp_q1.csv").read_text().strip().splitlines()
     assert lines[0] == "n1,n2,l1,action"
     assert len(lines) == 1 + 36
+
+
+def test_solve_command_prints_value_iteration_bound(tmp_path, capsys, monkeypatch):
+    """The printed residual and error bound are value_iterate's, an infinite
+    bound is reported as None, and a policy iteration entry keeps its four
+    keys."""
+    plan = ["--scenario", "slow_mode", "--X1", "8", "--X2", "8", "--N1", "8", "--N2", "8"]
+    main(["solve", *plan, "--model", "ctmdp", "--out", str(tmp_path)])
+    text = capsys.readouterr().out
+    printed = ast.literal_eval(text[text.index("{"):text.index("}") + 1])
+    cfg = load_scenario("slow_mode", {"X1": 8, "X2": 8, "N1": 8, "N2": 8})
+    pol = solver.value_iterate(solver.build_value_graph(
+        build_nonpreemptive(cfg.with_exponential_durations())))
+    assert printed["residual"] == pol.residual
+    assert printed["error_bound"] == pol.error_bound
+    assert 0 < pol.residual < pol.error_bound < np.inf
+    _, diag = solve_policies(cfg, ["smdp"])
+    assert set(diag["smdp"]) == {"iterations", "converged", "changes", "factorizations"}
+    monkeypatch.setattr(cli, "value_iterate", lambda graph: replace(pol, error_bound=np.inf))
+    _, diag = solve_policies(cfg, ["ctmdp"])
+    assert diag["ctmdp"]["error_bound"] is None
+
+
+def test_screen_and_ctmdp_solve_load_no_special_or_linalg(tmp_path):
+    """screen and the CTMDP solve never import scipy.special, scipy.linalg or
+    scipy.sparse.linalg; the SMDP solve, which does, then writes the tables
+    of an in-process solve.  The test modules import scipy.stats, so the
+    check runs in a fresh interpreter."""
+    plan = ["--scenario", "slow_mode", "--X1", "8", "--X2", "8", "--N1", "8", "--N2", "8"]
+    script = f"""
+import json, sys
+from pollsys import cli
+plan = {plan!r}
+cli.main(["screen", *plan])
+cli.main(["solve", *plan, "--model", "ctmdp", "--out", {str(tmp_path / "ctmdp")!r}])
+heavy = ("scipy.special", "scipy.linalg", "scipy.sparse.linalg")
+print("loaded", json.dumps(sorted(
+    m for m in sys.modules if any(m == h or m.startswith(h + ".") for h in heavy))))
+cli.main(["solve", *plan, "--model", "smdp", "--out", {str(tmp_path / "fresh")!r}])
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    loaded = json.loads(next(line for line in out.splitlines() if line.startswith("loaded "))[7:])
+    assert loaded == []
+    main(["solve", *plan, "--model", "smdp", "--out", str(tmp_path / "in_process")])
+    for loc in ("q1", "q2"):
+        name = f"policy_smdp_{loc}.csv"
+        fresh, in_process = (tmp_path / d / name for d in ("fresh", "in_process"))
+        assert fresh.read_bytes() == in_process.read_bytes()
 
 
 def test_solve_command_smdp_value_iteration(tiny_scenario, tmp_path):
