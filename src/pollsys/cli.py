@@ -28,7 +28,7 @@ import numpy as np
 
 from .baselines import analyze_limit_cycle, exhaustive_start, limit_cycle_report
 from .ctmdp import build_nonpreemptive
-from .model import IDLE, SERVE, SWITCH, ScenarioConfig, validate_scenario
+from .model import ACTIONS, IDLE, SERVE, SWITCH, ScenarioConfig, validate_scenario
 from .simulate import (
     ExhaustivePolicy,
     HeuristicPolicy,
@@ -143,10 +143,13 @@ def solve_policies(cfg: ScenarioConfig, which: Sequence[str], algo: str = "defau
     policy iteration and the uniformised model value iteration.  Policy
     iteration starts from the exhaustive rule (``exhaustive_start``), which
     reaches the same tables as the all-idle start in fewer iterations and
-    dense factorisations.
+    dense factorisations.  With both models, SMDP policy iteration starts
+    from the uniformised model's table wherever its action is feasible; it
+    reaches the same table from any start (Puterman 1994, section 6.4).
     """
-    tables = {}
-    diagnostics = {}
+    # keys in MDP_POLICIES order, whichever model is solved first
+    tables = dict.fromkeys(name for name in MDP_POLICIES if name in which)
+    diagnostics = dict(tables)
 
     def report(pol, by_vi):
         doc = {"iterations": pol.iterations, "converged": pol.converged,
@@ -157,15 +160,6 @@ def solve_policies(cfg: ScenarioConfig, which: Sequence[str], algo: str = "defau
             doc["error_bound"] = float(pol.error_bound) if np.isfinite(pol.error_bound) else None
         return doc
 
-    if "smdp" in which:
-        model = build_smdp(cfg)
-        by_vi = algo == "value-iteration"
-        if by_vi:
-            pol = value_iterate(build_value_graph(model))
-        else:
-            pol = policy_iteration(model, exhaustive_start(model))
-        tables["smdp"] = model.decision_table(pol.actions)
-        diagnostics["smdp"] = report(pol, by_vi)
     if "ctmdp" in which:
         np_model = build_nonpreemptive(cfg.with_exponential_durations())
         by_vi = algo != "policy-iteration"
@@ -175,6 +169,22 @@ def solve_policies(cfg: ScenarioConfig, which: Sequence[str], algo: str = "defau
             pol = policy_iteration(np_model, exhaustive_start(np_model))
         tables["ctmdp"] = np_model.decision_table(pol.actions)
         diagnostics["ctmdp"] = report(pol, by_vi)
+    if "smdp" in which:
+        model = build_smdp(cfg)
+        by_vi = algo == "value-iteration"
+        if by_vi:
+            pol = value_iterate(build_value_graph(model))
+        else:
+            start = exhaustive_start(model)
+            if "ctmdp" in which:
+                graph = model.graph
+                feasible = np.zeros((model.n_states, len(ACTIONS)), dtype=bool)
+                feasible[graph.q_state, graph.q_action] = True
+                warm = tables["ctmdp"]
+                start = np.where(feasible[np.arange(model.n_states), warm], warm, start)
+            pol = policy_iteration(model, start)
+        tables["smdp"] = model.decision_table(pol.actions)
+        diagnostics["smdp"] = report(pol, by_vi)
     return tables, diagnostics
 
 

@@ -20,13 +20,15 @@ event's tail mass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy import sparse
 
 from .distributions import DurationDist
 from .model import ScenarioConfig, StateIndexer, Truncation
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 TAIL_EPS = 1e-13  # mixed-Poisson weight left out of a uniformised sum
 
@@ -80,6 +82,8 @@ def build_generator(cfg: ScenarioConfig) -> GeneratorMatrix:
     the corner cell; unassigned-outflow mode keeps the full diagonal and
     simply drops flows past the edges, leaving boundary rows sub-conservative.
     """
+    from scipy import sparse
+
     N1, N2 = cfg.N1, cfg.N2
     indexer = StateIndexer((N1, N2))
     cell = np.arange(indexer.size)
@@ -124,6 +128,8 @@ def _uniformised_steps(gen: GeneratorMatrix, terms: int) -> np.ndarray:
     steps = np.zeros((terms, gen.size))
     steps[0, 0] = 1.0
     if terms > 1:  # a zero Lambda needs one term only
+        from scipy import sparse
+
         step = (sparse.identity(gen.size, format="csr") + gen.Q / gen.gamma_max).T.tocsr()
         for k in range(1, terms):
             steps[k] = step @ steps[k - 1]

@@ -5,21 +5,22 @@ discounted rows (for the Bellman equations) and a cost vector over the
 flattened (n1, n2, l1) state space.  Serve and switch rows spread the
 pooled arrival probabilities of their event; idling is uniformised on the
 total arrival rate and resolves to the first arrival of either class.  The
-rows are built with array operations over the state indexer.  A discounted
-entry carries its own factor (the discount over the event's duration, given
-the arrivals in it), and ``build_smdp`` stacks the three action models into
-the solvers' state-action graph (:class:`pollsys.solver.ValueGraph`), whose
-nodes hold per-entry discounted probabilities.
+rows are built with array operations over the state indexer; a serve or
+switch row is copied from row segments pooled once per action, which rows
+with the same clip at the caps share.  A discounted entry carries its own
+factor (the discount over the event's duration, given the arrivals in it),
+and ``build_smdp`` stacks the three action models into the solvers'
+state-action graph (:class:`pollsys.solver.ValueGraph`), whose nodes hold
+per-entry discounted probabilities.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
-from scipy import sparse
 
 from .lattice import ArrivalSummary, build_arrival_summaries
 from .model import (
@@ -33,10 +34,10 @@ from .model import (
 )
 from .solver import ValueGraph
 
-EVENT_BY_ACTION = {SERVE: ("serve1", "serve2"), SWITCH: ("switch12", "switch21")}
+if TYPE_CHECKING:
+    from scipy import sparse
 
-# dense (row, column) cells pooled per np.bincount call when building rows
-_CHUNK_CELLS = 1 << 20
+EVENT_BY_ACTION = {SERVE: ("serve1", "serve2"), SWITCH: ("switch12", "switch21")}
 
 
 @dataclass(frozen=True)
@@ -89,34 +90,60 @@ def build_cost_vector(cfg: ScenarioConfig, summaries: Dict[str, ArrivalSummary],
     return C
 
 
-def _pooled_rows(states: np.ndarray, n_cols: int, entries):
-    """Sparse rows of ``states`` whose entries are pooled onto columns.
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The integer runs starts[i], ..., starts[i] + lengths[i] - 1, end to end."""
+    ends = np.cumsum(lengths)
+    out = np.repeat(starts - (ends - lengths), lengths)
+    out += np.arange(len(out))
+    return out
 
-    ``entries(chunk)`` returns ``dest`` and one or more weight arrays, each
-    of shape (len(chunk), K): row r adds ``w[r, k]`` at column
-    ``dest[r, k]``.  Entries that share a column are summed in k order, as
-    ``np.bincount`` sums a single row, and a column is kept where the first
-    weight's sum is non-zero.  Rows are pooled a chunk of about
-    ``_CHUNK_CELLS`` dense cells at a time.  Returns the number of entries
-    of each row, their columns (ascending within a row) and one value array
-    per weight.
+
+def _segments(cfg: ScenarioConfig, events: List[ArrivalSummary]):
+    """The serve or switch events' arrival pmfs pooled into the row segments
+    that the action's rows are made of.
+
+    A row with entry queues (m1, m2) and the server at queue l1 adds event
+    ``events[l1]``: arrival cell (a1, a2) lands on local cell
+    (min(a1, k1), min(a2, k2)) with k_i = min(X_i - m_i, N_i), i.e. on queue
+    lengths min(m_i + a_i, X_i).  In column order the row is one segment of
+    cells b2 = 0..k2 per b1 = 0..k1.  With K_i = min(X_i, N_i), segment
+    (j, k2) pools band j of the lattice (a1 = j if j < K1, else a1 >= j - K1)
+    onto b2 = min(a2, k2): local row b1 < k1 is segment (b1, k2) and row k1
+    is (K1 + k1, k2).  Its id is ((2 K1 + 1) l1 + j) (K2 + 1) + k2, so one
+    segment serves every row of the same l1, band and k2.
+
+    ``np.bincount`` adds each cell's contributions one at a time in lattice
+    order, over the support (where P or P_beta is non-zero): bit for bit the
+    sum that pooling each state's row over the whole lattice makes, since
+    the cells left out add exact zeros.  Any other order, such as a reversed
+    cumulative sum, moves entries in their last bits.  A cell is kept where
+    its pooled P is non-zero.  Returns the segments' CSR layout over the kept
+    cells, each cell's column offset s_n2 b2, pooled P and P_beta, and each
+    segment's pooled P mass.
     """
-    per = max(1, _CHUNK_CELLS // n_cols)
-    counts, cols, values = [], [], []
-    for lo in range(0, len(states), per):
-        dest, *weights = entries(states[lo:lo + per])
-        rows = len(dest)
-        keys = (dest + n_cols * np.arange(rows)[:, None]).ravel()
-        sums = [np.bincount(keys, weights=w.ravel(), minlength=rows * n_cols) for w in weights]
-        moved = sums[0].reshape(rows, n_cols).sum(axis=1)
-        if np.abs(moved - weights[0].sum(axis=1)).max() > 1e-12:
-            raise AssertionError("pooling lost transition mass")
-        keep = np.flatnonzero(sums[0])
-        row, col = np.divmod(keep, n_cols)
-        counts.append(np.bincount(row, minlength=rows))
-        cols.append(col)
-        values.append([s[keep] for s in sums])
-    return np.concatenate(counts), np.concatenate(cols), [np.concatenate(v) for v in zip(*values)]
+    K1, W = min(cfg.X1, cfg.N1), min(cfg.X2, cfg.N2) + 1
+    a1, a2 = StateIndexer((cfg.N1, cfg.N2)).unflatten(np.arange((cfg.N1 + 1) * (cfg.N2 + 1)))
+    k2 = np.arange(W)
+    pooled = []
+    for s in events:
+        sup = np.flatnonzero((s.P != 0) | (s.P_beta != 0))
+        c1 = np.minimum(a1[sup], K1)
+        # each cell's bands: j = a1 if a1 < K1, and the tails j = K1..K1 + c1;
+        # each band's cells stay in lattice order
+        single = sup[a1[sup] < K1]
+        cell = np.concatenate((single, np.repeat(sup, c1 + 1)))
+        j = np.concatenate((a1[single], K1 + _runs(np.zeros_like(c1), c1 + 1)))
+        target = ((j[:, None] * W + k2) * W + np.minimum(a2[cell, None], k2)).ravel()
+        pooled.append([np.bincount(target, np.repeat(v[cell], W), (2 * K1 + 1) * W * W)
+                       for v in (s.P, s.P_beta)])
+    # cell b2 of segment id is entry id * W + b2 (empty for b2 > k2)
+    p, p_beta = (np.concatenate(v) for v in zip(*pooled))
+    keep = np.flatnonzero(p)
+    seg, b2 = np.divmod(keep, W)
+    n_segs = len(p) // W
+    seg_ptr = np.concatenate(([0], np.cumsum(np.bincount(seg, minlength=n_segs))))
+    return (seg_ptr, triple_indexer(cfg).strides[1] * b2, p[keep], p_beta[keep],
+            np.bincount(seg, p[keep], minlength=n_segs))
 
 
 def build_action_model(cfg: ScenarioConfig, summaries: Dict[str, ArrivalSummary],
@@ -126,7 +153,9 @@ def build_action_model(cfg: ScenarioConfig, summaries: Dict[str, ArrivalSummary]
     Serve decrements the served queue and adds the event's pooled arrivals;
     switch flips the server location and adds its event's arrivals plus the
     lump switching cost; idle has the two uniformised arrival successors.
-    Arrival mass that would exceed a queue bound pools onto the capped state.
+    Arrival mass that would exceed a queue bound pools onto the capped state,
+    in the sum order of pooling each row on its own (see :func:`_segments`);
+    a row whose pooled mass is not its event's raises ``AssertionError``.
     """
     indexer = triple_indexer(cfg)
     n_states = indexer.size
@@ -156,22 +185,31 @@ def build_action_model(cfg: ScenarioConfig, summaries: Dict[str, ArrivalSummary]
         alpha = gamma_l / (gamma_l + cfg.beta)
         pbvals = alpha * pvals
     else:
-        lat = StateIndexer((cfg.N1, cfg.N2))
-        arr1, arr2 = lat.unflatten(np.arange(lat.size))
         events = [summaries[name] for name in EVENT_BY_ACTION[action]]
-        P = np.stack([s.P for s in events])  # row l1: the event leaving queue l1
-        P_beta = np.stack([s.P_beta for s in events])
+        seg_ptr, seg_off, seg_p, seg_pb, seg_mass = _segments(cfg, events)
+        K1 = min(cfg.X1, cfg.N1)
         # serve takes one customer from the current queue, switch flips l1
-        leave1 = ((action == SERVE) & (l1 == 0)).astype(int)
-        leave2 = ((action == SERVE) & (l1 == 1)).astype(int)
-        new_l1 = l1 if action == SERVE else 1 - l1
+        l1 = l1[states]
+        m1 = n1[states] - ((action == SERVE) & (l1 == 0))
+        m2 = n2[states] - ((action == SERVE) & (l1 == 1))
+        k1, k2 = np.minimum(cfg.X1 - m1, cfg.N1), np.minimum(cfg.X2 - m2, cfg.N2)
+        base = s_n1 * m1 + s_n2 * m2 + (l1 if action == SERVE else 1 - l1)
+        # a row is its segments b1 = 0..k1, shifted to its columns
+        first = np.cumsum(k1 + 1) - (k1 + 1)
+        r = np.repeat(np.arange(len(states)), k1 + 1)
+        b1 = np.arange(len(r)) - first[r]
+        seg = ((2 * K1 + 1) * l1[r] + b1 + K1 * (b1 == k1[r])) * (min(cfg.X2, cfg.N2) + 1) + k2[r]
+        mass = np.array([s.P.sum() for s in events])[l1]
+        lost = np.flatnonzero(np.abs(np.add.reduceat(seg_mass[seg], first) - mass) > 1e-12)
+        if len(lost):
+            raise AssertionError(f"pooling lost transition mass at state {states[lost[0]]}")
+        lens = np.diff(seg_ptr)[seg]
+        counts = np.add.reduceat(lens, first)
+        src = _runs(seg_ptr[seg], lens)
+        cols = np.repeat(base[r] + s_n1 * b1, lens) + seg_off[src]
+        pvals, pbvals = seg_p[src], seg_pb[src]
 
-        def entries(x):
-            q1 = np.clip((n1[x] - leave1[x])[:, None] + arr1, 0, cfg.X1)
-            q2 = np.clip((n2[x] - leave2[x])[:, None] + arr2, 0, cfg.X2)
-            return s_n1 * q1 + s_n2 * q2 + new_l1[x, None], P[l1[x]], P_beta[l1[x]]
-
-        counts, cols, (pvals, pbvals) = _pooled_rows(states, n_states, entries)
+    from scipy import sparse
 
     indptr = np.zeros(n_states + 1, dtype=np.int64)
     indptr[states + 1] = counts

@@ -21,12 +21,14 @@ import csv
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, NamedTuple, Optional
+from typing import TYPE_CHECKING, List, NamedTuple, Optional
 
 import numpy as np
-from scipy import sparse
 
 from .model import ACTION_NAMES, triple_indexer
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 class SingularSystemError(RuntimeError):
@@ -85,6 +87,8 @@ class ValueGraph:
     @cached_property
     def discounted(self) -> sparse.csr_matrix:
         """The discounted rows as an (n_nodes, n_states) CSR matrix."""
+        from scipy import sparse
+
         return sparse.csr_matrix((self.q_dprobs, self.q_cols, self.q_indptr),
                                  shape=(self.n_nodes, self.n_states))
 
@@ -215,6 +219,8 @@ def assemble_policy_matrix(model, actions, discounted: bool = True):
     if discounted:
         rows = graph.discounted
     else:
+        from scipy import sparse
+
         rows = sparse.csr_matrix((graph.q_probs, graph.q_cols, graph.q_indptr),
                                  shape=(graph.n_nodes, graph.n_states))
     return rows[nodes], graph.q_cost[nodes]
@@ -332,6 +338,8 @@ def policy_evaluate(model, actions, factorization: Optional[_Factorization] = No
     A, cost = graph.discounted[nodes], graph.q_cost[nodes]
     _check_linking_cycles(A)
     n = A.shape[0]
+    from scipy import sparse
+
     system = sparse.identity(n, format="csr") - A
     tol = 1e-8 * max(np.abs(cost).max(), 1.0)
     if A.nnz / max(n * n, 1) <= 0.02 or n > 6000:
@@ -460,6 +468,8 @@ def _vi_phases(graph: ValueGraph) -> _Sweep:
     dynamics states are ordered as those prefixes link them, so each prefix
     is one slice copy of the product's leading entries.
     """
+    from scipy import sparse
+
     n, n_nodes = graph.n_states, graph.n_nodes
     decision = graph.decision_mask
     nnz = np.diff(graph.q_indptr)

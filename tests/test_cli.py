@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pollsys import cli, solver
+from pollsys import IDLE, SERVE, SWITCH, cli, solver
 from pollsys.cli import (
     ExperimentPlan,
     StageError,
@@ -18,6 +18,7 @@ from pollsys.cli import (
     solve_policies,
 )
 from pollsys.ctmdp import build_nonpreemptive
+from pollsys.model import triple_indexer
 
 from conftest import slow_mode_config
 
@@ -116,20 +117,24 @@ def test_solve_command_prints_value_iteration_bound(tmp_path, capsys, monkeypatc
 
 
 def test_screen_and_ctmdp_solve_load_no_special_or_linalg(tmp_path):
-    """screen and the CTMDP solve never import scipy.special, scipy.linalg or
-    scipy.sparse.linalg; the SMDP solve, which does, then writes the tables
-    of an in-process solve.  The test modules import scipy.stats, so the
-    check runs in a fresh interpreter."""
+    """screen imports no scipy.sparse, and the CTMDP solve never imports
+    scipy.special, scipy.linalg or scipy.sparse.linalg; the SMDP solve,
+    which does, then writes the tables of an in-process solve.  The test
+    modules import scipy.stats, so the check runs in a fresh interpreter."""
     plan = ["--scenario", "slow_mode", "--X1", "8", "--X2", "8", "--N1", "8", "--N2", "8"]
     script = f"""
 import json, sys
 from pollsys import cli
+
+def loaded(*heavy):
+    print("loaded", json.dumps(sorted(
+        m for m in sys.modules if any(m == h or m.startswith(h + ".") for h in heavy))))
+
 plan = {plan!r}
 cli.main(["screen", *plan])
+loaded("scipy.sparse")
 cli.main(["solve", *plan, "--model", "ctmdp", "--out", {str(tmp_path / "ctmdp")!r}])
-heavy = ("scipy.special", "scipy.linalg", "scipy.sparse.linalg")
-print("loaded", json.dumps(sorted(
-    m for m in sys.modules if any(m == h or m.startswith(h + ".") for h in heavy))))
+loaded("scipy.special", "scipy.linalg", "scipy.sparse.linalg")
 cli.main(["solve", *plan, "--model", "smdp", "--out", {str(tmp_path / "fresh")!r}])
 """
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -137,8 +142,8 @@ cli.main(["solve", *plan, "--model", "smdp", "--out", {str(tmp_path / "fresh")!r
     env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True).stdout
-    loaded = json.loads(next(line for line in out.splitlines() if line.startswith("loaded "))[7:])
-    assert loaded == []
+    reports = [json.loads(line[7:]) for line in out.splitlines() if line.startswith("loaded ")]
+    assert reports == [[], []]
     main(["solve", *plan, "--model", "smdp", "--out", str(tmp_path / "in_process")])
     for loc in ("q1", "q2"):
         name = f"policy_smdp_{loc}.csv"
@@ -318,3 +323,39 @@ def test_solve_policies_tables_cover_decision_box(tiny_scenario):
         assert table.shape == ((cfg.X1 + 1) * (cfg.X2 + 1) * 2,)
         assert np.all(table >= 0)
     assert diag["smdp"]["converged"] and diag["ctmdp"]["converged"]
+
+
+def test_two_model_solve_starts_smdp_from_ctmdp_table(monkeypatch):
+    """With both models requested, SMDP policy iteration starts from the
+    CTMDP table (the exhaustive action where that one is infeasible) and
+    reaches the exhaustive start's table; the keys keep their order."""
+    cfg = slow_mode_config(X1=12, X2=12, N1=12, N2=12)
+    alone, alone_diag = solve_policies(cfg, ["smdp"])
+    for which in (["smdp", "ctmdp"], ["ctmdp", "smdp"]):
+        tables, diag = solve_policies(cfg, which)
+        assert list(tables) == list(diag) == ["smdp", "ctmdp"]
+        assert tables["smdp"].tobytes() == alone["smdp"].tobytes()
+        assert diag["smdp"]["iterations"] < alone_diag["smdp"]["iterations"]
+
+    # a CTMDP table that idles at a non-empty current queue and serves an
+    # empty one: the start keeps its idles and takes the exhaustive action
+    # where serving is infeasible
+    n1, n2, l1 = triple_indexer(cfg).unflatten(np.arange(triple_indexer(cfg).size))
+    current, other = np.where(l1 == 0, n1, n2), np.where(l1 == 0, n2, n1)
+    real_build, real_pi = cli.build_nonpreemptive, cli.policy_iteration
+    starts = []
+
+    def forced_build(exp_cfg):
+        model = real_build(exp_cfg)
+        model.decision_table = lambda actions: np.where(current > 0, IDLE, SERVE)
+        return model
+
+    def recording_pi(model, pi0=None, **kw):
+        starts.append(np.array(pi0))
+        return real_pi(model, pi0, **kw)
+
+    monkeypatch.setattr(cli, "build_nonpreemptive", forced_build)
+    monkeypatch.setattr(cli, "policy_iteration", recording_pi)
+    tables, _ = solve_policies(cfg, ["smdp", "ctmdp"])
+    assert np.array_equal(starts[0], np.where(current > 0, IDLE, np.where(other > 0, SWITCH, IDLE)))
+    assert tables["smdp"].tobytes() == alone["smdp"].tobytes()

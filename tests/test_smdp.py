@@ -204,10 +204,20 @@ def test_idle_handles_zero_rates():
     assert cost == pytest.approx((1.0 + 1.0) / cfg.beta)
 
 
-def test_action_rows_match_per_state_bincount():
+@pytest.mark.parametrize("cfg", [
+    slow_mode_config(X1=24, X2=24, N1=20, N2=20),
+    asym_var_config(X1=16, X2=16, N1=12, N2=12),
+    slow_mode_config(X1=9, X2=13, N1=11, N2=6),
+    exp_config(X1=4, X2=6, N1=7, N2=3),  # N1 > X1: every row clips queue 1
+    slow_mode_config(X1=10, X2=12, N1=8, N2=9, truncation_mode="unassigned"),
+    exp_config(lambda2=0.0, X1=7, X2=5, N1=6, N2=6),
+    exp_config(serve1=Deterministic(0.3), switch12=Deterministic(1.0),
+               X1=8, X2=8, N1=6, N2=10),
+], ids=["slow_mode_x24", "asym_var", "x_and_n_unequal", "n_above_x", "unassigned",
+        "lambda2_zero", "deterministic"])
+def test_action_rows_match_per_state_bincount(cfg):
     # reference: each state's serve or switch row pooled on its own, as
-    # np.bincount over the arrival lattice; at X=24 the build takes two chunks
-    cfg = slow_mode_config(X1=24, X2=24, N1=20, N2=20)
+    # np.bincount over the arrival lattice
     summaries = build_arrival_summaries(cfg)
     idx = triple_indexer(cfg)
     n = idx.size
@@ -215,7 +225,13 @@ def test_action_rows_match_per_state_bincount():
     arr1, arr2 = lattice.unflatten(np.arange(lattice.size))
     for action in (SERVE, SWITCH):
         m = build_action_model(cfg, summaries, action)
-        assert m.feasible_mask.sum() > smdp._CHUNK_CELLS // n
+        # rows share their clip at the caps (l1, min(X1 - m1, N1), min(X2 - m2, N2)),
+        # m_i being the queue lengths left at the event's start
+        n1, n2, l1 = idx.unflatten(np.flatnonzero(m.feasible_mask))
+        if action == SERVE:
+            n1, n2 = n1 - (l1 == 0), n2 - (l1 == 1)
+        cuts = np.stack([l1, np.minimum(cfg.X1 - n1, cfg.N1), np.minimum(cfg.X2 - n2, cfg.N2)])
+        assert np.unique(cuts, axis=1).shape[1] < len(l1)
         assert np.array_equal(m.P_beta.indptr, m.P.indptr)
         for x in range(n):
             n1, n2, l1 = idx.unflatten(x)
@@ -237,6 +253,22 @@ def test_action_rows_match_per_state_bincount():
             assert np.array_equal(m.P_beta.indices[lo:hi], nz)
             assert np.array_equal(m.P.data[lo:hi], row[nz])
             assert np.array_equal(m.P_beta.data[lo:hi], row_b[nz])
+
+
+def test_action_rows_raise_on_lost_mass(monkeypatch):
+    # a segment whose pooled mass falls short of its event's fails the rows using it
+    cfg = exp_config(X1=4, X2=4, N1=3, N2=3)
+    real = smdp._segments
+
+    def short(cfg, events):
+        seg_ptr, seg_off, seg_p, seg_pb, seg_mass = real(cfg, events)
+        seg_mass = seg_mass.copy()
+        seg_mass[np.flatnonzero(seg_mass)[-1]] *= 0.5
+        return seg_ptr, seg_off, seg_p, seg_pb, seg_mass
+
+    monkeypatch.setattr(smdp, "_segments", short)
+    with pytest.raises(AssertionError, match="lost transition mass at state"):
+        build_action_model(cfg, build_arrival_summaries(cfg), SWITCH)
 
 
 @pytest.mark.parametrize("lambda2", [0.0, 0.7])
