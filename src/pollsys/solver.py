@@ -136,7 +136,7 @@ class Policy:
     largest value change in its last sweep, and a bound on the largest
     distance of ``J`` from the optimal values that it implies (see
     :func:`value_iterate`).  The residual alone bounds nothing: at
-    slow_mode X=40 a stop at residual <= 6.2e-7 leaves ``J`` up to 9.7e-5
+    slow_mode X=40 a stop at residual <= 6.2e-7 leaves ``J`` up to 4.8e-5
     from the exact policy-iteration values.  ``changes`` (the number of
     decision actions each improvement changed) and ``factorizations`` (the
     dense LU factorisations made) are set by policy iteration only.
@@ -435,7 +435,8 @@ class _Sweep(NamedTuple):
     (one column per state, as in :func:`_padded_slots`); a free slot is an
     empty row of cost +inf, and the table's first row follows the dynamics
     entries.  Its rows are the
-    nodes that read decision states only.  Each ``(dst, src, cost)`` of
+    nodes that read decision states only, with their self-loops divided
+    out (see :func:`_vi_phases`).  Each ``(dst, src, cost)`` of
     ``links`` fills the slots ``dst`` of linking nodes (one entry, of
     discounted probability exactly 1, into a dynamics state) with the
     entries ``src`` that the product gave their dynamics states, plus
@@ -443,7 +444,7 @@ class _Sweep(NamedTuple):
     reads a dynamics state is a row of ``second = (slots, rows, cost)``,
     evaluated once the dynamics values are known; None when there is no
     such node.  ``modulus`` is the largest discounted row sum over the
-    nodes that are not linking.
+    divided rows of the nodes that are not linking.
     """
 
     order: np.ndarray
@@ -467,6 +468,14 @@ def _vi_phases(graph: ValueGraph) -> _Sweep:
     prefix of one table row.  When no dynamics state is linked twice, the
     dynamics states are ordered as those prefixes link them, so each prefix
     is one slice copy of the product's leading entries.
+
+    A node's self-loop of discounted probability 0 < p < 1 is divided out:
+    cost c / (1 - p), other entries d / (1 - p), no self entry (Jacobi
+    splitting; Puterman, *Markov Decision Processes*, 1994, section 6.3.3).
+    J = c + p J + r holds exactly when J = (c + r) / (1 - p), and as
+    1 - p > 0, Q >= J exactly when the divided Q >= J, so the fixed point
+    stays; a row summing to s + p <= 1 divides to s / (1 - p) <= s + p.  A
+    self-loop with p >= 1 stays as it is; linking nodes have none.
     """
     from scipy import sparse
 
@@ -482,6 +491,15 @@ def _vi_phases(graph: ValueGraph) -> _Sweep:
     linking[single[graph.q_dprobs[graph.q_indptr[single]] == 1.0]] = True
     lead = np.flatnonzero(node_is_decision & ~linking)
     link = np.flatnonzero(linking)
+    loop = ((graph.q_cols == graph.q_state[entry_node])
+            & (graph.q_dprobs > 0.0) & (graph.q_dprobs < 1.0))
+    rest = 1.0 - np.bincount(entry_node[loop], weights=graph.q_dprobs[loop], minlength=n_nodes)
+    node_cost = graph.q_cost / rest
+    entry_node = entry_node[~loop]
+    dprobs = graph.q_dprobs[~loop] / rest[entry_node]
+    nnz = np.bincount(entry_node, minlength=n_nodes)
+    divided = sparse.csr_matrix((dprobs, graph.q_cols[~loop], np.cumsum(np.append(0, nnz))),
+                                shape=(n_nodes, n))
 
     def per_state(nodes):
         """Each of ``nodes``' rank among those of its state, and their
@@ -529,21 +547,21 @@ def _vi_phases(graph: ValueGraph) -> _Sweep:
         columns in sweep order, each row's entries in graph order."""
         indptr = np.zeros(length + 1, dtype=graph.q_indptr.dtype)
         indptr[slots + 1] = nnz[nodes]
-        picked = graph.discounted[nodes[np.argsort(slots)]]
+        picked = divided[nodes[np.argsort(slots)]]
         return sparse.csr_matrix((picked.data, position[picked.indices], np.cumsum(indptr)),
                                  shape=(length, n))
 
     depth = lead_depth + int(link_count.max())
     cost = np.full(n_dyn + depth * n_dec, np.inf)
-    cost[slot] = graph.q_cost
+    cost[slot] = node_cost
     first = np.flatnonzero(~(node_is_decision & reads_dynamics))
     second = np.flatnonzero(node_is_decision & reads_dynamics & ~linking)
-    row_sum = np.bincount(entry_node, weights=graph.q_dprobs, minlength=n_nodes)
+    row_sum = np.bincount(entry_node, weights=dprobs, minlength=n_nodes)
     return _Sweep(
         order=order, n_dynamics=n_dyn, depth=depth,
         rows=product(first, slot[first], len(cost)), cost=cost, links=links,
         second=(slot[second], product(second, np.arange(len(second)), len(second)),
-                graph.q_cost[second]) if len(second) else None,
+                node_cost[second]) if len(second) else None,
         modulus=float(row_sum[~linking].max()),
     )
 
@@ -559,33 +577,35 @@ def value_iterate(graph: ValueGraph, eps: Optional[float] = None,
     (commit to serve or switch) carry discount 1: a decision state reads the
     in-progress state it links to after that state's update in the same
     sweep, so every sweep contracts by the largest uniformised discount,
-    where a Jacobi sweep would pass the update through a linking row only
-    one sweep later.  Every state is updated once per sweep in a fixed
-    order, so the iteration converges like any asynchronous value iteration
-    (Bertsekas & Tsitsiklis, *Parallel and Distributed Computation*, 1989,
-    section 6.3).
+    where updating all states at once from the previous sweep's values
+    would pass the update through a linking row only one sweep later.
+    Every state is updated once per sweep in a fixed order, so the
+    iteration converges like any asynchronous value iteration (Bertsekas &
+    Tsitsiklis, *Parallel and Distributed Computation*, 1989, section 6.3).
 
     A sweep is one sparse matrix-vector product, laid out before the first
-    sweep (:func:`_vi_phases`).  Its rows are the dynamics nodes and every
-    decision node that reads decision states only, whose values the first
-    phase does not change, so the product may read the previous sweep's
-    values.  A linking node then copies the value the product gave the
-    in-progress state it links to; a node that reads a dynamics state
-    otherwise takes a second product (none in the polling models).  The
-    decision nodes sit in a padded table with one column per state, whose
-    minimum down the columns is written over its first row, so the
-    product's leading entries are the new J.  Each entry sums the same
-    products in the same order as a phase-by-phase sweep, so the values
-    are bit-identical to it.
+    sweep with each self-loop divided out of its row, which keeps the fixed
+    point and halves the sweeps at slow_mode X=40 (:func:`_vi_phases`).
+    Its rows are the dynamics nodes and every decision node that reads
+    decision states only, whose values the first phase does not change, so
+    the product may read the previous sweep's values.  A linking node then
+    copies the value the product gave the in-progress state it links to; a
+    node that reads a dynamics state otherwise takes a second product (none
+    in the polling models).  The decision nodes sit in a padded table with
+    one column per state, whose minimum down the columns is written over
+    its first row, so the product's leading entries are the new J.  Each
+    entry sums the same products in the same order as a phase-by-phase
+    sweep over the divided rows, so the values are bit-identical to it.
 
     Starts from J = 0 and stops when the largest value change in a sweep is
     at most ``eps`` (default 1e-8 * max cost); that change is returned as
     ``residual``.  A sweep contracts the distance to the fixed point by the
-    modulus rho, the largest discounted row sum over the nodes that are not
-    linking (a linking node passes on its in-progress state's update), so
-    the returned values are within ``error_bound`` = rho / (1 - rho) *
-    ``residual`` of it in every state (Puterman, *Markov Decision
-    Processes*, 1994, chapter 6); the bound is infinite when rho >= 1.
+    modulus rho, the largest discounted row sum over the divided rows of the
+    nodes that are not linking (a linking node passes on its in-progress
+    state's update), so the returned values are within ``error_bound`` =
+    rho / (1 - rho) * ``residual`` of it in every state (Puterman, *Markov
+    Decision Processes*, 1994, chapter 6); the bound is infinite when
+    rho >= 1.
     The stop rule does not use the bound.
     The greedy actions are re-read from the final values by policy
     improvement's step; a tie goes to the first Q node of the state, i.e.

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from pollsys import (
     TabularModel,
@@ -296,15 +297,24 @@ def test_value_iterate_zero_costs():
     assert pol.iterations == 1 and np.allclose(pol.J, 0.0)
 
 
+def test_value_iterate_divides_out_self_loop():
+    # J = 1 + 0.5 J is swept as J = 1 / (1 - 0.5): exact after one sweep,
+    # and the second sees no change
+    pol = value_iterate(build_value_graph(single_state_model()))
+    assert pol.J[0] == 2.0 and pol.iterations == 2 and pol.converged
+    assert pol.residual == 0.0 and pol.error_bound == 0.0
+
+
 def test_value_iterate_geometric_sweep_count():
-    pol = value_iterate(build_value_graph(single_state_model()), eps=1e-6)
-    assert pol.J[0] == pytest.approx(2.0, abs=1e-5)
-    # J_k = sum_{i<k} 0.5^i, gap 2 - J_k = 0.5^{k-1} * 2 ... about 21 sweeps
-    assert 18 <= pol.iterations <= 24
+    pol = value_iterate(build_value_graph(two_state_alternation()), eps=1e-6)
+    assert pol.J == pytest.approx([1.0 / 0.19, 0.9 / 0.19], abs=1e-4)
+    # each sweep updates both states from the previous values, so the k-th
+    # sweep changes one state by 0.9^(k-1): the first change <= 1e-6 is at k = 133
+    assert 130 <= pol.iterations <= 136
 
 
 def test_value_iterate_nonconvergence_report():
-    pol = value_iterate(build_value_graph(single_state_model()), eps=1e-14, maxiter=3)
+    pol = value_iterate(build_value_graph(two_state_alternation()), eps=1e-14, maxiter=3)
     assert not pol.converged
     assert pol.residual > 1e-14
     assert pol.iterations == 3
@@ -330,20 +340,42 @@ def test_value_iterate_on_smdp_graph_matches_policy_iteration():
     assert np.array_equal(vi.actions, policy_iteration(model).actions)
 
 
+def divide_self_loops(graph):
+    """The graph's costs and discounted rows with each self-loop of
+    discounted probability 0 < p < 1 divided out, node by node: cost
+    c / (1 - p), every other entry d / (1 - p), no self entry."""
+    cost = graph.q_cost.copy()
+    data, cols, indptr = [], [], [0]
+    for node in range(graph.n_nodes):
+        entries = range(graph.q_indptr[node], graph.q_indptr[node + 1])
+        loops = [e for e in entries
+                 if graph.q_cols[e] == graph.q_state[node] and 0.0 < graph.q_dprobs[e] < 1.0]
+        rest = 1.0 - graph.q_dprobs[loops[0]] if loops else 1.0
+        cost[node] /= rest
+        for e in entries:
+            if e not in loops:
+                data.append(graph.q_dprobs[e] / rest)
+                cols.append(graph.q_cols[e])
+        indptr.append(len(data))
+    return cost, sparse.csr_matrix((data, cols, indptr), shape=(graph.n_nodes, graph.n_states))
+
+
 def segment_minimum_value_iterate(graph):
     """Value iteration by per-phase segment minima (``np.minimum.reduceat``)
-    and per-phase change measurements, with the greedy step's two segment
-    minima: the sweep that the padded layout replaced, kept as its oracle.
+    over the rows with their self-loops divided out, and per-phase change
+    measurements, with the greedy step's two segment minima on the original
+    rows: the sweep that the padded layout replaced, kept as its oracle.
     Returns (J, sweeps, converged, residual, actions)."""
     eps = 1e-8 * float(np.abs(graph.q_cost).max())
     node_is_decision = graph.decision_mask[graph.q_state]
+    divided_cost, divided_rows = divide_self_loops(graph)
     phases = []
     for decision in (False, True):
         states = np.flatnonzero(graph.decision_mask == decision)
         if len(states):
             nodes = np.flatnonzero(node_is_decision == decision)
             starts = np.concatenate(([0], np.cumsum(graph.state_nq[states])[:-1]))
-            phases.append((states, graph.discounted[nodes], graph.q_cost[nodes], starts))
+            phases.append((states, divided_rows[nodes], divided_cost[nodes], starts))
     J = np.zeros(graph.n_states)
     sweeps, converged = 0, False
     while sweeps < 100000:
@@ -468,17 +500,20 @@ def test_polling_graphs_need_no_second_product(make_cfg):
 @pytest.mark.parametrize("make_cfg", [slow_mode_config, asym_var_config])
 def test_value_iterate_error_bound_holds(make_cfg, X, N):
     """|J_VI - J*| <= rho / (1 - rho) * residual against exact policy
-    iteration on the non-preemptive graph, and on the SMDP graph at X=8."""
+    iteration, and the same actions, on the non-preemptive and preemptive
+    graphs, and on the SMDP graph at X=8."""
     cfg = make_cfg(X1=X, X2=X, N1=N, N2=N)
-    models = [build_nonpreemptive(cfg.with_exponential_durations())]
+    models = [build_nonpreemptive(cfg.with_exponential_durations()),
+              build_preemptive(cfg.with_exponential_durations())]
     if X == 8:
         models.append(build_smdp(cfg))
     for model in models:
         vi = value_iterate(build_value_graph(model))
-        exact = policy_iteration(model, exhaustive_start(model)).J
-        error = np.abs(vi.J - exact).max()
+        exact = policy_iteration(model, exhaustive_start(model))
+        error = np.abs(vi.J - exact.J).max()
         assert 0 < error <= vi.error_bound < np.inf
         assert vi.error_bound < 1e-3
+        assert np.array_equal(vi.actions, exact.actions)
 
 
 def test_value_iterate_error_bound_on_linking_graph(rng):
