@@ -54,6 +54,11 @@ from .stats import (
 
 MDP_POLICIES = ("smdp", "ctmdp")
 
+# Stop rule, times the largest cost, of the value iteration that gives an
+# SMDP-only policy iteration its start: only its actions are used, and 1e-2
+# is near the cheapest VI + PI at every size measured (ROADMAP item 3).
+WARM_START_EPS = 1e-2
+
 
 class StageError(RuntimeError):
     def __init__(self, stage: str, message: str):
@@ -143,21 +148,27 @@ def solve_policies(cfg: ScenarioConfig, which: Sequence[str], algo: str = "defau
     policy iteration and the uniformised model value iteration.  Policy
     iteration starts from the exhaustive rule (``exhaustive_start``), which
     reaches the same tables as the all-idle start in fewer iterations and
-    dense factorisations.  With both models, SMDP policy iteration starts
-    from the uniformised model's table wherever its action is feasible; it
-    reaches the same table from any start (Puterman 1994, section 6.4).
+    dense factorisations, and names its ``start``.  SMDP policy iteration
+    starts from the uniformised model's table (solved, or from a loose
+    value iteration when the SMDP is solved alone) wherever its action is
+    feasible; it reaches the same table from any start (Puterman 1994,
+    section 6.4).  A state-dependent ``rate_fn`` or a zero mean duration
+    has no uniformised model, so the SMDP then takes the exhaustive start.
     """
     # keys in MDP_POLICIES order, whichever model is solved first
     tables = dict.fromkeys(name for name in MDP_POLICIES if name in which)
     diagnostics = dict(tables)
 
-    def report(pol, by_vi):
+    def report(pol, start):
+        """``start`` is policy iteration's start, None under value iteration."""
         doc = {"iterations": pol.iterations, "converged": pol.converged,
                "changes": pol.changes, "factorizations": pol.factorizations}
-        if by_vi:
+        if start is None:
             # json.dump would write an infinite bound as the non-JSON Infinity
             doc["residual"] = pol.residual
             doc["error_bound"] = float(pol.error_bound) if np.isfinite(pol.error_bound) else None
+        else:
+            doc["start"] = start
         return doc
 
     if "ctmdp" in which:
@@ -168,24 +179,40 @@ def solve_policies(cfg: ScenarioConfig, which: Sequence[str], algo: str = "defau
         else:
             pol = policy_iteration(np_model, exhaustive_start(np_model))
         tables["ctmdp"] = np_model.decision_table(pol.actions)
-        diagnostics["ctmdp"] = report(pol, by_vi)
+        diagnostics["ctmdp"] = report(pol, None if by_vi else "exhaustive")
     if "smdp" in which:
         model = build_smdp(cfg)
-        by_vi = algo == "value-iteration"
-        if by_vi:
-            pol = value_iterate(build_value_graph(model))
+        if algo == "value-iteration":
+            pol, start = value_iterate(build_value_graph(model)), None
         else:
-            start = exhaustive_start(model)
-            if "ctmdp" in which:
-                graph = model.graph
-                feasible = np.zeros((model.n_states, len(ACTIONS)), dtype=bool)
-                feasible[graph.q_state, graph.q_action] = True
-                warm = tables["ctmdp"]
-                start = np.where(feasible[np.arange(model.n_states), warm], warm, start)
-            pol = policy_iteration(model, start)
+            warm = tables["ctmdp"] if "ctmdp" in which else _loose_ctmdp_table(cfg)
+            pol = policy_iteration(model, _start_from(model, warm))
+            start = "exhaustive" if warm is None else "ctmdp"
         tables["smdp"] = model.decision_table(pol.actions)
-        diagnostics["smdp"] = report(pol, by_vi)
+        diagnostics["smdp"] = report(pol, start)
     return tables, diagnostics
+
+
+def _loose_ctmdp_table(cfg: ScenarioConfig) -> Optional[np.ndarray]:
+    """The uniformised model's table after a value iteration stopped at
+    ``WARM_START_EPS`` * max cost, or None when that model does not exist."""
+    durations = (cfg.serve1, cfg.serve2, cfg.switch12, cfg.switch21)
+    if cfg.rate_fn is not None or min(d.mean() for d in durations) <= 0:
+        return None
+    np_model = build_nonpreemptive(cfg.with_exponential_durations())
+    graph = build_value_graph(np_model)
+    pol = value_iterate(graph, eps=WARM_START_EPS * float(np.abs(graph.q_cost).max()))
+    return np_model.decision_table(pol.actions)
+
+
+def _start_from(model, table: Optional[np.ndarray]) -> np.ndarray:
+    """``table``'s action wherever it is feasible, else the exhaustive one."""
+    start = exhaustive_start(model)
+    if table is None:
+        return start
+    feasible = np.zeros((model.n_states, len(ACTIONS)), dtype=bool)
+    feasible[model.graph.q_state, model.graph.q_action] = True
+    return np.where(feasible[np.arange(model.n_states), table], table, start)
 
 
 def make_sim_policy(name: str, cfg: ScenarioConfig, tables: Dict[str, np.ndarray]):

@@ -215,8 +215,8 @@ def build_action_model(cfg: ScenarioConfig, summaries: Dict[str, ArrivalSummary]
     indptr[states + 1] = counts
     np.cumsum(indptr, out=indptr)
     P = sparse.csr_matrix((pvals, cols, indptr), shape=(n_states, n_states))
-    P_beta = sparse.csr_matrix((pbvals, cols.copy(), indptr.copy()),
-                               shape=(n_states, n_states))
+    # shares P's int32 index arrays rather than converting cols and indptr again
+    P_beta = sparse.csr_matrix((pbvals, P.indices, P.indptr), shape=(n_states, n_states))
     return ActionModel(action=action, P=P, P_beta=P_beta, C=C, feasible_mask=feasible_mask)
 
 

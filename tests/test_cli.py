@@ -17,10 +17,13 @@ from pollsys.cli import (
     run_experiment,
     solve_policies,
 )
+from pollsys.baselines import exhaustive_start
 from pollsys.ctmdp import build_nonpreemptive
+from pollsys.distributions import Deterministic
 from pollsys.model import triple_indexer
+from pollsys.smdp import build_smdp
 
-from conftest import slow_mode_config
+from conftest import asym_var_config, slow_mode_config
 
 
 @pytest.fixture
@@ -98,7 +101,7 @@ def test_solve_command_ctmdp_value_iteration(tiny_scenario, tmp_path):
 def test_solve_command_prints_value_iteration_bound(tmp_path, capsys, monkeypatch):
     """The printed residual and error bound are value_iterate's, an infinite
     bound is reported as None, and a policy iteration entry keeps its four
-    keys."""
+    keys and names its start."""
     plan = ["--scenario", "slow_mode", "--X1", "8", "--X2", "8", "--N1", "8", "--N2", "8"]
     main(["solve", *plan, "--model", "ctmdp", "--out", str(tmp_path)])
     text = capsys.readouterr().out
@@ -110,7 +113,7 @@ def test_solve_command_prints_value_iteration_bound(tmp_path, capsys, monkeypatc
     assert printed["error_bound"] == pol.error_bound
     assert 0 < pol.residual < pol.error_bound < np.inf
     _, diag = solve_policies(cfg, ["smdp"])
-    assert set(diag["smdp"]) == {"iterations", "converged", "changes", "factorizations"}
+    assert set(diag["smdp"]) == {"iterations", "converged", "changes", "factorizations", "start"}
     monkeypatch.setattr(cli, "value_iterate", lambda graph: replace(pol, error_bound=np.inf))
     _, diag = solve_policies(cfg, ["ctmdp"])
     assert diag["ctmdp"]["error_bound"] is None
@@ -325,37 +328,121 @@ def test_solve_policies_tables_cover_decision_box(tiny_scenario):
     assert diag["smdp"]["converged"] and diag["ctmdp"]["converged"]
 
 
-def test_two_model_solve_starts_smdp_from_ctmdp_table(monkeypatch):
-    """With both models requested, SMDP policy iteration starts from the
-    CTMDP table (the exhaustive action where that one is infeasible) and
-    reaches the exhaustive start's table; the keys keep their order."""
-    cfg = slow_mode_config(X1=12, X2=12, N1=12, N2=12)
-    alone, alone_diag = solve_policies(cfg, ["smdp"])
-    for which in (["smdp", "ctmdp"], ["ctmdp", "smdp"]):
-        tables, diag = solve_policies(cfg, which)
-        assert list(tables) == list(diag) == ["smdp", "ctmdp"]
-        assert tables["smdp"].tobytes() == alone["smdp"].tobytes()
-        assert diag["smdp"]["iterations"] < alone_diag["smdp"]["iterations"]
+def _exhaustive_pi_table(cfg):
+    """The SMDP table of policy iteration from the exhaustive start, and its
+    iteration count: the oracle of every warm start."""
+    model = build_smdp(cfg)
+    pol = solver.policy_iteration(model, exhaustive_start(model))
+    return model.decision_table(pol.actions), pol.iterations
 
-    # a CTMDP table that idles at a non-empty current queue and serves an
-    # empty one: the start keeps its idles and takes the exhaustive action
-    # where serving is infeasible
-    n1, n2, l1 = triple_indexer(cfg).unflatten(np.arange(triple_indexer(cfg).size))
-    current, other = np.where(l1 == 0, n1, n2), np.where(l1 == 0, n2, n1)
-    real_build, real_pi = cli.build_nonpreemptive, cli.policy_iteration
-    starts = []
 
-    def forced_build(exp_cfg):
-        model = real_build(exp_cfg)
-        model.decision_table = lambda actions: np.where(current > 0, IDLE, SERVE)
-        return model
+def _recording_pi(monkeypatch):
+    """Record the start of every policy iteration the CLI runs."""
+    real_pi, starts = cli.policy_iteration, []
 
     def recording_pi(model, pi0=None, **kw):
         starts.append(np.array(pi0))
         return real_pi(model, pi0, **kw)
 
-    monkeypatch.setattr(cli, "build_nonpreemptive", forced_build)
     monkeypatch.setattr(cli, "policy_iteration", recording_pi)
+    return starts
+
+
+def _force_ctmdp_table(monkeypatch, table):
+    """Make every uniformised model the CLI builds return ``table``."""
+    real_build = cli.build_nonpreemptive
+
+    def forced_build(exp_cfg):
+        model = real_build(exp_cfg)
+        model.decision_table = lambda actions: table
+        return model
+
+    monkeypatch.setattr(cli, "build_nonpreemptive", forced_build)
+
+
+def _queues(cfg):
+    """The current and the other queue's length in every state of the box."""
+    n1, n2, l1 = triple_indexer(cfg).unflatten(np.arange(triple_indexer(cfg).size))
+    return np.where(l1 == 0, n1, n2), np.where(l1 == 0, n2, n1)
+
+
+def test_two_model_solve_starts_smdp_from_ctmdp_table(monkeypatch):
+    """With both models requested, SMDP policy iteration starts from the
+    CTMDP table (the exhaustive action where that one is infeasible) and
+    reaches the exhaustive start's table in fewer iterations; the keys keep
+    their order."""
+    cfg = slow_mode_config(X1=12, X2=12, N1=12, N2=12)
+    oracle, oracle_iterations = _exhaustive_pi_table(cfg)
+    for which in (["smdp", "ctmdp"], ["ctmdp", "smdp"]):
+        tables, diag = solve_policies(cfg, which)
+        assert list(tables) == list(diag) == ["smdp", "ctmdp"]
+        assert tables["smdp"].tobytes() == oracle.tobytes()
+        assert diag["smdp"]["iterations"] < oracle_iterations
+        assert diag["smdp"]["start"] == "ctmdp"
+
+    # a CTMDP table that idles at a non-empty current queue and serves an
+    # empty one: the start keeps its idles and takes the exhaustive action
+    # where serving is infeasible
+    current, other = _queues(cfg)
+    _force_ctmdp_table(monkeypatch, np.where(current > 0, IDLE, SERVE))
+    starts = _recording_pi(monkeypatch)
     tables, _ = solve_policies(cfg, ["smdp", "ctmdp"])
     assert np.array_equal(starts[0], np.where(current > 0, IDLE, np.where(other > 0, SWITCH, IDLE)))
-    assert tables["smdp"].tobytes() == alone["smdp"].tobytes()
+    assert tables["smdp"].tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("make_cfg", [slow_mode_config, asym_var_config])
+@pytest.mark.parametrize("X", [8, 12])
+def test_smdp_alone_starts_from_loose_uniformised_table(monkeypatch, make_cfg, X):
+    """An SMDP-only solve starts policy iteration from the table of a value
+    iteration on the uniformised model stopped at WARM_START_EPS * max cost
+    and reaches the exhaustive start's table."""
+    cfg = make_cfg(X1=X, X2=X, N1=X, N2=X)
+    np_model = build_nonpreemptive(cfg.with_exponential_durations())
+    graph = solver.build_value_graph(np_model)
+    loose = solver.value_iterate(graph, eps=cli.WARM_START_EPS * np.abs(graph.q_cost).max())
+    starts = _recording_pi(monkeypatch)
+    tables, diag = solve_policies(cfg, ["smdp"])
+    # every action of the loose table is feasible in the SMDP at these sizes
+    assert len(starts) == 1 and np.array_equal(starts[0], np_model.decision_table(loose.actions))
+    assert diag["smdp"]["start"] == "ctmdp"
+    assert tables["smdp"].tobytes() == _exhaustive_pi_table(cfg)[0].tobytes()
+
+
+def test_smdp_alone_start_takes_exhaustive_action_where_infeasible(monkeypatch):
+    """A loose uniformised table that serves an empty current queue: the
+    SMDP-only start takes the exhaustive action there and keeps the table's
+    action elsewhere, and policy iteration still reaches the oracle."""
+    cfg = slow_mode_config(X1=8, X2=8, N1=8, N2=8)
+    current, other = _queues(cfg)
+    _force_ctmdp_table(monkeypatch, np.where(current > 0, IDLE, SERVE))
+    starts = _recording_pi(monkeypatch)
+    tables, diag = solve_policies(cfg, ["smdp"])
+    assert np.array_equal(starts[0], np.where(current > 0, IDLE, np.where(other > 0, SWITCH, IDLE)))
+    assert diag["smdp"]["start"] == "ctmdp"
+    assert tables["smdp"].tobytes() == _exhaustive_pi_table(cfg)[0].tobytes()
+
+
+def test_smdp_alone_without_uniformised_model_takes_exhaustive_start(monkeypatch):
+    """With state-dependent arrival rates the uniformised model does not
+    exist, so an SMDP-only solve takes the exhaustive start and gives the
+    direct policy iteration's table."""
+    cfg = asym_var_config(X1=8, X2=8, N1=8, N2=8,
+                          rate_fn=lambda a1, a2: (0.8 + 0.01 * a1, 0.8))
+    starts = _recording_pi(monkeypatch)
+    tables, diag = solve_policies(cfg, ["smdp"])
+    assert len(starts) == 1 and np.array_equal(starts[0], exhaustive_start(build_smdp(cfg)))
+    assert diag["smdp"]["start"] == "exhaustive" and diag["smdp"]["iterations"] == 3
+    assert tables["smdp"].tobytes() == _exhaustive_pi_table(cfg)[0].tobytes()
+
+
+def test_smdp_alone_with_zero_mean_switch_over():
+    """A zero mean duration has no uniformised model either: one zero
+    switch-over solves from the exhaustive start, and two still raise the
+    singular-system error of their undiscounted switching cycle."""
+    cfg = slow_mode_config(X1=8, X2=8, N1=8, N2=8, switch12=Deterministic(0.0))
+    tables, diag = solve_policies(cfg, ["smdp"])
+    assert diag["smdp"]["start"] == "exhaustive"
+    assert tables["smdp"].tobytes() == _exhaustive_pi_table(cfg)[0].tobytes()
+    with pytest.raises(solver.SingularSystemError):
+        solve_policies(replace(cfg, switch21=Deterministic(0.0)), ["smdp"])
