@@ -138,8 +138,10 @@ def solve_policies(cfg: ScenarioConfig, which: Sequence[str], algo: str = "defau
     Returns ``(tables, diagnostics)``: name -> action table, and name ->
     iterations, convergence, the decision actions each policy improvement
     changed and the dense factorisations made (both empty or 0 under value
-    iteration).  A value-iteration entry adds the last sweep's ``residual``
-    and the ``error_bound`` it implies, None when that bound is infinite.
+    iteration).  A policy-iteration entry adds ``float64_factorizations``,
+    the factorisations that fell back from float32 to float64, and a
+    value-iteration entry the last sweep's ``residual`` and the
+    ``error_bound`` it implies, None when that bound is infinite.
 
     Tables live on the (n1, n2, l1) box so every policy can drive the
     simulator directly.  The uniformised model solves the scenario with all
@@ -168,6 +170,7 @@ def solve_policies(cfg: ScenarioConfig, which: Sequence[str], algo: str = "defau
             doc["residual"] = pol.residual
             doc["error_bound"] = float(pol.error_bound) if np.isfinite(pol.error_bound) else None
         else:
+            doc["float64_factorizations"] = pol.float64_factorizations
             doc["start"] = start
         return doc
 

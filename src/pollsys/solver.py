@@ -138,8 +138,11 @@ class Policy:
     :func:`value_iterate`).  The residual alone bounds nothing: at
     slow_mode X=40 a stop at residual <= 6.2e-7 leaves ``J`` up to 4.8e-5
     from the exact policy-iteration values.  ``changes`` (the number of
-    decision actions each improvement changed) and ``factorizations`` (the
-    dense LU factorisations made) are set by policy iteration only.
+    decision actions each improvement changed), ``factorizations`` (the
+    dense LU factorisations made, float32 or float64) and
+    ``float64_factorizations`` (those of them in float64, made only where a
+    float32 factor missed the residual check; see :func:`policy_evaluate`)
+    are set by policy iteration only.
     """
 
     actions: np.ndarray
@@ -150,6 +153,7 @@ class Policy:
     error_bound: float = 0.0
     changes: List[int] = field(default_factory=list)
     factorizations: int = 0
+    float64_factorizations: int = 0
     J_history: Optional[List[np.ndarray]] = field(default=None, repr=False)
 
 
@@ -230,38 +234,55 @@ def assemble_policy_matrix(model, actions, discounted: bool = True):
 # n // UPDATE_RANK_DIVISOR rows is factored afresh instead of updated.
 UPDATE_RANK_DIVISOR = 4
 
+# A solve takes at most MAX_REFINEMENTS refinement steps.  A step shrinks
+# the error by a factor of at most about cond(I - A_pi) * 6e-8, float32's
+# unit roundoff (Higham, *Accuracy and Stability of Numerical Algorithms*,
+# 2nd ed., section 12.2): 1e-2 at the SMDP policies' 1-norm condition
+# numbers, which reach about 1.3e5.  Their first float32 solve misses the
+# float64-level stop by a factor of at most about 5e7, so four steps reach
+# it even at that bound; two do in every measured solve.  A system that
+# needs more is close to float32's limit; it stops at the cap, and the
+# residual check decides whether it is factored again in float64.
+MAX_REFINEMENTS = 4
+
 
 class _Factorization:
     """Dense LU of I - A_base for one factored policy, kept across policy
     iteration so that later policies are solved by low-rank updates.
 
+    The LU is float32 unless the float32 factor of that policy missed the
+    residual check (see :func:`policy_evaluate`); then it is float64.  The
+    LAPACK routines and the Fortran block ``Z`` take the LU's precision.
     ``rows`` lists every state whose node has differed from the factored
-    policy's since the factorisation; column j of the Fortran block ``Z``
-    holds LU^-1 e_rows[j].  ``count`` is the number of factorisations.
+    policy's since the factorisation; column j of ``Z`` holds LU^-1
+    e_rows[j].  ``count`` is the number of factorisations of either
+    precision, ``float64_count`` those in float64.
     """
 
     def __init__(self):
-        self.count = 0
+        self.count = self.float64_count = 0
         self.drop()
 
     def drop(self):
-        self.lu = self.piv = self.nodes = self.Z = None
+        self.lu = self.piv = self.nodes = self.Z = self.getrf = self.getrs = None
         self.rows = np.empty(0, dtype=np.int64)
 
-    def factor(self, system, nodes) -> bool:
-        """Factor the dense ``system`` in place; False if it is singular."""
+    def factor(self, system, nodes, dtype) -> bool:
+        """Factor the dense ``system`` in ``dtype``, in place; False if it is
+        singular.  The dense matrix is built in ``dtype`` directly."""
         from scipy.linalg import lapack
 
         self.drop()  # release the old factor before building the new one
-        self.lu, self.piv, info = lapack.dgetrf(system.toarray(order="F"), overwrite_a=True)
+        self.getrf, self.getrs = lapack.get_lapack_funcs(("getrf", "getrs"), dtype=dtype)
+        self.lu, self.piv, info = self.getrf(system.astype(dtype).toarray(order="F"),
+                                             overwrite_a=True)
         self.nodes = nodes
         self.count += 1
+        self.float64_count += self.lu.dtype == np.float64
         return info == 0
 
     def _lu_solve(self, b):
-        from scipy.linalg import lapack
-
-        return lapack.dgetrs(self.lu, self.piv, b, overwrite_b=True)[0]
+        return self.getrs(self.lu, self.piv, b, overwrite_b=True)[0]
 
     def update(self, nodes) -> bool:
         """Extend ``rows`` and ``Z`` to the states where ``nodes`` differs
@@ -274,7 +295,7 @@ class _Factorization:
             return False
         if len(new):
             if self.Z is None:  # pages are only touched as columns are filled
-                self.Z = np.empty((n, n // UPDATE_RANK_DIVISOR), order="F")
+                self.Z = np.empty((n, n // UPDATE_RANK_DIVISOR), dtype=self.lu.dtype, order="F")
             block = self.Z[:, k0:k]
             block[:] = 0.0
             block[new, np.arange(len(new))] = 1.0
@@ -282,27 +303,44 @@ class _Factorization:
             self.rows = np.concatenate((self.rows, new))
         return True
 
-    def solve(self, system, cost) -> np.ndarray:
-        """Solve ``system @ J = cost`` with the factor, corrected on ``rows``
-        by the capacitance matrix K = system[rows] @ Z, then refined once."""
-        from scipy.linalg import lapack
+    def solve(self, system, cost):
+        """Solve ``system @ J = cost`` in float64 by iterative refinement.
 
+        Each step applies the approximate inverse, the factor corrected on
+        ``rows`` by the capacitance matrix K = system[rows] @ Z, in the
+        factor's precision, to the float64 residual cost - system @ J.  The
+        steps stop once that residual is at most sqrt(n) * eps * |J| *
+        |system| in the max and infinity norms, eps being float64's machine
+        epsilon, as in LAPACK's DSGESV, so that J is as accurate as a
+        float64 solve's; or after ``MAX_REFINEMENTS`` steps.  Returns
+        ``(J, max |system @ J - cost|)``.
+        """
         rows = self.rows
-        if len(rows) == 0:
-            return self._lu_solve(cost.copy())
-        Z = self.Z[:, :len(rows)]
-        S_rows = system[rows]
-        K_lu, K_piv, info = lapack.dgetrf(S_rows @ Z, overwrite_a=True)
-        if info != 0:
-            return np.full(len(cost), np.nan)
+        if len(rows):
+            Z = self.Z[:, :len(rows)]
+            S_rows = system[rows].astype(Z.dtype)
+            K_lu, K_piv, info = self.getrf(S_rows @ Z, overwrite_a=True)
+            if info != 0:
+                return np.full(len(cost), np.nan), np.inf
 
         def apply(rhs):
-            y = self._lu_solve(rhs.copy())
-            w = lapack.dgetrs(K_lu, K_piv, rhs[rows] - S_rows @ y, overwrite_b=True)[0]
-            return y + Z @ w
+            rhs = rhs.astype(self.lu.dtype)
+            top = rhs[rows]
+            y = self._lu_solve(rhs)
+            if len(rows):
+                y += Z @ self.getrs(K_lu, K_piv, top - S_rows @ y, overwrite_b=True)[0]
+            return y
 
-        J = apply(cost)
-        return J + apply(cost - system @ J)
+        scale = np.sqrt(len(cost)) * np.finfo(float).eps * abs(system).sum(axis=1).max()
+        J = np.zeros(len(cost))
+        r = cost
+        for _ in range(1 + MAX_REFINEMENTS):
+            J += apply(r)
+            r = cost - system @ J
+            resid = float(np.abs(r).max())
+            if resid <= scale * np.abs(J).max():
+                break
+        return J, resid
 
 
 def _residual(system, J, cost) -> float:
@@ -326,12 +364,20 @@ def policy_evaluate(model, actions, factorization: Optional[_Factorization] = No
 
     with y = LU^-1 C_pi, Z = LU^-1 E_rows and the capacitance matrix
     K = (I - A_pi)[rows] Z (Golub & Van Loan, *Matrix Computations*, 4th
-    ed., section 2.1.4), followed by one step of iterative refinement.
-    Past that rank, or when the updated J misses the residual check, the
-    policy is factored afresh.  The check is on the true system:
-    max |(I - A_pi) J - C_pi| <= 1e-8 * max(max |C_pi|, 1).  Only a sparse
-    solve or a fresh factorisation that misses it raises
-    :class:`SingularSystemError`.
+    ed., section 2.1.4).  The check is on the true system:
+    max |(I - A_pi) J - C_pi| <= 1e-8 * max(max |C_pi|, 1).
+
+    The LU, Z and K are float32, which halves the dense memory and cuts the
+    factorisation's time; each solve is refined in float64 against the
+    sparse I - A_pi until its residual is at float64's level, at most
+    MAX_REFINEMENTS steps (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., section 12.2; see :meth:`_Factorization.solve`).
+    Two steps do it on every measured SMDP policy, and J is then within
+    3e-12 of a float64 solve's at X=40.  Past n / UPDATE_RANK_DIVISOR rows,
+    or when the updated J misses the check, the policy is factored afresh in
+    float32, and once more in float64 when that factor misses it too (the
+    fallback of LAPACK's DSGESV).  Only a sparse solve or the float64
+    factorisation that misses it raises :class:`SingularSystemError`.
     """
     graph = model.graph
     nodes = _policy_nodes(graph, actions)
@@ -346,16 +392,19 @@ def policy_evaluate(model, actions, factorization: Optional[_Factorization] = No
         from scipy.sparse.linalg import spsolve
 
         J = spsolve(system.tocsc(), cost)
+        resid = _residual(system, J, cost)
     else:
         factor = _Factorization() if factorization is None else factorization
-        J = None
+        resid = np.inf
         if factor.lu is not None and factor.update(nodes):
-            J = factor.solve(system, cost)
-        if J is None or not _residual(system, J, cost) <= tol:
-            if not factor.factor(system, nodes):
-                raise SingularSystemError("policy evaluation matrix is singular")
-            J = factor.solve(system, cost)
-    resid = _residual(system, J, cost)
+            J, resid = factor.solve(system, cost)
+        # a fresh float32 factor, then a float64 one if that misses the check
+        for dtype in (np.float32, np.float64):
+            if not resid <= tol:
+                if factor.factor(system, nodes, dtype):
+                    J, resid = factor.solve(system, cost)
+                elif dtype == np.float64:
+                    raise SingularSystemError("policy evaluation matrix is singular")
     if not resid <= tol:
         raise SingularSystemError(f"policy evaluation residual {resid:.3e} exceeds tolerance")
     return J
@@ -392,8 +441,9 @@ def policy_iteration(model, pi0=None, maxiter: int = 100,
     dense policy is evaluated by a low-rank update of it until more than
     n / UPDATE_RANK_DIVISOR rows have changed since it was made (see
     :func:`policy_evaluate`).  ``changes`` records the decision actions
-    each improvement changed, the first against ``pi0``, and
-    ``factorizations`` the dense factorisations made.
+    each improvement changed, the first against ``pi0``,
+    ``factorizations`` the dense factorisations made and
+    ``float64_factorizations`` those of them that fell back to float64.
     """
     if maxiter < 1:
         raise ValueError("maxiter must be >= 1")
@@ -422,7 +472,8 @@ def policy_iteration(model, pi0=None, maxiter: int = 100,
             converged = True
             break
     return Policy(actions=actions, J=J, iterations=iterations, converged=converged,
-                  changes=changes, factorizations=factor.count, J_history=history)
+                  changes=changes, factorizations=factor.count,
+                  float64_factorizations=factor.float64_count, J_history=history)
 
 
 class _Sweep(NamedTuple):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pollsys import IDLE, SERVE, SWITCH, Exponential, Gamma, ScenarioConfig
+from pollsys.solver import assemble_policy_matrix, policy_improve
 
 
 def asym_var_config(**kw):
@@ -42,6 +43,18 @@ def exp_config(**kw):
     )
     base.update(kw)
     return ScenarioConfig(**base)
+
+
+def dense_policy_iteration(model, actions):
+    """Policy iteration in plain float64 from ``actions``, the oracle of the
+    solver's factored evaluations: each policy's values by np.linalg.solve
+    on the dense I - A_pi, then policy_improve.  Returns the final actions."""
+    changed = True
+    while changed:
+        A, cost = assemble_policy_matrix(model, actions)
+        J = np.linalg.solve(np.eye(A.shape[0]) - A.toarray(), cost)
+        actions, changed = policy_improve(model, J, actions)
+    return actions
 
 
 def exhaustive_action(n1, n2, l1):

@@ -23,7 +23,7 @@ from pollsys.distributions import Deterministic
 from pollsys.model import triple_indexer
 from pollsys.smdp import build_smdp
 
-from conftest import asym_var_config, slow_mode_config
+from conftest import asym_var_config, dense_policy_iteration, slow_mode_config
 
 
 @pytest.fixture
@@ -101,7 +101,7 @@ def test_solve_command_ctmdp_value_iteration(tiny_scenario, tmp_path):
 def test_solve_command_prints_value_iteration_bound(tmp_path, capsys, monkeypatch):
     """The printed residual and error bound are value_iterate's, an infinite
     bound is reported as None, and a policy iteration entry keeps its four
-    keys and names its start."""
+    keys, counts its float64 factorisations and names its start."""
     plan = ["--scenario", "slow_mode", "--X1", "8", "--X2", "8", "--N1", "8", "--N2", "8"]
     main(["solve", *plan, "--model", "ctmdp", "--out", str(tmp_path)])
     text = capsys.readouterr().out
@@ -113,7 +113,8 @@ def test_solve_command_prints_value_iteration_bound(tmp_path, capsys, monkeypatc
     assert printed["error_bound"] == pol.error_bound
     assert 0 < pol.residual < pol.error_bound < np.inf
     _, diag = solve_policies(cfg, ["smdp"])
-    assert set(diag["smdp"]) == {"iterations", "converged", "changes", "factorizations", "start"}
+    assert set(diag["smdp"]) == {"iterations", "converged", "changes", "factorizations",
+                                 "float64_factorizations", "start"}
     monkeypatch.setattr(cli, "value_iterate", lambda graph: replace(pol, error_bound=np.inf))
     _, diag = solve_policies(cfg, ["ctmdp"])
     assert diag["ctmdp"]["error_bound"] is None
@@ -407,6 +408,18 @@ def test_smdp_alone_starts_from_loose_uniformised_table(monkeypatch, make_cfg, X
     assert len(starts) == 1 and np.array_equal(starts[0], np_model.decision_table(loose.actions))
     assert diag["smdp"]["start"] == "ctmdp"
     assert tables["smdp"].tobytes() == _exhaustive_pi_table(cfg)[0].tobytes()
+
+
+@pytest.mark.parametrize("make_cfg", [slow_mode_config, asym_var_config])
+def test_smdp_solve_matches_float64_policy_iteration(make_cfg):
+    """The SMDP solve, float32 factors refined in float64, gives the table of
+    a plain float64 dense policy iteration from the exhaustive start."""
+    cfg = make_cfg(X1=12, X2=12, N1=12, N2=12)
+    model = build_smdp(cfg)
+    oracle = model.decision_table(dense_policy_iteration(model, exhaustive_start(model)))
+    tables, diag = solve_policies(cfg, ["smdp"])
+    assert tables["smdp"].tobytes() == oracle.tobytes()
+    assert diag["smdp"]["float64_factorizations"] == 0
 
 
 def test_smdp_alone_start_takes_exhaustive_action_where_infeasible(monkeypatch):

@@ -16,6 +16,7 @@ from pollsys import (
     value_iterate,
 )
 from pollsys.baselines import exhaustive_start
+from pollsys.cli import solve_policies
 from pollsys.solver import (
     UPDATE_RANK_DIVISOR,
     SingularSystemError,
@@ -196,22 +197,47 @@ def test_low_rank_update_refactors_past_rank_limit(rng):
         assert factor.count == count
         assert np.abs(J - policy_evaluate(model, actions)).max() <= 1e-12
     assert list(factor.rows) == [n - 1]
-    # an update that misses the residual check is replaced by a fresh factor
-    factor.Z[:, 0] += 0.1
+    # an update that misses the residual check is replaced by a fresh factor;
+    # refinement repairs a merely perturbed Z, so the miss is forced by a NaN
+    factor.Z[:, 0] = np.nan
     J = policy_evaluate(model, after, factor)
     assert factor.count == 3 and len(factor.rows) == 0
     assert np.abs(J - policy_evaluate(model, after)).max() <= 1e-12
 
 
+def test_ill_conditioned_policy_falls_back_to_float64(rng):
+    """At discount 1 - 1e-7 the uniform rows give I - A_pi a condition number
+    near 1.8e7.  Rounding them to float32 moves 1 - discount by about a fifth,
+    so float32 refinement cannot meet the residual check: the evaluation is
+    factored again in float64, which meets it, and policy iteration counts
+    that factorisation."""
+    n = 8
+    p = np.full(n, 1.0 / n)
+    rows = {(x, 0): (list(range(n)), p, (1.0 - 1e-7) * p, float(rng.uniform(0, 2)))
+            for x in range(n)}
+    model = TabularModel(n_states=n, rows=rows, feasible={x: (0,) for x in range(n)})
+    A, cost = assemble_policy_matrix(model, np.zeros(n, dtype=int))
+    system = np.eye(n) - A.toarray()
+    assert np.linalg.cond(system, 1) > 1e7
+    pol = policy_iteration(model)
+    assert (pol.iterations, pol.factorizations, pol.float64_factorizations) == (1, 2, 1)
+    assert np.abs(system @ pol.J - cost).max() <= 1e-8 * max(np.abs(cost).max(), 1.0)
+
+
 @pytest.mark.parametrize("make_cfg", [slow_mode_config, asym_var_config])
 def test_policy_iteration_reuse_at_bundle_scale(make_cfg):
     """At X=24, N=20 the updated evaluations reach the fresh-solve loop's
-    final actions in as many iterations."""
-    model = build_smdp(make_cfg(X1=24, X2=24, N1=20, N2=20))
+    final actions in as many iterations, and every factorisation, there and
+    in the warm-started solve the bundle runs, is float32."""
+    cfg = make_cfg(X1=24, X2=24, N1=20, N2=20)
+    model = build_smdp(cfg)
     fresh = fresh_policy_iteration(model)
     pol = policy_iteration(model)
     assert pol.iterations == len(fresh)
     assert np.array_equal(pol.actions, fresh[-1][1])
+    assert pol.float64_factorizations == 0 < pol.factorizations
+    _, diag = solve_policies(cfg, ["smdp"])
+    assert diag["smdp"]["float64_factorizations"] == 0 < diag["smdp"]["factorizations"]
 
 
 @pytest.mark.parametrize("make_cfg", [slow_mode_config, asym_var_config])
