@@ -34,8 +34,9 @@ from .simulate import (
     HeuristicPolicy,
     TabularPolicy,
     action_time_fractions,
+    cells_occupancy,
     embedded_stationary,
-    limit_cycle_occupancy,
+    limit_cycle_cells,
     sample_performance,
     simulate_trace,
     work_fraction,
@@ -368,7 +369,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
 
     summary["occupancy"] = {}
     with _stage("occupancy"):
-        cycle = analyze_limit_cycle(cfg)
+        cells = limit_cycle_cells(analyze_limit_cycle(cfg))
         for name in plan.policies:
             trace = simulate_trace(cfg, policies[name], plan.occupancy_horizon, seed=plan.seed)
             phi, _, _, _ = action_time_fractions(trace)
@@ -378,7 +379,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
                 "phi_serve": phi[SERVE],
                 "phi_switch": phi[SWITCH],
                 "work_fraction": work_fraction(trace, cfg),
-                "phi_star": limit_cycle_occupancy(freq, cycle),
+                "phi_star": cells_occupancy(freq, cells),
             }
             _write_csv(plan.out_dir, f"freq_{name}.csv", ["n1", "n2", "l1", "freq"],
                        [[a, b, c, _fmt(f)] for (a, b, c), f in sorted(freq.items())])

@@ -14,10 +14,14 @@ policies together as arrays and gives the same values bit for bit.
 Both paths draw each substream in blocks, which Philox returns exactly as
 the same number of single draws, and both charge the steps they logged by
 one routine, `_costs`, whose exponentials are ``np.exp`` over the whole log.
+Both log the arrivals flat, one (step, class, time) entry each, in no set
+order within a step: `_costs` takes them in time order itself, and a
+trace's per-step ``arrivals`` are built from its flat log when first read.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -69,7 +73,11 @@ class SeedStream:
 
 @dataclass
 class RolloutTrace:
-    """Embedded-chain trajectory: entry states, actions, costs and times."""
+    """Embedded-chain trajectory: entry states, actions, costs and times.
+
+    The arrivals inside the intervals are one flat log, in no set order
+    within a step: the step, class and time in [0, dt) of each.
+    """
 
     n1: np.ndarray
     n2: np.ndarray
@@ -79,10 +87,26 @@ class RolloutTrace:
     dt: np.ndarray
     t: np.ndarray  # entry times, t[0] = 0
     horizon: float
-    arrivals: Optional[list] = None  # per interval: ((class, time), ...)
+    arrival_step: Optional[np.ndarray] = None
+    arrival_class: Optional[np.ndarray] = None
+    arrival_time: Optional[np.ndarray] = None
 
     def __len__(self):
         return len(self.t)
+
+    @functools.cached_property
+    def arrivals(self) -> Optional[list]:
+        """Per interval: ((class, time), ...) in time order, class 0 first
+        on a tie; built from the flat log when first read."""
+        if self.arrival_step is None:
+            return None
+        order = np.lexsort((self.arrival_class, self.arrival_time, self.arrival_step))
+        steps = [[] for _ in range(len(self))]
+        for k, cls, when in zip(self.arrival_step[order].tolist(),
+                                self.arrival_class[order].tolist(),
+                                self.arrival_time[order].tolist()):
+            steps[k].append((cls, when))
+        return [tuple(arr) for arr in steps]
 
 
 def _over_cap_box(cfg: ScenarioConfig, rule) -> np.ndarray:
@@ -203,17 +227,6 @@ def _draws(dist, gen: np.random.Generator, block: int):
         yield from dist.sample(gen, block).tolist()
 
 
-def _draw_arrivals(gaps, dt):
-    """Arrival times of one class within [0, dt), summing the gaps that the
-    iterator ``gaps`` yields; the gap that overshoots ``dt`` is consumed."""
-    times = []
-    t = next(gaps)
-    while t < dt:
-        times.append(t)
-        t += next(gaps)
-    return times
-
-
 def _run(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds: SeedStream, T: float):
     """Step one rollout of the policy with code table ``codes``
     (`_action_codes`) from ``x0`` until time ``T``.
@@ -223,16 +236,19 @@ def _run(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds: SeedStream, T: float
     ``codes[served s0 + n1 s1 + n2 s2 + l1]`` with the strides of
     `_strides`, and an error code raises its `_ERRORS` message.  Each
     substream of ``seeds`` is read through a `_draws` iterator; a class
-    without arrivals reads an endless gap.  The loop records each step's
-    entry state, action, start, length and arrivals; the costs are charged
-    once at the end by `_costs`.  Returns the discounted cost and the
-    `RolloutTrace`.
+    without arrivals reads an endless gap.  A busy step sums each class's
+    gaps from 0 until one overshoots its length, which is consumed, and
+    appends every arrival to one flat log (step, class, time), class 0's
+    first: `_costs` orders the log by time and class itself.  The loop
+    records each step's entry state, action, start and length; the costs
+    are charged once at the end by `_costs`.  Returns the discounted cost
+    and the `RolloutTrace`.
     """
     cap1, cap2 = 10 * cfg.X1, 10 * cfg.X2
     s0, s1, s2, _ = _strides(cfg)
-    gaps = [_draws(Exponential(lam), seeds.generator(tag), _GAP_BLOCK) if lam > 0
-            else itertools.repeat(math.inf)
-            for lam, tag in zip(cfg.arrival_rates, TAG_LAMBDA)]
+    gap1, gap2 = [_draws(Exponential(lam), seeds.generator(tag), _GAP_BLOCK) if lam > 0
+                  else itertools.repeat(math.inf)
+                  for lam, tag in zip(cfg.arrival_rates, TAG_LAMBDA)]
     serve = [_draws(dist, seeds.generator(tag), _DURATION_BLOCK)
              for dist, tag in zip(cfg.serve_dists, TAG_SERVE)]
     switch = [_draws(dist, seeds.generator(tag), _DURATION_BLOCK)
@@ -242,26 +258,38 @@ def _run(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds: SeedStream, T: float
     n1, n2, l1 = x0
     t = 0.0
     served = False
-    rec_n1, rec_n2, rec_l1, rec_a, rec_dt, rec_t, rec_arr = [], [], [], [], [], [], []
+    rec_n1, rec_n2, rec_l1, rec_a, rec_dt, rec_t = [], [], [], [], [], []
+    arr_step, arr_cls, arr_when = [], [], []
 
     while t < T:
         a = codes.item(served * s0 + n1 * s1 + n2 * s2 + l1)
         if a == IDLE:
             if no_arrivals:
                 break  # empty of randomness: idling would last forever
-            t1, t2 = next(gaps[0]), next(gaps[1])
+            t1, t2 = next(gap1), next(gap2)
             dt = min(t1, t2)
-            arr = ()
             nxt = (n1 + 1, n2, l1) if t1 <= t2 else (n1, n2 + 1, l1)
         else:
             if a < 0:
                 raise ValueError(_ERRORS[a].format(f"({n1},{n2},{l1})"))
             dt = next(serve[l1] if a == SERVE else switch[l1])
-            arr1 = _draw_arrivals(gaps[0], dt)
-            arr2 = _draw_arrivals(gaps[1], dt)
-            arr = [(0, ta) for ta in arr1] + [(1, ta) for ta in arr2]
-            arr.sort(key=lambda pair: pair[1])
-            a1, a2 = len(arr1), len(arr2)
+            k = len(rec_t)
+            a1 = 0
+            ta = next(gap1)
+            while ta < dt:
+                arr_step.append(k)
+                arr_cls.append(0)
+                arr_when.append(ta)
+                a1 += 1
+                ta += next(gap1)
+            a2 = 0
+            ta = next(gap2)
+            while ta < dt:
+                arr_step.append(k)
+                arr_cls.append(1)
+                arr_when.append(ta)
+                a2 += 1
+                ta += next(gap2)
             if a == SWITCH:
                 nxt = (n1 + a1, n2 + a2, 1 - l1)
             elif l1 == 0:
@@ -276,7 +304,6 @@ def _run(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds: SeedStream, T: float
         rec_a.append(a)
         rec_dt.append(dt)
         rec_t.append(t)
-        rec_arr.append(tuple(arr))
         n1, n2, l1 = nxt
         if n1 > cap1 or n2 > cap2:
             raise QueueOverflowError(
@@ -287,17 +314,16 @@ def _run(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds: SeedStream, T: float
 
     n1, n2, l1, action = (np.array(v, dtype=np.int32) for v in (rec_n1, rec_n2, rec_l1, rec_a))
     dt, t = np.array(rec_dt, dtype=float), np.array(rec_t, dtype=float)
-    flat = list(itertools.chain.from_iterable(rec_arr))
-    cls, when = zip(*flat) if flat else ((), ())
+    step, cls = np.array(arr_step, dtype=int), np.array(arr_cls, dtype=int)
+    when = np.array(arr_when, dtype=float)
     extra = None
     if any(cfg.switch_costs):
         extra = np.where(action == SWITCH, np.array(cfg.switch_costs)[l1], 0.0)
     total = np.zeros(1)
     cost = _costs(total, np.zeros(len(t), dtype=int), t, dt, cfg.c1 * n1 + cfg.c2 * n2, extra,
-                  np.repeat(np.arange(len(t)), [len(arr) for arr in rec_arr]),
-                  np.array(when, dtype=float), np.array(cls, dtype=int), cfg.c1, cfg.c2, cfg.beta)
+                  step, when, cls, cfg.c1, cfg.c2, cfg.beta)
     trace = RolloutTrace(n1=n1, n2=n2, l1=l1, action=action, cost=cost, dt=dt, t=t,
-                         horizon=T, arrivals=rec_arr)
+                         horizon=T, arrival_step=step, arrival_class=cls, arrival_time=when)
     return float(total[0]), trace
 
 
@@ -463,8 +489,8 @@ def _arrivals(gaps: _Blocks, idx: np.ndarray, dt: np.ndarray, width: int = _WIND
     the position in ``idx`` and time of each arrival, in no set order, and
     the count per index.
 
-    As in `_draw_arrivals`, the gaps are summed from 0 in the order drawn
-    and the gap that overshoots ``dt`` is consumed and thrown away.  The
+    As in `_run`, the gaps are summed from 0 in the order drawn and the
+    gap that overshoots ``dt`` is consumed and thrown away.  The
     window's rows are added in place, one after the other, which gives the
     bits of ``np.cumsum(axis=0)`` without its walk down each column.
     Indices with ``width`` arrivals or more are redone with four times the
@@ -750,18 +776,26 @@ def _integer_hull(cycle, grid: int):
     return cells
 
 
-def limit_cycle_occupancy(freq_table: dict, cycle, grid: int = 100) -> float:
-    """Share of embedded visits whose queue pair lies on the integerised cycle.
+def limit_cycle_cells(cycle, grid: int = 100) -> set:
+    """The (n1, n2) cells of the integerised cycle: each cycle segment is
+    sampled on ``grid`` points and every floor/ceil combination of a sampled
+    point counts as part of the cycle."""
+    return _integer_hull(cycle, grid)
 
-    The queue-marginal frequency sums over both server locations; each cycle
-    segment is sampled on ``grid`` points and every floor/ceil combination of
-    a sampled point counts as part of the cycle.
-    """
+
+def cells_occupancy(freq_table: dict, cells: set) -> float:
+    """Share of embedded visits whose queue pair is one of ``cells``; the
+    queue-marginal frequency sums over both server locations."""
     marginal = {}
     for (n1, n2, _), f in freq_table.items():
         marginal[(n1, n2)] = marginal.get((n1, n2), 0.0) + f
-    cells = _integer_hull(cycle, grid)
     return float(sum(marginal.get(cell, 0.0) for cell in cells))
+
+
+def limit_cycle_occupancy(freq_table: dict, cycle, grid: int = 100) -> float:
+    """Share of embedded visits whose queue pair lies on the integerised
+    cycle (`limit_cycle_cells`), summed over both server locations."""
+    return cells_occupancy(freq_table, limit_cycle_cells(cycle, grid))
 
 
 def work_fraction(trace: RolloutTrace, cfg: ScenarioConfig,

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -488,7 +489,7 @@ def _reference_trace(cfg, policy, x0, seed, T):
     return rec
 
 
-@pytest.mark.parametrize("case, name", _case_names(["asym_var", "deterministic", "slow_mode"]))
+@pytest.mark.parametrize("case, name", _case_names(sorted(BATCH_CASES)))
 def test_simulate_trace_matches_per_draw_oracle(case, name):
     """Block-buffered draws give the per-draw trajectory bit for bit, past
     the first block of an arrival substream."""
@@ -500,9 +501,11 @@ def test_simulate_trace_matches_per_draw_oracle(case, name):
     for key in ("n1", "n2", "l1", "action", "cost", "dt", "t"):
         assert np.array_equal(getattr(tr, key), want[key]), key
     assert tr.arrivals == want["arrivals"]
-    # every step reads one gap of each class besides its arrivals
+    # every step reads one gap of each class besides its arrivals; a case
+    # without arrivals has no gap substream to read past its first block
     arrived = [sum(1 for arr in tr.arrivals for c, _ in arr if c == cls) for cls in (0, 1)]
-    assert len(tr) + max(arrived) > simulate._GAP_BLOCK
+    if any(cfg.arrival_rates):
+        assert len(tr) + max(arrived) > simulate._GAP_BLOCK
 
 
 def _math_exp_step_cost(n1, n2, arrivals, dt, c1, c2, beta):
@@ -516,7 +519,7 @@ def _math_exp_step_cost(n1, n2, arrivals, dt, c1, c2, beta):
     return total
 
 
-@pytest.mark.parametrize("case, name", _case_names(["asym_var", "deterministic", "slow_mode"]))
+@pytest.mark.parametrize("case, name", _case_names(sorted(BATCH_CASES)))
 def test_costs_match_math_exp_reference(case, name):
     """``np.exp`` can differ from ``math.exp`` in the last bit: each step
     cost stays within 1e-14 of its scale and the rollout within 1e-13
@@ -543,6 +546,41 @@ def test_costs_match_math_exp_reference(case, name):
         total += math.exp(-cfg.beta * t) * step
     got = rollout(cfg, policy, _point_dist(cfg, *x0), seed, T)
     assert got == pytest.approx(total, rel=1e-13, abs=0)
+
+
+def test_arrival_log_needs_no_per_step_sort():
+    """The scalar loop logs a step's arrivals class by class, not in time
+    order.  ``arrivals`` gives them in time order with class 0 first on a
+    tie, as a stable sort by time does, and `_costs` charges every order of
+    a step's log entries with the same bits."""
+    dt = np.array([1.3, 0.6, 2.0])
+    step = np.array([2, 0, 0, 2, 0, 0, 2])
+    cls = np.array([0, 0, 1, 1, 1, 0, 0])
+    when = np.array([1.5, 0.7, 0.3, 0.25, 0.05, 0.3, 0.1])  # 0.3: a class 0/1 tie
+    trace = RolloutTrace(
+        n1=np.array([2, 0, 1], dtype=np.int32), n2=np.array([1, 3, 0], dtype=np.int32),
+        l1=np.zeros(3, dtype=np.int32), action=np.full(3, SWITCH, dtype=np.int32),
+        cost=np.zeros(3), dt=dt, t=np.array([0.0, 1.3, 1.9]), horizon=3.9,
+        arrival_step=step, arrival_class=cls, arrival_time=when)
+    entries = sorted(zip(step.tolist(), cls.tolist(), when.tolist()), key=lambda e: e[1])
+    for k in range(3):
+        arr = [(c, w) for s, c, w in entries if s == k]  # class 0's first, as the oracle
+        arr.sort(key=lambda pair: pair[1])
+        assert trace.arrivals[k] == tuple(arr)
+    assert trace.arrivals[0] == ((1, 0.05), (0, 0.3), (1, 0.3), (0, 0.7))
+    assert trace.arrivals[1] == ()
+
+    cfg = slow_mode_config()
+    costs = set()
+    for perm in itertools.permutations(np.flatnonzero(step == 0)):
+        order = np.arange(len(step))
+        order[step == 0] = perm
+        total = np.zeros(1)
+        cost = simulate._costs(
+            total, np.zeros(3, dtype=int), trace.t, dt, cfg.c1 * trace.n1 + cfg.c2 * trace.n2,
+            None, step[order], when[order], cls[order], cfg.c1, cfg.c2, cfg.beta)
+        costs.add((cost.tobytes(), total.tobytes()))
+    assert len(costs) == 1
 
 
 def test_np_exp_is_elementwise_and_position_independent():
