@@ -14,13 +14,11 @@ from .model import (
     IDLE,
     SERVE,
     SWITCH,
-    PollingState,
     ScenarioConfig,
     ScenarioError,
     StabilityReport,
     StateIndexer,
     Truncation,
-    feasible_actions,
     validate_scenario,
 )
 from .lattice import (
@@ -38,7 +36,6 @@ from .smdp import ActionModel, SmdpModel, build_action_model, build_cost_vector,
 from .ctmdp import NonPreemptiveModel, PreemptiveModel, build_nonpreemptive, build_preemptive
 from .solver import (
     Policy,
-    TabularModel,
     ValueGraph,
     build_value_graph,
     policy_evaluate,
@@ -68,7 +65,6 @@ from .simulate import (
     rollout,
     sample_performance,
     simulate_trace,
-    step_wise_cost,
     work_fraction,
 )
 from .stats import (

@@ -155,8 +155,8 @@ def solve_policies(cfg: ScenarioConfig, which: Sequence[str], algo: str = "defau
     starts from the uniformised model's table (solved, or from a loose
     value iteration when the SMDP is solved alone) wherever its action is
     feasible; it reaches the same table from any start (Puterman 1994,
-    section 6.4).  A state-dependent ``rate_fn`` or a zero mean duration
-    has no uniformised model, so the SMDP then takes the exhaustive start.
+    section 6.4).  A zero mean duration has no uniformised model, so the
+    SMDP then takes the exhaustive start.
     """
     # keys in MDP_POLICIES order, whichever model is solved first
     tables = dict.fromkeys(name for name in MDP_POLICIES if name in which)
@@ -201,7 +201,7 @@ def _loose_ctmdp_table(cfg: ScenarioConfig) -> Optional[np.ndarray]:
     """The uniformised model's table after a value iteration stopped at
     ``WARM_START_EPS`` * max cost, or None when that model does not exist."""
     durations = (cfg.serve1, cfg.serve2, cfg.switch12, cfg.switch21)
-    if cfg.rate_fn is not None or min(d.mean() for d in durations) <= 0:
+    if min(d.mean() for d in durations) <= 0:
         return None
     np_model = build_nonpreemptive(cfg.with_exponential_durations())
     graph = build_value_graph(np_model)

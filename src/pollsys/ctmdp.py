@@ -91,8 +91,6 @@ class PreemptiveModel:
 
     def __init__(self, cfg: ScenarioConfig):
         mu1, mu2, s12, s21 = _exponential_rates(cfg)
-        if cfg.rate_fn is not None:
-            raise ModelError("uniformised models require homogeneous arrival rates")
         lam1, lam2 = cfg.lambda1, cfg.lambda2
         self.cfg = cfg
         self.gamma = lam1 + lam2 + max(mu1, mu2, s12, s21)
@@ -152,8 +150,6 @@ class NonPreemptiveModel:
 
     def __init__(self, cfg: ScenarioConfig):
         mu1, mu2, s12, s21 = _exponential_rates(cfg)
-        if cfg.rate_fn is not None:
-            raise ModelError("uniformised models require homogeneous arrival rates")
         lam1, lam2 = cfg.lambda1, cfg.lambda2
         self.cfg = cfg
         self.gamma = lam1 + lam2 + max(mu1, mu2, s12, s21)

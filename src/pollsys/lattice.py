@@ -38,9 +38,6 @@ class GeneratorMatrix:
     """Sparse generator of the truncated arrival-count birth process."""
 
     Q: sparse.csr_matrix
-    mode: Truncation
-    N1: int
-    N2: int
     indexer: StateIndexer
     gamma_max: float  # largest row outflow, the uniformisation rate Lambda
 
@@ -62,19 +59,6 @@ class ArrivalSummary:
     tail_mass: float  # mixed-Poisson weight beyond the last term: 1 - sum(w_k)
 
 
-def _cell_rates(cfg: ScenarioConfig, a1: np.ndarray, a2: np.ndarray):
-    """Arrival rates of the lattice cells (a1, a2), as two float arrays."""
-    if cfg.rate_fn is None:
-        return np.full(a1.shape, float(cfg.lambda1)), np.full(a1.shape, float(cfg.lambda2))
-    rates = np.array([cfg.rate_fn(x, y) for x, y in zip(a1.tolist(), a2.tolist())],
-                     dtype=float).reshape(-1, 2)
-    negative = np.flatnonzero((rates < 0).any(axis=1))
-    if negative.size:
-        j = negative[0]
-        raise ValueError(f"rate_fn returned negative rates at ({a1[j]}, {a2[j]})")
-    return rates[:, 0], rates[:, 1]
-
-
 def build_generator(cfg: ScenarioConfig) -> GeneratorMatrix:
     """Assemble the truncated generator over the (N1+1)x(N2+1) count lattice.
 
@@ -88,13 +72,13 @@ def build_generator(cfg: ScenarioConfig) -> GeneratorMatrix:
     indexer = StateIndexer((N1, N2))
     cell = np.arange(indexer.size)
     a1, a2 = indexer.unflatten(cell)
-    lam1, lam2 = _cell_rates(cfg, a1, a2)
+    lam1, lam2 = float(cfg.lambda1), float(cfg.lambda2)
     out1 = np.where(a1 < N1, lam1, 0.0)
     out2 = np.where(a2 < N2, lam2, 0.0)
     if cfg.truncation_mode is Truncation.ABSORBING:
         diag = -(out1 + out2)
     else:
-        diag = -(lam1 + lam2)
+        diag = np.full(indexer.size, -(lam1 + lam2))
     s1, s2 = indexer.strides
     vals = np.stack([out1, out2, diag], axis=1)
     keep = np.stack([out1 > 0, out2 > 0, diag != 0.0], axis=1)
@@ -104,8 +88,7 @@ def build_generator(cfg: ScenarioConfig) -> GeneratorMatrix:
         (vals[keep], (rows, cols)), shape=(indexer.size, indexer.size), dtype=float
     )
     gamma_max = max(0.0, float(-diag.min()))
-    return GeneratorMatrix(Q=Q, mode=cfg.truncation_mode, N1=N1, N2=N2,
-                           indexer=indexer, gamma_max=gamma_max)
+    return GeneratorMatrix(Q=Q, indexer=indexer, gamma_max=gamma_max)
 
 
 def _poisson_terms(f_e: DurationDist, rate: float) -> int:
@@ -163,39 +146,20 @@ def holding_cost_existing(f_e: DurationDist, beta: float) -> float:
     return (1.0 - f_e.discount_factor(beta)) / beta
 
 
-def holding_cost_arrivals(
-    gen: Optional[GeneratorMatrix], f_e: DurationDist, cfg: ScenarioConfig
-) -> float:
+def holding_cost_arrivals(f_e: DurationDist, cfg: ScenarioConfig) -> float:
     """Expected discounted holding cost of the arrivals within one event.
 
     A customer arriving at time tau accrues cost from tau until the event
     completes, so the cost is int_0^inf e^{-beta s} P(t_e > s) c.E[a(s)] ds.
-    With homogeneous rates the expected counts grow linearly and this
-    collapses to the closed form
+    The expected counts grow linearly, and this collapses to the closed form
     (c1 l1 + c2 l2) * (1 - E[e^{-bt}] - b E[t e^{-bt}]) / b^2, free of lattice
-    truncation.  Non-homogeneous rates use the uniformised lattice ``gen``:
-    the cost is sum_k u_k c.v_k with
-    u_k = int e^{-beta s} P(t_e > s) Pois(k; Lambda s) ds
-        = Lambda^k / (Lambda+beta)^(k+1) P(N_{Lambda+beta}(t_e) >= k+1).
+    truncation.
     """
     beta = cfg.beta
-    if cfg.rate_fn is None:
-        weight = cfg.c1 * cfg.lambda1 + cfg.c2 * cfg.lambda2
-        if weight == 0.0:
-            return 0.0
-        return (
-            weight
-            * (1.0 - f_e.discount_factor(beta) - beta * f_e.discounted_mean(beta))
-            / beta**2
-        )
-    if gen is None:
-        raise ValueError("non-homogeneous arrival costs require the lattice generator")
-    lam = gen.gamma_max
-    k = np.arange(_poisson_terms(f_e, lam))
-    u = (lam / (lam + beta)) ** k / (lam + beta) * f_e.poisson_tail(lam + beta, k + 1)
-    a1, a2 = gen.indexer.unflatten(np.arange(gen.size))
-    cell_cost = cfg.c1 * np.asarray(a1, dtype=float) + cfg.c2 * np.asarray(a2, dtype=float)
-    return float(u @ (_uniformised_steps(gen, len(k)) @ cell_cost))
+    weight = cfg.c1 * cfg.lambda1 + cfg.c2 * cfg.lambda2
+    if weight == 0.0:
+        return 0.0
+    return weight * (1.0 - f_e.discount_factor(beta) - beta * f_e.discounted_mean(beta)) / beta**2
 
 
 def build_arrival_summaries(cfg: ScenarioConfig) -> dict:
@@ -225,7 +189,7 @@ def build_arrival_summaries(cfg: ScenarioConfig) -> dict:
             P=_weighted_sum(w, steps),
             P_beta=_weighted_sum(dist.poisson_mixture(lam, k, cfg.beta), steps),
             C_H=holding_cost_existing(dist, cfg.beta),
-            C_I=holding_cost_arrivals(gen, dist, cfg),
+            C_I=holding_cost_arrivals(dist, cfg),
             tail_mass=1.0 - float(w.sum()),
         )
     return out

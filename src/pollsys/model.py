@@ -10,9 +10,10 @@ server-activity codes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,32 +33,6 @@ class Truncation(str, Enum):
 
 class ScenarioError(ValueError):
     """Raised when a scenario is malformed or unstable."""
-
-
-@dataclass(frozen=True)
-class PollingState:
-    """Queue lengths, server location and server activity."""
-
-    n1: int
-    n2: int
-    l1: int
-    l2: int = 0
-
-    def __post_init__(self):
-        if self.n1 < 0 or self.n2 < 0:
-            raise ValueError("queue lengths must be non-negative")
-        if self.l1 not in (0, 1):
-            raise ValueError("server location must be 0 or 1")
-        if self.l2 not in (0, 1, 2):
-            raise ValueError("server activity must be 0, 1 or 2")
-
-    @property
-    def current_queue_length(self) -> int:
-        return self.n1 if self.l1 == 0 else self.n2
-
-    @property
-    def other_queue_length(self) -> int:
-        return self.n2 if self.l1 == 0 else self.n1
 
 
 class StateIndexer:
@@ -112,9 +87,8 @@ class ScenarioConfig:
 
     ``X1``/``X2`` bound the tracked queue lengths of the decision model and
     ``N1``/``N2`` bound the number of arrivals counted within one action
-    interval.  ``rate_fn``, when given, maps accumulated arrival counts
-    ``(n1, n2)`` to the pair of instantaneous arrival rates, enabling
-    non-homogeneous arrivals.
+    interval.  Arrivals are homogeneous Poisson at ``lambda1``/``lambda2``.
+    Rates, costs and ``beta`` must be finite and the four bounds integers.
     """
 
     lambda1: float
@@ -133,9 +107,16 @@ class ScenarioConfig:
     N1: int = 20
     N2: int = 20
     truncation_mode: Truncation = Truncation.ABSORBING
-    rate_fn: Optional[Callable[[int, int], tuple]] = field(default=None, compare=False)
 
     def __post_init__(self):
+        for name in ("lambda1", "lambda2", "c1", "c2", "K12", "K21", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ScenarioError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("X1", "X2", "N1", "N2"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ScenarioError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer breaks json.dump
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ScenarioError("arrival rates must be non-negative")
         if self.c1 <= 0 or self.c2 <= 0:
@@ -181,8 +162,6 @@ class ScenarioConfig:
         )
 
     def to_json(self) -> dict:
-        if self.rate_fn is not None:
-            raise ScenarioError("rate_fn is not serialisable; drop it before saving")
         return {
             "lambda1": self.lambda1,
             "lambda2": self.lambda2,
@@ -218,19 +197,6 @@ class ScenarioConfig:
     def load(path) -> "ScenarioConfig":
         with open(path) as fh:
             return ScenarioConfig.from_json(json.load(fh))
-
-
-def feasible_actions(state: PollingState):
-    """Feasible decisions at a free server, ordered idle < serve < switch.
-
-    Serving is only allowed when the queue at the server's location is
-    non-empty; idling and switching are always allowed.
-    """
-    if state.l2 != 0:
-        raise ValueError("actions are only consulted when the server is free (l2=0)")
-    if state.current_queue_length > 0:
-        return (IDLE, SERVE, SWITCH)
-    return (IDLE, SWITCH)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .model import IDLE, SERVE, SWITCH, ScenarioConfig, triple_indexer
-from .baselines import _heuristic_params, exhaustive_actions, heuristic_actions
+from .baselines import CycleKind, _heuristic_params, exhaustive_actions, heuristic_actions
 from .distributions import Exponential
 
 # substream tags: one per event type, plus bookkeeping streams
@@ -174,21 +174,6 @@ class TabularPolicy:
         box = self.table.reshape(self.X1 + 1, self.X2 + 1, 2)
         return _over_cap_box(cfg, lambda served, n1, n2, l1:
                              box[np.minimum(n1, self.X1), np.minimum(n2, self.X2), l1])
-
-
-def step_wise_cost(n1, n2, arrivals, dt, c1, c2, beta):
-    """Locally discounted holding cost of one embedded transition.
-
-    ``arrivals`` holds (class, time) pairs with times in [0, dt].  Customers
-    present at entry accrue cost over the whole interval; each arrival from
-    its arrival time to the interval end.  This is one step of `_costs`, so
-    it gives the simulator's step cost bit for bit.
-    """
-    arr = np.array(arrivals, dtype=float).reshape(-1, 2)
-    step = _costs(np.zeros(1), np.zeros(1, dtype=int), np.zeros(1), np.array([dt], dtype=float),
-                  np.array([c1 * n1 + c2 * n2]), None, np.zeros(len(arr), dtype=int),
-                  arr[:, 1], arr[:, 0].astype(int), c1, c2, beta)
-    return float(step[0])
 
 
 def _costs(total, k, t, dt, base, extra, event, when, cls, c1, c2, beta) -> np.ndarray:
@@ -347,19 +332,15 @@ def _initial_states(cfg: ScenarioConfig, cdf: np.ndarray, u):
     return triple_indexer(cfg).unflatten(idx)
 
 
-def _check_inputs(cfg: ScenarioConfig, T: float):
-    """The checks of every entry point, made before any draw.  The simulator
-    draws homogeneous Poisson arrivals, so it cannot honour ``cfg.rate_fn``."""
+def _check_horizon(T: float):
+    """The horizon check of every entry point, made before any draw."""
     if T <= 0:
         raise ValueError("horizon T must be positive")
-    if cfg.rate_fn is not None:
-        raise ValueError("the simulator draws homogeneous Poisson arrivals; "
-                         "a scenario with rate_fn cannot be simulated")
 
 
 def rollout(cfg: ScenarioConfig, policy, initial_dist, seed: int, T: float) -> float:
     """One discounted Monte-Carlo rollout from a sampled initial state."""
-    _check_inputs(cfg, T)
+    _check_horizon(T)
     seeds = SeedStream(seed)
     u = seeds.generator(TAG_INIT).random()
     x0 = _initial_states(cfg, _initial_cdf(cfg, initial_dist), u)
@@ -374,7 +355,7 @@ def simulate_trace(cfg: ScenarioConfig, policy, T: float, seed: int = 0,
     ``x0`` holds integers (n1, n2, l1) within the simulator's cap box
     [0, 10 X1] x [0, 10 X2] x {0, 1}.
     """
-    _check_inputs(cfg, T)
+    _check_horizon(T)
     x0 = tuple(x0)
     caps = (10 * cfg.X1, 10 * cfg.X2, 1)
     if len(x0) != 3 or not all(isinstance(v, (int, np.integer)) and 0 <= v <= cap
@@ -676,7 +657,7 @@ def sample_performance(cfg: ScenarioConfig, policies, initial_dist, seed0: int,
     """
     if M < 2:
         raise ValueError("need at least two rollouts (M >= 2)")
-    _check_inputs(cfg, T)
+    _check_horizon(T)
     policies = list(policies)
     if not policies:
         raise ValueError("need at least one policy")
@@ -757,11 +738,13 @@ def action_time_fractions(trace: RolloutTrace, burn_in: Optional[int] = None):
     return phi, total, T1, T2
 
 
-def _integer_hull(cycle, grid: int):
+def limit_cycle_cells(cycle, grid: int = 100) -> set:
+    """The (n1, n2) cells of the integerised cycle: each cycle segment is
+    sampled on ``grid`` points and every floor/ceil combination of a sampled
+    point counts as part of the cycle."""
     cells = set()
     corners = list(cycle.coordinates)
-    kind = getattr(cycle, "kind", None)
-    if kind is not None and getattr(kind, "value", kind) == "pure-bow-tie":
+    if cycle.kind is CycleKind.PURE_BOW_TIE:
         # a pure bow-tie is drawn without its switch-arrival corner: the
         # crossing diagonals run straight between the exhaustion points
         corners = [cycle.c1, cycle.c2, cycle.c4, cycle.c5]
@@ -774,13 +757,6 @@ def _integer_hull(cycle, grid: int):
                 for f2 in (math.floor(x2), math.ceil(x2)):
                     cells.add((int(f1), int(f2)))
     return cells
-
-
-def limit_cycle_cells(cycle, grid: int = 100) -> set:
-    """The (n1, n2) cells of the integerised cycle: each cycle segment is
-    sampled on ``grid`` points and every floor/ceil combination of a sampled
-    point counts as part of the cycle."""
-    return _integer_hull(cycle, grid)
 
 
 def cells_occupancy(freq_table: dict, cells: set) -> float:

@@ -16,7 +16,6 @@ per-entry discounted probabilities.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -75,7 +74,7 @@ def build_cost_vector(cfg: ScenarioConfig, summaries: Dict[str, ArrivalSummary],
     l1 = np.asarray(l1)
     held = cfg.c1 * n1 + cfg.c2 * n2
     if action == IDLE:
-        gamma_l = sum(cfg.arrival_rates if cfg.rate_fn is None else cfg.rate_fn(0, 0))
+        gamma_l = sum(cfg.arrival_rates)
         return held / (cfg.beta + gamma_l)
     C = np.zeros(indexer.size)
     for loc in (0, 1):
@@ -168,7 +167,7 @@ def build_action_model(cfg: ScenarioConfig, summaries: Dict[str, ArrivalSummary]
     states = np.flatnonzero(feasible_mask)
 
     if action == IDLE:
-        lam1, lam2 = cfg.arrival_rates if cfg.rate_fn is None else cfg.rate_fn(0, 0)
+        lam1, lam2 = cfg.arrival_rates
         gamma_l = lam1 + lam2
         # idling never ends without arrivals; its rows then stay empty
         probs = np.array([lam1, lam2]) / gamma_l if gamma_l > 0 else np.zeros(2)
@@ -255,21 +254,3 @@ def build_smdp(cfg: ScenarioConfig,
         summaries = build_arrival_summaries(cfg)
     return SmdpModel(cfg, _stack_action_models(
         [build_action_model(cfg, summaries, a) for a in ACTIONS]))
-
-
-def write_action_model_csv(model: ActionModel, path) -> None:
-    """Dump one action model as rows (idx_from, idx_to, p, p_beta, cost)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["idx_from", "idx_to", "p", "p_beta", "cost"])
-        P = model.P
-        for x in range(P.shape[0]):
-            lo, hi = P.indptr[x], P.indptr[x + 1]
-            for k in range(lo, hi):
-                writer.writerow([
-                    x,
-                    int(P.indices[k]),
-                    repr(float(P.data[k])),
-                    repr(float(model.P_beta.data[k])),
-                    repr(float(model.C[x])),
-                ])

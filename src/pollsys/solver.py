@@ -216,20 +216,6 @@ def _check_linking_cycles(A) -> None:
         )
 
 
-def assemble_policy_matrix(model, actions, discounted: bool = True):
-    """Policy transition matrix (discounted or plain) and its cost vector."""
-    graph = model.graph
-    nodes = _policy_nodes(graph, actions)
-    if discounted:
-        rows = graph.discounted
-    else:
-        from scipy import sparse
-
-        rows = sparse.csr_matrix((graph.q_probs, graph.q_cols, graph.q_indptr),
-                                 shape=(graph.n_nodes, graph.n_states))
-    return rows[nodes], graph.q_cost[nodes]
-
-
 # A dense policy whose nodes differ from the factored policy's in more than
 # n // UPDATE_RANK_DIVISOR rows is factored afresh instead of updated.
 UPDATE_RANK_DIVISOR = 4
@@ -724,34 +710,3 @@ def export_policy_csv(table: np.ndarray, cfg, out_dir, name: str):
         paths.append(path)
     return paths
 
-
-class TabularModel:
-    """Explicit model container for small hand-built decision processes."""
-
-    def __init__(self, n_states, rows, feasible, fixed_rows=None):
-        """``rows[(x, a)] = (cols, plain, discounted, cost)``;
-        ``feasible[x]`` lists actions, whose nodes follow that order;
-        ``fixed_rows[x]`` covers states without a choice."""
-        fixed_rows = fixed_rows or {}
-        nodes = []
-        for x in range(n_states):
-            if x in fixed_rows:
-                nodes.append((x, -1, fixed_rows[x]))
-            else:
-                nodes.extend((x, a, rows[(x, a)]) for a in feasible.get(x, ()))
-        q_state, q_action, entries = zip(*nodes)
-        cols, plain, disc, cost = zip(*entries)
-        self.n_states = n_states
-        self.graph = ValueGraph(
-            n_states=n_states,
-            q_state=np.array(q_state, dtype=np.int64),
-            q_action=np.array(q_action, dtype=np.int64),
-            q_cost=np.array(cost, dtype=float),
-            q_indptr=np.concatenate(([0], np.cumsum([len(c) for c in cols]))).astype(np.int64),
-            q_cols=np.concatenate(cols).astype(np.int64),
-            q_probs=np.concatenate(plain).astype(float),
-            q_dprobs=np.concatenate(disc).astype(float),
-        )
-
-    def decision_table(self, actions):
-        return np.asarray(actions, dtype=int).copy()

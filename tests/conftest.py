@@ -1,8 +1,11 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from pollsys import IDLE, SERVE, SWITCH, Exponential, Gamma, ScenarioConfig
-from pollsys.solver import assemble_policy_matrix, policy_improve
+from pollsys.simulate import _costs
+from pollsys.solver import ValueGraph, _policy_nodes, policy_improve
 
 
 def asym_var_config(**kw):
@@ -43,6 +46,102 @@ def exp_config(**kw):
     )
     base.update(kw)
     return ScenarioConfig(**base)
+
+
+@dataclass(frozen=True)
+class PollingState:
+    """Queue lengths, server location and server activity."""
+
+    n1: int
+    n2: int
+    l1: int
+    l2: int = 0
+
+    def __post_init__(self):
+        if self.n1 < 0 or self.n2 < 0:
+            raise ValueError("queue lengths must be non-negative")
+        if self.l1 not in (0, 1):
+            raise ValueError("server location must be 0 or 1")
+        if self.l2 not in (0, 1, 2):
+            raise ValueError("server activity must be 0, 1 or 2")
+
+    @property
+    def current_queue_length(self) -> int:
+        return self.n1 if self.l1 == 0 else self.n2
+
+
+def feasible_actions(state: PollingState):
+    """Feasible decisions at a free server, ordered idle < serve < switch.
+
+    Serving is only allowed when the queue at the server's location is
+    non-empty; idling and switching are always allowed.
+    """
+    if state.l2 != 0:
+        raise ValueError("actions are only consulted when the server is free (l2=0)")
+    if state.current_queue_length > 0:
+        return (IDLE, SERVE, SWITCH)
+    return (IDLE, SWITCH)
+
+
+class TabularModel:
+    """Explicit model container for small hand-built decision processes."""
+
+    def __init__(self, n_states, rows, feasible, fixed_rows=None):
+        """``rows[(x, a)] = (cols, plain, discounted, cost)``;
+        ``feasible[x]`` lists actions, whose nodes follow that order;
+        ``fixed_rows[x]`` covers states without a choice."""
+        fixed_rows = fixed_rows or {}
+        nodes = []
+        for x in range(n_states):
+            if x in fixed_rows:
+                nodes.append((x, -1, fixed_rows[x]))
+            else:
+                nodes.extend((x, a, rows[(x, a)]) for a in feasible.get(x, ()))
+        q_state, q_action, entries = zip(*nodes)
+        cols, plain, disc, cost = zip(*entries)
+        self.n_states = n_states
+        self.graph = ValueGraph(
+            n_states=n_states,
+            q_state=np.array(q_state, dtype=np.int64),
+            q_action=np.array(q_action, dtype=np.int64),
+            q_cost=np.array(cost, dtype=float),
+            q_indptr=np.concatenate(([0], np.cumsum([len(c) for c in cols]))).astype(np.int64),
+            q_cols=np.concatenate(cols).astype(np.int64),
+            q_probs=np.concatenate(plain).astype(float),
+            q_dprobs=np.concatenate(disc).astype(float),
+        )
+
+    def decision_table(self, actions):
+        return np.asarray(actions, dtype=int).copy()
+
+
+def assemble_policy_matrix(model, actions, discounted: bool = True):
+    """Policy transition matrix (discounted or plain) and its cost vector."""
+    graph = model.graph
+    nodes = _policy_nodes(graph, actions)
+    if discounted:
+        rows = graph.discounted
+    else:
+        from scipy import sparse
+
+        rows = sparse.csr_matrix((graph.q_probs, graph.q_cols, graph.q_indptr),
+                                 shape=(graph.n_nodes, graph.n_states))
+    return rows[nodes], graph.q_cost[nodes]
+
+
+def step_wise_cost(n1, n2, arrivals, dt, c1, c2, beta):
+    """Locally discounted holding cost of one embedded transition.
+
+    ``arrivals`` holds (class, time) pairs with times in [0, dt].  Customers
+    present at entry accrue cost over the whole interval; each arrival from
+    its arrival time to the interval end.  This is one step of the
+    simulator's `_costs`, so it gives the simulator's step cost bit for bit.
+    """
+    arr = np.array(arrivals, dtype=float).reshape(-1, 2)
+    step = _costs(np.zeros(1), np.zeros(1, dtype=int), np.zeros(1), np.array([dt], dtype=float),
+                  np.array([c1 * n1 + c2 * n2]), None, np.zeros(len(arr), dtype=int),
+                  arr[:, 1], arr[:, 0].astype(int), c1, c2, beta)
+    return float(step[0])
 
 
 def dense_policy_iteration(model, actions):

@@ -249,6 +249,20 @@ def test_screen_fails_in_a_named_stage(tmp_path):
     assert info.value.stage == "screen"
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("c1", float("nan"), "c1 must be finite, got nan"),
+    ("X1", 6.5, "X1 must be an integer, got 6.5"),
+])
+def test_edge_input_fails_in_load_stage(tmp_path, field, value, message):
+    doc = slow_mode_config().to_json()
+    doc[field] = value
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(StageError, match=r"^\[load\] " + message) as info:
+        main(["screen", "--scenario", str(path)])
+    assert info.value.stage == "load"
+
+
 def test_solve_fails_in_a_named_stage(tiny_scenario, tmp_path, monkeypatch):
     out = tmp_path / "solved"
     with pytest.raises(StageError, match=r"^\[load\] scenario 'missing_scenario'"):
@@ -433,19 +447,6 @@ def test_smdp_alone_start_takes_exhaustive_action_where_infeasible(monkeypatch):
     tables, diag = solve_policies(cfg, ["smdp"])
     assert np.array_equal(starts[0], np.where(current > 0, IDLE, np.where(other > 0, SWITCH, IDLE)))
     assert diag["smdp"]["start"] == "ctmdp"
-    assert tables["smdp"].tobytes() == _exhaustive_pi_table(cfg)[0].tobytes()
-
-
-def test_smdp_alone_without_uniformised_model_takes_exhaustive_start(monkeypatch):
-    """With state-dependent arrival rates the uniformised model does not
-    exist, so an SMDP-only solve takes the exhaustive start and gives the
-    direct policy iteration's table."""
-    cfg = asym_var_config(X1=8, X2=8, N1=8, N2=8,
-                          rate_fn=lambda a1, a2: (0.8 + 0.01 * a1, 0.8))
-    starts = _recording_pi(monkeypatch)
-    tables, diag = solve_policies(cfg, ["smdp"])
-    assert len(starts) == 1 and np.array_equal(starts[0], exhaustive_start(build_smdp(cfg)))
-    assert diag["smdp"]["start"] == "exhaustive" and diag["smdp"]["iterations"] == 3
     assert tables["smdp"].tobytes() == _exhaustive_pi_table(cfg)[0].tobytes()
 
 

@@ -7,15 +7,13 @@ from pollsys import (
     SWITCH,
     Exponential,
     Gamma,
-    PollingState,
     build_nonpreemptive,
     build_preemptive,
     build_value_graph,
-    feasible_actions,
 )
 from pollsys.ctmdp import ModelError
 
-from conftest import exp_config, slow_mode_config
+from conftest import PollingState, exp_config, feasible_actions, slow_mode_config
 
 
 def slow_exp_config(**kw):

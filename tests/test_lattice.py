@@ -65,20 +65,6 @@ def test_generator_smallest_lattice_unassigned():
     assert np.count_nonzero(Q[i11]) == 1  # no outflow targets from the corner
 
 
-def test_generator_rate_fn_cell():
-    cfg = exp_config(N1=3, N2=3, rate_fn=lambda a1, a2: (1.0 + a1, 1.0))
-    gen = build_generator(cfg)
-    idx = gen.indexer
-    assert gen.Q[idx.flatten(1, 0), idx.flatten(2, 0)] == 2.0
-
-
-def test_generator_rejects_negative_rate_fn():
-    cfg = exp_config(N1=3, N2=3,
-                     rate_fn=lambda a1, a2: (1.0, -1.0 if (a1, a2) == (2, 1) else 1.0))
-    with pytest.raises(ValueError, match=r"negative rates at \(2, 1\)"):
-        build_generator(cfg)
-
-
 @pytest.mark.parametrize("mode", ["absorbing", "unassigned"])
 @pytest.mark.parametrize("N", [(1, 1), (5, 3), (40, 40)])
 def test_generator_row_sums(mode, N, rng):
@@ -145,10 +131,9 @@ def test_mesh_absorbing_mass_at_corner():
 
 
 @pytest.mark.parametrize("mode", ["absorbing", "unassigned"])
-def test_transient_matches_matrix_exponential_with_rate_fn(mode):
-    # cell-dependent rates: p(t) is row 0 of expm(Q t)
-    cfg = exp_config(N1=5, N2=4, truncation_mode=mode,
-                     rate_fn=lambda a1, a2: (0.5 + 0.3 * a1, 1.2 / (1 + a2 + a1)))
+def test_transient_matches_matrix_exponential_unequal_rates(mode):
+    # every cell, edges included: p(t) is row 0 of expm(Q t)
+    cfg = exp_config(lambda1=0.7, lambda2=1.3, N1=5, N2=4, truncation_mode=mode)
     gen = build_generator(cfg)
     for t in (0.3, 2.0, 7.5):
         want = linalg.expm(gen.Q.toarray() * t)[0]
@@ -309,7 +294,7 @@ def test_holding_cost_arrivals_closed_forms():
     cfg = asym_var_config()
     for f_e in (Gamma(30, 4 / 30), Gamma(1, 0.4), Exponential(2.0),
                 Deterministic(3.0)):
-        got = holding_cost_arrivals(None, f_e, cfg)
+        got = holding_cost_arrivals(f_e, cfg)
         want = quad_arrival_cost(f_e, cfg.c1 * cfg.lambda1 + cfg.c2 * cfg.lambda2,
                                  cfg.beta)
         assert got == pytest.approx(want, rel=1e-9)
@@ -317,21 +302,8 @@ def test_holding_cost_arrivals_closed_forms():
 
 def test_holding_cost_arrivals_zero_rates():
     cfg = exp_config(lambda1=0.0, lambda2=0.0)
-    assert holding_cost_arrivals(None, Gamma(3, 1.0), cfg) == 0.0
-    assert holding_cost_arrivals(None, Deterministic(5.0), cfg) == 0.0
-
-
-def test_holding_cost_arrivals_constant_rate_fn_matches_closed_form():
-    # the uniformised lattice sum with a constant rate function is the
-    # general integral; the homogeneous closed form is its oracle
-    base = asym_var_config(N1=25, N2=25)
-    cfg = asym_var_config(N1=25, N2=25, rate_fn=lambda a1, a2: (0.8, 0.8))
-    gen = build_generator(cfg)
-    for f_e in (Gamma(30, 4 / 30), Gamma(1, 0.4), Gamma(0.5, 0.2), Exponential(2.0),
-                Deterministic(3.0)):
-        got = holding_cost_arrivals(gen, f_e, cfg)
-        want = holding_cost_arrivals(None, f_e, base)
-        assert got == pytest.approx(want, rel=1e-9)
+    assert holding_cost_arrivals(Gamma(3, 1.0), cfg) == 0.0
+    assert holding_cost_arrivals(Deterministic(5.0), cfg) == 0.0
 
 
 def test_build_arrival_summaries_bundle(asym_cfg):

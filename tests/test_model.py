@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,16 +10,14 @@ from pollsys import (
     SERVE,
     SWITCH,
     Exponential,
-    PollingState,
     ScenarioConfig,
     ScenarioError,
     StateIndexer,
     Truncation,
-    feasible_actions,
     validate_scenario,
 )
 
-from conftest import asym_var_config, slow_mode_config
+from conftest import PollingState, asym_var_config, feasible_actions, slow_mode_config
 
 
 def test_flatten_zero_and_hand_value():
@@ -125,6 +124,22 @@ def test_config_validation_errors():
     assert ok.truncation_mode is Truncation.ABSORBING
 
 
+BOUNDS = ("X1", "X2", "N1", "N2")
+
+
+@pytest.mark.parametrize("field", ["lambda1", "lambda2", "c1", "c2", "K12", "K21", "beta",
+                                   *BOUNDS])
+def test_config_rejects_non_finite_and_non_integer_fields(field):
+    bad = (6.5, 4.0, True, "8") if field in BOUNDS else (float("nan"), float("inf"), -np.inf)
+    for value in bad:
+        with pytest.raises(ScenarioError, match=re.escape(f"{field} must be ") + ".* got "
+                           + re.escape(repr(value))):
+            asym_var_config(**{field: value})
+    if field in BOUNDS:
+        cfg = asym_var_config(**{field: np.int64(8)})
+        assert json.loads(json.dumps(cfg.to_json()))[field] == 8
+
+
 def test_scenario_json_round_trip(tmp_path):
     cfg = slow_mode_config(truncation_mode="unassigned")
     doc = cfg.to_json()
@@ -140,12 +155,6 @@ def test_scenario_json_round_trip(tmp_path):
         "c1", "c2", "K12", "K21", "beta", "X1", "X2", "N1", "N2",
         "truncation_mode",
     }
-
-
-def test_rate_fn_not_serialisable():
-    cfg = asym_var_config(rate_fn=lambda a, b: (1.0, 1.0))
-    with pytest.raises(ScenarioError):
-        cfg.to_json()
 
 
 def test_exponentialised_config_keeps_means():

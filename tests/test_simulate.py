@@ -28,21 +28,21 @@ from pollsys import (
     rollout,
     sample_performance,
     simulate_trace,
-    step_wise_cost,
 )
 from pollsys import simulate
 from pollsys.baselines import LimitCycle
 from pollsys.cli import solve_policies
 from pollsys.model import triple_indexer, validate_scenario
 from pollsys.simulate import TAG_SHUFFLE, RolloutTrace
-from pollsys.solver import assemble_policy_matrix
 
 from conftest import (
+    assemble_policy_matrix,
     asym_var_config,
     exhaustive_action,
     exp_config,
     heuristic_action,
     slow_mode_config,
+    step_wise_cost,
 )
 
 
@@ -611,21 +611,6 @@ def test_initial_dist_needs_a_finite_positive_total(kind):
         sample_performance(cfg, [ExhaustivePolicy()], dist, 0, 10.0, 4)
 
 
-def test_every_entry_point_rejects_rate_fn():
-    """The simulator draws homogeneous arrivals, so a scenario with arrival
-    rates that depend on the counts is rejected, not silently simulated."""
-    cfg = slow_mode_config(X1=6, X2=6, N1=6, N2=6, rate_fn=lambda a, b: (3.0, 0.1))
-    policy = ExhaustivePolicy()
-    calls = (
-        lambda: rollout(cfg, policy, None, 0, 50.0),
-        lambda: simulate_trace(cfg, policy, 50.0),
-        lambda: sample_performance(cfg, [policy], None, 0, 50.0, 4),
-    )
-    for call in calls:
-        with pytest.raises(ValueError, match="rate_fn"):
-            call()
-
-
 def test_simulate_trace_rejects_nonpositive_horizon():
     cfg = exp_config(X1=2, X2=2)
     for T in (0.0, -5.0):
@@ -774,21 +759,21 @@ def test_work_fraction_hand_value():
 
 
 def test_pure_cycle_hull_skips_switch_corner():
-    from pollsys.simulate import _integer_hull
+    from pollsys.simulate import limit_cycle_cells
 
     pure = LimitCycle(
         c1=(0.0, 2.0), c2=(0.0, 2.0), c3=(50.0, 50.0), c4=(2.0, 0.0),
         c5=(1.0, 1.0), alpha1=0.0, kind=CycleKind.PURE_BOW_TIE,
         slow_mode_value=0.0, priority_queue=1,
     )
-    cells = _integer_hull(pure, 50)
+    cells = limit_cycle_cells(pure, 50)
     assert (50, 50) not in cells  # C3 plays no role in a pure bow-tie
     truncated = LimitCycle(
         c1=(0.0, 2.0), c2=(0.0, 3.0), c3=(50.0, 50.0), c4=(2.0, 0.0),
         c5=(1.0, 1.0), alpha1=0.5, kind=CycleKind.TRUNCATED_BOW_TIE,
         slow_mode_value=-1.0, priority_queue=1,
     )
-    assert (50, 50) in _integer_hull(truncated, 50)
+    assert (50, 50) in limit_cycle_cells(truncated, 50)
 
 
 def test_idle_durations_are_exponential():

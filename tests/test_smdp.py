@@ -9,20 +9,24 @@ from pollsys import (
     SERVE,
     SWITCH,
     Deterministic,
-    PollingState,
     StateIndexer,
     build_action_model,
     build_arrival_summaries,
     build_smdp,
-    feasible_actions,
     holding_cost_arrivals,
     holding_cost_existing,
 )
 from pollsys import smdp
 from pollsys.model import triple_indexer
-from pollsys.smdp import build_cost_vector, write_action_model_csv
+from pollsys.smdp import build_cost_vector
 
-from conftest import asym_var_config, exp_config, slow_mode_config
+from conftest import (
+    PollingState,
+    asym_var_config,
+    exp_config,
+    feasible_actions,
+    slow_mode_config,
+)
 
 EXP_CFG = exp_config(lambda1=1.0, lambda2=1.0, X1=5, X2=5, N1=8, N2=8)
 
@@ -131,7 +135,7 @@ def test_serve_cost_composition_deterministic():
     idx = triple_indexer(cfg)
     held = cfg.c1 * 2 + cfg.c2 * 1
     want = held * holding_cost_existing(Deterministic(2.0), cfg.beta)
-    want += holding_cost_arrivals(None, Deterministic(2.0), cfg)
+    want += holding_cost_arrivals(Deterministic(2.0), cfg)
     assert C[idx.flatten(2, 1, 0)] == pytest.approx(want, rel=1e-12)
 
 
@@ -185,14 +189,6 @@ def test_cost_monotone_in_queue_lengths(exp_model, exp_action_models):
                 col = [m.C[idx.flatten(n1, n2, l1)] for n1 in range(6)]
                 active = [c for c in col if c > 0]
                 assert all(b >= a - 1e-12 for a, b in zip(active, active[1:]))
-
-
-def test_action_model_csv(tmp_path, exp_action_models):
-    path = tmp_path / "serve.csv"
-    write_action_model_csv(exp_action_models[SERVE], path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "idx_from,idx_to,p,p_beta,cost"
-    assert len(lines) == 1 + exp_action_models[SERVE].P.nnz
 
 
 def test_idle_handles_zero_rates():

@@ -5,7 +5,6 @@ import pytest
 from scipy import sparse
 
 from pollsys import (
-    TabularModel,
     build_nonpreemptive,
     build_preemptive,
     build_smdp,
@@ -23,12 +22,18 @@ from pollsys.solver import (
     _Factorization,
     _greedy_actions,
     _vi_phases,
-    assemble_policy_matrix,
     export_policy_csv,
     initial_policy,
 )
 
-from conftest import asym_var_config, exhaustive_action, exp_config, slow_mode_config
+from conftest import (
+    TabularModel,
+    assemble_policy_matrix,
+    asym_var_config,
+    exhaustive_action,
+    exp_config,
+    slow_mode_config,
+)
 
 
 def single_state_model(cost=1.0, disc=0.5):
