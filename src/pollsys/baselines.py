@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import IDLE, SERVE, SWITCH, ScenarioConfig, validate_scenario
+from .model import IDLE, SERVE, SWITCH, ScenarioConfig, ScenarioError, validate_scenario
 
 
 class CycleKind(str, Enum):
@@ -121,9 +121,12 @@ def analyze_limit_cycle(cfg: ScenarioConfig) -> LimitCycle:
     when c1 l1 rho - (c1 l1 - c2 l2)(1 - rho2) < 0 with queue 1 as the
     priority queue; symmetric scenarios always yield a pure bow-tie.  When a
     queue-2 priority is detected the queues are relabelled internally and
-    the coordinates mirrored back.
+    the coordinates mirrored back.  One zero arrival rate raises ScenarioError.
     """
     report = validate_scenario(cfg)
+    if (cfg.lambda1 == 0) != (cfg.lambda2 == 0):
+        zero = "lambda1" if cfg.lambda1 == 0 else "lambda2"
+        raise ScenarioError(f"{zero} is 0 beside a positive arrival rate: no fluid limit cycle")
     if report.priority_queue == 2:
         mirrored = analyze_limit_cycle(_mirror(cfg))
         return LimitCycle(

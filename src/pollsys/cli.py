@@ -28,7 +28,7 @@ import numpy as np
 
 from .baselines import analyze_limit_cycle, exhaustive_start, limit_cycle_report
 from .ctmdp import build_nonpreemptive
-from .model import ACTIONS, IDLE, SERVE, SWITCH, ScenarioConfig, validate_scenario
+from .model import IDLE, SERVE, SWITCH, ScenarioConfig, validate_scenario
 from .simulate import (
     ExhaustivePolicy,
     HeuristicPolicy,
@@ -153,10 +153,10 @@ def solve_policies(cfg: ScenarioConfig, which: Sequence[str], algo: str = "defau
     reaches the same tables as the all-idle start in fewer iterations and
     dense factorisations, and names its ``start``.  SMDP policy iteration
     starts from the uniformised model's table (solved, or from a loose
-    value iteration when the SMDP is solved alone) wherever its action is
-    feasible; it reaches the same table from any start (Puterman 1994,
-    section 6.4).  A zero mean duration has no uniformised model, so the
-    SMDP then takes the exhaustive start.
+    value iteration when the SMDP is solved alone), feasible at every
+    state; it reaches the same table from any start (Puterman 1994, section
+    6.4).  A zero mean duration has no uniformised model: ``ctmdp`` raises
+    ``ScenarioError`` and the SMDP alone takes the exhaustive start.
     """
     # keys in MDP_POLICIES order, whichever model is solved first
     tables = dict.fromkeys(name for name in MDP_POLICIES if name in which)
@@ -190,7 +190,7 @@ def solve_policies(cfg: ScenarioConfig, which: Sequence[str], algo: str = "defau
             pol, start = value_iterate(build_value_graph(model)), None
         else:
             warm = tables["ctmdp"] if "ctmdp" in which else _loose_ctmdp_table(cfg)
-            pol = policy_iteration(model, _start_from(model, warm))
+            pol = policy_iteration(model, exhaustive_start(model) if warm is None else warm)
             start = "exhaustive" if warm is None else "ctmdp"
         tables["smdp"] = model.decision_table(pol.actions)
         diagnostics["smdp"] = report(pol, start)
@@ -207,16 +207,6 @@ def _loose_ctmdp_table(cfg: ScenarioConfig) -> Optional[np.ndarray]:
     graph = build_value_graph(np_model)
     pol = value_iterate(graph, eps=WARM_START_EPS * float(np.abs(graph.q_cost).max()))
     return np_model.decision_table(pol.actions)
-
-
-def _start_from(model, table: Optional[np.ndarray]) -> np.ndarray:
-    """``table``'s action wherever it is feasible, else the exhaustive one."""
-    start = exhaustive_start(model)
-    if table is None:
-        return start
-    feasible = np.zeros((model.n_states, len(ACTIONS)), dtype=bool)
-    feasible[model.graph.q_state, model.graph.q_action] = True
-    return np.where(feasible[np.arange(model.n_states), table], table, start)
 
 
 def make_sim_policy(name: str, cfg: ScenarioConfig, tables: Dict[str, np.ndarray]):

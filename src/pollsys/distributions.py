@@ -1,17 +1,19 @@
 """Event-duration distributions for service and switch-over processes.
 
 Three families are supported: exponential, gamma (shape/scale) and a
-deterministic point mass.  All times are in the same abstract unit as the
-arrival rates.  Every distribution exposes the handful of functionals the
-model builders need: density, mean, variance, the two discounting moments
-E[exp(-b*t)] and E[t*exp(-b*t)], and the closed-form pmf and tail of the
-number of Poisson events within one duration (the mixed Poisson law: a
-negative binomial for gamma durations, a Poisson for a point mass).
+deterministic point mass, each parameter a finite real number.  All
+times are in the same abstract unit as the arrival rates.  Every
+distribution exposes the handful of functionals the model builders need:
+density, mean, variance, the two discounting moments E[exp(-b*t)] and
+E[t*exp(-b*t)], and the closed-form pmf and tail of the number of
+Poisson events within one duration (the mixed Poisson law: a negative
+binomial for gamma durations, a Poisson for a point mass).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +78,8 @@ class Exponential(DurationDist):
     kind = "exponential"
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"exponential rate must be > 0, got {self.rate}")
+        if not (isinstance(self.rate, numbers.Real) and 0 < self.rate < math.inf):
+            raise ValueError(f"exponential rate must be a finite number > 0, got {self.rate!r}")
 
     def mean(self):
         return 1.0 / self.rate
@@ -115,8 +117,10 @@ class Gamma(DurationDist):
     kind = "gamma"
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):
-            raise ValueError(f"gamma shape/scale must be > 0, got {self.shape}, {self.scale}")
+        if not all(isinstance(v, numbers.Real) and 0 < v < math.inf
+                   for v in (self.shape, self.scale)):
+            raise ValueError("gamma shape/scale must be finite numbers > 0, "
+                             f"got {self.shape!r}, {self.scale!r}")
 
     def mean(self):
         return self.shape * self.scale
@@ -176,8 +180,9 @@ class Deterministic(DurationDist):
     kind = "deterministic"
 
     def __post_init__(self):
-        if not self.value >= 0:
-            raise ValueError(f"deterministic duration must be >= 0, got {self.value}")
+        if not (isinstance(self.value, numbers.Real) and 0 <= self.value < math.inf):
+            raise ValueError(f"deterministic duration must be a finite number >= 0, "
+                             f"got {self.value!r}")
 
     def mean(self):
         return self.value

@@ -50,8 +50,6 @@ class GeneratorMatrix:
 class ArrivalSummary:
     """Per-event arrival probabilities and holding-cost scalars."""
 
-    event: str
-    dist: DurationDist
     P: np.ndarray  # expected arrival probabilities over the lattice
     P_beta: np.ndarray  # discounted counterpart (not a pmf)
     C_H: float  # discounted unit holding cost of customers present at entry
@@ -184,8 +182,6 @@ def build_arrival_summaries(cfg: ScenarioConfig) -> dict:
         k = np.arange(terms[name])
         w = dist.poisson_mixture(lam, k)
         out[name] = ArrivalSummary(
-            event=name,
-            dist=dist,
             P=_weighted_sum(w, steps),
             P_beta=_weighted_sum(dist.poisson_mixture(lam, k, cfg.beta), steps),
             C_H=holding_cost_existing(dist, cfg.beta),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
@@ -88,7 +89,7 @@ class ScenarioConfig:
     ``X1``/``X2`` bound the tracked queue lengths of the decision model and
     ``N1``/``N2`` bound the number of arrivals counted within one action
     interval.  Arrivals are homogeneous Poisson at ``lambda1``/``lambda2``.
-    Rates, costs and ``beta`` must be finite and the four bounds integers.
+    Rates, costs and ``beta`` must be finite real numbers, the bounds integers.
     """
 
     lambda1: float
@@ -110,8 +111,11 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "c1", "c2", "K12", "K21", "beta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ScenarioError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ScenarioError(f"{name} must be a finite number, got {value!r}")
+            if not math.isfinite(value):
+                raise ScenarioError(f"{name} must be finite, got {value!r}")
         for name in ("X1", "X2", "N1", "N2"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -147,19 +151,17 @@ class ScenarioConfig:
         return (self.lambda1, self.lambda2)
 
     def with_exponential_durations(self) -> "ScenarioConfig":
-        """Replace every duration by an exponential with the same mean."""
+        """Replace every duration by an exponential of equal mean; a zero mean raises."""
         from .distributions import Exponential
 
-        def expize(d):
-            return Exponential(rate=1.0 / d.mean())
+        def expize(event):
+            mean = getattr(self, event).mean()
+            if not mean > 0:
+                raise ScenarioError(f"{event} has mean duration {mean!r}, which no exponential has")
+            return Exponential(rate=1.0 / mean)
 
-        return replace(
-            self,
-            serve1=expize(self.serve1),
-            serve2=expize(self.serve2),
-            switch12=expize(self.switch12),
-            switch21=expize(self.switch21),
-        )
+        return replace(self, **{event: expize(event)
+                                for event in ("serve1", "serve2", "switch12", "switch21")})
 
     def to_json(self) -> dict:
         return {
@@ -204,7 +206,6 @@ class StabilityReport:
     rho1: float
     rho2: float
     rho: float
-    stable: bool
     priority_queue: Optional[int]  # 1-based queue number, None if symmetric
 
 
@@ -228,7 +229,7 @@ def validate_scenario(cfg: ScenarioConfig) -> StabilityReport:
         priority = 2
     else:
         priority = None
-    return StabilityReport(rho1=rho1, rho2=rho2, rho=rho, stable=True, priority_queue=priority)
+    return StabilityReport(rho1=rho1, rho2=rho2, rho=rho, priority_queue=priority)
 
 
 def triple_indexer(cfg: ScenarioConfig) -> StateIndexer:

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
+from .ctmdp import _csr_rows
 from .lattice import ArrivalSummary, build_arrival_summaries
 from .model import (
     ACTIONS,
@@ -171,16 +172,10 @@ def build_action_model(cfg: ScenarioConfig, summaries: Dict[str, ArrivalSummary]
         gamma_l = lam1 + lam2
         # idling never ends without arrivals; its rows then stay empty
         probs = np.array([lam1, lam2]) / gamma_l if gamma_l > 0 else np.zeros(2)
-        # each row has its two arrival successors, pooled in place where both
-        # are capped, then ordered by column; zero entries are dropped
+        # each row has its two arrival successors, as the uniformised model's idle rows
         dest = np.stack([states + s_n1 * (n1 < cfg.X1), states + s_n2 * (n2 < cfg.X2)], axis=1)
-        w = np.tile(probs, (n_states, 1))
-        same = dest[:, 0] == dest[:, 1]
-        w[same] = [0.0 + probs[0] + probs[1], 0.0]
-        swap = dest[:, 1] < dest[:, 0]
-        dest[swap], w[swap] = dest[swap, ::-1], w[swap, ::-1]
-        keep = w != 0.0
-        counts, cols, pvals = keep.sum(axis=1), dest[keep], w[keep]
+        indptr, cols, pvals = _csr_rows(dest, np.tile(probs, (n_states, 1)))
+        counts = np.diff(indptr)
         alpha = gamma_l / (gamma_l + cfg.beta)
         pbvals = alpha * pvals
     else:

@@ -467,21 +467,16 @@ class _Sweep(NamedTuple):
 
     Inside the loop J is ordered [dynamics | decision]: ``order`` lists the
     states in that order and ``n_dynamics`` counts the dynamics states.  The
-    first product ``cost + rows @ J`` has one entry per dynamics node, then
-    one per slot of the decision states' padded table of ``depth`` rows
-    (one column per state, as in :func:`_padded_slots`); a free slot is an
-    empty row of cost +inf, and the table's first row follows the dynamics
-    entries.  Its rows are the
-    nodes that read decision states only, with their self-loops divided
-    out (see :func:`_vi_phases`).  Each ``(dst, src, cost)`` of
-    ``links`` fills the slots ``dst`` of linking nodes (one entry, of
-    discounted probability exactly 1, into a dynamics state) with the
-    entries ``src`` that the product gave their dynamics states, plus
-    ``cost`` unless it is None (every linking cost 0).  Any other node that
-    reads a dynamics state is a row of ``second = (slots, rows, cost)``,
-    evaluated once the dynamics values are known; None when there is no
-    such node.  ``modulus`` is the largest discounted row sum over the
-    divided rows of the nodes that are not linking.
+    product ``cost + rows @ J`` has one entry per dynamics node, then one
+    per slot of the decision states' padded table of ``depth`` rows (one
+    column per state, as in :func:`_padded_slots`); a free slot is an empty
+    row of cost +inf, and the table's first row follows the dynamics
+    entries.  Its rows are every node but the linking ones, with their
+    self-loops divided out (see :func:`_vi_phases`).  Each ``(dst, src)``
+    of ``links`` fills the slots ``dst`` of linking nodes with the entries
+    ``src`` that the product gave the dynamics states they link to.
+    ``modulus`` is the largest discounted row sum over the divided rows of
+    the nodes that are not linking.
     """
 
     order: np.ndarray
@@ -490,21 +485,25 @@ class _Sweep(NamedTuple):
     rows: sparse.csr_matrix
     cost: np.ndarray
     links: list
-    second: Optional[tuple]
     modulus: float
 
 
 def _vi_phases(graph: ValueGraph) -> _Sweep:
-    """Lay out value iteration's two phases as one product, slice copies
-    for the linking nodes and, only for a node that reads a dynamics state
-    and is not linking, a second product (see :class:`_Sweep`).
+    """Lay out value iteration's two phases as one product and slice copies
+    for the linking nodes (see :class:`_Sweep`).
+
+    Each decision node must read decision states only or be a linking node:
+    one entry, of discounted probability exactly 1 and cost 0, into a
+    dynamics state that no other node links to.  The three polling models
+    build only such graphs; any other raises ``ValueError`` naming the
+    state of the first node that breaks the rule.
 
     In the padded table each decision state's linking nodes take the rows
     after those of its other nodes, and the states are ordered by falling
     number of linking nodes, so the r-th linking nodes of all states fill a
-    prefix of one table row.  When no dynamics state is linked twice, the
-    dynamics states are ordered as those prefixes link them, so each prefix
-    is one slice copy of the product's leading entries.
+    prefix of one table row.  The dynamics states are ordered as those
+    prefixes link them, so each prefix is one slice copy of the product's
+    leading entries.
 
     A node's self-loop of discounted probability 0 < p < 1 is divided out:
     cost c / (1 - p), other entries d / (1 - p), no self entry (Jacobi
@@ -521,13 +520,16 @@ def _vi_phases(graph: ValueGraph) -> _Sweep:
     nnz = np.diff(graph.q_indptr)
     entry_node = np.repeat(np.arange(n_nodes), nnz)
     node_is_decision = decision[graph.q_state]
-    reads_dynamics = np.zeros(n_nodes, dtype=bool)
-    reads_dynamics[entry_node[~decision[graph.q_cols]]] = True
-    single = np.flatnonzero(node_is_decision & reads_dynamics & (nnz == 1))
-    linking = np.zeros(n_nodes, dtype=bool)
-    linking[single[graph.q_dprobs[graph.q_indptr[single]] == 1.0]] = True
-    lead = np.flatnonzero(node_is_decision & ~linking)
+    linking = node_is_decision & (np.bincount(entry_node[~decision[graph.q_cols]],
+                                              minlength=n_nodes) > 0)
     link = np.flatnonzero(linking)
+    entry = graph.q_indptr[link]
+    shaped = (nnz[link] == 1) & (graph.q_dprobs[entry] == 1.0) & (graph.q_cost[link] == 0.0)
+    target = graph.q_cols[entry]
+    bad = ~shaped | (np.bincount(target[shaped], minlength=n)[target] > 1)
+    if bad.any():
+        raise ValueError(f"a decision node of state {graph.q_state[link[np.argmax(bad)]]} reads "
+                         "a dynamics state but is not a linking node")
     loop = ((graph.q_cols == graph.q_state[entry_node])
             & (graph.q_dprobs > 0.0) & (graph.q_dprobs < 1.0))
     rest = 1.0 - np.bincount(entry_node[loop], weights=graph.q_dprobs[loop], minlength=n_nodes)
@@ -545,6 +547,7 @@ def _vi_phases(graph: ValueGraph) -> _Sweep:
         count = np.bincount(states, minlength=n)
         return np.arange(len(nodes)) - np.searchsorted(states, states), count
 
+    lead = np.flatnonzero(node_is_decision & ~linking)
     lead_rank, lead_count = per_state(lead)
     link_rank, link_count = per_state(link)
     lead_depth = int(lead_count.max())
@@ -558,48 +561,32 @@ def _vi_phases(graph: ValueGraph) -> _Sweep:
     slot[lead] = n_dyn + lead_rank * n_dec + column[graph.q_state[lead]]
     slot[link] = n_dyn + (lead_depth + link_rank) * n_dec + column[graph.q_state[link]]
     by_slot = np.argsort(slot[link])
-    link, link_rank = link[by_slot], link_rank[by_slot]
-    target = graph.q_cols[graph.q_indptr[link]]
+    link, link_rank, target = link[by_slot], link_rank[by_slot], target[by_slot]
 
-    dyn_states = np.flatnonzero(~decision)
-    distinct = len(np.unique(target)) == len(target)
-    if distinct:
-        dyn_states = np.concatenate((target, np.setdiff1d(dyn_states, target)))
-    order = np.concatenate((dyn_states, dec_states))
+    order = np.concatenate((target, np.setdiff1d(np.flatnonzero(~decision), target), dec_states))
     position = np.empty(n, dtype=np.int64)
     position[order] = np.arange(n)
     dynamic = np.flatnonzero(~node_is_decision)
     slot[dynamic] = position[graph.q_state[dynamic]]
 
-    links = []
-    link_cost = graph.q_cost[link] if graph.q_cost[link].any() else None
     bounds = np.flatnonzero(np.diff(link_rank, prepend=-1, append=-1))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        links.append((slice(slot[link[lo]], slot[link[lo]] + hi - lo),
-                      slice(lo, hi) if distinct else position[target[lo:hi]],
-                      None if link_cost is None else link_cost[lo:hi]))
-
-    def product(nodes, slots, length):
-        """``nodes``' discounted rows at ``slots`` of a ``length``-row CSR,
-        columns in sweep order, each row's entries in graph order."""
-        indptr = np.zeros(length + 1, dtype=graph.q_indptr.dtype)
-        indptr[slots + 1] = nnz[nodes]
-        picked = divided[nodes[np.argsort(slots)]]
-        return sparse.csr_matrix((picked.data, position[picked.indices], np.cumsum(indptr)),
-                                 shape=(length, n))
+    links = [(slice(slot[link[lo]], slot[link[lo]] + hi - lo), slice(lo, hi))
+             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     depth = lead_depth + int(link_count.max())
     cost = np.full(n_dyn + depth * n_dec, np.inf)
     cost[slot] = node_cost
-    first = np.flatnonzero(~(node_is_decision & reads_dynamics))
-    second = np.flatnonzero(node_is_decision & reads_dynamics & ~linking)
+    # the product's rows, columns in sweep order, each row's entries in graph order
+    nodes = np.flatnonzero(~linking)
+    indptr = np.zeros(len(cost) + 1, dtype=graph.q_indptr.dtype)
+    indptr[slot[nodes] + 1] = nnz[nodes]
+    picked = divided[nodes[np.argsort(slot[nodes])]]
     row_sum = np.bincount(entry_node, weights=dprobs, minlength=n_nodes)
     return _Sweep(
         order=order, n_dynamics=n_dyn, depth=depth,
-        rows=product(first, slot[first], len(cost)), cost=cost, links=links,
-        second=(slot[second], product(second, np.arange(len(second)), len(second)),
-                node_cost[second]) if len(second) else None,
-        modulus=float(row_sum[~linking].max()),
+        rows=sparse.csr_matrix((picked.data, position[picked.indices], np.cumsum(indptr)),
+                               shape=(len(cost), n)),
+        cost=cost, links=links, modulus=float(row_sum[~linking].max()),
     )
 
 
@@ -626,13 +613,15 @@ def value_iterate(graph: ValueGraph, eps: Optional[float] = None,
     Its rows are the dynamics nodes and every decision node that reads
     decision states only, whose values the first phase does not change, so
     the product may read the previous sweep's values.  A linking node then
-    copies the value the product gave the in-progress state it links to; a
-    node that reads a dynamics state otherwise takes a second product (none
-    in the polling models).  The decision nodes sit in a padded table with
-    one column per state, whose minimum down the columns is written over
-    its first row, so the product's leading entries are the new J.  Each
-    entry sums the same products in the same order as a phase-by-phase
-    sweep over the divided rows, so the values are bit-identical to it.
+    copies the value the product gave the in-progress state it links to.
+    Any other decision node that reads a dynamics state, which the polling
+    models never build, raises ``ValueError`` before the first sweep
+    (:func:`policy_iteration` solves any graph).  The decision nodes sit in
+    a padded table with one column per state, whose minimum down the
+    columns is written over its first row, so the product's leading entries
+    are the new J.  Each entry sums the same products in the same order as
+    a phase-by-phase sweep over the divided rows, so the values are
+    bit-identical to it.
 
     Starts from J = 0 and stops when the largest value change in a sweep is
     at most ``eps`` (default 1e-8 * max cost); that change is returned as
@@ -657,7 +646,7 @@ def value_iterate(graph: ValueGraph, eps: Optional[float] = None,
         raise ValueError("eps must be non-negative")
     sweep = _vi_phases(graph)
     n, n_dyn = graph.n_states, sweep.n_dynamics
-    rows, cost, links, second = sweep.rows, sweep.cost, sweep.links, sweep.second
+    rows, cost, links = sweep.rows, sweep.cost, sweep.links
     ranks = [slice(n_dyn + r * (n - n_dyn), n_dyn + (r + 1) * (n - n_dyn))
              for r in range(1, sweep.depth)]
     J = np.zeros(n)
@@ -667,14 +656,8 @@ def value_iterate(graph: ValueGraph, eps: Optional[float] = None,
         sweeps += 1
         q = rows @ J
         q += cost
-        if second is not None:
-            slots, rows2, cost2 = second
-            q[slots] = cost2 + rows2 @ np.concatenate((q[:n_dyn], J[n_dyn:]))
-        for dst, src, link_cost in links:
-            if link_cost is None:
-                q[dst] = q[src]
-            else:
-                np.add(link_cost, q[src], out=q[dst])
+        for dst, src in links:
+            q[dst] = q[src]
         head = q[n_dyn:n]
         for rank in ranks:
             np.minimum(head, q[rank], out=head)

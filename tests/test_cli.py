@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pollsys import IDLE, SERVE, SWITCH, cli, solver
+from pollsys import cli, solver
 from pollsys.cli import (
     ExperimentPlan,
     StageError,
@@ -20,7 +20,7 @@ from pollsys.cli import (
 from pollsys.baselines import exhaustive_start
 from pollsys.ctmdp import build_nonpreemptive
 from pollsys.distributions import Deterministic
-from pollsys.model import triple_indexer
+from pollsys.model import ScenarioError
 from pollsys.smdp import build_smdp
 
 from conftest import asym_var_config, dense_policy_iteration, slow_mode_config
@@ -252,6 +252,11 @@ def test_screen_fails_in_a_named_stage(tmp_path):
 @pytest.mark.parametrize("field, value, message", [
     ("c1", float("nan"), "c1 must be finite, got nan"),
     ("X1", 6.5, "X1 must be an integer, got 6.5"),
+    ("c1", "1.0", "c1 must be a finite number, got '1.0'"),
+    ("serve1", {"kind": "gamma", "shape": "30", "scale": 0.1},
+     "gamma shape/scale must be finite numbers > 0, got '30', 0.1"),
+    ("switch12", {"kind": "deterministic", "value": float("inf")},
+     "deterministic duration must be a finite number >= 0, got inf"),
 ])
 def test_edge_input_fails_in_load_stage(tmp_path, field, value, message):
     doc = slow_mode_config().to_json()
@@ -261,6 +266,21 @@ def test_edge_input_fails_in_load_stage(tmp_path, field, value, message):
     with pytest.raises(StageError, match=r"^\[load\] " + message) as info:
         main(["screen", "--scenario", str(path)])
     assert info.value.stage == "load"
+
+
+@pytest.mark.parametrize("zero", ["lambda1", "lambda2"])
+def test_screen_rejects_one_zero_arrival_rate(tmp_path, zero):
+    """One zero arrival rate beside a positive one has no fluid limit cycle
+    and fails the screen stage naming the rate; both at zero still screen."""
+    doc = slow_mode_config().to_json()
+    doc[zero] = 0.0
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(StageError, match=rf"^\[screen\] {zero} is 0 beside a positive"):
+        main(["screen", "--scenario", str(path)])
+    doc["lambda1"] = doc["lambda2"] = 0.0
+    path.write_text(json.dumps(doc))
+    assert main(["screen", "--scenario", str(path)]) == 0
 
 
 def test_solve_fails_in_a_named_stage(tiny_scenario, tmp_path, monkeypatch):
@@ -363,29 +383,10 @@ def _recording_pi(monkeypatch):
     return starts
 
 
-def _force_ctmdp_table(monkeypatch, table):
-    """Make every uniformised model the CLI builds return ``table``."""
-    real_build = cli.build_nonpreemptive
-
-    def forced_build(exp_cfg):
-        model = real_build(exp_cfg)
-        model.decision_table = lambda actions: table
-        return model
-
-    monkeypatch.setattr(cli, "build_nonpreemptive", forced_build)
-
-
-def _queues(cfg):
-    """The current and the other queue's length in every state of the box."""
-    n1, n2, l1 = triple_indexer(cfg).unflatten(np.arange(triple_indexer(cfg).size))
-    return np.where(l1 == 0, n1, n2), np.where(l1 == 0, n2, n1)
-
-
-def test_two_model_solve_starts_smdp_from_ctmdp_table(monkeypatch):
+def test_two_model_solve_starts_smdp_from_ctmdp_table():
     """With both models requested, SMDP policy iteration starts from the
-    CTMDP table (the exhaustive action where that one is infeasible) and
-    reaches the exhaustive start's table in fewer iterations; the keys keep
-    their order."""
+    CTMDP table and reaches the exhaustive start's table in fewer
+    iterations; the keys keep their order."""
     cfg = slow_mode_config(X1=12, X2=12, N1=12, N2=12)
     oracle, oracle_iterations = _exhaustive_pi_table(cfg)
     for which in (["smdp", "ctmdp"], ["ctmdp", "smdp"]):
@@ -394,16 +395,6 @@ def test_two_model_solve_starts_smdp_from_ctmdp_table(monkeypatch):
         assert tables["smdp"].tobytes() == oracle.tobytes()
         assert diag["smdp"]["iterations"] < oracle_iterations
         assert diag["smdp"]["start"] == "ctmdp"
-
-    # a CTMDP table that idles at a non-empty current queue and serves an
-    # empty one: the start keeps its idles and takes the exhaustive action
-    # where serving is infeasible
-    current, other = _queues(cfg)
-    _force_ctmdp_table(monkeypatch, np.where(current > 0, IDLE, SERVE))
-    starts = _recording_pi(monkeypatch)
-    tables, _ = solve_policies(cfg, ["smdp", "ctmdp"])
-    assert np.array_equal(starts[0], np.where(current > 0, IDLE, np.where(other > 0, SWITCH, IDLE)))
-    assert tables["smdp"].tobytes() == oracle.tobytes()
 
 
 @pytest.mark.parametrize("make_cfg", [slow_mode_config, asym_var_config])
@@ -418,10 +409,32 @@ def test_smdp_alone_starts_from_loose_uniformised_table(monkeypatch, make_cfg, X
     loose = solver.value_iterate(graph, eps=cli.WARM_START_EPS * np.abs(graph.q_cost).max())
     starts = _recording_pi(monkeypatch)
     tables, diag = solve_policies(cfg, ["smdp"])
-    # every action of the loose table is feasible in the SMDP at these sizes
     assert len(starts) == 1 and np.array_equal(starts[0], np_model.decision_table(loose.actions))
     assert diag["smdp"]["start"] == "ctmdp"
     assert tables["smdp"].tobytes() == _exhaustive_pi_table(cfg)[0].tobytes()
+
+
+@pytest.mark.parametrize("truncation", ["absorbing", "unassigned"])
+@pytest.mark.parametrize("make_cfg", [slow_mode_config, asym_var_config])
+@pytest.mark.parametrize("X", [1, 8])
+def test_uniformised_tables_are_feasible_in_the_smdp(make_cfg, truncation, X):
+    """The loose and the converged uniformised tables take a feasible SMDP
+    action at every state, so either starts SMDP policy iteration as it is:
+    both models forbid serving only at an empty current queue."""
+    cfg = make_cfg(X1=X, X2=X, N1=X, N2=X, truncation_mode=truncation)
+    graph = build_smdp(cfg).graph
+    converged = solve_policies(cfg, ["ctmdp"])[0]["ctmdp"]
+    for table in (cli._loose_ctmdp_table(cfg), converged):
+        assert len(solver._policy_nodes(graph, table)) == graph.n_states
+
+
+def test_ctmdp_with_zero_mean_duration_names_the_event():
+    """A zero mean duration has no uniformised model, so solving the CTMDP
+    fails naming the event; the SMDP alone still solves
+    (test_smdp_alone_with_zero_mean_switch_over)."""
+    cfg = slow_mode_config(X1=4, X2=4, N1=4, N2=4, switch12=Deterministic(0.0))
+    with pytest.raises(ScenarioError, match="switch12 has mean duration 0.0"):
+        solve_policies(cfg, ["smdp", "ctmdp"])
 
 
 @pytest.mark.parametrize("make_cfg", [slow_mode_config, asym_var_config])
@@ -434,20 +447,6 @@ def test_smdp_solve_matches_float64_policy_iteration(make_cfg):
     tables, diag = solve_policies(cfg, ["smdp"])
     assert tables["smdp"].tobytes() == oracle.tobytes()
     assert diag["smdp"]["float64_factorizations"] == 0
-
-
-def test_smdp_alone_start_takes_exhaustive_action_where_infeasible(monkeypatch):
-    """A loose uniformised table that serves an empty current queue: the
-    SMDP-only start takes the exhaustive action there and keeps the table's
-    action elsewhere, and policy iteration still reaches the oracle."""
-    cfg = slow_mode_config(X1=8, X2=8, N1=8, N2=8)
-    current, other = _queues(cfg)
-    _force_ctmdp_table(monkeypatch, np.where(current > 0, IDLE, SERVE))
-    starts = _recording_pi(monkeypatch)
-    tables, diag = solve_policies(cfg, ["smdp"])
-    assert np.array_equal(starts[0], np.where(current > 0, IDLE, np.where(other > 0, SWITCH, IDLE)))
-    assert diag["smdp"]["start"] == "ctmdp"
-    assert tables["smdp"].tobytes() == _exhaustive_pi_table(cfg)[0].tobytes()
 
 
 def test_smdp_alone_with_zero_mean_switch_over():

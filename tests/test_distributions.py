@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,23 @@ def test_invalid_parameters_rejected():
         Gamma(-1, 1)
     with pytest.raises(ValueError):
         Deterministic(-0.1)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Exponential(math.inf), "exponential rate must be a finite number > 0, got inf"),
+    (lambda: Gamma("30", 0.1), "gamma shape/scale must be finite numbers > 0, got '30', 0.1"),
+    (lambda: Gamma(30, math.inf), "gamma shape/scale must be finite numbers > 0, got 30, inf"),
+    (lambda: Gamma(math.nan, 0.1), "gamma shape/scale must be finite numbers > 0, got nan, 0.1"),
+    (lambda: Deterministic(math.inf), "deterministic duration must be a finite number >= 0, "
+                                      "got inf"),
+    (lambda: Deterministic(None), "deterministic duration must be a finite number >= 0, "
+                                  "got None"),
+])
+def test_parameters_must_be_finite_numbers(make, message):
+    """An infinite duration would make the arrival lattice's term count grow
+    without bound, and a string or None fails later without the name."""
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        make()
 
 
 @pytest.mark.parametrize("dist", [

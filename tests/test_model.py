@@ -77,7 +77,6 @@ def test_feasible_actions_never_serves_empty_queue():
 def test_validate_asym_var_scenario():
     rep = validate_scenario(asym_var_config())
     assert rep.rho == pytest.approx(0.64)
-    assert rep.stable
     assert rep.priority_queue is None
 
 
@@ -110,7 +109,7 @@ def test_validate_never_raises_when_stable(rng):
             c1=1.0, c2=2.0, beta=0.05,
         )
         rep = validate_scenario(cfg)
-        assert rep.stable and rep.rho < 1
+        assert rep.rho < 1
 
 
 def test_config_validation_errors():
@@ -130,7 +129,8 @@ BOUNDS = ("X1", "X2", "N1", "N2")
 @pytest.mark.parametrize("field", ["lambda1", "lambda2", "c1", "c2", "K12", "K21", "beta",
                                    *BOUNDS])
 def test_config_rejects_non_finite_and_non_integer_fields(field):
-    bad = (6.5, 4.0, True, "8") if field in BOUNDS else (float("nan"), float("inf"), -np.inf)
+    bad = ((6.5, 4.0, True, "8") if field in BOUNDS
+           else (float("nan"), float("inf"), -np.inf, "1.0", None, True))
     for value in bad:
         with pytest.raises(ScenarioError, match=re.escape(f"{field} must be ") + ".* got "
                            + re.escape(repr(value))):

@@ -444,25 +444,34 @@ def test_value_iterate_bit_identical_to_segment_minimum(make_cfg, build):
     assert_matches_segment_minimum(build(make_cfg(X1=8, X2=8, N1=8, N2=8)).graph)
 
 
-def random_tabular_model(rng, n_states, n_actions, fixed=()):
-    """Dense random rows with discount 0.9; state x offers the first
-    ``n_actions[x]`` of actions 0, 1, 2, and the states in ``fixed`` have
-    no choice."""
-    def row():
-        p = rng.uniform(0.1, 1.0, size=n_states)
-        p /= p.sum()
-        return list(range(n_states)), p, 0.9 * p, float(rng.uniform(0, 2))
+def random_tabular_model(rng, n_states, n_actions, links=()):
+    """Random rows with discount 0.9, in the shape of the polling models'
+    graphs.  State x offers the first ``n_actions[x]`` of actions 0, 1, 2;
+    each ``(x, a, y)`` of ``links`` makes action a of state x a cost-0 link
+    of discounted probability 1 into y, a state without a choice whose row
+    reads every state.  Every other row reads the decision states only."""
+    fixed = [y for _, _, y in links]
+    decision = [x for x in range(n_states) if x not in fixed]
 
-    feasible = {x: tuple(range(n_actions[x])) for x in range(n_states) if x not in fixed}
-    rows = {(x, a): row() for x, acts in feasible.items() for a in acts}
-    return TabularModel(n_states, rows, feasible, {x: row() for x in fixed})
+    def row(cols):
+        p = rng.uniform(0.1, 1.0, size=len(cols))
+        p /= p.sum()
+        return list(cols), p, 0.9 * p, float(rng.uniform(0, 2))
+
+    feasible = {x: tuple(range(n_actions[x])) for x in decision}
+    rows = {(x, a): row(decision) for x, acts in feasible.items() for a in acts}
+    rows.update({(x, a): ([y], [1.0], [1.0], 0.0) for x, a, y in links})
+    return TabularModel(n_states, rows, feasible, {y: row(range(n_states)) for y in fixed})
 
 
 def test_value_iterate_bit_identical_on_one_to_three_nodes(rng):
-    """Decision states with 1, 2 and 3 nodes, beside dynamics states."""
-    model = random_tabular_model(rng, 9, [1, 2, 3, 3, 2, 1, 2, 1, 3], fixed=(2, 5))
+    """Decision states with 1, 2 and 3 nodes, one of them with two links,
+    beside dynamics states."""
+    model = random_tabular_model(rng, 9, [1, 2, 1, 3, 2, 1, 2, 1, 3],
+                                 links=[(8, 1, 2), (8, 2, 5), (3, 2, 7)])
     assert list(model.graph.state_nq) == [1, 2, 1, 3, 2, 1, 2, 1, 3]
-    assert _vi_phases(model.graph).n_dynamics == 2  # both phases present
+    sweep = _vi_phases(model.graph)
+    assert sweep.n_dynamics == 3 and len(sweep.links) == 2  # both phases present
     assert_matches_segment_minimum(model.graph)
 
 
@@ -472,42 +481,45 @@ def test_value_iterate_bit_identical_on_decision_states_only(rng):
     assert_matches_segment_minimum(model.graph)
 
 
-def linking_tabular_model(rng, linked_twice):
-    """Decision states 0-2 and dynamics states 3-5 (discount 0.9).  Node
-    kinds: rows that read decision states only (0/a0, 2/a0), linking rows
-    with a nonzero cost (0/a1, 1/a1) and with cost 0 (0/a2), and a general
-    row that reads a dynamics state (1/a0).  With ``linked_twice``, 2/a1
-    links to state 3 as 0/a1 does."""
+def linking_tabular_model(rng, extra=None):
+    """Decision states 0-2 and dynamics states 3-5 (discount 0.9): rows that
+    read decision states only (0/a0, 1/a0, 2/a0) and cost-0 links (0/a1 to
+    3, 0/a2 to 4, 1/a1 to 5).  With ``extra``, state 2 also takes action 1
+    with that row."""
     def row(cols, cost):
         p = rng.uniform(0.1, 1.0, size=len(cols))
         p /= p.sum()
         return list(cols), p, 0.9 * p, cost
 
-    def linking(col, cost):
-        return [col], [1.0], [1.0], cost
+    def linking(col):
+        return [col], [1.0], [1.0], 0.0
 
     rows = {
-        (0, 0): row([0, 1, 2], 1.5), (0, 1): linking(3, 0.5), (0, 2): linking(4, 0.0),
-        (1, 0): row([2, 5], 1.0), (1, 1): linking(5, 0.25),
+        (0, 0): row([0, 1, 2], 1.5), (0, 1): linking(3), (0, 2): linking(4),
+        (1, 0): row([2, 0], 1.0), (1, 1): linking(5),
         (2, 0): row([0, 1], 2.0),
     }
     feasible = {0: (0, 1, 2), 1: (0, 1), 2: (0,)}
-    if linked_twice:
-        rows[(2, 1)] = linking(3, 0.75)
+    if extra is not None:
+        rows[(2, 1)] = extra
         feasible[2] = (0, 1)
     fixed = {3: row([0, 4], 1.0), 4: row([1, 2, 3], 0.5), 5: row([5, 0], 3.0)}
     return TabularModel(6, rows, feasible, fixed)
 
 
-@pytest.mark.parametrize("linked_twice", [False, True])
-def test_value_iterate_bit_identical_with_linking_costs_and_second_product(rng, linked_twice):
-    graph = linking_tabular_model(rng, linked_twice).graph
-    sweep = _vi_phases(graph)
-    assert sweep.second is not None and len(sweep.second[0]) == 1
-    assert all(link_cost is not None for _, _, link_cost in sweep.links)
-    # a dynamics state linked twice is read by index, not by one slice
-    assert all(isinstance(src, slice) for _, src, _ in sweep.links) != linked_twice
-    assert_matches_segment_minimum(graph)
+@pytest.mark.parametrize("extra, state", [
+    (([1, 4], [0.5, 0.5], [0.45, 0.45], 1.0), 2),  # reads a dynamics state otherwise
+    (([4], [1.0], [1.0], 0.5), 2),  # a link with a cost
+    (([3], [1.0], [1.0], 0.0), 0),  # a second link into state 3, which 0/a1 links to
+], ids=["reads_dynamics", "link_cost", "linked_twice"])
+def test_value_iterate_rejects_graphs_the_models_do_not_build(rng, extra, state):
+    """Value iteration names the state of the first decision node that is
+    neither a row over decision states nor a cost-0 link into a dynamics
+    state of its own; policy iteration still solves the graph."""
+    model = linking_tabular_model(rng, extra)
+    with pytest.raises(ValueError, match=f"decision node of state {state} reads a dynamics"):
+        value_iterate(model.graph)
+    assert policy_iteration(model).converged
 
 
 @pytest.mark.parametrize("make_cfg", [slow_mode_config, asym_var_config])
@@ -519,12 +531,12 @@ def test_value_iterate_bit_identical_at_x24(make_cfg):
 @pytest.mark.parametrize("make_cfg", [slow_mode_config, asym_var_config])
 def test_polling_graphs_need_no_second_product(make_cfg):
     """Every decision node of the non-preemptive model reads decision states
-    only or links to an in-progress state, which one slice copy reads."""
+    only or links to an in-progress state of its own, the shape value
+    iteration accepts; each rank of links is one slice copy."""
     cfg = make_cfg(X1=8, X2=8, N1=8, N2=8).with_exponential_durations()
     sweep = _vi_phases(build_nonpreemptive(cfg).graph)
-    assert sweep.second is None
     assert sweep.depth == 3 and len(sweep.links) == 2
-    assert all(isinstance(src, slice) and link_cost is None for _, src, link_cost in sweep.links)
+    assert all(isinstance(dst, slice) and isinstance(src, slice) for dst, src in sweep.links)
 
 
 @pytest.mark.parametrize("X, N", [(8, 8), (24, 20)])
@@ -548,11 +560,14 @@ def test_value_iterate_error_bound_holds(make_cfg, X, N):
 
 
 def test_value_iterate_error_bound_on_linking_graph(rng):
-    model = linking_tabular_model(rng, linked_twice=True)
+    model = linking_tabular_model(rng)
+    assert_matches_segment_minimum(model.graph)
     vi = value_iterate(model.graph, eps=1e-6)
     # linking rows pass on discount 1; every other row sums to 0.9
     assert vi.error_bound == pytest.approx(9.0 * vi.residual, rel=1e-12)
-    assert np.abs(vi.J - policy_iteration(model).J).max() <= vi.error_bound
+    # here the bound is attained, so allow the last bit of the exact values
+    exact = policy_iteration(model).J
+    assert np.abs(vi.J - exact).max() <= vi.error_bound + np.spacing(np.abs(exact).max())
     # a row of discounted sum 1 that is not linking leaves no bound
     lazy = TabularModel(1, {(0, 0): ([0], [1.0], [1.0], 0.0)}, {0: (0,)})
     assert value_iterate(lazy.graph, eps=0.0, maxiter=3).error_bound == np.inf
@@ -618,14 +633,16 @@ def test_value_iteration_monotone_from_zero():
 
 def test_exact_ties_resolve_to_lowest_action():
     # idle and serve have identical rows at state 0, so equal Q for any J;
-    # switch is dearer.  State 1 is a dynamics state feeding state 0.
+    # switch links to state 1, a dynamics state feeding state 0, and is
+    # dearer (J = 10 at state 0 and 11 at state 1)
     rows = {
-        (0, 0): ([0, 1], [0.5, 0.5], [0.45, 0.45], 1.0),
-        (0, 1): ([0, 1], [0.5, 0.5], [0.45, 0.45], 1.0),
-        (0, 2): ([1], [1.0], [0.9], 3.0),
+        (0, 0): ([0], [1.0], [0.9], 1.0),
+        (0, 1): ([0], [1.0], [0.9], 1.0),
+        (0, 2): ([1], [1.0], [1.0], 0.0),
     }
     model = TabularModel(n_states=2, rows=rows, feasible={0: (0, 1, 2)},
                          fixed_rows={1: ([0], [1.0], [0.9], 2.0)})
+    assert_matches_segment_minimum(model.graph)
     vi = value_iterate(build_value_graph(model), eps=1e-12)
     pi = policy_iteration(model)
     assert vi.converged and pi.converged
@@ -636,6 +653,7 @@ def test_exact_ties_resolve_to_lowest_action():
     del rows[(0, 0)]
     model = TabularModel(n_states=2, rows=rows, feasible={0: (1, 2)},
                          fixed_rows={1: ([0], [1.0], [0.9], 2.0)})
+    assert_matches_segment_minimum(model.graph)
     assert value_iterate(build_value_graph(model), eps=1e-12).actions[0] == 1
     assert policy_iteration(model).actions[0] == 1
 
