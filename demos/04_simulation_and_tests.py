@@ -1,9 +1,9 @@
 """Performance sampling with common random numbers and hypothesis tests.
 
 Each policy is rolled out on identical random-number substreams, the
-sampled discounted costs are shuffled per policy to break the pairing,
-and the resulting distributions are compared with Welch's t, the
-Mann-Whitney U, and Student's t on the differences.
+sampled discounted costs are shuffled per policy (``decouple``) to break
+the pairing, and the resulting distributions are compared with Welch's t,
+the Mann-Whitney U, and Student's t on the differences.
 """
 
 import numpy as np
@@ -15,6 +15,7 @@ from pollsys import (
     TabularPolicy,
     analyze_limit_cycle,
     build_smdp,
+    decouple,
     exhaustive_start,
     mann_whitney_u,
     pearson_r,
@@ -47,10 +48,10 @@ policies = {
     "exhaustive": ExhaustivePolicy(),
     "heuristic": HeuristicPolicy(cfg),
 }
-# one common-random-number batch steps every policy's rollouts together
-etas = dict(zip(policies, sample_performance(
-    cfg, list(policies.values()), p0, 0, T, M,
-    shuffle_seeds=[7919 * (k + 1) for k in range(len(policies))])))
+# one common-random-number batch steps every policy's rollouts together, in
+# seed order; decouple then gives each policy's samples its own order
+etas = dict(zip(policies, decouple(sample_performance(
+    cfg, list(policies.values()), p0, 0, T, M), 0)))
 for name, eta in etas.items():
     print(f"{name:>10}: mean {eta.mean():8.3f}  std {eta.std(ddof=1):8.3f}")
 

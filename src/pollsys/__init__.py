@@ -59,6 +59,7 @@ from .simulate import (
     SeedStream,
     TabularPolicy,
     action_time_fractions,
+    decouple,
     embedded_stationary,
     limit_cycle_occupancy,
     overall_stationary,

@@ -1,9 +1,10 @@
 """Experiment runner: screen, solve, simulate, test and the composite run.
 
 ``simulate``, ``test`` and ``run`` share one staged pipeline: load, plan
-(distinct policy names, stability and the rule policies' preconditions,
-before any solve), solve, simulate; ``test`` and ``run`` go on to the test
-matrices, and ``run`` also screens and traces the occupancy.  ``screen``
+(the plan's own values before any file write, stability and the rule
+policies' preconditions before any solve), solve, simulate; ``test`` and
+``run`` go on to the test matrices, and ``run`` also screens and traces
+the occupancy.  ``screen``
 and ``solve`` load through the same stage.  A stage's failure is a
 ``StageError`` that reads ``[stage] message``.  Every stage writes
 deterministic CSV/JSON artifacts; rerunning a plan reproduces the files
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -35,6 +37,7 @@ from .simulate import (
     TabularPolicy,
     action_time_fractions,
     cells_occupancy,
+    decouple,
     embedded_stationary,
     limit_cycle_cells,
     sample_performance,
@@ -54,6 +57,7 @@ from .stats import (
 )
 
 MDP_POLICIES = ("smdp", "ctmdp")
+POLICIES = (*MDP_POLICIES, "exhaustive", "heuristic")
 
 # Stop rule, times the largest cost, of the value iteration that gives an
 # SMDP-only policy iteration its start: only its actions are used, and 1e-2
@@ -96,7 +100,7 @@ def load_scenario(name_or_path: str, overrides: Optional[dict] = None) -> Scenar
                 f"scenario {name_or_path!r} is neither a file nor a bundled scenario"
             ) from None
         doc = json.loads(text)
-    if overrides:
+    if overrides and isinstance(doc, dict):  # from_json rejects any other document
         doc.update({k: v for k, v in overrides.items() if v is not None})
     return ScenarioConfig.from_json(doc)
 
@@ -276,14 +280,31 @@ def _stage(name: str):
 
 
 def _load(plan: ExperimentPlan) -> ScenarioConfig:
-    """Stage load, then the plan stage's check that no policy is listed
-    twice, before any solve or file write."""
+    """Stage load, then the plan stage's checks of the plan's own values,
+    before any solve or file write: at least one policy, each known and
+    listed once, ``seed`` >= 0, ``rollouts`` >= 2, both horizons finite and
+    positive and 0 < ``zeta`` < 1.  An error names the flag."""
     with _stage("load"):
         cfg = load_scenario(plan.scenario, plan.overrides)
     with _stage("plan"):
-        repeated = [n for k, n in enumerate(plan.policies) if n in plan.policies[:k]]
-        if repeated:
-            raise ValueError(f"policy {repeated[0]!r} is listed more than once")
+        if not plan.policies:
+            raise ValueError("--policies names no policy")
+        for k, name in enumerate(plan.policies):
+            if name not in POLICIES:
+                raise ValueError(f"unknown policy {name!r} in --policies, "
+                                 f"expected one of {', '.join(POLICIES)}")
+            if name in plan.policies[:k]:
+                raise ValueError(f"policy {name!r} is listed more than once")
+        if plan.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {plan.seed}")
+        if plan.rollouts < 2:
+            raise ValueError(f"--rollouts must be >= 2, got {plan.rollouts}")
+        for flag, T in (("--horizon", plan.horizon),
+                        ("--occupancy-horizon", plan.occupancy_horizon)):
+            if not 0 < T < math.inf:
+                raise ValueError(f"{flag} must be finite and > 0, got {T!r}")
+        if not 0 < plan.zeta < 1:
+            raise ValueError(f"--zeta must lie strictly between 0 and 1, got {plan.zeta!r}")
     return cfg
 
 
@@ -302,14 +323,13 @@ def _solve(plan: ExperimentPlan, cfg: ScenarioConfig):
 
 
 def _sample(plan: ExperimentPlan, cfg: ScenarioConfig, policies) -> Dict[str, np.ndarray]:
-    """Stage simulate: sample every policy in one common-random-number batch;
-    policy k's samples are shuffled with seed ``plan.seed + 7919 (k + 1)``."""
+    """Stage simulate: sample every policy in one common-random-number batch
+    and `decouple` the samples on ``plan.seed``."""
     names = plan.policies
     with _stage("simulate"):
-        return dict(zip(names, sample_performance(
+        return dict(zip(names, decouple(sample_performance(
             cfg, [policies[n] for n in names], None, plan.seed, plan.horizon, plan.rollouts,
-            shuffle_seeds=[plan.seed + 7919 * (k + 1) for k in range(len(names))],
-        )))
+        ), plan.seed)))
 
 
 def _write_etas(plan: ExperimentPlan, etas: Dict[str, np.ndarray]) -> Dict[str, str]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,18 +58,25 @@ class DurationDist:
         raise NotImplementedError
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
     @staticmethod
-    def from_json(doc: dict) -> "DurationDist":
+    def from_json(doc) -> "DurationDist":
+        """The duration of a `to_json` document; a ValueError names a document
+        that is not an object, an unknown kind, or parameters not the kind's."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"a duration must be an object with a kind, got {doc!r}")
+        kinds = {cls.kind: cls for cls in (Exponential, Gamma, Deterministic)}
         kind = doc.get("kind")
-        if kind == "exponential":
-            return Exponential(rate=doc["rate"])
-        if kind == "gamma":
-            return Gamma(shape=doc["shape"], scale=doc["scale"])
-        if kind == "deterministic":
-            return Deterministic(value=doc["value"])
-        raise ValueError(f"unknown duration kind: {kind!r}")
+        cls = kinds.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise ValueError(f"unknown duration kind {kind!r}, expected one of {sorted(kinds)}")
+        names = [f.name for f in fields(cls)]
+        params = {key: value for key, value in doc.items() if key != "kind"}
+        if sorted(params) != sorted(names):
+            article = "an" if kind[0] in "aeiou" else "a"
+            raise ValueError(f"{article} {kind} duration takes {names}, got {list(params)}")
+        return cls(**params)
 
 
 @dataclass(frozen=True)
@@ -105,9 +112,6 @@ class Exponential(DurationDist):
 
     def sample(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size)
-
-    def to_json(self):
-        return {"kind": "exponential", "rate": self.rate}
 
 
 @dataclass(frozen=True)
@@ -170,9 +174,6 @@ class Gamma(DurationDist):
     def sample(self, rng, size=None):
         return rng.gamma(self.shape, self.scale, size)
 
-    def to_json(self):
-        return {"kind": "gamma", "shape": self.shape, "scale": self.scale}
-
 
 @dataclass(frozen=True)
 class Deterministic(DurationDist):
@@ -213,6 +214,3 @@ class Deterministic(DurationDist):
 
     def sample(self, rng, size=None):
         return self.value if size is None else np.full(size, float(self.value))
-
-    def to_json(self):
-        return {"kind": "deterministic", "value": self.value}

@@ -12,17 +12,18 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .distributions import DurationDist
+from .distributions import DurationDist, Exponential
 
 IDLE, SERVE, SWITCH = 0, 1, 2
 ACTIONS = (IDLE, SERVE, SWITCH)
 ACTION_NAMES = {IDLE: "idle", SERVE: "serve", SWITCH: "switch"}
+EVENTS = ("serve1", "serve2", "switch12", "switch21")
 
 
 class Truncation(str, Enum):
@@ -152,53 +153,47 @@ class ScenarioConfig:
 
     def with_exponential_durations(self) -> "ScenarioConfig":
         """Replace every duration by an exponential of equal mean; a zero mean raises."""
-        from .distributions import Exponential
-
         def expize(event):
             mean = getattr(self, event).mean()
             if not mean > 0:
                 raise ScenarioError(f"{event} has mean duration {mean!r}, which no exponential has")
             return Exponential(rate=1.0 / mean)
 
-        return replace(self, **{event: expize(event)
-                                for event in ("serve1", "serve2", "switch12", "switch21")})
+        return replace(self, **{event: expize(event) for event in EVENTS})
 
     def to_json(self) -> dict:
-        return {
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "serve1": self.serve1.to_json(),
-            "serve2": self.serve2.to_json(),
-            "switch12": self.switch12.to_json(),
-            "switch21": self.switch21.to_json(),
-            "c1": self.c1,
-            "c2": self.c2,
-            "K12": self.K12,
-            "K21": self.K21,
-            "beta": self.beta,
-            "X1": self.X1,
-            "X2": self.X2,
-            "N1": self.N1,
-            "N2": self.N2,
-            "truncation_mode": self.truncation_mode.value,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc.update({event: doc[event].to_json() for event in EVENTS},
+                   truncation_mode=self.truncation_mode.value)
+        return doc
 
     @staticmethod
-    def from_json(doc: dict) -> "ScenarioConfig":
-        fields = dict(doc)
-        for key in ("serve1", "serve2", "switch12", "switch21"):
-            fields[key] = DurationDist.from_json(fields[key])
-        return ScenarioConfig(**fields)
+    def from_json(doc) -> "ScenarioConfig":
+        """The scenario of a `to_json` document; a ScenarioError names a
+        document that is not an object, an unknown or a missing field, or
+        a duration's error after its event (``serve1: ...``)."""
+        if not isinstance(doc, dict):
+            raise ScenarioError(f"a scenario must be a JSON object, got {type(doc).__name__}")
+        names = [f.name for f in fields(ScenarioConfig)]
+        unknown = [key for key in doc if key not in names]
+        if unknown:
+            raise ScenarioError(f"unknown scenario field(s) {unknown}, expected some of {names}")
+        missing = [f.name for f in fields(ScenarioConfig)
+                   if f.default is MISSING and f.name not in doc]
+        if missing:
+            raise ScenarioError(f"missing scenario field(s) {missing}")
+        args = dict(doc)
+        for event in EVENTS:
+            try:
+                args[event] = DurationDist.from_json(doc[event])
+            except ValueError as exc:
+                raise ScenarioError(f"{event}: {exc}") from None
+        return ScenarioConfig(**args)
 
     def save(self, path):
         with open(path, "w") as fh:
             json.dump(self.to_json(), fh, indent=2)
             fh.write("\n")
-
-    @staticmethod
-    def load(path) -> "ScenarioConfig":
-        with open(path) as fh:
-            return ScenarioConfig.from_json(json.load(fh))
 
 
 @dataclass(frozen=True)

@@ -181,8 +181,8 @@ def _costs(total, k, t, dt, base, extra, event, when, cls, c1, c2, beta) -> np.n
     discounted to time 0 is added to its rollout's ``total``.
 
     Per step i: rollout ``k[i]``, start ``t[i]``, length ``dt[i]``,
-    ``base[i] = c1 n1 + c2 n2`` and switch cost ``extra[i]`` (None when there
-    are none); per arrival: its step ``event`` (numbered across the log),
+    ``base[i] = c1 n1 + c2 n2`` and switch cost ``extra[i]`` (0 when it
+    has none); per arrival: its step ``event`` (numbered across the log),
     time ``when`` in [0, dt] and class ``cls``.  Step i costs
     ``base/beta (1 - e^(-beta dt))``, plus ``c/beta (e^(-beta t_a) - e^(-beta dt))``
     per arrival in time order, class 0 first on a tie, plus its switch
@@ -196,8 +196,7 @@ def _costs(total, k, t, dt, base, extra, event, when, cls, c1, c2, beta) -> np.n
     weight = np.array([c1 / beta, c2 / beta])[cls]
     order = np.lexsort((cls, when))
     np.add.at(step, event[order], (weight * (np.exp(-beta * when) - edt[event]))[order])
-    if extra is not None:
-        step += extra
+    step += extra
     np.add.at(total, k, np.exp(-beta * t) * step)
     return step
 
@@ -301,9 +300,7 @@ def _run(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds: SeedStream, T: float
     dt, t = np.array(rec_dt, dtype=float), np.array(rec_t, dtype=float)
     step, cls = np.array(arr_step, dtype=int), np.array(arr_cls, dtype=int)
     when = np.array(arr_when, dtype=float)
-    extra = None
-    if any(cfg.switch_costs):
-        extra = np.where(action == SWITCH, np.array(cfg.switch_costs)[l1], 0.0)
+    extra = np.where(action == SWITCH, np.array(cfg.switch_costs)[l1], 0.0)
     total = np.zeros(1)
     cost = _costs(total, np.zeros(len(t), dtype=int), t, dt, cfg.c1 * n1 + cfg.c2 * n2, extra,
                   step, when, cls, cfg.c1, cfg.c2, cfg.beta)
@@ -334,8 +331,8 @@ def _initial_states(cfg: ScenarioConfig, cdf: np.ndarray, u):
 
 def _check_horizon(T: float):
     """The horizon check of every entry point, made before any draw."""
-    if T <= 0:
-        raise ValueError("horizon T must be positive")
+    if not 0 < T < math.inf:  # NaN fails too
+        raise ValueError(f"horizon T must be finite and positive, got {T!r}")
 
 
 def rollout(cfg: ScenarioConfig, policy, initial_dist, seed: int, T: float) -> float:
@@ -513,8 +510,7 @@ def _charge(total, cfg: ScenarioConfig, log):
     entry holds `_costs`' arguments from ``k`` to ``cls`` for its steps, with
     the arrivals' steps numbered across the log."""
     if log:
-        _costs(total, *(None if part[0] is None else np.concatenate(part) for part in zip(*log)),
-               cfg.c1, cfg.c2, cfg.beta)
+        _costs(total, *(np.concatenate(part) for part in zip(*log)), cfg.c1, cfg.c2, cfg.beta)
 
 
 def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds, T: float) -> np.ndarray:
@@ -554,7 +550,7 @@ def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds, T: float) -> np
         [[(s << 6) + TAG_LAMBDA[c] for s in seeds] for c in classes],
         L, _GAP_BLOCK,
     )
-    switch_costs = np.array(cfg.switch_costs) if any(cfg.switch_costs) else None
+    switch_costs = np.array(cfg.switch_costs)
     strides = np.array(_strides(cfg))
 
     def rollout_of(j):
@@ -606,9 +602,7 @@ def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds, T: float) -> np
             arrived[classes[:, None], busy] = count.reshape(len(classes), busy.size)
             event = logged + busy[where % busy.size]
             cls = classes[where // busy.size]
-        extra = None
-        if switch_costs is not None:
-            extra = np.where(a == SWITCH, switch_costs[l1], 0.0)
+        extra = np.where(a == SWITCH, switch_costs[l1], 0.0)
         log.append((k, t, dt, c1 * n1 + c2 * n2, extra, event, when, cls))
         logged += m
 
@@ -638,22 +632,18 @@ def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds, T: float) -> np
 
 
 def sample_performance(cfg: ScenarioConfig, policies, initial_dist, seed0: int,
-                       T: float, M: int, shuffle_seeds=None) -> list:
+                       T: float, M: int) -> list:
     """M rollouts of each policy on consecutive seeds, one array per policy,
-    each in its own shuffled order.
+    in seed order.
 
     Every policy's rollouts run in lockstep as arrays over the policies'
     action tables (``policy.action_table(cfg)``), a block of seeds at a
     time with every policy of its seeds, about ``_LANES`` rollouts at most.
     Each substream of a seed is drawn once for all the policies
-    (`_lockstep`); the draws held grow with ``T``.  Before the shuffle,
-    entry k of policy p's array equals
-    ``rollout(cfg, policies[p], initial_dist, seed0 + k, T)`` bit for bit;
-    errors name the policy by its position p.  The shuffle decouples the
-    pairing that common random numbers would otherwise induce between two
-    policies sampled from the same seed block: ``shuffle_seeds`` holds one
-    seed per policy (``seed0`` for every policy by default); pass distinct
-    ones.
+    (`_lockstep`); the draws held grow with ``T``.  Entry k of policy p's
+    array equals ``rollout(cfg, policies[p], initial_dist, seed0 + k, T)``
+    bit for bit, so the arrays are paired (`decouple` unpairs them); errors
+    name the policy by its position p.
     """
     if M < 2:
         raise ValueError("need at least two rollouts (M >= 2)")
@@ -661,10 +651,6 @@ def sample_performance(cfg: ScenarioConfig, policies, initial_dist, seed0: int,
     policies = list(policies)
     if not policies:
         raise ValueError("need at least one policy")
-    if shuffle_seeds is None:
-        shuffle_seeds = [seed0] * len(policies)
-    if len(shuffle_seeds) != len(policies):
-        raise ValueError("need one shuffle seed per policy")
     codes = np.stack([_action_codes(cfg, pol) for pol in policies])
     seeds = [int(seed0) + k for k in range(M)]
     philox = np.random.Philox(key=0)
@@ -675,13 +661,15 @@ def sample_performance(cfg: ScenarioConfig, policies, initial_dist, seed0: int,
         u[k] = gen.random()
     x0 = np.array(_initial_states(cfg, _initial_cdf(cfg, initial_dist), u))
     blocks = np.array_split(np.arange(M), -(-M * len(policies) // _LANES))
-    eta = np.concatenate(
-        [_lockstep(cfg, codes, x0[:, b], seeds[b[0]:b[-1] + 1], T) for b in blocks], axis=1)
-    out = []
-    for row, shuffle_seed in zip(eta, shuffle_seeds):
-        key = (int(shuffle_seed) << 6) + TAG_SHUFFLE
-        out.append(row[np.random.Generator(np.random.Philox(key=key)).permutation(M)])
-    return out
+    return list(np.concatenate(
+        [_lockstep(cfg, codes, x0[:, b], seeds[b[0]:b[-1] + 1], T) for b in blocks], axis=1))
+
+
+def decouple(etas, seed0: int) -> list:
+    """`sample_performance`'s arrays, each in its own random order (policy p's
+    from seed ``seed0 + 7919 (p + 1)``), unpaired for independent-sample tests."""
+    return [eta[SeedStream(seed0 + 7919 * (p + 1)).generator(TAG_SHUFFLE).permutation(len(eta))]
+            for p, eta in enumerate(etas)]
 
 
 def _burn_in(trace: RolloutTrace, burn_in: Optional[int]) -> int:
@@ -738,9 +726,9 @@ def action_time_fractions(trace: RolloutTrace, burn_in: Optional[int] = None):
     return phi, total, T1, T2
 
 
-def limit_cycle_cells(cycle, grid: int = 100) -> set:
+def limit_cycle_cells(cycle) -> set:
     """The (n1, n2) cells of the integerised cycle: each cycle segment is
-    sampled on ``grid`` points and every floor/ceil combination of a sampled
+    sampled on 100 points and every floor/ceil combination of a sampled
     point counts as part of the cycle."""
     cells = set()
     corners = list(cycle.coordinates)
@@ -750,7 +738,7 @@ def limit_cycle_cells(cycle, grid: int = 100) -> set:
         corners = [cycle.c1, cycle.c2, cycle.c4, cycle.c5]
     segments = list(zip(corners, corners[1:] + corners[:1]))
     for (x1a, x2a), (x1b, x2b) in segments:
-        for w in np.linspace(0.0, 1.0, max(int(grid), 2)):
+        for w in np.linspace(0.0, 1.0, 100):
             x1 = (1.0 - w) * x1a + w * x1b
             x2 = (1.0 - w) * x2a + w * x2b
             for f1 in (math.floor(x1), math.ceil(x1)):
@@ -768,10 +756,10 @@ def cells_occupancy(freq_table: dict, cells: set) -> float:
     return float(sum(marginal.get(cell, 0.0) for cell in cells))
 
 
-def limit_cycle_occupancy(freq_table: dict, cycle, grid: int = 100) -> float:
+def limit_cycle_occupancy(freq_table: dict, cycle) -> float:
     """Share of embedded visits whose queue pair lies on the integerised
     cycle (`limit_cycle_cells`), summed over both server locations."""
-    return cells_occupancy(freq_table, limit_cycle_cells(cycle, grid))
+    return cells_occupancy(freq_table, limit_cycle_cells(cycle))
 
 
 def work_fraction(trace: RolloutTrace, cfg: ScenarioConfig,

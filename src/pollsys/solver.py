@@ -154,7 +154,6 @@ class Policy:
     changes: List[int] = field(default_factory=list)
     factorizations: int = 0
     float64_factorizations: int = 0
-    J_history: Optional[List[np.ndarray]] = field(default=None, repr=False)
 
 
 def _policy_nodes(graph: ValueGraph, actions) -> np.ndarray:
@@ -413,8 +412,7 @@ def initial_policy(model) -> np.ndarray:
     return graph.q_action[graph.node_start]
 
 
-def policy_iteration(model, pi0=None, maxiter: int = 100,
-                     keep_history: bool = False) -> Policy:
+def policy_iteration(model, pi0=None, maxiter: int = 100) -> Policy:
     """Alternate exact evaluation and greedy improvement until stable
     (Howard's policy iteration; Puterman, *Markov Decision Processes*,
     1994, section 6.4).
@@ -430,6 +428,8 @@ def policy_iteration(model, pi0=None, maxiter: int = 100,
     each improvement changed, the first against ``pi0``,
     ``factorizations`` the dense factorisations made and
     ``float64_factorizations`` those of them that fell back to float64.
+    ``J`` is the last evaluation's; each evaluation calls this module's
+    `policy_evaluate` as looked up then, which a caller may wrap to record J.
     """
     if maxiter < 1:
         raise ValueError("maxiter must be >= 1")
@@ -441,7 +441,6 @@ def policy_iteration(model, pi0=None, maxiter: int = 100,
                          f"so it needs shape ({n},)")
     decision = model.graph.decision_mask
     factor = _Factorization()
-    history = [] if keep_history else None
     changes = []
     J = np.zeros(n)
     converged = False
@@ -449,8 +448,6 @@ def policy_iteration(model, pi0=None, maxiter: int = 100,
     for _ in range(maxiter):
         iterations += 1
         J = policy_evaluate(model, actions, factor)
-        if keep_history:
-            history.append(J.copy())
         new_actions, changed = policy_improve(model, J, actions)
         changes.append(int(np.count_nonzero(new_actions[decision] != actions[decision])))
         actions = new_actions
@@ -459,7 +456,7 @@ def policy_iteration(model, pi0=None, maxiter: int = 100,
             break
     return Policy(actions=actions, J=J, iterations=iterations, converged=converged,
                   changes=changes, factorizations=factor.count,
-                  float64_factorizations=factor.float64_count, J_history=history)
+                  float64_factorizations=factor.float64_count)
 
 
 class _Sweep(NamedTuple):

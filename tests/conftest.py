@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pollsys import IDLE, SERVE, SWITCH, Exponential, Gamma, ScenarioConfig
+from pollsys import solver
 from pollsys.simulate import _costs
 from pollsys.solver import ValueGraph, _policy_nodes, policy_improve
 
@@ -139,7 +140,7 @@ def step_wise_cost(n1, n2, arrivals, dt, c1, c2, beta):
     """
     arr = np.array(arrivals, dtype=float).reshape(-1, 2)
     step = _costs(np.zeros(1), np.zeros(1, dtype=int), np.zeros(1), np.array([dt], dtype=float),
-                  np.array([c1 * n1 + c2 * n2]), None, np.zeros(len(arr), dtype=int),
+                  np.array([c1 * n1 + c2 * n2]), np.zeros(1), np.zeros(len(arr), dtype=int),
                   arr[:, 1], arr[:, 0].astype(int), c1, c2, beta)
     return float(step[0])
 
@@ -154,6 +155,20 @@ def dense_policy_iteration(model, actions):
         J = np.linalg.solve(np.eye(A.shape[0]) - A.toarray(), cost)
         actions, changed = policy_improve(model, J, actions)
     return actions
+
+
+def record_policy_evaluations(monkeypatch) -> list:
+    """A list that receives a copy of the J of every `policy_evaluate` call
+    that `policy_iteration` makes from now on, in order."""
+    evaluate, history = solver.policy_evaluate, []
+
+    def recording(*args, **kwargs):
+        J = evaluate(*args, **kwargs)
+        history.append(J.copy())
+        return J
+
+    monkeypatch.setattr(solver, "policy_evaluate", recording)
+    return history
 
 
 def exhaustive_action(n1, n2, l1):

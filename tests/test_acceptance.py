@@ -44,7 +44,7 @@ from pollsys.model import triple_indexer
 from pollsys.simulate import work_fraction
 from pollsys.solver import policy_evaluate
 
-from conftest import asym_var_config, exp_config, slow_mode_config
+from conftest import asym_var_config, exp_config, record_policy_evaluations, slow_mode_config
 
 M_ROLLOUTS = 2000
 HORIZON = 200.0
@@ -86,10 +86,10 @@ def slow_experiment():
     tables, _ = solve_policies(cfg, ["smdp", "ctmdp"])
     p0 = envelope_uniform(cfg)
     names = ("smdp", "ctmdp", "exhaustive", "heuristic")
-    etas = dict(zip(names, ps.sample_performance(
+    etas = dict(zip(names, ps.decouple(ps.sample_performance(
         cfg, [ps.cli.make_sim_policy(name, cfg, tables) for name in names], p0, 0,
-        HORIZON, M_ROLLOUTS, shuffle_seeds=[7919 * (k + 1) for k in range(len(names))],
-    )))
+        HORIZON, M_ROLLOUTS,
+    ), 0)))
     return {"cfg": cfg, "tables": tables, "etas": etas, "p0": p0,
             "elapsed": time.time() - t0}
 
@@ -100,10 +100,10 @@ def asym_experiment():
     tables, _ = solve_policies(cfg, ["smdp", "ctmdp"])
     p0 = envelope_uniform(cfg)
     names = ("smdp", "ctmdp", "exhaustive")
-    etas = dict(zip(names, ps.sample_performance(
+    etas = dict(zip(names, ps.decouple(ps.sample_performance(
         cfg, [ps.cli.make_sim_policy(name, cfg, tables) for name in names], p0, 0,
-        HORIZON, M_ROLLOUTS, shuffle_seeds=[7919 * (k + 1) for k in range(len(names))],
-    )))
+        HORIZON, M_ROLLOUTS,
+    ), 0)))
     return {"cfg": cfg, "tables": tables, "etas": etas, "p0": p0}
 
 
@@ -204,12 +204,13 @@ def test_criterion_4_cross_model_consistency():
            f"{t20:.0f}s")
 
 
-def test_criterion_5_policy_iteration_monotone():
+def test_criterion_5_policy_iteration_monotone(monkeypatch):
     ok = True
+    hist = record_policy_evaluations(monkeypatch)
     for cfgf in (asym_var_config, slow_mode_config):
         cfg = cfgf(X1=12, X2=12, N1=12, N2=12)
-        pol = policy_iteration(build_smdp(cfg), keep_history=True)
-        hist = pol.J_history
+        hist.clear()
+        pol = policy_iteration(build_smdp(cfg))
         ok = ok and pol.converged and len(hist) >= 2
         for earlier, later in zip(hist, hist[1:]):
             ok = ok and bool(np.all(later <= earlier + 1e-9))

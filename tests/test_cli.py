@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -20,7 +21,7 @@ from pollsys.cli import (
 from pollsys.baselines import exhaustive_start
 from pollsys.ctmdp import build_nonpreemptive
 from pollsys.distributions import Deterministic
-from pollsys.model import ScenarioError
+from pollsys.model import EVENTS, ScenarioError
 from pollsys.smdp import build_smdp
 
 from conftest import asym_var_config, dense_policy_iteration, slow_mode_config
@@ -257,15 +258,62 @@ def test_screen_fails_in_a_named_stage(tmp_path):
      "gamma shape/scale must be finite numbers > 0, got '30', 0.1"),
     ("switch12", {"kind": "deterministic", "value": float("inf")},
      "deterministic duration must be a finite number >= 0, got inf"),
+    ("serve1", {"kind": "exponential"}, "an exponential duration takes ['rate'], got []"),
+    ("switch12", 0.5, "a duration must be an object with a kind, got 0.5"),
+    ("serve2", {"kind": "exponential", "rate": 2.0, "scale": 1},
+     "an exponential duration takes ['rate'], got ['rate', 'scale']"),
+    ("switch21", {"shape": 2.0, "scale": 1.0},
+     "unknown duration kind None, expected one of ['deterministic', 'exponential', 'gamma']"),
 ])
 def test_edge_input_fails_in_load_stage(tmp_path, field, value, message):
+    """A duration's error follows its event's name."""
     doc = slow_mode_config().to_json()
     doc[field] = value
     path = tmp_path / "edge.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(StageError, match=r"^\[load\] " + message) as info:
+    prefix = f"{field}: " if field in EVENTS else ""
+    with pytest.raises(StageError, match=r"^\[load\] " + re.escape(prefix + message)) as info:
         main(["screen", "--scenario", str(path)])
     assert info.value.stage == "load"
+
+
+SLOW_MODE_DOC = slow_mode_config().to_json()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({k: v for k, v in SLOW_MODE_DOC.items() if k != "serve1"},
+     "missing scenario field(s) ['serve1']"),
+    ([SLOW_MODE_DOC], "a scenario must be a JSON object, got list"),
+    ({**SLOW_MODE_DOC, "lambda3": 1.0}, "unknown scenario field(s) ['lambda3']"),
+], ids=["missing-serve1", "list", "unknown-field"])
+def test_malformed_scenario_fails_in_load_stage(tmp_path, doc, message):
+    """The document's shape is checked before the overrides apply to it."""
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(StageError, match=r"^\[load\] " + re.escape(message)):
+        main(["screen", "--scenario", str(path), "--X1", "8"])
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["--rollouts", "1"], "--rollouts must be >= 2, got 1"),
+    (["--horizon", "0"], "--horizon must be finite and > 0, got 0.0"),
+    (["--horizon", "nan"], "--horizon must be finite and > 0, got nan"),
+    (["--horizon", "inf"], "--horizon must be finite and > 0, got inf"),
+    (["--occupancy-horizon", "0"], "--occupancy-horizon must be finite and > 0, got 0.0"),
+    (["--policies", "foo"], "unknown policy 'foo' in --policies"),
+    (["--policies", ","], "--policies names no policy"),
+    (["--zeta", "2"], "--zeta must lie strictly between 0 and 1, got 2.0"),
+    (["--zeta", "nan"], "--zeta must lie strictly between 0 and 1, got nan"),
+])
+def test_invalid_plan_fails_before_any_file(tiny_scenario, tmp_path, flags, message):
+    out = tmp_path / "o"
+    out.mkdir()
+    with pytest.raises(StageError, match=r"^\[plan\] " + re.escape(message)):
+        main(["run", "--scenario", tiny_scenario, "--policies", "exhaustive",
+              "--rollouts", "4", "--horizon", "10", "--occupancy-horizon", "50", *flags,
+              "--out", str(out)])
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("zero", ["lambda1", "lambda2"])

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from pollsys import (
     Truncation,
     validate_scenario,
 )
+from pollsys.cli import load_scenario
 
 from conftest import PollingState, asym_var_config, feasible_actions, slow_mode_config
 
@@ -147,7 +149,7 @@ def test_scenario_json_round_trip(tmp_path):
     assert doc["truncation_mode"] == "unassigned"
     path = tmp_path / "scenario.json"
     cfg.save(path)
-    again = ScenarioConfig.load(path)
+    again = load_scenario(str(path))
     assert again == cfg
     # field names are exactly the constructor names
     assert set(json.loads(path.read_text())) == {
@@ -155,6 +157,11 @@ def test_scenario_json_round_trip(tmp_path):
         "c1", "c2", "K12", "K21", "beta", "X1", "X2", "N1", "N2",
         "truncation_mode",
     }
+    # a bundled scenario writes its file's document back: keys in the same
+    # order, durations included, and the same values
+    for name in ("asym_var", "slow_mode"):
+        text = resources.files("pollsys").joinpath("scenarios", f"{name}.json").read_text()
+        assert json.dumps(load_scenario(name).to_json()) == json.dumps(json.loads(text))
 
 
 def test_exponentialised_config_keeps_means():

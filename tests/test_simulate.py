@@ -22,6 +22,7 @@ from pollsys import (
     TabularPolicy,
     action_time_fractions,
     build_smdp,
+    decouple,
     embedded_stationary,
     limit_cycle_occupancy,
     overall_stationary,
@@ -33,7 +34,7 @@ from pollsys import simulate
 from pollsys.baselines import LimitCycle
 from pollsys.cli import solve_policies
 from pollsys.model import triple_indexer, validate_scenario
-from pollsys.simulate import TAG_SHUFFLE, RolloutTrace
+from pollsys.simulate import RolloutTrace
 
 from conftest import (
     assemble_policy_matrix,
@@ -156,10 +157,26 @@ def test_sample_performance_contracts():
         sample_performance(cfg, [ExhaustivePolicy()], None, 0, 10.0, 1)
     with pytest.raises(ValueError, match="at least one policy"):
         sample_performance(cfg, [], None, 0, 10.0, 2)
-    with pytest.raises(ValueError, match="one shuffle seed per policy"):
-        sample_performance(cfg, [ExhaustivePolicy()] * 2, None, 0, 10.0, 2, shuffle_seeds=[1])
     (eta,) = sample_performance(cfg, [ExhaustivePolicy()], None, 0, 10.0, 2)
     assert len(eta) == 2
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0])
+def test_entry_points_reject_horizon_before_any_draw(monkeypatch, T):
+    """A NaN, infinite or non-positive horizon fails every entry point
+    before a Philox stream exists: at NaN the batch would charge one step
+    and the scalar path none, at inf a stable policy would never stop."""
+    cfg = exp_config(X1=3, X2=3)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a stream was made before the horizon check")
+
+    monkeypatch.setattr(np.random, "Philox", no_draw)
+    for call in (lambda: rollout(cfg, ExhaustivePolicy(), None, 0, T),
+                 lambda: simulate_trace(cfg, ExhaustivePolicy(), T),
+                 lambda: sample_performance(cfg, [ExhaustivePolicy()], None, 0, T, 2)):
+        with pytest.raises(ValueError, match=r"^horizon T must be finite and positive, got "):
+            call()
 
 
 def test_sample_performance_degenerate_model_identical_values():
@@ -172,26 +189,29 @@ def test_sample_performance_degenerate_model_identical_values():
     assert np.all(eta == pytest.approx((1 - math.exp(-0.05)) / 0.05, rel=1e-12))
 
 
-def test_sample_performance_shuffles_with_distinct_seeds():
+def test_decouple_gives_each_policy_its_own_order():
+    """Copies of one policy sample equal arrays in seed order; `decouple`
+    keeps each array's values, gives no two the same order, and its
+    permutations, read off `decouple` of the seed indices, undo."""
     cfg = exp_config(X1=4, X2=4)
-    base, other = sample_performance(cfg, [ExhaustivePolicy()] * 2, None, 0, 20.0, 32,
-                                     shuffle_seeds=[1, 2])
-    assert sorted(base) == pytest.approx(sorted(other))
-    assert not np.allclose(base, other)
+    M = 32
+    etas = sample_performance(cfg, [ExhaustivePolicy()] * 3, None, 0, 20.0, M)
+    assert all(np.array_equal(eta, etas[0]) for eta in etas)
+    shuffled = decouple(etas, 5)
+    orders = decouple([np.arange(M)] * 3, 5)
+    for eta, got, order in zip(etas, shuffled, orders):
+        assert sorted(got) == sorted(eta)
+        restored = np.empty_like(got)
+        restored[order] = got
+        assert np.array_equal(restored, eta)
+    for a, b in itertools.combinations(range(3), 2):
+        assert not np.array_equal(shuffled[a], shuffled[b])
+        assert not np.array_equal(orders[a], orders[b])
 
 
 @functools.lru_cache(maxsize=None)
 def _smdp_table(cfg):
     return solve_policies(cfg, ["smdp"])[0]["smdp"]
-
-
-def _unshuffle(eta, seed0, shuffle_seed=None):
-    """Undo the shuffle of `sample_performance`: entry k is seed seed0 + k."""
-    key = (int(seed0 if shuffle_seed is None else shuffle_seed) << 6) + TAG_SHUFFLE
-    perm = np.random.Generator(np.random.Philox(key=key)).permutation(len(eta))
-    out = np.empty_like(eta)
-    out[perm] = eta
-    return out
 
 
 HEURISTIC_FLAG_CONFIG = exp_config(lambda1=0.3, lambda2=0.1, serve1=Exponential(1.0),
@@ -260,12 +280,10 @@ def test_sample_performance_matches_scalar_rollouts(case, name, start):
     policies = _case_policies(cfg)
     dist = None if start == "uniform" else _point_dist(cfg, 1, 2, 1)
     M, T = 24, 150.0 if case != "deterministic" else 400.0
-    shuffle = [5 + p for p in range(len(policies))]
-    etas = sample_performance(cfg, list(policies.values()), dist, 11, T, M,
-                              shuffle_seeds=shuffle)
+    etas = sample_performance(cfg, list(policies.values()), dist, 11, T, M)
     p = list(policies).index(name)
     want = [rollout(cfg, policies[name], dist, 11 + k, T) for k in range(M)]
-    assert np.array_equal(_unshuffle(etas[p], 11, shuffle[p]), want)
+    assert np.array_equal(etas[p], want)
 
 
 def test_sample_performance_seed_blocks_under_a_small_lane_cap(monkeypatch):
@@ -273,7 +291,7 @@ def test_sample_performance_seed_blocks_under_a_small_lane_cap(monkeypatch):
     cfg = HEURISTIC_FLAG_CONFIG
     policies = [HeuristicPolicy(cfg), ExhaustivePolicy()]
     M, T = 10, 60.0
-    whole = sample_performance(cfg, policies, None, 3, T, M, shuffle_seeds=[1, 2])
+    whole = sample_performance(cfg, policies, None, 3, T, M)
     blocks = []
     lockstep = simulate._lockstep
 
@@ -283,12 +301,12 @@ def test_sample_performance_seed_blocks_under_a_small_lane_cap(monkeypatch):
 
     monkeypatch.setattr(simulate, "_LANES", 7)
     monkeypatch.setattr(simulate, "_lockstep", spy)
-    capped = sample_performance(cfg, policies, None, 3, T, M, shuffle_seeds=[1, 2])
+    capped = sample_performance(cfg, policies, None, 3, T, M)
     assert blocks == [(2, [3, 4, 5, 6]), (2, [7, 8, 9]), (2, [10, 11, 12])]
-    for pol, got, want, shuffle in zip(policies, capped, whole, (1, 2)):
+    for pol, got, want in zip(policies, capped, whole):
         assert np.array_equal(got, want)
         scalar = [rollout(cfg, pol, None, 3 + k, T) for k in range(M)]
-        assert np.array_equal(_unshuffle(got, 3, shuffle), scalar)
+        assert np.array_equal(got, scalar)
 
 
 def test_sample_performance_draws_each_stream_once_per_seed(monkeypatch):
@@ -333,7 +351,7 @@ def test_sample_performance_rows_grow_past_first_block(monkeypatch):
     (eta,) = sample_performance(cfg, [policy], None, 11, T, M)
     assert any(b.size.max() > b.block for b in blocks)
     want = [rollout(cfg, policy, None, 11 + k, T) for k in range(M)]
-    assert np.array_equal(_unshuffle(eta, 11), want)
+    assert np.array_equal(eta, want)
 
 
 def test_action_tables_match_scalar_policies():
@@ -578,7 +596,7 @@ def test_arrival_log_needs_no_per_step_sort():
         total = np.zeros(1)
         cost = simulate._costs(
             total, np.zeros(3, dtype=int), trace.t, dt, cfg.c1 * trace.n1 + cfg.c2 * trace.n2,
-            None, step[order], when[order], cls[order], cfg.c1, cfg.c2, cfg.beta)
+            np.zeros(3), step[order], when[order], cls[order], cfg.c1, cfg.c2, cfg.beta)
         costs.add((cost.tobytes(), total.tobytes()))
     assert len(costs) == 1
 
@@ -766,14 +784,14 @@ def test_pure_cycle_hull_skips_switch_corner():
         c5=(1.0, 1.0), alpha1=0.0, kind=CycleKind.PURE_BOW_TIE,
         slow_mode_value=0.0, priority_queue=1,
     )
-    cells = limit_cycle_cells(pure, 50)
+    cells = limit_cycle_cells(pure)
     assert (50, 50) not in cells  # C3 plays no role in a pure bow-tie
     truncated = LimitCycle(
         c1=(0.0, 2.0), c2=(0.0, 3.0), c3=(50.0, 50.0), c4=(2.0, 0.0),
         c5=(1.0, 1.0), alpha1=0.5, kind=CycleKind.TRUNCATED_BOW_TIE,
         slow_mode_value=-1.0, priority_queue=1,
     )
-    assert (50, 50) in limit_cycle_cells(truncated, 50)
+    assert (50, 50) in limit_cycle_cells(truncated)
 
 
 def test_idle_durations_are_exponential():

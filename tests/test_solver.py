@@ -32,6 +32,7 @@ from conftest import (
     asym_var_config,
     exhaustive_action,
     exp_config,
+    record_policy_evaluations,
     slow_mode_config,
 )
 
@@ -160,12 +161,13 @@ def fresh_policy_iteration(model):
 
 
 @pytest.mark.parametrize("make_cfg", [slow_mode_config, asym_var_config])
-def test_policy_iteration_reuse_matches_fresh_solves(make_cfg):
+def test_policy_iteration_reuse_matches_fresh_solves(make_cfg, monkeypatch):
     model = build_smdp(make_cfg())
     fresh = fresh_policy_iteration(model)
-    pol = policy_iteration(model, keep_history=True)
-    assert pol.converged and pol.iterations == len(fresh)
-    for J, (J_fresh, actions) in zip(pol.J_history, fresh):
+    history = record_policy_evaluations(monkeypatch)
+    pol = policy_iteration(model)
+    assert pol.converged and pol.iterations == len(fresh) == len(history)
+    for J, (J_fresh, actions) in zip(history, fresh):
         assert np.abs(J - J_fresh).max() <= 1e-10 * np.abs(J_fresh).max()
         assert np.array_equal(policy_improve(model, J)[0], actions)
     assert np.array_equal(pol.actions, fresh[-1][1])
@@ -304,12 +306,12 @@ def test_policy_iteration_rejects_wrong_length_pi0(pi0):
         policy_iteration(two_state_alternation(), pi0=pi0)
 
 
-def test_policy_iteration_monotone_J(slow_cfg):
+def test_policy_iteration_monotone_J(slow_cfg, monkeypatch):
     cfg = slow_mode_config(X1=6, X2=6, N1=6, N2=6)
     model = build_smdp(cfg)
-    pol = policy_iteration(model, keep_history=True)
+    hist = record_policy_evaluations(monkeypatch)
+    pol = policy_iteration(model)
     assert pol.converged
-    hist = pol.J_history
     assert len(hist) >= 2
     for earlier, later in zip(hist, hist[1:]):
         assert np.all(later <= earlier + 1e-9)
