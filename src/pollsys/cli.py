@@ -39,6 +39,7 @@ from .simulate import (
     cells_occupancy,
     decouple,
     embedded_stationary,
+    largest_seed,
     limit_cycle_cells,
     sample_performance,
     simulate_trace,
@@ -282,8 +283,9 @@ def _stage(name: str):
 def _load(plan: ExperimentPlan) -> ScenarioConfig:
     """Stage load, then the plan stage's checks of the plan's own values,
     before any solve or file write: at least one policy, each known and
-    listed once, ``seed`` >= 0, ``rollouts`` >= 2, both horizons finite and
-    positive and 0 < ``zeta`` < 1.  An error names the flag."""
+    listed once, ``seed`` >= 0, ``rollouts`` >= 2, ``seed`` at most
+    `largest_seed`, both horizons finite and positive and 0 < ``zeta`` < 1.
+    An error names the flag."""
     with _stage("load"):
         cfg = load_scenario(plan.scenario, plan.overrides)
     with _stage("plan"):
@@ -299,6 +301,10 @@ def _load(plan: ExperimentPlan) -> ScenarioConfig:
             raise ValueError(f"--seed must be >= 0, got {plan.seed}")
         if plan.rollouts < 2:
             raise ValueError(f"--rollouts must be >= 2, got {plan.rollouts}")
+        top = largest_seed(plan.rollouts, len(plan.policies))
+        if plan.seed > top:
+            raise ValueError(f"--seed must be <= {top} for --rollouts {plan.rollouts} and "
+                             f"--policies naming {len(plan.policies)}, got {plan.seed}")
         for flag, T in (("--horizon", plan.horizon),
                         ("--occupancy-horizon", plan.occupancy_horizon)):
             if not 0 < T < math.inf:

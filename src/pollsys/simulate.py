@@ -6,17 +6,17 @@ the Poisson arrivals inside the interval, and accumulates locally discounted
 step costs.  Running two policies with the same base seed reuses identical
 event samples, which is what makes paired performance comparisons fair.
 
-A policy is its action table over the simulator's cap box
-(``policy.action_table(cfg)``), read as one flat code table
-(`_action_codes`) by both paths.  `rollout` and `simulate_trace` step one
-rollout at a time; `sample_performance` steps the rollouts of all its
-policies together as arrays and gives the same values bit for bit.
-Both paths draw each substream in blocks, which Philox returns exactly as
-the same number of single draws, and both charge the steps they logged by
-one routine, `_costs`, whose exponentials are ``np.exp`` over the whole log.
-Both log the arrivals flat, one (step, class, time) entry each, in no set
-order within a step: `_costs` takes them in time order itself, and a
-trace's per-step ``arrivals`` are built from its flat log when first read.
+`rollout` and `simulate_trace` step one rollout at a time;
+`sample_performance` steps the rollouts of all its policies together as
+arrays and gives the same values bit for bit.  Each rule the two paths share
+has one home: `SeedStream` keys the substreams, `_durations` lists the
+duration ones, `_caps` bounds the box over which a policy is one flat code
+table (`_action_codes`), and `_costs` charges the logged steps, with every
+exponential one ``np.exp`` over the log.  Both draw each substream in
+blocks, which Philox returns exactly as the same number of single draws,
+and log the arrivals flat, one (step, class, time) entry each, in no set
+order within a step; a trace's per-step ``arrivals`` are built from that
+log when first read.
 """
 
 from __future__ import annotations
@@ -55,20 +55,28 @@ class SeedStream:
 
     Every event type owns an independent counter-based (Philox) stream keyed
     by (base seed, event tag), so equal seeds reproduce identical event
-    samples across policies and platforms.
+    samples across policies and platforms.  Only this class derives a key,
+    ``(seed << 6) + tag``, below Philox's 2**128 for seeds in [0, 2**122).
     """
+
+    SEED_LIMIT = 1 << 122
 
     def __init__(self, base_seed: int):
         self.base_seed = int(base_seed)
+        if not 0 <= self.base_seed < self.SEED_LIMIT:
+            raise ValueError(f"seed must lie in [0, 2**122), got {self.base_seed}")
+        self._key0 = self.base_seed << 6  # tag's key: _key0 + tag
         self._gens = {}
 
     def generator(self, tag: int) -> np.random.Generator:
-        gen = self._gens.get(tag)
-        if gen is None:
-            key = (self.base_seed << 6) + tag
-            gen = np.random.Generator(np.random.Philox(key=key))
-            self._gens[tag] = gen
-        return gen
+        if tag not in self._gens:
+            self._gens[tag] = np.random.Generator(np.random.Philox(key=self._key0 + tag))
+        return self._gens[tag]
+
+    def fresh_state(self, tag: int) -> list:
+        """`_philox_state` words of the tag's stream before its first draw."""
+        key = self._key0 + tag
+        return [0, 0, 0, 0, key & (1 << 64) - 1, key >> 64, 0, 0, 0, 0, 4, 0, 0]
 
 
 @dataclass
@@ -109,6 +117,11 @@ class RolloutTrace:
         return [tuple(arr) for arr in steps]
 
 
+def _caps(cfg: ScenarioConfig) -> tuple:
+    """The queue caps of the simulator's box, 10 X1 and 10 X2."""
+    return 10 * cfg.X1, 10 * cfg.X2
+
+
 def _over_cap_box(cfg: ScenarioConfig, rule) -> np.ndarray:
     """``rule(served, n1, n2, l1)`` over the simulator's cap box, broadcastable
     to (served, n1, n2, l1).
@@ -117,7 +130,8 @@ def _over_cap_box(cfg: ScenarioConfig, rule) -> np.ndarray:
     at l1 = 1, and the two results are stacked last: numpy broadcasts over
     a long last axis several times faster than over one of length 2.
     """
-    served, n1, n2 = np.ogrid[0:2, 0:10 * cfg.X1 + 1, 0:10 * cfg.X2 + 1]
+    cap1, cap2 = _caps(cfg)
+    served, n1, n2 = np.ogrid[0:2, 0:cap1 + 1, 0:cap2 + 1]
     served = served.astype(bool)
     return np.stack(np.broadcast_arrays(*(rule(served, n1, n2, l1) for l1 in (0, 1))), axis=-1)
 
@@ -133,8 +147,8 @@ _ERRORS = {
 
 def _strides(cfg: ScenarioConfig):
     """Strides of (served, n1, n2, l1) in a flat code table (`_action_codes`)."""
-    cap2 = 10 * cfg.X2
-    return ((10 * cfg.X1 + 1) * (cap2 + 1) * 2, (cap2 + 1) * 2, 2, 1)
+    cap1, cap2 = _caps(cfg)
+    return ((cap1 + 1) * (cap2 + 1) * 2, (cap2 + 1) * 2, 2, 1)
 
 
 class ExhaustivePolicy:
@@ -176,37 +190,40 @@ class TabularPolicy:
                              box[np.minimum(n1, self.X1), np.minimum(n2, self.X2), l1])
 
 
-def _costs(total, k, t, dt, base, extra, event, when, cls, c1, c2, beta) -> np.ndarray:
+def _costs(cfg, total, k, t, dt, n1, n2, l1, action, event, when, cls) -> np.ndarray:
     """The locally discounted cost of each logged step, whose cost
     discounted to time 0 is added to its rollout's ``total``.
 
-    Per step i: rollout ``k[i]``, start ``t[i]``, length ``dt[i]``,
-    ``base[i] = c1 n1 + c2 n2`` and switch cost ``extra[i]`` (0 when it
-    has none); per arrival: its step ``event`` (numbered across the log),
-    time ``when`` in [0, dt] and class ``cls``.  Step i costs
-    ``base/beta (1 - e^(-beta dt))``, plus ``c/beta (e^(-beta t_a) - e^(-beta dt))``
-    per arrival in time order, class 0 first on a tie, plus its switch
-    cost.  ``np.add.at`` adds in index order, so each rollout's total sums
-    its steps in order.  Every exponential is taken by one ``np.exp`` over
-    the log; ``np.exp`` is elementwise, so a step's cost does not depend on
-    what else is logged with it, and every caller gets the same bits.
+    Per step: rollout ``k``, start ``t``, length ``dt``, entry state
+    (n1, n2, l1) and ``action``; per arrival: its step ``event`` (numbered
+    across the log), time ``when`` in [0, dt] and class ``cls``.  With
+    ``cfg``'s constants a step costs ``(c1 n1 + c2 n2)/beta (1 - e^(-beta dt))``,
+    plus ``c/beta (e^(-beta t_a) - e^(-beta dt))`` per arrival in time
+    order, class 0 first on a tie, plus a switch's cost at the queue it
+    leaves.  ``np.add.at`` sums each rollout's steps in order, and every
+    exponential is one elementwise ``np.exp`` over the log, so every caller
+    gets the same bits.
     """
+    c1, c2, beta = cfg.c1, cfg.c2, cfg.beta
     edt = np.exp(-beta * dt)
-    step = (base / beta) * (1.0 - edt)
+    step = ((c1 * n1 + c2 * n2) / beta) * (1.0 - edt)
     weight = np.array([c1 / beta, c2 / beta])[cls]
     order = np.lexsort((cls, when))
     np.add.at(step, event[order], (weight * (np.exp(-beta * when) - edt[event]))[order])
-    step += extra
+    step += np.where(action == SWITCH, np.array(cfg.switch_costs)[l1], 0.0)
     np.add.at(total, k, np.exp(-beta * t) * step)
     return step
 
 
-def _draws(dist, gen: np.random.Generator, block: int):
-    """The values of ``dist`` drawn from ``gen`` in order, one at a time.
+def _durations(cfg: ScenarioConfig):
+    """Tags and distributions of the duration substreams, action ``a``'s at
+    queue ``l1`` at index ``(a - SERVE) * 2 + l1``."""
+    return TAG_SERVE + TAG_SWITCH, cfg.serve_dists + cfg.switch_dists
 
-    They are drawn ``block`` at a time, which Philox returns exactly as the
-    same number of single draws.
-    """
+
+def _draws(dist, gen: np.random.Generator, block: int):
+    """The values of ``dist`` drawn from ``gen`` in order, one at a time;
+    drawn ``block`` at a time, which gives Philox's single draws exactly."""
     while True:
         yield from dist.sample(gen, block).tolist()
 
@@ -215,28 +232,25 @@ def _run(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds: SeedStream, T: float
     """Step one rollout of the policy with code table ``codes``
     (`_action_codes`) from ``x0`` until time ``T``.
 
-    This is one lane of `_lockstep`: the served flag starts at 0 and
-    becomes ``a == SERVE`` at queue 2, the action is
-    ``codes[served s0 + n1 s1 + n2 s2 + l1]`` with the strides of
-    `_strides`, and an error code raises its `_ERRORS` message.  Each
-    substream of ``seeds`` is read through a `_draws` iterator; a class
-    without arrivals reads an endless gap.  A busy step sums each class's
-    gaps from 0 until one overshoots its length, which is consumed, and
-    appends every arrival to one flat log (step, class, time), class 0's
-    first: `_costs` orders the log by time and class itself.  The loop
-    records each step's entry state, action, start and length; the costs
-    are charged once at the end by `_costs`.  Returns the discounted cost
-    and the `RolloutTrace`.
+    This is one lane of `_lockstep`: the served flag starts at 0 and becomes
+    ``a == SERVE`` at queue 2, the action is ``codes[served s0 + n1 s1 + n2
+    s2 + l1]`` with the strides of `_strides`, and an error code raises its
+    `_ERRORS` message.  Each substream of ``seeds`` is read through a
+    `_draws` iterator, the durations in `_durations`' order; a class
+    without arrivals reads an endless gap.
+    A busy step sums each class's gaps from 0 until one overshoots its
+    length, which is consumed, and appends every arrival to one flat log
+    (step, class, time), class 0's first.  The loop records each step's
+    entry state, action, start and length; `_costs` charges them once at
+    the end.  Returns the discounted cost and the `RolloutTrace`.
     """
-    cap1, cap2 = 10 * cfg.X1, 10 * cfg.X2
+    cap1, cap2 = _caps(cfg)
     s0, s1, s2, _ = _strides(cfg)
     gap1, gap2 = [_draws(Exponential(lam), seeds.generator(tag), _GAP_BLOCK) if lam > 0
                   else itertools.repeat(math.inf)
                   for lam, tag in zip(cfg.arrival_rates, TAG_LAMBDA)]
-    serve = [_draws(dist, seeds.generator(tag), _DURATION_BLOCK)
-             for dist, tag in zip(cfg.serve_dists, TAG_SERVE)]
-    switch = [_draws(dist, seeds.generator(tag), _DURATION_BLOCK)
-              for dist, tag in zip(cfg.switch_dists, TAG_SWITCH)]
+    durations = [_draws(dist, seeds.generator(tag), _DURATION_BLOCK)
+                 for tag, dist in zip(*_durations(cfg))]
     no_arrivals = cfg.lambda1 <= 0 and cfg.lambda2 <= 0
 
     n1, n2, l1 = x0
@@ -256,7 +270,7 @@ def _run(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds: SeedStream, T: float
         else:
             if a < 0:
                 raise ValueError(_ERRORS[a].format(f"({n1},{n2},{l1})"))
-            dt = next(serve[l1] if a == SERVE else switch[l1])
+            dt = next(durations[(a - SERVE) * 2 + l1])
             k = len(rec_t)
             a1 = 0
             ta = next(gap1)
@@ -300,10 +314,9 @@ def _run(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds: SeedStream, T: float
     dt, t = np.array(rec_dt, dtype=float), np.array(rec_t, dtype=float)
     step, cls = np.array(arr_step, dtype=int), np.array(arr_cls, dtype=int)
     when = np.array(arr_when, dtype=float)
-    extra = np.where(action == SWITCH, np.array(cfg.switch_costs)[l1], 0.0)
     total = np.zeros(1)
-    cost = _costs(total, np.zeros(len(t), dtype=int), t, dt, cfg.c1 * n1 + cfg.c2 * n2, extra,
-                  step, when, cls, cfg.c1, cfg.c2, cfg.beta)
+    cost = _costs(cfg, total, np.zeros(len(t), dtype=int), t, dt, n1, n2, l1, action,
+                  step, when, cls)
     trace = RolloutTrace(n1=n1, n2=n2, l1=l1, action=action, cost=cost, dt=dt, t=t,
                          horizon=T, arrival_step=step, arrival_class=cls, arrival_time=when)
     return float(total[0]), trace
@@ -341,8 +354,7 @@ def rollout(cfg: ScenarioConfig, policy, initial_dist, seed: int, T: float) -> f
     seeds = SeedStream(seed)
     u = seeds.generator(TAG_INIT).random()
     x0 = _initial_states(cfg, _initial_cdf(cfg, initial_dist), u)
-    total, _ = _run(cfg, _action_codes(cfg, policy), x0, seeds, T)
-    return total
+    return _run(cfg, _action_codes(cfg, policy), x0, seeds, T)[0]
 
 
 def simulate_trace(cfg: ScenarioConfig, policy, T: float, seed: int = 0,
@@ -354,14 +366,13 @@ def simulate_trace(cfg: ScenarioConfig, policy, T: float, seed: int = 0,
     """
     _check_horizon(T)
     x0 = tuple(x0)
-    caps = (10 * cfg.X1, 10 * cfg.X2, 1)
+    caps = (*_caps(cfg), 1)
     if len(x0) != 3 or not all(isinstance(v, (int, np.integer)) and 0 <= v <= cap
                                for v, cap in zip(x0, caps)):
         raise ValueError(f"initial state {x0} is not integers (n1, n2, l1) in "
                          f"[0, {caps[0]}] x [0, {caps[1]}] x {{0, 1}}")
     codes = _action_codes(cfg, policy)
-    _, trace = _run(cfg, codes, tuple(int(v) for v in x0), SeedStream(seed), T)
-    return trace
+    return _run(cfg, codes, tuple(int(v) for v in x0), SeedStream(seed), T)[1]
 
 
 # Lockstep batch of rollouts.  Every seed keeps its own substreams; their
@@ -370,14 +381,6 @@ def simulate_trace(cfg: ScenarioConfig, policy, T: float, seed: int = 0,
 _WINDOW = 4  # arrival gaps first examined per interval
 _CHUNK = 1 << 12  # rollout steps whose costs are added in one pass
 _LANES = 1 << 12  # about the most (policy, seed) rollouts stepped together
-
-
-def _philox_words(key: int) -> list:
-    """State of ``np.random.Philox(key=key)`` before its first draw, as the
-    words counter (4), key (2), buffer (4), buffer_pos, has_uint32, uinteger."""
-    if not 0 <= key < 1 << 128:
-        raise ValueError("key must be positive and less than 2**128.")
-    return [0, 0, 0, 0, key & (1 << 64) - 1, key >> 64, 0, 0, 0, 0, 4, 0, 0]
 
 
 def _philox_state(words: list) -> dict:
@@ -397,30 +400,29 @@ def _philox_state_words(state: dict) -> list:
 class _Blocks:
     """Pre-drawn values of a set of substreams, one row per (substream, seed).
 
-    Of ``L`` lanes on ``B`` seeds, lane ``j`` runs on seed ``j % B``, and
-    index ``s * L + j`` names substream ``s`` of lane ``j``.  Its next value
-    is ``buf[s * B + j % B, pos[s * L + j]]``: the policy lanes of a seed read
-    one row, each at its own position.  A row only grows.  A read past its
-    end draws as many values again as the row holds (at least ``block``)
-    from the row's Philox stream, resumed from its saved state, and the
-    buffer widens to any row that outgrows it.  A row starts empty at
-    the start of its stream, so a substream that is never read is never
-    drawn.  One bit generator serves every row; the memory is
-    O(rows x the longest row).
+    Substream ``s`` draws ``dists[s]`` on tag ``tags[s]`` of each seed's
+    `SeedStream` in ``streams``.  Of ``L`` lanes on ``B`` seeds, lane ``j``
+    runs on seed ``j % B``, and index ``s * L + j`` names substream ``s`` of
+    lane ``j``.  Its next value is ``buf[s * B + j % B, pos[s * L + j]]``:
+    the policy lanes of a seed read one row, each at its own position.  A
+    row starts empty at its stream's `SeedStream.fresh_state` and only
+    grows: a read past its end draws as many values again as it holds (at
+    least ``block``), resumed from its saved state, and the buffer widens
+    to any row that outgrows it.  One bit generator serves every row; the
+    memory is O(rows x the longest row).
     """
 
-    def __init__(self, philox, dists, keys, lanes: int, block: int):
-        self.philox = philox
-        self.gen = np.random.Generator(philox)
+    def __init__(self, streams, tags, dists, lanes: int, block: int):
+        self.gen = np.random.Generator(np.random.Philox(key=0))
         self.dists = dists
-        self.seeds = len(keys[0]) if keys else 0
+        self.seeds = len(streams)
         self.block = block
         self.buf = np.empty((len(dists) * self.seeds, block))
         self.size = np.zeros(len(dists) * self.seeds, dtype=np.intp)
         self.pos = np.zeros(len(dists) * lanes, dtype=np.intp)
         idx = np.arange(len(dists) * lanes)
         self.row = idx // lanes * self.seeds + idx % self.seeds  # index -> its row
-        self.states = [_philox_words(key) for row in keys for key in row]
+        self.states = [stream.fresh_state(tag) for tag in tags for stream in streams]
 
     def take(self, idx: np.ndarray) -> np.ndarray:
         """The next value at each (distinct) index."""
@@ -456,9 +458,9 @@ class _Blocks:
                 buf = np.empty((len(self.buf), hi))
                 buf[:, :self.buf.shape[1]] = self.buf
                 self.buf = buf
-            self.philox.state = _philox_state(self.states[row])
+            self.gen.bit_generator.state = _philox_state(self.states[row])
             self.buf[row, lo:hi] = self.dists[row // self.seeds].sample(self.gen, hi - lo)
-            self.states[row] = _philox_state_words(self.philox.state)
+            self.states[row] = _philox_state_words(self.gen.bit_generator.state)
             self.size[row] = hi
 
 
@@ -510,7 +512,7 @@ def _charge(total, cfg: ScenarioConfig, log):
     entry holds `_costs`' arguments from ``k`` to ``cls`` for its steps, with
     the arrivals' steps numbered across the log."""
     if log:
-        _costs(total, *(np.concatenate(part) for part in zip(*log)), cfg.c1, cfg.c2, cfg.beta)
+        _costs(cfg, total, *(np.concatenate(part) for part in zip(*log)))
 
 
 def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds, T: float) -> np.ndarray:
@@ -520,37 +522,25 @@ def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds, T: float) -> np
     ``codes[p]`` is the code table of policy p (`_action_codes`).  A lane is
     one (policy, seed) pair: lane ``p * B + k`` runs policy p on seed k with
     its own slice of the stacked tables and its own read position in each
-    substream of its seed.  Each substream is drawn once per seed into one
-    row that every policy's lane of the seed reads (`_Blocks`).  Lane
-    (p, k) equals ``_run`` of ``codes[p]`` from ``x0[:, k]`` with
-    ``SeedStream(seeds[k])`` bit for bit: it reads the same actions, the
-    same values of the same substreams, and charges its steps by the same
-    routine, `_costs`.
-    The dynamics advance one step of every live lane at a time; the costs
-    of about ``_CHUNK`` logged rollout steps at a time are added afterwards
-    in one pass (`_charge`), which bounds the log's memory whatever the
-    number of lanes is.  The pre-drawn rows grow with ``T``.
+    substream of its seed, drawn once per seed into one row that every
+    policy's lane of the seed reads (`_Blocks`).  Lane (p, k) equals
+    ``_run`` of ``codes[p]`` from ``x0[:, k]`` with ``SeedStream(seeds[k])``
+    bit for bit: the same actions, draws and cost routine.  Each step of
+    every live lane logs a copy of its (n1, n2, l1) rows and actions, and
+    `_charge` charges about ``_CHUNK`` logged steps at a time in one pass,
+    which bounds the log's memory whatever the number of lanes is.
     """
     P, B = codes.shape[0], len(seeds)
     L = P * B
     table = codes.reshape(-1)
     offset = np.repeat(np.arange(P) * codes.shape[1], B)
     lam = cfg.arrival_rates
-    c1, c2 = cfg.c1, cfg.c2
-    cap1, cap2 = 10 * cfg.X1, 10 * cfg.X2
-    philox = np.random.Philox(key=0)
-    durations = _Blocks(
-        philox, cfg.serve_dists + cfg.switch_dists,
-        [[(s << 6) + tag for s in seeds] for tag in TAG_SERVE + TAG_SWITCH],
-        L, _DURATION_BLOCK,
-    )
+    cap1, cap2 = _caps(cfg)
+    streams = [SeedStream(s) for s in seeds]
+    durations = _Blocks(streams, *_durations(cfg), L, _DURATION_BLOCK)
     classes = np.array([c for c in (0, 1) if lam[c] > 0], dtype=int)
-    gaps = _Blocks(
-        philox, [Exponential(lam[c]) for c in classes],
-        [[(s << 6) + TAG_LAMBDA[c] for s in seeds] for c in classes],
-        L, _GAP_BLOCK,
-    )
-    switch_costs = np.array(cfg.switch_costs)
+    gaps = _Blocks(streams, [TAG_LAMBDA[c] for c in classes],
+                   [Exponential(lam[c]) for c in classes], L, _GAP_BLOCK)
     strides = np.array(_strides(cfg))
 
     def rollout_of(j):
@@ -602,8 +592,7 @@ def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds, T: float) -> np
             arrived[classes[:, None], busy] = count.reshape(len(classes), busy.size)
             event = logged + busy[where % busy.size]
             cls = classes[where // busy.size]
-        extra = np.where(a == SWITCH, switch_costs[l1], 0.0)
-        log.append((k, t, dt, c1 * n1 + c2 * n2, extra, event, when, cls))
+        log.append((k, t, dt, *state[1:].copy(), a, event, when, cls))
         logged += m
 
         serve = a == SERVE
@@ -639,11 +628,12 @@ def sample_performance(cfg: ScenarioConfig, policies, initial_dist, seed0: int,
     Every policy's rollouts run in lockstep as arrays over the policies'
     action tables (``policy.action_table(cfg)``), a block of seeds at a
     time with every policy of its seeds, about ``_LANES`` rollouts at most.
-    Each substream of a seed is drawn once for all the policies
-    (`_lockstep`); the draws held grow with ``T``.  Entry k of policy p's
-    array equals ``rollout(cfg, policies[p], initial_dist, seed0 + k, T)``
-    bit for bit, so the arrays are paired (`decouple` unpairs them); errors
-    name the policy by its position p.
+    A seed's initial state takes the first value of its ``TAG_INIT`` stream
+    from `SeedStream.fresh_state`, and each substream of a seed is drawn
+    once for all the policies (`_lockstep`); the draws held grow with ``T``.
+    Entry k of policy p's array equals ``rollout(cfg, policies[p],
+    initial_dist, seed0 + k, T)`` bit for bit, so the arrays are paired
+    (`decouple` unpairs them); errors name the policy by its position p.
     """
     if M < 2:
         raise ValueError("need at least two rollouts (M >= 2)")
@@ -653,11 +643,10 @@ def sample_performance(cfg: ScenarioConfig, policies, initial_dist, seed0: int,
         raise ValueError("need at least one policy")
     codes = np.stack([_action_codes(cfg, pol) for pol in policies])
     seeds = [int(seed0) + k for k in range(M)]
-    philox = np.random.Philox(key=0)
-    gen = np.random.Generator(philox)
+    gen = np.random.Generator(np.random.Philox(key=0))
     u = np.empty(M)
     for k, seed in enumerate(seeds):
-        philox.state = _philox_state(_philox_words((seed << 6) + TAG_INIT))
+        gen.bit_generator.state = _philox_state(SeedStream(seed).fresh_state(TAG_INIT))
         u[k] = gen.random()
     x0 = np.array(_initial_states(cfg, _initial_cdf(cfg, initial_dist), u))
     blocks = np.array_split(np.arange(M), -(-M * len(policies) // _LANES))
@@ -665,11 +654,20 @@ def sample_performance(cfg: ScenarioConfig, policies, initial_dist, seed0: int,
         [_lockstep(cfg, codes, x0[:, b], seeds[b[0]:b[-1] + 1], T) for b in blocks], axis=1))
 
 
+_SHUFFLE_STRIDE = 7919  # seed offset between the policies' orders in `decouple`
+
+
 def decouple(etas, seed0: int) -> list:
     """`sample_performance`'s arrays, each in its own random order (policy p's
     from seed ``seed0 + 7919 (p + 1)``), unpaired for independent-sample tests."""
-    return [eta[SeedStream(seed0 + 7919 * (p + 1)).generator(TAG_SHUFFLE).permutation(len(eta))]
-            for p, eta in enumerate(etas)]
+    return [eta[SeedStream(seed0 + _SHUFFLE_STRIDE * p).generator(TAG_SHUFFLE).permutation(len(eta))]
+            for p, eta in enumerate(etas, 1)]
+
+
+def largest_seed(M: int, policies: int) -> int:
+    """The largest ``seed0`` whose M samples' seeds and `decouple`'s seeds
+    for ``policies`` policies all lie in `SeedStream`'s range."""
+    return SeedStream.SEED_LIMIT - 1 - max(M - 1, _SHUFFLE_STRIDE * policies)
 
 
 def _burn_in(trace: RolloutTrace, burn_in: Optional[int]) -> int:

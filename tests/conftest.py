@@ -139,9 +139,10 @@ def step_wise_cost(n1, n2, arrivals, dt, c1, c2, beta):
     simulator's `_costs`, so it gives the simulator's step cost bit for bit.
     """
     arr = np.array(arrivals, dtype=float).reshape(-1, 2)
-    step = _costs(np.zeros(1), np.zeros(1, dtype=int), np.zeros(1), np.array([dt], dtype=float),
-                  np.array([c1 * n1 + c2 * n2]), np.zeros(1), np.zeros(len(arr), dtype=int),
-                  arr[:, 1], arr[:, 0].astype(int), c1, c2, beta)
+    zero = np.zeros(1, dtype=int)  # rollout, server location and action (IDLE)
+    step = _costs(exp_config(c1=c1, c2=c2, beta=beta), np.zeros(1), zero, np.zeros(1),
+                  np.array([dt], dtype=float), np.array([n1]), np.array([n2]), zero, zero,
+                  np.zeros(len(arr), dtype=int), arr[:, 1], arr[:, 0].astype(int))
     return float(step[0])
 
 

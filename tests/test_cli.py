@@ -22,6 +22,7 @@ from pollsys.baselines import exhaustive_start
 from pollsys.ctmdp import build_nonpreemptive
 from pollsys.distributions import Deterministic
 from pollsys.model import EVENTS, ScenarioError
+from pollsys.simulate import largest_seed
 from pollsys.smdp import build_smdp
 
 from conftest import asym_var_config, dense_policy_iteration, slow_mode_config
@@ -313,6 +314,25 @@ def test_invalid_plan_fails_before_any_file(tiny_scenario, tmp_path, flags, mess
         main(["run", "--scenario", tiny_scenario, "--policies", "exhaustive",
               "--rollouts", "4", "--horizon", "10", "--occupancy-horizon", "50", *flags,
               "--out", str(out)])
+    assert list(out.iterdir()) == []
+
+
+def test_largest_seed_runs_and_the_next_fails_before_any_file(tiny_scenario, tmp_path):
+    """Every seed a run derives keys a Philox stream: the samples' seeds
+    and `decouple`'s.  The largest seed allowed writes a full bundle; the
+    next fails in the plan stage, naming the bound, before any file."""
+    top = largest_seed(4, 2)
+    assert top == 2**122 - 1 - 2 * 7919
+    plan = ["run", "--scenario", tiny_scenario, "--policies", "exhaustive,heuristic",
+            "--rollouts", "4", "--horizon", "10", "--occupancy-horizon", "50"]
+    assert main([*plan, "--seed", str(top), "--out", str(tmp_path / "top")]) == 0
+    assert json.loads((tmp_path / "top" / "summary.json").read_text())["plan"]["seed"] == top
+    assert (tmp_path / "top" / "freq_heuristic.csv").exists()
+    out = tmp_path / "past"
+    out.mkdir()
+    with pytest.raises(StageError, match=rf"^\[plan\] --seed must be <= {top} for --rollouts 4 "
+                                         rf"and --policies naming 2, got {top + 1}$"):
+        main([*plan, "--seed", str(top + 1), "--out", str(out)])
     assert list(out.iterdir()) == []
 
 

@@ -228,6 +228,8 @@ BATCH_CASES = {
         serve1=Deterministic(0.2), serve2=Deterministic(0.3),
         switch12=Deterministic(30.0), switch21=Deterministic(90.0),
         K12=1.5, X1=30, X2=30, N1=4, N2=4),
+    # switch costs at both queues, unequal: a switch pays at the queue it leaves
+    "switch_costs": exp_config(K12=1.5, K21=0.25, X1=4, X2=4, N1=4, N2=4),
     # no arrivals: a rollout ends when it idles
     "no_arrivals": exp_config(lambda1=0.0, lambda2=0.0, serve1=Deterministic(1.0),
                               serve2=Deterministic(0.5), X1=4, X2=4, N1=4, N2=4),
@@ -595,10 +597,29 @@ def test_arrival_log_needs_no_per_step_sort():
         order[step == 0] = perm
         total = np.zeros(1)
         cost = simulate._costs(
-            total, np.zeros(3, dtype=int), trace.t, dt, cfg.c1 * trace.n1 + cfg.c2 * trace.n2,
-            np.zeros(3), step[order], when[order], cls[order], cfg.c1, cfg.c2, cfg.beta)
+            cfg, total, np.zeros(3, dtype=int), trace.t, dt, trace.n1, trace.n2, trace.l1,
+            trace.action, step[order], when[order], cls[order])
         costs.add((cost.tobytes(), total.tobytes()))
     assert len(costs) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 12_345_678_901, simulate.SeedStream.SEED_LIMIT - 1])
+def test_fresh_state_draws_as_the_stream_generator(seed):
+    """A Philox loaded with `SeedStream.fresh_state` draws what the tag's
+    generator draws, for every tag; at the largest seed the key needs its
+    high word.  The codec reads the loaded state back as the same words."""
+    tags = (*simulate.TAG_LAMBDA, *simulate.TAG_SERVE, *simulate.TAG_SWITCH,
+            simulate.TAG_INIT, simulate.TAG_SHUFFLE)
+    gen = np.random.Generator(np.random.Philox(key=0))
+    for tag in tags:
+        words = simulate.SeedStream(seed).fresh_state(tag)
+        gen.bit_generator.state = simulate._philox_state(words)
+        assert simulate._philox_state_words(gen.bit_generator.state) == words
+        assert np.array_equal(gen.random(9), simulate.SeedStream(seed).generator(tag).random(9))
+        assert (words[5] > 0) == (seed >= 1 << 58)
+    for bad in (-1, simulate.SeedStream.SEED_LIMIT):
+        with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\*\*122\)"):
+            simulate.SeedStream(bad)
 
 
 def test_np_exp_is_elementwise_and_position_independent():
