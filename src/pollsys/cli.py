@@ -30,7 +30,7 @@ import numpy as np
 
 from .baselines import analyze_limit_cycle, exhaustive_start, limit_cycle_report
 from .ctmdp import build_nonpreemptive
-from .model import IDLE, SERVE, SWITCH, ScenarioConfig, validate_scenario
+from .model import IDLE, SERVE, SWITCH, ScenarioConfig, ScenarioError, validate_scenario
 from .simulate import (
     ExhaustivePolicy,
     HeuristicPolicy,
@@ -205,10 +205,11 @@ def solve_policies(cfg: ScenarioConfig, which: Sequence[str], algo: str = "defau
 def _loose_ctmdp_table(cfg: ScenarioConfig) -> Optional[np.ndarray]:
     """The uniformised model's table after a value iteration stopped at
     ``WARM_START_EPS`` * max cost, or None when that model does not exist."""
-    durations = (cfg.serve1, cfg.serve2, cfg.switch12, cfg.switch21)
-    if min(d.mean() for d in durations) <= 0:
+    try:
+        exponential = cfg.with_exponential_durations()
+    except ScenarioError:  # a zero mean duration
         return None
-    np_model = build_nonpreemptive(cfg.with_exponential_durations())
+    np_model = build_nonpreemptive(exponential)
     graph = build_value_graph(np_model)
     pol = value_iterate(graph, eps=WARM_START_EPS * float(np.abs(graph.q_cost).max()))
     return np_model.decision_table(pol.actions)

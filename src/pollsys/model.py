@@ -5,6 +5,11 @@ serving, or switching (``l2`` in {0, 1, 2}).  Decisions are taken only when
 the server is free; the feasible decisions are idle, serve, and switch,
 encoded as the integers 0, 1, 2 so that action codes coincide with the
 server-activity codes.
+
+Every decision model reads its rules here, so the SMDP and the uniformised
+models truncate, charge, serve and idle alike: ``box_rules`` (the holding
+rate, the clip of an arrival at the cap X, the serve test), ``idle_row``
+and ``DecisionModel``, whose ``decision_table`` serves all three.
 """
 
 from __future__ import annotations
@@ -235,3 +240,54 @@ def triple_indexer(cfg: ScenarioConfig) -> StateIndexer:
 def quad_indexer(cfg: ScenarioConfig) -> StateIndexer:
     """Indexer over expanded states (n1, n2, l1, l2)."""
     return StateIndexer((cfg.X1, cfg.X2, 1, 2))
+
+
+def box_rules(cfg: ScenarioConfig, indexer: StateIndexer):
+    """``(coords, held, arrived, busy)`` at each state of ``indexer``, whose
+    leading coordinates are (n1, n2, l1): the coordinates, the holding-cost
+    rate c1 n1 + c2 n2, the states after an arrival of class 1 and of class
+    2, where an arrival at a full queue (n_i = X_i) leaves the state as it
+    is, and whether the queue at the server holds a customer, which serving
+    needs."""
+    x = np.arange(indexer.size)
+    coords = indexer.unflatten(x)
+    n1, n2, l1 = coords[:3]
+    s_n1, s_n2 = indexer.strides[:2]
+    held = cfg.c1 * n1.astype(float) + cfg.c2 * n2.astype(float)
+    arrived = (x + s_n1 * (n1 < cfg.X1), x + s_n2 * (n2 < cfg.X2))
+    return coords, held, arrived, np.where(l1 == 0, n1, n2) > 0
+
+
+def idle_row(cfg: ScenarioConfig):
+    """Idling, uniformised on the total arrival rate, as ``(probs, discount,
+    divisor)``: it lasts until the first arrival, of class i with
+    probability ``probs[i]``, its row is discounted by ``discount`` and it
+    costs the holding rate over ``divisor``.  Without arrivals nothing ends
+    it: its row is empty and it costs holding the queues for ever."""
+    lam1, lam2 = cfg.arrival_rates
+    rate = lam1 + lam2
+    probs = (lam1 / rate, lam2 / rate) if rate > 0 else (0.0, 0.0)
+    return probs, rate / (rate + cfg.beta), cfg.beta + rate
+
+
+class DecisionModel:
+    """A decision model of the polling system: its scenario, the indexer of
+    its states, whose leading coordinates are (n1, n2, l1), and its
+    state-action graph ``graph`` (:class:`pollsys.solver.ValueGraph`), which
+    every solver reads and each model sets once built."""
+
+    def __init__(self, cfg: ScenarioConfig, indexer: StateIndexer):
+        self.cfg = cfg
+        self.indexer = indexer
+        self.n_states = indexer.size
+
+    def decision_table(self, actions: np.ndarray) -> np.ndarray:
+        """The actions of the decision states projected onto the (n1, n2,
+        l1) box, -1 where no decision state lies; the identity on a model
+        over that box whose every state is a decision state."""
+        tri = triple_indexer(self.cfg)
+        table = np.full(tri.size, -1, dtype=int)
+        decision = np.flatnonzero(self.graph.decision_mask)
+        n1, n2, l1 = self.indexer.unflatten(decision)[:3]
+        table[tri.flatten(n1, n2, l1)] = np.asarray(actions)[decision]
+        return table

@@ -237,7 +237,8 @@ def _run(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds: SeedStream, T: float
     s2 + l1]`` with the strides of `_strides`, and an error code raises its
     `_ERRORS` message.  Each substream of ``seeds`` is read through a
     `_draws` iterator, the durations in `_durations`' order; a class
-    without arrivals reads an endless gap.
+    without arrivals reads an endless gap, so without arrivals an idle step
+    lasts for ever and ends the rollout, charged as `_costs` charges it.
     A busy step sums each class's gaps from 0 until one overshoots its
     length, which is consumed, and appends every arrival to one flat log
     (step, class, time), class 0's first.  The loop records each step's
@@ -251,7 +252,6 @@ def _run(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds: SeedStream, T: float
                   for lam, tag in zip(cfg.arrival_rates, TAG_LAMBDA)]
     durations = [_draws(dist, seeds.generator(tag), _DURATION_BLOCK)
                  for tag, dist in zip(*_durations(cfg))]
-    no_arrivals = cfg.lambda1 <= 0 and cfg.lambda2 <= 0
 
     n1, n2, l1 = x0
     t = 0.0
@@ -262,11 +262,12 @@ def _run(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds: SeedStream, T: float
     while t < T:
         a = codes.item(served * s0 + n1 * s1 + n2 * s2 + l1)
         if a == IDLE:
-            if no_arrivals:
-                break  # empty of randomness: idling would last forever
             t1, t2 = next(gap1), next(gap2)
             dt = min(t1, t2)
-            nxt = (n1 + 1, n2, l1) if t1 <= t2 else (n1, n2 + 1, l1)
+            if dt == math.inf:
+                nxt = (n1, n2, l1)  # no arrival ends it
+            else:
+                nxt = (n1 + 1, n2, l1) if t1 <= t2 else (n1, n2 + 1, l1)
         else:
             if a < 0:
                 raise ValueError(_ERRORS[a].format(f"({n1},{n2},{l1})"))
@@ -561,13 +562,6 @@ def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds, T: float) -> np
             where = f"({n1[j]},{n2[j]},{l1[j]}) {rollout_of(j)}"
             raise ValueError(_ERRORS[int(a[j])].format(where))
         idle = a == IDLE
-        if not classes.size and idle.any():
-            # empty of randomness: idling would last forever, the rollout ends
-            keep = ~idle
-            k, state, t, a, idle = k[keep], state[:, keep], t[keep], a[keep], idle[keep]
-            served, n1, n2, l1 = state
-            if not k.size:
-                break
         busy = (~idle).nonzero()[0]
         rest = idle.nonzero()[0]
         m = k.size
@@ -580,7 +574,7 @@ def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds, T: float) -> np
                 len(classes), rest.size)
             dt[rest] = np.minimum(first[0], first[1])
             second = first[1] < first[0]  # class 0 wins a tie
-            arrived[0, rest] = ~second
+            arrived[0, rest] = ~second if classes.size else 0  # without arrivals none ends it
             arrived[1, rest] = second
         event, when, cls = np.empty(0, dtype=int), np.empty(0), np.empty(0, dtype=int)
         if busy.size:
@@ -718,8 +712,8 @@ def action_time_fractions(trace: RolloutTrace, burn_in: Optional[int] = None):
     T1 = {a: float(dt[(l1 == 0) & (act == a)].sum()) for a in (IDLE, SERVE, SWITCH)}
     T2 = {a: float(dt[(l1 == 1) & (act == a)].sum()) for a in (IDLE, SERVE, SWITCH)}
     total = sum(T1.values()) + sum(T2.values())
-    if total <= 0:
-        raise ValueError("trace carries no elapsed time after burn-in")
+    if not 0 < total < math.inf:  # inf: an idle step without arrivals lasts for ever
+        raise ValueError(f"trace's elapsed time after burn-in is {total}, not finite and positive")
     phi = {a: (T1[a] + T2[a]) / total for a in (IDLE, SERVE, SWITCH)}
     return phi, total, T1, T2
 

@@ -3,14 +3,16 @@
 Each action gets plain transition rows (for stationary analysis),
 discounted rows (for the Bellman equations) and a cost vector over the
 flattened (n1, n2, l1) state space.  Serve and switch rows spread the
-pooled arrival probabilities of their event; idling is uniformised on the
-total arrival rate and resolves to the first arrival of either class.  The
-rows are built with array operations over the state indexer; a serve or
-switch row is copied from row segments pooled once per action, which rows
-with the same clip at the caps share.  A discounted entry carries its own
-factor (the discount over the event's duration, given the arrivals in it),
-and ``build_smdp`` stacks the three action models into the solvers'
-state-action graph (:class:`pollsys.solver.ValueGraph`), whose nodes hold
+pooled arrival probabilities of their event; idling follows the idle rule
+that the non-preemptive uniformised model shares (``idle_row`` in
+:mod:`pollsys.model`, which also holds the holding rate, the clip of an
+arrival at the cap and the serve test, ``box_rules``).  The rows are built
+with array operations over the state indexer; a serve or switch row is
+copied from row segments pooled once per action, which rows with the same
+clip at the caps share.  A discounted entry carries its own factor (the
+discount over the event's duration, given the arrivals in it), and
+``build_smdp`` stacks the three action models into the solvers'
+state-action graph (:func:`pollsys.solver.stack_actions`), whose nodes hold
 per-entry discounted probabilities.
 """
 
@@ -21,18 +23,20 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from .ctmdp import _csr_rows
 from .lattice import ArrivalSummary, build_arrival_summaries
 from .model import (
     ACTIONS,
     IDLE,
     SERVE,
     SWITCH,
+    DecisionModel,
     ScenarioConfig,
     StateIndexer,
+    box_rules,
+    idle_row,
     triple_indexer,
 )
-from .solver import ValueGraph
+from .solver import ValueGraph, csr_rows, stack_actions
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -51,33 +55,22 @@ class ActionModel:
     feasible_mask: np.ndarray  # rows where the action may be chosen
 
 
-class SmdpModel:
+class SmdpModel(DecisionModel):
     """The embedded decision model as one state-action graph over (n1, n2, l1)."""
 
     def __init__(self, cfg: ScenarioConfig, graph: ValueGraph):
-        self.cfg = cfg
-        self.indexer = triple_indexer(cfg)
-        self.n_states = self.indexer.size
+        super().__init__(cfg, triple_indexer(cfg))
         self.graph = graph
-
-    def decision_table(self, actions: np.ndarray) -> np.ndarray:
-        """Actions over the (n1, n2, l1) box; identity for this model."""
-        return np.asarray(actions, dtype=int).copy()
 
 
 def build_cost_vector(cfg: ScenarioConfig, summaries: Dict[str, ArrivalSummary],
                       action: int) -> np.ndarray:
     """Cost of committing to ``action`` in every state (0 where infeasible)."""
-    indexer = triple_indexer(cfg)
-    n1, n2, l1 = indexer.unflatten(np.arange(indexer.size))
-    n1 = np.asarray(n1, dtype=float)
-    n2 = np.asarray(n2, dtype=float)
-    l1 = np.asarray(l1)
-    held = cfg.c1 * n1 + cfg.c2 * n2
+    (_, _, l1), held, _, busy = box_rules(cfg, triple_indexer(cfg))
     if action == IDLE:
-        gamma_l = sum(cfg.arrival_rates)
-        return held / (cfg.beta + gamma_l)
-    C = np.zeros(indexer.size)
+        _, _, divisor = idle_row(cfg)
+        return held / divisor
+    C = np.zeros(len(l1))
     for loc in (0, 1):
         s = summaries[EVENT_BY_ACTION[action][loc]]
         at_loc = l1 == loc
@@ -85,8 +78,7 @@ def build_cost_vector(cfg: ScenarioConfig, summaries: Dict[str, ArrivalSummary],
         if action == SWITCH:
             C[at_loc] += cfg.switch_costs[loc]
     if action == SERVE:
-        infeasible = np.where(l1 == 0, n1, n2) == 0
-        C[infeasible] = 0.0
+        C[~busy] = 0.0
     return C
 
 
@@ -160,24 +152,17 @@ def build_action_model(cfg: ScenarioConfig, summaries: Dict[str, ArrivalSummary]
     indexer = triple_indexer(cfg)
     n_states = indexer.size
     s_n1, s_n2, _ = indexer.strides
-    n1, n2, l1 = indexer.unflatten(np.arange(n_states))
+    (n1, n2, l1), _, arrived, busy = box_rules(cfg, indexer)
     C = build_cost_vector(cfg, summaries, action)
-    feasible_mask = np.ones(n_states, dtype=bool)
-    if action == SERVE:
-        feasible_mask = np.where(l1 == 0, n1, n2) > 0
+    feasible_mask = busy if action == SERVE else np.ones(n_states, dtype=bool)
     states = np.flatnonzero(feasible_mask)
 
     if action == IDLE:
-        lam1, lam2 = cfg.arrival_rates
-        gamma_l = lam1 + lam2
-        # idling never ends without arrivals; its rows then stay empty
-        probs = np.array([lam1, lam2]) / gamma_l if gamma_l > 0 else np.zeros(2)
+        probs, discount, _ = idle_row(cfg)
         # each row has its two arrival successors, as the uniformised model's idle rows
-        dest = np.stack([states + s_n1 * (n1 < cfg.X1), states + s_n2 * (n2 < cfg.X2)], axis=1)
-        indptr, cols, pvals = _csr_rows(dest, np.tile(probs, (n_states, 1)))
+        indptr, cols, pvals = csr_rows(np.stack(arrived, axis=1), np.tile(probs, (n_states, 1)))
         counts = np.diff(indptr)
-        alpha = gamma_l / (gamma_l + cfg.beta)
-        pbvals = alpha * pvals
+        pbvals = discount * pvals
     else:
         events = [summaries[name] for name in EVENT_BY_ACTION[action]]
         seg_ptr, seg_off, seg_p, seg_pb, seg_mass = _segments(cfg, events)
@@ -214,32 +199,6 @@ def build_action_model(cfg: ScenarioConfig, summaries: Dict[str, ArrivalSummary]
     return ActionModel(action=action, P=P, P_beta=P_beta, C=C, feasible_mask=feasible_mask)
 
 
-def _stack_action_models(models: List[ActionModel]) -> ValueGraph:
-    """One Q node per feasible (state, action): state-major, actions ascending.
-
-    ``models[a]`` is the model of action a.  A feasible row's entries are
-    contiguous in its model and an infeasible row is empty, so each model's
-    entries are scattered, in order, to its nodes' ranges.
-    """
-    q_state, q_action = np.nonzero(np.stack([m.feasible_mask for m in models], axis=1))
-    lengths = np.stack([np.diff(m.P.indptr) for m in models], axis=1)[q_state, q_action]
-    q_indptr = np.concatenate(([0], np.cumsum(lengths)))
-    q_cost = np.empty(len(q_state))
-    q_cols = np.empty(q_indptr[-1], dtype=np.int64)
-    q_probs, q_dprobs = np.empty(q_indptr[-1]), np.empty(q_indptr[-1])
-    for a, m in enumerate(models):
-        nodes = np.flatnonzero(q_action == a)
-        x = q_state[nodes]
-        at = np.repeat(q_indptr[nodes] - m.P.indptr[x], lengths[nodes]) + np.arange(m.P.nnz)
-        q_cols[at] = m.P.indices
-        q_probs[at] = m.P.data
-        q_dprobs[at] = m.P_beta.data
-        q_cost[nodes] = m.C[x]
-    return ValueGraph(n_states=len(models[0].C), q_state=q_state, q_action=q_action,
-                      q_cost=q_cost, q_indptr=q_indptr, q_cols=q_cols, q_probs=q_probs,
-                      q_dprobs=q_dprobs)
-
-
 def build_smdp(cfg: ScenarioConfig,
                summaries: Optional[Dict[str, ArrivalSummary]] = None) -> SmdpModel:
     """Build the embedded decision model of a scenario as one state-action
@@ -247,5 +206,6 @@ def build_smdp(cfg: ScenarioConfig,
     idle < serve < switch."""
     if summaries is None:
         summaries = build_arrival_summaries(cfg)
-    return SmdpModel(cfg, _stack_action_models(
-        [build_action_model(cfg, summaries, a) for a in ACTIONS]))
+    models = [build_action_model(cfg, summaries, a) for a in ACTIONS]
+    return SmdpModel(cfg, stack_actions([(m.feasible_mask, m.C, m.P.indptr, m.P.indices,
+                                          m.P.data, m.P_beta.data) for m in models]))

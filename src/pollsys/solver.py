@@ -3,9 +3,11 @@
 Every model reaches the solvers as one state-action graph, a
 :class:`ValueGraph`: one Q node per feasible (state, action) pair and a
 single node with action -1 per state without a choice, grouped by state in
-state order.  Each node carries its cost and its transition row with plain
-and with discounted probabilities, so each entry may have its own discount
-(the semi-Markov model) or a row may share one (the uniformised models).
+state order, which every model assembles with :func:`stack_actions` from
+its actions' masks, costs and CSR rows.  Each node carries its cost and its
+transition row with plain and with discounted probabilities, so each entry
+may have its own discount (the semi-Markov model) or a row may share one
+(the uniformised models).
 Policy evaluation selects one node per state and solves one linear system;
 policy improvement and each value-iteration sweep are a sparse
 matrix-vector product over the nodes followed by a per-state minimum, read
@@ -103,6 +105,62 @@ class ValueGraph:
         entries = slice(self.q_indptr[node], self.q_indptr[node + 1])
         return (self.q_cols[entries], self.q_probs[entries], self.q_dprobs[entries],
                 float(self.q_cost[node]))
+
+
+def csr_rows(cols: np.ndarray, probs: np.ndarray):
+    """CSR pieces ``(indptr, cols, probs)`` of rows given as entry lists.
+
+    Row r lists its transitions as ``cols[r, j]``, ``probs[r, j]`` in entry
+    order.  Zero entries are dropped; entries that share a column (capacity
+    folding sends an arrival back to the state itself) are summed in entry
+    order; each row's columns come out ascending.
+    """
+    m, k = cols.shape
+    rows = np.arange(m)
+    # first entry of the row that carries the same column
+    first = (cols[:, :, None] == cols[:, None, :]).argmax(axis=1)
+    total = np.zeros((m, k))
+    nonzero = np.zeros((m, k), dtype=bool)
+    for j in range(k):
+        total[rows, first[:, j]] += probs[:, j]
+        nonzero[rows, first[:, j]] |= probs[:, j] != 0.0
+    order = np.argsort(np.where(nonzero, cols, np.iinfo(np.int64).max), axis=1, kind="stable")
+    nonzero = np.take_along_axis(nonzero, order, axis=1)
+    indptr = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
+    return (indptr,
+            np.take_along_axis(cols, order, axis=1)[nonzero],
+            np.take_along_axis(total, order, axis=1)[nonzero])
+
+
+def stack_actions(actions) -> ValueGraph:
+    """The state-action graph of a model given action by action.
+
+    ``actions[a]`` is ``(valid, cost, indptr, cols, probs, dprobs)`` for
+    action a: the states where it may be taken, its cost at every state,
+    and its plain and discounted rows in CSR form over all states, empty
+    where it is not valid.  Each valid (state, action) pair is one node,
+    state-major with the actions ascending; a state with a single node has
+    no choice, and its node takes action -1.  A row's entries are
+    contiguous, so each action's entries are scattered, in order, to its
+    nodes' ranges.
+    """
+    valid, cost, indptr, cols, probs, dprobs = zip(*actions)
+    q_state, q_action = np.nonzero(np.stack(valid, axis=1))
+    lengths = np.stack([np.diff(p) for p in indptr], axis=1)[q_state, q_action]
+    q_indptr = np.concatenate(([0], np.cumsum(lengths)))
+    q_cost = np.empty(len(q_state))
+    q_cols = np.empty(q_indptr[-1], dtype=np.int64)
+    q_probs, q_dprobs = np.empty(q_indptr[-1]), np.empty(q_indptr[-1])
+    for a in range(len(actions)):
+        nodes = np.flatnonzero(q_action == a)
+        x = q_state[nodes]
+        at = np.repeat(q_indptr[nodes] - indptr[a][x], lengths[nodes]) + np.arange(len(cols[a]))
+        q_cols[at], q_probs[at], q_dprobs[at] = cols[a], probs[a], dprobs[a]
+        q_cost[nodes] = cost[a][x]
+    n_states = len(valid[0])
+    q_action[np.bincount(q_state, minlength=n_states)[q_state] == 1] = -1
+    return ValueGraph(n_states=n_states, q_state=q_state, q_action=q_action, q_cost=q_cost,
+                      q_indptr=q_indptr, q_cols=q_cols, q_probs=q_probs, q_dprobs=q_dprobs)
 
 
 def _padded_slots(starts: np.ndarray, n_nodes: int):

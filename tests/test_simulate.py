@@ -90,6 +90,24 @@ def test_rollout_empty_system_without_arrivals():
                    seed=1, T=50.0) == 0.0
 
 
+def test_idle_without_arrivals_lasts_for_ever():
+    """Without arrivals nothing ends an idle step: both paths charge holding
+    the queued jobs for ever, (c1 n1 + c2 n2)/beta, which is the SMDP idle
+    row's cost, count no arrival and end the rollout."""
+    cfg = exp_config(lambda1=0.0, lambda2=0.0, X1=4, X2=4, N1=4, N2=4)
+    idle = TabularPolicy(np.full(triple_indexer(cfg).size, IDLE), cfg.X1, cfg.X2)
+    start = _point_dist(cfg, 2, 0, 0)
+    scalar = rollout(cfg, idle, start, seed=5, T=200.0)
+    batch = sample_performance(cfg, [idle], start, 5, 200.0, 2)[0]
+    smdp_cost = build_smdp(cfg).graph.row(triple_indexer(cfg).flatten(2, 0, 0), IDLE)[3]
+    assert scalar == batch[0] == batch[1] == smdp_cost == 2 * cfg.c1 / cfg.beta == 40.0
+    tr = simulate_trace(cfg, idle, 200.0, x0=(2, 0, 0))
+    assert (tr.n1.tolist(), tr.dt.tolist(), tr.cost.tolist()) == ([2], [math.inf], [40.0])
+    assert tr.arrivals == [()]
+    with pytest.raises(ValueError, match="elapsed time after burn-in is inf"):
+        action_time_fractions(tr)
+
+
 def test_common_random_numbers_identical_until_divergence():
     cfg = slow_mode_config(X1=8, X2=8)
     tr_exh = simulate_trace(cfg, ExhaustivePolicy(), T=60.0, seed=11, x0=(2, 2, 0))
@@ -230,7 +248,7 @@ BATCH_CASES = {
         K12=1.5, X1=30, X2=30, N1=4, N2=4),
     # switch costs at both queues, unequal: a switch pays at the queue it leaves
     "switch_costs": exp_config(K12=1.5, K21=0.25, X1=4, X2=4, N1=4, N2=4),
-    # no arrivals: a rollout ends when it idles
+    # no arrivals: an idle step lasts for ever and ends the rollout
     "no_arrivals": exp_config(lambda1=0.0, lambda2=0.0, serve1=Deterministic(1.0),
                               serve2=Deterministic(0.5), X1=4, X2=4, N1=4, N2=4),
 }
@@ -472,14 +490,15 @@ def _reference_trace(cfg, policy, x0, seed, T):
     while t < T:
         a, served = rule(n1, n2, l1, served)
         if a == IDLE:
-            if lam1 <= 0 and lam2 <= 0:
-                break
             t1 = gen_lam[0].exponential(1.0 / lam1) if lam1 > 0 else math.inf
             t2 = gen_lam[1].exponential(1.0 / lam2) if lam2 > 0 else math.inf
             dt, winner = (t1, 0) if t1 <= t2 else (t2, 1)
             step = step_wise_cost(n1, n2, (), dt, c1, c2, beta)
             arr = ()
-            nxt = (n1 + 1, n2, l1) if winner == 0 else (n1, n2 + 1, l1)
+            if dt == math.inf:  # no arrival ends the idle: it lasts for ever
+                nxt = (n1, n2, l1)
+            else:
+                nxt = (n1 + 1, n2, l1) if winner == 0 else (n1, n2 + 1, l1)
         elif a == SERVE:
             dt = cfg.serve_dists[l1].sample(gen_serve[l1])
             arr = [(0, ta) for ta in draw_arrivals(lam1, gen_lam[0], dt)]
