@@ -1,9 +1,10 @@
 """Arrival-count lattice: truncation modes and exact transient probabilities.
 
-Within one committed action the pair of arrival counts is a bi-variate
-birth process.  This script builds its truncated generator both ways,
-computes the exact transient probabilities by uniformisation (a point-mass
-duration at t gives p(t)), checks them against the independent-Poisson
+Within one committed action the two classes arrive as independent Poisson
+streams, so the pair of arrival counts within one duration is a thinned
+mixed Poisson with closed-form probabilities.  This script evaluates them
+on the truncated lattice in both truncation modes (a point-mass duration at
+t gives the exact p(t)), checks them against the independent-Poisson
 product, and shows how the absorbing lattice equals the pooled version of
 a much larger one.
 """
@@ -15,7 +16,6 @@ from pollsys import (
     Exponential,
     ScenarioConfig,
     StateIndexer,
-    build_generator,
     expected_arrival_probs,
     pool_lattice,
     snapshot_lattice,
@@ -35,9 +35,8 @@ def make_cfg(N, mode):
 
 
 print("=== transient probabilities at t = 0.5 vs the Poisson product ===")
-gen = build_generator(make_cfg(8, "absorbing"))
-phi = expected_arrival_probs(gen, Deterministic(0.5))
-idx = gen.indexer
+phi = expected_arrival_probs(make_cfg(8, "absorbing"), Deterministic(0.5))
+idx = StateIndexer((8, 8))
 print(f"{'cell':>8} {'lattice':>10} {'poisson':>10} {'abs err':>9}")
 for cell in [(0, 0), (1, 0), (1, 1), (2, 1), (3, 3)]:
     got = phi[idx.flatten(*cell)]
@@ -47,8 +46,8 @@ for cell in [(0, 0), (1, 0), (1, 1), (2, 1), (3, 3)]:
 print()
 print("=== mass bookkeeping of the two truncation modes (t = 6) ===")
 for mode in ("absorbing", "unassigned"):
-    g = build_generator(make_cfg(3, mode))
-    sums = [expected_arrival_probs(g, Deterministic(t)).sum() for t in (0.0, 6.0)]
+    cfg = make_cfg(3, mode)
+    sums = [expected_arrival_probs(cfg, Deterministic(t)).sum() for t in (0.0, 6.0)]
     print(f"{mode:>10}: total mass at t=0: {sums[0]:.6f}   at t=6: {sums[1]:.6f}")
 print(f"unassigned oracle at t=6, P(Pois(6) <= 3)^2: {stats.poisson.cdf(3, 6.0) ** 2:.6f}")
 
@@ -57,7 +56,7 @@ print("=== expected arrival probabilities over an Exp(1) event ===")
 dist = Exponential(1.0)
 vecs = {}
 for mode, N in (("absorbing", 3), ("unassigned", 3), ("unassigned", 12)):
-    vecs[(mode, N)] = expected_arrival_probs(build_generator(make_cfg(N, mode)), dist)
+    vecs[(mode, N)] = expected_arrival_probs(make_cfg(N, mode), dist)
 
 pooled = pool_lattice(vecs[("unassigned", 12)], (12, 12), (3, 3))
 snap = snapshot_lattice(vecs[("unassigned", 12)], (12, 12), (3, 3))

@@ -23,9 +23,7 @@ from .model import (
 )
 from .lattice import (
     ArrivalSummary,
-    GeneratorMatrix,
     build_arrival_summaries,
-    build_generator,
     expected_arrival_probs,
     holding_cost_arrivals,
     holding_cost_existing,
@@ -33,7 +31,7 @@ from .lattice import (
     snapshot_lattice,
 )
 from .smdp import ActionModel, SmdpModel, build_action_model, build_cost_vector, build_smdp
-from .ctmdp import NonPreemptiveModel, PreemptiveModel, build_nonpreemptive, build_preemptive
+from .ctmdp import NonPreemptiveModel, build_nonpreemptive
 from .solver import (
     Policy,
     ValueGraph,

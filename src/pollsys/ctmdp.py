@@ -1,18 +1,18 @@
-"""Uniformised continuous-time decision models of the polling system.
+"""Uniformised continuous-time decision model of the polling system.
 
-All event durations must be exponential here.  The preemptive model leaves
-the server state out and re-decides every sampled epoch; the non-preemptive
-model tracks the server activity explicitly, connects decision states to
+All event durations must be exponential here.  The non-preemptive model
+tracks the server activity explicitly, connects decision states to
 in-progress dynamics through instantaneous, undiscounted linking rows, and
-therefore needs state-action-dependent discount factors.  Both models share
-one base, which checks the durations and computes the uniformisation
-constants, and read the decision-model rules from :mod:`pollsys.model`: the
+therefore needs state-action-dependent discount factors.  Its base checks
+the durations and computes the uniformisation constants; the tests build a
+preemptive model, which leaves the server activity out, on the same base.
+The model reads the decision-model rules from :mod:`pollsys.model`: the
 holding rate, the clip of an arrival at the cap and the serve test from
-``box_rules``, the non-preemptive model's idle row from ``idle_row``.  Each
-action's rows are built with array operations and stacked into the solvers'
-state-action graph (:func:`pollsys.solver.stack_actions`), which exposes
-the (at most four entries per row) sparsity; a row's discounted
-probabilities are its plain ones times the row's discount factor.
+``box_rules``, the idle row from ``idle_row``.  Each action's rows are
+built with array operations and stacked into the solvers' state-action
+graph (:func:`pollsys.solver.stack_actions`), which exposes the (at most
+four entries per row) sparsity; a row's discounted probabilities are its
+plain ones times the row's discount factor.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .model import (
     box_rules,
     idle_row,
     quad_indexer,
-    triple_indexer,
 )
 from .solver import csr_rows, stack_actions
 
@@ -62,37 +61,6 @@ class _UniformisedModel(DecisionModel):
         self.rates = np.array([d.rate for d in dists])  # in EVENTS order
         self.gamma = cfg.lambda1 + cfg.lambda2 + max(d.rate for d in dists)
         self.alpha = self.gamma / (self.gamma + cfg.beta)
-
-
-class PreemptiveModel(_UniformisedModel):
-    """Uniformised model over (n1, n2, l1); every state is a decision state."""
-
-    def __init__(self, cfg: ScenarioConfig):
-        super().__init__(cfg, triple_indexer(cfg))
-        lam1, lam2 = cfg.arrival_rates
-        g, n = self.gamma, self.n_states
-        (_, _, l1), held, (arr1, arr2), busy = box_rules(cfg, self.indexer)
-        x = np.arange(n)
-        s_n1, s_n2, s_l1 = self.indexer.strides
-        p1, p2 = np.full(n, lam1 / g), np.full(n, lam2 / g)
-
-        def stay(rate):
-            return 1.0 - (rate + lam1 + lam2) / g
-
-        serve_rate, switch_rate = self.rates[l1], self.rates[2 + l1]
-        served = x - np.where(l1 == 0, s_n1, s_n2) * busy
-        switched = x + np.where(l1 == 0, s_l1, -s_l1)
-        ones = np.ones(n, dtype=bool)
-        cost, disc = held / (self.gamma + cfg.beta), np.full(n, self.alpha)
-        # entries: arrival 1, arrival 2, completion, stay
-        self.graph = stack_actions([
-            _action(ones, cost, np.stack([arr1, arr2, x, x], axis=1),
-                    np.stack([p1, p2, np.full(n, stay(0.0)), np.zeros(n)], axis=1), disc),
-            _action(busy, cost, np.stack([arr1, arr2, served, x], axis=1),
-                    np.stack([p1, p2, serve_rate / g, stay(serve_rate)], axis=1), disc),
-            _action(ones, cost, np.stack([arr1, arr2, switched, x], axis=1),
-                    np.stack([p1, p2, switch_rate / g, stay(switch_rate)], axis=1), disc),
-        ])
 
 
 class NonPreemptiveModel(_UniformisedModel):
@@ -139,10 +107,6 @@ class NonPreemptiveModel(_UniformisedModel):
             _action(decision & busy, zeros, (x + 1)[:, None], ones[:, None], ones),
             _action(decision, zeros, (x + 2)[:, None], ones[:, None], ones),
         ])
-
-
-def build_preemptive(cfg: ScenarioConfig) -> PreemptiveModel:
-    return PreemptiveModel(cfg)
 
 
 def build_nonpreemptive(cfg: ScenarioConfig) -> NonPreemptiveModel:

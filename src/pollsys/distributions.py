@@ -7,7 +7,10 @@ distribution exposes the handful of functionals the model builders need:
 density, mean, variance, the two discounting moments E[exp(-b*t)] and
 E[t*exp(-b*t)], and the closed-form pmf and tail of the number of
 Poisson events within one duration (the mixed Poisson law: a negative
-binomial for gamma durations, a Poisson for a point mass).
+binomial for gamma durations, a Poisson for a point mass).  The pmf,
+discounted or not, weights each total arrival count in the closed-form
+arrival lattice (:mod:`pollsys.lattice`); the tail sets how many counts
+it keeps.
 """
 
 from __future__ import annotations

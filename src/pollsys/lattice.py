@@ -1,49 +1,38 @@
-"""Truncated bi-variate arrival lattice and its uniformised transient sums.
+"""Truncated bi-variate arrival lattice in closed form.
 
-Within one non-preemptive action interval the pair of accumulated arrival
-counts is a bi-variate birth process.  This module builds its truncated
-generator Q and computes the expected (optionally discounted) arrival
-probabilities plus the two holding-cost components that the decision-model
-builders consume.
+Within one non-preemptive action interval of duration t_e the arrivals of
+the two classes come from independent Poisson streams of rates lambda1 and
+lambda2.  Their total is a Poisson stream of rate lambda = lambda1 + lambda2
+whose arrivals are of class 1 with probability p = lambda1 / lambda and of
+class 2 with q = lambda2 / lambda, so the pair of counts is a thinned mixed
+Poisson:
 
-The transient probabilities come from uniformisation (Jensen 1953; Gross &
-Miller, Oper. Res. 32(2), 1984): with Lambda the largest row outflow,
-p(t) = sum_k Pois(k; Lambda t) v_k where v_{k+1} = v_k (I + Q/Lambda) and
-v_0 is the origin.  Averaged over an event duration t_e the Poisson pmf
-becomes the closed-form mixed-Poisson pmf of the duration
-(:meth:`DurationDist.poisson_mixture`), so no time mesh, step size or
-quadrature is involved.  A sum stops after the fewest terms that leave at
-most ``TAIL_EPS`` of the weight out, and that weight is reported as the
-event's tail mass.
+    E[e^{-beta t_e} P(A1 = a1, A2 = a2)] = m_beta(a1 + a2) C(a1 + a2, a1) p^a1 q^a2,
+
+with m_beta(n) = E[e^{-beta t_e} Pois(n; lambda t_e)] the closed-form
+mixed-Poisson pmf of the duration (:meth:`DurationDist.poisson_mixture`),
+so no time mesh, step size or quadrature is involved.  The form is
+evaluated on the triangle a1 + a2 < K, K the fewest terms that leave at
+most ``TAIL_EPS`` of m_0 out, and that weight is reported as the event's
+tail mass.  The triangle is then mapped onto the box [0, N1] x [0, N2]:
+absorbing truncation pools the cell (a1, a2) onto (min(a1, N1),
+min(a2, N2)), unassigned truncation keeps only the cells inside.  This is
+the uniformised transient sum of the truncated birth-process generator
+(Jensen 1953; Gross & Miller, Oper. Res. 32(2), 1984) summed in closed
+form; the tests keep that generator as the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from .distributions import DurationDist
-from .model import ScenarioConfig, StateIndexer, Truncation
+from .model import EVENTS, ScenarioConfig, StateIndexer, Truncation
 
-if TYPE_CHECKING:
-    from scipy import sparse
-
-TAIL_EPS = 1e-13  # mixed-Poisson weight left out of a uniformised sum
-
-
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """Sparse generator of the truncated arrival-count birth process."""
-
-    Q: sparse.csr_matrix
-    indexer: StateIndexer
-    gamma_max: float  # largest row outflow, the uniformisation rate Lambda
-
-    @property
-    def size(self) -> int:
-        return self.indexer.size
+TAIL_EPS = 1e-13  # mixed-Poisson weight left beyond the last term
 
 
 @dataclass(frozen=True)
@@ -57,38 +46,6 @@ class ArrivalSummary:
     tail_mass: float  # mixed-Poisson weight beyond the last term: 1 - sum(w_k)
 
 
-def build_generator(cfg: ScenarioConfig) -> GeneratorMatrix:
-    """Assemble the truncated generator over the (N1+1)x(N2+1) count lattice.
-
-    Absorbing mode keeps every row conservative and funnels all overflow into
-    the corner cell; unassigned-outflow mode keeps the full diagonal and
-    simply drops flows past the edges, leaving boundary rows sub-conservative.
-    """
-    from scipy import sparse
-
-    N1, N2 = cfg.N1, cfg.N2
-    indexer = StateIndexer((N1, N2))
-    cell = np.arange(indexer.size)
-    a1, a2 = indexer.unflatten(cell)
-    lam1, lam2 = float(cfg.lambda1), float(cfg.lambda2)
-    out1 = np.where(a1 < N1, lam1, 0.0)
-    out2 = np.where(a2 < N2, lam2, 0.0)
-    if cfg.truncation_mode is Truncation.ABSORBING:
-        diag = -(out1 + out2)
-    else:
-        diag = np.full(indexer.size, -(lam1 + lam2))
-    s1, s2 = indexer.strides
-    vals = np.stack([out1, out2, diag], axis=1)
-    keep = np.stack([out1 > 0, out2 > 0, diag != 0.0], axis=1)
-    rows = np.broadcast_to(cell[:, None], keep.shape)[keep]
-    cols = np.stack([cell + s1, cell + s2, cell], axis=1)[keep]
-    Q = sparse.csr_matrix(
-        (vals[keep], (rows, cols)), shape=(indexer.size, indexer.size), dtype=float
-    )
-    gamma_max = max(0.0, float(-diag.min()))
-    return GeneratorMatrix(Q=Q, indexer=indexer, gamma_max=gamma_max)
-
-
 def _poisson_terms(f_e: DurationDist, rate: float) -> int:
     """Fewest terms K whose omitted weight P(N >= K) is at most ``TAIL_EPS``,
     N being the number of rate-``rate`` Poisson events within one duration."""
@@ -100,40 +57,37 @@ def _poisson_terms(f_e: DurationDist, rate: float) -> int:
         n *= 2
 
 
-def _uniformised_steps(gen: GeneratorMatrix, terms: int) -> np.ndarray:
-    """Rows v_0..v_{terms-1} with v_0 the origin and v_{k+1} = v_k (I + Q/Lambda).
-
-    Lambda = ``gen.gamma_max``, so I + Q/Lambda is entrywise non-negative and
-    every v_k is a probability vector (sub-stochastic in unassigned mode).
-    """
-    steps = np.zeros((terms, gen.size))
-    steps[0, 0] = 1.0
-    if terms > 1:  # a zero Lambda needs one term only
-        from scipy import sparse
-
-        step = (sparse.identity(gen.size, format="csr") + gen.Q / gen.gamma_max).T.tocsr()
-        for k in range(1, terms):
-            steps[k] = step @ steps[k - 1]
-    return steps
-
-
-def _weighted_sum(w: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """sum_k w_k v_k, added in k order at every cell, so that a cell's value
-    does not depend on the size of the lattice."""
-    return (w[:, None] * steps[:len(w)]).sum(axis=0)
-
-
 def expected_arrival_probs(
-    gen: GeneratorMatrix, f_e: DurationDist, beta: Optional[float] = None
+    cfg: ScenarioConfig, f_e: DurationDist, beta: Optional[float] = None
 ) -> np.ndarray:
-    """Expected arrival probabilities E[e^{-beta t_e} p(t_e)] over one event.
+    """Expected arrival probabilities E[e^{-beta t_e} p(t_e)] over one event,
+    on the scenario's (N1+1)x(N2+1) count lattice and truncation mode.
 
     With ``beta`` None this is E[p(t_e)], a pmf up to the tail mass; an exact
-    p(t) is ``expected_arrival_probs(gen, Deterministic(t))``.
+    p(t) is ``expected_arrival_probs(cfg, Deterministic(t))``.  A pooled cell
+    adds its terms in the order of a1 + a2.
     """
-    terms = _poisson_terms(f_e, gen.gamma_max)
-    w = f_e.poisson_mixture(gen.gamma_max, np.arange(terms), 0.0 if beta is None else beta)
-    return _weighted_sum(w, _uniformised_steps(gen, terms))
+    from scipy import special
+
+    lam1, lam2 = float(cfg.lambda1), float(cfg.lambda2)
+    lam = lam1 + lam2
+    terms = _poisson_terms(f_e, lam)
+    n = np.repeat(np.arange(terms), np.arange(1, terms + 1))
+    a1 = np.arange(n.size) - n * (n + 1) // 2
+    a2 = n - a1
+    # C(n, a1) p^a1 q^a2 in logs, which neither overflows at a large n nor
+    # divides by a zero lam (which leaves the origin only, with log 1 = 0)
+    w = f_e.poisson_mixture(lam, np.arange(terms), 0.0 if beta is None else beta)
+    mass = w[n] * np.exp(special.gammaln(n + 1.0) - special.gammaln(a1 + 1.0)
+                         - special.gammaln(a2 + 1.0) + special.xlogy(a1, lam1)
+                         + special.xlogy(a2, lam2) - special.xlogy(n, lam))
+    if cfg.truncation_mode is Truncation.ABSORBING:
+        a1, a2 = np.minimum(a1, cfg.N1), np.minimum(a2, cfg.N2)
+    else:
+        inside = (a1 <= cfg.N1) & (a2 <= cfg.N2)
+        a1, a2, mass = a1[inside], a2[inside], mass[inside]
+    box = StateIndexer((cfg.N1, cfg.N2))
+    return np.bincount(box.flatten(a1, a2), weights=mass, minlength=box.size)
 
 
 def holding_cost_existing(f_e: DurationDist, beta: float) -> float:
@@ -163,27 +117,16 @@ def holding_cost_arrivals(f_e: DurationDist, cfg: ScenarioConfig) -> float:
 def build_arrival_summaries(cfg: ScenarioConfig) -> dict:
     """Arrival summaries for the four serial events of the polling model.
 
-    One generator and one run of uniformised steps (long enough for the
-    event with the most terms) are shared by all events.  Keys: 'serve1',
-    'serve2', 'switch12', 'switch21'.
+    Keys: 'serve1', 'serve2', 'switch12', 'switch21'.
     """
-    events = {
-        "serve1": cfg.serve1,
-        "serve2": cfg.serve2,
-        "switch12": cfg.switch12,
-        "switch21": cfg.switch21,
-    }
-    gen = build_generator(cfg)
-    lam = gen.gamma_max
-    terms = {name: _poisson_terms(dist, lam) for name, dist in events.items()}
-    steps = _uniformised_steps(gen, max(terms.values()))
+    lam = float(cfg.lambda1) + float(cfg.lambda2)
     out = {}
-    for name, dist in events.items():
-        k = np.arange(terms[name])
-        w = dist.poisson_mixture(lam, k)
+    for name in EVENTS:
+        dist = getattr(cfg, name)
+        w = dist.poisson_mixture(lam, np.arange(_poisson_terms(dist, lam)))
         out[name] = ArrivalSummary(
-            P=_weighted_sum(w, steps),
-            P_beta=_weighted_sum(dist.poisson_mixture(lam, k, cfg.beta), steps),
+            P=expected_arrival_probs(cfg, dist),
+            P_beta=expected_arrival_probs(cfg, dist, cfg.beta),
             C_H=holding_cost_existing(dist, cfg.beta),
             C_I=holding_cost_arrivals(dist, cfg),
             tail_mass=1.0 - float(w.sum()),

@@ -7,9 +7,9 @@ encoded as the integers 0, 1, 2 so that action codes coincide with the
 server-activity codes.
 
 Every decision model reads its rules here, so the SMDP and the uniformised
-models truncate, charge, serve and idle alike: ``box_rules`` (the holding
+model truncate, charge, serve and idle alike: ``box_rules`` (the holding
 rate, the clip of an arrival at the cap X, the serve test), ``idle_row``
-and ``DecisionModel``, whose ``decision_table`` serves all three.
+and ``DecisionModel``, whose ``decision_table`` serves both.
 """
 
 from __future__ import annotations

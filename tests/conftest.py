@@ -3,10 +3,25 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from pollsys import IDLE, SERVE, SWITCH, Exponential, Gamma, ScenarioConfig
+from pollsys import (
+    IDLE,
+    SERVE,
+    SWITCH,
+    ArrivalSummary,
+    Exponential,
+    Gamma,
+    ScenarioConfig,
+    StateIndexer,
+    Truncation,
+    holding_cost_arrivals,
+    holding_cost_existing,
+)
 from pollsys import solver
+from pollsys.ctmdp import _action, _UniformisedModel
+from pollsys.lattice import _poisson_terms
+from pollsys.model import EVENTS, box_rules, triple_indexer
 from pollsys.simulate import _costs
-from pollsys.solver import ValueGraph, _policy_nodes, policy_improve
+from pollsys.solver import ValueGraph, _policy_nodes, policy_improve, stack_actions
 
 
 def asym_var_config(**kw):
@@ -114,6 +129,147 @@ class TabularModel:
 
     def decision_table(self, actions):
         return np.asarray(actions, dtype=int).copy()
+
+
+@dataclass(frozen=True)
+class GeneratorMatrix:
+    """Sparse generator of the truncated arrival-count birth process."""
+
+    Q: object  # scipy.sparse.csr_matrix
+    indexer: StateIndexer
+    gamma_max: float  # largest row outflow, the uniformisation rate Lambda
+
+    @property
+    def size(self) -> int:
+        return self.indexer.size
+
+
+def build_generator(cfg: ScenarioConfig) -> GeneratorMatrix:
+    """Assemble the truncated generator over the (N1+1)x(N2+1) count lattice,
+    the definition of the arrival lattice that `pollsys.lattice` sums in
+    closed form.
+
+    Absorbing mode keeps every row conservative and funnels all overflow into
+    the corner cell; unassigned-outflow mode keeps the full diagonal and
+    simply drops flows past the edges, leaving boundary rows sub-conservative.
+    """
+    from scipy import sparse
+
+    N1, N2 = cfg.N1, cfg.N2
+    indexer = StateIndexer((N1, N2))
+    cell = np.arange(indexer.size)
+    a1, a2 = indexer.unflatten(cell)
+    lam1, lam2 = float(cfg.lambda1), float(cfg.lambda2)
+    out1 = np.where(a1 < N1, lam1, 0.0)
+    out2 = np.where(a2 < N2, lam2, 0.0)
+    if cfg.truncation_mode is Truncation.ABSORBING:
+        diag = -(out1 + out2)
+    else:
+        diag = np.full(indexer.size, -(lam1 + lam2))
+    s1, s2 = indexer.strides
+    vals = np.stack([out1, out2, diag], axis=1)
+    keep = np.stack([out1 > 0, out2 > 0, diag != 0.0], axis=1)
+    rows = np.broadcast_to(cell[:, None], keep.shape)[keep]
+    cols = np.stack([cell + s1, cell + s2, cell], axis=1)[keep]
+    Q = sparse.csr_matrix(
+        (vals[keep], (rows, cols)), shape=(indexer.size, indexer.size), dtype=float
+    )
+    gamma_max = max(0.0, float(-diag.min()))
+    return GeneratorMatrix(Q=Q, indexer=indexer, gamma_max=gamma_max)
+
+
+def _uniformised_steps(gen: GeneratorMatrix, terms: int) -> np.ndarray:
+    """Rows v_0..v_{terms-1} with v_0 the origin and v_{k+1} = v_k (I + Q/Lambda).
+
+    Lambda = ``gen.gamma_max``, so I + Q/Lambda is entrywise non-negative and
+    every v_k is a probability vector (sub-stochastic in unassigned mode).
+    """
+    steps = np.zeros((terms, gen.size))
+    steps[0, 0] = 1.0
+    if terms > 1:  # a zero Lambda needs one term only
+        from scipy import sparse
+
+        step = (sparse.identity(gen.size, format="csr") + gen.Q / gen.gamma_max).T.tocsr()
+        for k in range(1, terms):
+            steps[k] = step @ steps[k - 1]
+    return steps
+
+
+def _weighted_sum(w: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """sum_k w_k v_k, added in k order at every cell."""
+    return (w[:, None] * steps[:len(w)]).sum(axis=0)
+
+
+def uniformised_arrival_probs(gen: GeneratorMatrix, f_e, beta=None) -> np.ndarray:
+    """The uniformised transient sum, the oracle of
+    `pollsys.expected_arrival_probs`: E[e^{-beta t_e} p(t_e)] with p(t) =
+    sum_k Pois(k; Lambda t) v_k, whose Poisson weights averaged over the
+    duration are its mixed-Poisson pmf."""
+    terms = _poisson_terms(f_e, gen.gamma_max)
+    w = f_e.poisson_mixture(gen.gamma_max, np.arange(terms), 0.0 if beta is None else beta)
+    return _weighted_sum(w, _uniformised_steps(gen, terms))
+
+
+def oracle_summaries(cfg: ScenarioConfig) -> dict:
+    """`pollsys.build_arrival_summaries` with every lattice summed by
+    uniformisation: one generator and one run of uniformised steps, long
+    enough for the event with the most terms, shared by all events."""
+    gen = build_generator(cfg)
+    lam = gen.gamma_max
+    events = {name: getattr(cfg, name) for name in EVENTS}
+    terms = {name: _poisson_terms(dist, lam) for name, dist in events.items()}
+    steps = _uniformised_steps(gen, max(terms.values()))
+    out = {}
+    for name, dist in events.items():
+        k = np.arange(terms[name])
+        w = dist.poisson_mixture(lam, k)
+        out[name] = ArrivalSummary(
+            P=_weighted_sum(w, steps),
+            P_beta=_weighted_sum(dist.poisson_mixture(lam, k, cfg.beta), steps),
+            C_H=holding_cost_existing(dist, cfg.beta),
+            C_I=holding_cost_arrivals(dist, cfg),
+            tail_mass=1.0 - float(w.sum()),
+        )
+    return out
+
+
+class PreemptiveModel(_UniformisedModel):
+    """Uniformised model over (n1, n2, l1); every state is a decision state.
+
+    A state-action graph without dynamics states: each action's row holds
+    the two arrivals, the event's completion and a self-loop.
+    """
+
+    def __init__(self, cfg: ScenarioConfig):
+        super().__init__(cfg, triple_indexer(cfg))
+        lam1, lam2 = cfg.arrival_rates
+        g, n = self.gamma, self.n_states
+        (_, _, l1), held, (arr1, arr2), busy = box_rules(cfg, self.indexer)
+        x = np.arange(n)
+        s_n1, s_n2, s_l1 = self.indexer.strides
+        p1, p2 = np.full(n, lam1 / g), np.full(n, lam2 / g)
+
+        def stay(rate):
+            return 1.0 - (rate + lam1 + lam2) / g
+
+        serve_rate, switch_rate = self.rates[l1], self.rates[2 + l1]
+        served = x - np.where(l1 == 0, s_n1, s_n2) * busy
+        switched = x + np.where(l1 == 0, s_l1, -s_l1)
+        ones = np.ones(n, dtype=bool)
+        cost, disc = held / (self.gamma + cfg.beta), np.full(n, self.alpha)
+        # entries: arrival 1, arrival 2, completion, stay
+        self.graph = stack_actions([
+            _action(ones, cost, np.stack([arr1, arr2, x, x], axis=1),
+                    np.stack([p1, p2, np.full(n, stay(0.0)), np.zeros(n)], axis=1), disc),
+            _action(busy, cost, np.stack([arr1, arr2, served, x], axis=1),
+                    np.stack([p1, p2, serve_rate / g, stay(serve_rate)], axis=1), disc),
+            _action(ones, cost, np.stack([arr1, arr2, switched, x], axis=1),
+                    np.stack([p1, p2, switch_rate / g, stay(switch_rate)], axis=1), disc),
+        ])
+
+
+def build_preemptive(cfg: ScenarioConfig) -> PreemptiveModel:
+    return PreemptiveModel(cfg)
 
 
 def assemble_policy_matrix(model, actions, discounted: bool = True):

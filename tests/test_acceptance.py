@@ -23,8 +23,8 @@ from pollsys import (
     IDLE,
     SERVE,
     SWITCH,
+    StateIndexer,
     analyze_limit_cycle,
-    build_generator,
     build_nonpreemptive,
     build_smdp,
     build_value_graph,
@@ -110,9 +110,8 @@ def asym_experiment():
 def test_criterion_1_poisson_product_oracle():
     t0 = time.time()
     cfg = exp_config(lambda1=1.0, lambda2=1.0, N1=10, N2=10)
-    gen = build_generator(cfg)
-    idx = gen.indexer
-    phi = expected_arrival_probs(gen, Deterministic(0.5))  # exact p(0.5)
+    idx = StateIndexer((10, 10))
+    phi = expected_arrival_probs(cfg, Deterministic(0.5))  # exact p(0.5)
     checked = 0
     worst = 0.0
     for a1 in range(5):
@@ -130,9 +129,8 @@ def test_criterion_1_poisson_product_oracle():
 
 def test_criterion_2_competing_exponentials():
     cfg = exp_config(lambda1=1.0, lambda2=1.0, N1=14, N2=14)
-    gen = build_generator(cfg)
-    vec = expected_arrival_probs(gen, Exponential(1.0))
-    idx = gen.indexer
+    vec = expected_arrival_probs(cfg, Exponential(1.0))
+    idx = StateIndexer((14, 14))
     total = 3.0
     worst = 0.0
     for a1 in range(7):
@@ -156,7 +154,7 @@ def test_criterion_3_truncation_structure():
                        ("unassigned", big)):
         cfg = exp_config(lambda1=1.0, lambda2=1.0, N1=dims[0], N2=dims[1],
                          truncation_mode=mode)
-        vecs[(mode, dims)] = expected_arrival_probs(build_generator(cfg), dist)
+        vecs[(mode, dims)] = expected_arrival_probs(cfg, dist)
     pooled_err = np.abs(
         vecs[("absorbing", small)] - pool_lattice(vecs[("unassigned", big)], big, small)
     ).max()

@@ -8,7 +8,6 @@ from pollsys import (
     Exponential,
     Gamma,
     build_nonpreemptive,
-    build_preemptive,
     build_smdp,
     build_value_graph,
     exhaustive_start,
@@ -17,7 +16,7 @@ from pollsys import (
 from pollsys.cli import load_scenario
 from pollsys.ctmdp import ModelError
 
-from conftest import PollingState, exp_config, feasible_actions, slow_mode_config
+from conftest import PollingState, build_preemptive, exp_config, feasible_actions, slow_mode_config
 
 
 def slow_exp_config(**kw):

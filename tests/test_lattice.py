@@ -8,7 +8,7 @@ from pollsys import (
     Deterministic,
     Exponential,
     Gamma,
-    build_generator,
+    StateIndexer,
     build_arrival_summaries,
     expected_arrival_probs,
     holding_cost_arrivals,
@@ -16,14 +16,25 @@ from pollsys import (
     pool_lattice,
     snapshot_lattice,
 )
-from pollsys.lattice import TAIL_EPS
+from pollsys.lattice import TAIL_EPS, _poisson_terms
 
-from conftest import asym_var_config, exp_config, slow_mode_config
+from conftest import (
+    asym_var_config,
+    build_generator,
+    exp_config,
+    oracle_summaries,
+    slow_mode_config,
+    uniformised_arrival_probs,
+)
 
 
-def transient(gen, t):
+def transient(cfg, t):
     """Exact p(t) over the lattice: the point-mass duration at t."""
-    return expected_arrival_probs(gen, Deterministic(t))
+    return expected_arrival_probs(cfg, Deterministic(t))
+
+
+def lattice(cfg):
+    return StateIndexer((cfg.N1, cfg.N2))
 
 
 def poisson_product(lam1, lam2, t, a1, a2):
@@ -93,19 +104,17 @@ def test_generator_row_sums(mode, N, rng):
 
 def test_mesh_initial_condition_and_conservation():
     cfg = exp_config(lambda1=1.0, lambda2=1.0, N1=4, N2=4)
-    gen = build_generator(cfg)
-    e0 = np.zeros(gen.size)
+    e0 = np.zeros(lattice(cfg).size)
     e0[0] = 1.0
-    assert np.array_equal(transient(gen, 0.0), e0)
+    assert np.array_equal(transient(cfg, 0.0), e0)
     for t in (0.1, 0.5, 1.0, 3.0):
-        assert abs(transient(gen, t).sum() - 1.0) <= 1e-12
+        assert abs(transient(cfg, t).sum() - 1.0) <= 1e-12
 
 
 def test_mesh_poisson_product_oracle():
     cfg = exp_config(lambda1=1.0, lambda2=1.0, N1=6, N2=6)
-    gen = build_generator(cfg)
-    idx = gen.indexer
-    phi = transient(gen, 0.5)
+    idx = lattice(cfg)
+    phi = transient(cfg, 0.5)
     assert phi[idx.flatten(1, 1)] == pytest.approx(
         poisson_product(1.0, 1.0, 0.5, 1, 1), abs=1e-12
     )
@@ -119,9 +128,8 @@ def test_mesh_poisson_product_oracle():
 
 def test_mesh_absorbing_mass_at_corner():
     cfg = exp_config(lambda1=1.0, lambda2=1.0, N1=2, N2=2)
-    gen = build_generator(cfg)
-    phi = transient(gen, 10.0)
-    corner = gen.indexer.flatten(2, 2)
+    phi = transient(cfg, 10.0)
+    corner = lattice(cfg).flatten(2, 2)
     # oracle: both classes see >= 2 arrivals by t=10 with probability
     # (1 - P(Pois(10) <= 1))^2
     oracle = (1.0 - stats.poisson.cdf(1, 10.0)) ** 2
@@ -132,20 +140,21 @@ def test_mesh_absorbing_mass_at_corner():
 
 @pytest.mark.parametrize("mode", ["absorbing", "unassigned"])
 def test_transient_matches_matrix_exponential_unequal_rates(mode):
-    # every cell, edges included: p(t) is row 0 of expm(Q t)
+    # every cell, edges included: p(t) is row 0 of expm(Q t), both as the
+    # closed form and as the uniformised sum of the generator
     cfg = exp_config(lambda1=0.7, lambda2=1.3, N1=5, N2=4, truncation_mode=mode)
     gen = build_generator(cfg)
     for t in (0.3, 2.0, 7.5):
         want = linalg.expm(gen.Q.toarray() * t)[0]
-        assert np.abs(transient(gen, t) - want).max() <= 1e-12
+        assert np.abs(transient(cfg, t) - want).max() <= 1e-12
+        assert np.abs(uniformised_arrival_probs(gen, Deterministic(t)) - want).max() <= 1e-12
 
 
 def test_unassigned_validity_error_monotone():
     cfg = exp_config(lambda1=1.0, lambda2=1.0, N1=3, N2=3,
                      truncation_mode="unassigned")
-    gen = build_generator(cfg)
     times = np.linspace(0.0, 6.0, 61)
-    eps2 = np.array([1.0 - transient(gen, t).sum() for t in times])
+    eps2 = np.array([1.0 - transient(cfg, t).sum() for t in times])
     assert np.all(np.diff(eps2) >= -1e-12)
     # the mass left in the window is P(Pois(t) <= 3)^2
     assert np.abs(eps2 - (1.0 - stats.poisson.cdf(3, times) ** 2)).max() <= 1e-12
@@ -154,9 +163,8 @@ def test_unassigned_validity_error_monotone():
 
 def test_expected_arrival_probs_competing_exponentials():
     cfg = exp_config(lambda1=1.0, lambda2=1.0, N1=10, N2=10)
-    gen = build_generator(cfg)
-    vec = expected_arrival_probs(gen, Exponential(1.0))
-    idx = gen.indexer
+    vec = expected_arrival_probs(cfg, Exponential(1.0))
+    idx = lattice(cfg)
     assert vec[idx.flatten(0, 0)] == pytest.approx(1 / 3, abs=1e-12)
     assert vec[idx.flatten(1, 1)] == pytest.approx(2 / 27, abs=1e-12)
     for a1 in range(5):
@@ -180,11 +188,12 @@ def mixed_poisson_oracle(f_e, rate, beta, n):
                                  Exponential(2.0), Deterministic(3.0), Deterministic(0.0)])
 @pytest.mark.parametrize("beta", [None, 0.05])
 def test_interior_cells_match_mixed_poisson_oracle(f_e, beta):
-    # uniformised at L = l1 + l2, an interior cell (a1, a2) is reached by
-    # exactly n = a1 + a2 steps, each of class 1 with probability l1 / L
+    # an interior cell (a1, a2) holds the n = a1 + a2 arrivals of the pooled
+    # rate L = l1 + l2, each of class 1 with probability l1 / L
     lam1, lam2, N = 0.8, 0.5, 30
-    gen = build_generator(exp_config(lambda1=lam1, lambda2=lam2, N1=N, N2=N))
-    vec = expected_arrival_probs(gen, f_e, beta=beta)
+    cfg = exp_config(lambda1=lam1, lambda2=lam2, N1=N, N2=N)
+    vec = expected_arrival_probs(cfg, f_e, beta=beta)
+    idx = lattice(cfg)
     L = lam1 + lam2
     worst = 0.0
     for a1 in range(N):
@@ -192,39 +201,79 @@ def test_interior_cells_match_mixed_poisson_oracle(f_e, beta):
             n = a1 + a2
             want = (mixed_poisson_oracle(f_e, L, beta or 0.0, n) * math.comb(n, a1)
                     * (lam1 / L) ** a1 * (lam2 / L) ** a2)
-            worst = max(worst, abs(vec[gen.indexer.flatten(a1, a2)] - want))
+            worst = max(worst, abs(vec[idx.flatten(a1, a2)] - want))
     assert worst <= 1e-12
 
 
 @pytest.mark.parametrize("f_e", [Gamma(2, 0.5), Deterministic(4.0)])
 def test_zero_rates_put_all_mass_at_the_origin(f_e):
     cfg = exp_config(lambda1=0.0, lambda2=0.0, N1=3, N2=3, serve1=f_e)
-    gen = build_generator(cfg)
-    assert gen.gamma_max == 0.0
-    e0 = np.zeros(gen.size)
+    e0 = np.zeros(lattice(cfg).size)
     e0[0] = 1.0
-    assert np.array_equal(expected_arrival_probs(gen, f_e), e0)
-    assert expected_arrival_probs(gen, f_e, beta=0.05) == pytest.approx(
+    assert np.array_equal(expected_arrival_probs(cfg, f_e), e0)
+    assert expected_arrival_probs(cfg, f_e, beta=0.05) == pytest.approx(
         f_e.discount_factor(0.05) * e0, rel=1e-15, abs=0.0)
     s = build_arrival_summaries(cfg)["serve1"]
     assert s.tail_mass == 0.0 and s.C_I == 0.0
 
 
+@pytest.mark.parametrize("mode", ["absorbing", "unassigned"])
+@pytest.mark.parametrize("f_e", [Gamma(0.5, 0.2), Deterministic(0.0), Deterministic(3.0),
+                                 Exponential(2.0)])
+@pytest.mark.parametrize("rates", [(0.0, 0.0), (0.0, 0.7), (1.1, 0.0)])
+def test_zero_rates_match_the_uniformised_oracle(rates, f_e, mode):
+    # with a rate zero every arrival is of the other class, if any comes, so
+    # the closed form and the uniformised sum multiply the same weights by
+    # exact ones
+    cfg = exp_config(lambda1=rates[0], lambda2=rates[1], N1=3, N2=4, serve1=f_e,
+                     truncation_mode=mode)
+    got, want = build_arrival_summaries(cfg)["serve1"], oracle_summaries(cfg)["serve1"]
+    assert np.array_equal(got.P, want.P) and np.array_equal(got.P_beta, want.P_beta)
+    assert got.tail_mass == want.tail_mass
+
+
+@pytest.mark.parametrize("N", [1, 5, 20, 35])
+@pytest.mark.parametrize("mode", ["absorbing", "unassigned"])
+@pytest.mark.parametrize("make", [slow_mode_config, asym_var_config], ids=["slow", "asym"])
+def test_closed_form_matches_the_uniformised_oracle(make, mode, N):
+    cfg = make(N1=N, N2=N, truncation_mode=mode)
+    want = oracle_summaries(cfg)
+    for name, got in build_arrival_summaries(cfg).items():
+        assert np.abs(got.P - want[name].P).max() <= 1e-14
+        assert np.abs(got.P_beta - want[name].P_beta).max() <= 1e-14
+        assert got.tail_mass == want[name].tail_mass
+        assert np.all(got.P_beta >= 0.0)
+        assert np.all(got.P_beta <= got.P)
+
+
+@pytest.mark.parametrize("mode", ["absorbing", "unassigned"])
+@pytest.mark.parametrize("f_e", [Exponential(0.04), Deterministic(800.0)])
+def test_long_durations_match_the_uniformised_oracle(f_e, mode):
+    # over a thousand terms, where C(n, a1) alone overflows a float; a term
+    # exp(log C(n, a1) + ...) is then off by about eps * gammaln(n + 1), some
+    # 1e-12 of it at n = 1500, as the mixed-Poisson weight's own gammaln is
+    cfg = exp_config(lambda1=1.0, lambda2=0.5, N1=35, N2=30, truncation_mode=mode)
+    gen = build_generator(cfg)
+    assert _poisson_terms(f_e, 1.5) > 1030
+    for beta in (None, 0.05):
+        got = expected_arrival_probs(cfg, f_e, beta)
+        assert np.all(got >= 0.0)
+        assert np.abs(got - uniformised_arrival_probs(gen, f_e, beta)).max() <= 1e-12
+
+
 def test_expected_arrival_probs_zero_duration():
     cfg = exp_config(N1=3, N2=3)
-    gen = build_generator(cfg)
-    vec = expected_arrival_probs(gen, Deterministic(0.0))
-    e0 = np.zeros(gen.size)
+    vec = expected_arrival_probs(cfg, Deterministic(0.0))
+    e0 = np.zeros(lattice(cfg).size)
     e0[0] = 1.0
     assert np.array_equal(vec, e0)
 
 
 def test_discounted_probs_dominated_by_plain():
     cfg = exp_config(lambda1=0.8, lambda2=0.8, N1=8, N2=8)
-    gen = build_generator(cfg)
     dist = Gamma(2, 0.5)
-    plain = expected_arrival_probs(gen, dist)
-    disc = expected_arrival_probs(gen, dist, beta=0.05)
+    plain = expected_arrival_probs(cfg, dist)
+    disc = expected_arrival_probs(cfg, dist, beta=0.05)
     assert np.all(disc <= plain + 1e-15)
     assert plain.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -245,7 +294,7 @@ def test_truncation_structure_identities():
     ):
         cfg = exp_config(lambda1=lam1, lambda2=lam2, N1=dims[0], N2=dims[1],
                          truncation_mode=mode)
-        vecs[(mode, dims)] = expected_arrival_probs(build_generator(cfg), dist)
+        vecs[(mode, dims)] = expected_arrival_probs(cfg, dist)
 
     pooled = pool_lattice(vecs[("unassigned", big)], big, small)
     snap = snapshot_lattice(vecs[("unassigned", big)], big, small)

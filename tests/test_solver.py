@@ -6,7 +6,6 @@ from scipy import sparse
 
 from pollsys import (
     build_nonpreemptive,
-    build_preemptive,
     build_smdp,
     build_value_graph,
     policy_evaluate,
@@ -30,6 +29,7 @@ from conftest import (
     TabularModel,
     assemble_policy_matrix,
     asym_var_config,
+    build_preemptive,
     exhaustive_action,
     exp_config,
     record_policy_evaluations,
