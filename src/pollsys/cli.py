@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -243,28 +244,33 @@ def summary_row(name: str, eta: np.ndarray, zeta: float):
     return row
 
 
-def test_matrices(etas: Dict[str, np.ndarray], zeta: float):
-    """All ordered policy pairs for the Welch, Mann-Whitney and Student tests.
+def test_matrices(etas: Dict[str, np.ndarray], paired: Dict[str, np.ndarray], zeta: float):
+    """All ordered policy pairs for the Welch, Mann-Whitney and Student
+    tests and Pearson's r.
 
-    One-sided alternatives throughout: the row policy's performance is
-    hypothesised to be smaller (better) than the column policy's.
+    Welch's and Mann-Whitney's tests read the `decouple`d samples ``etas``,
+    Student's test of the differences and Pearson's r the ``paired`` ones
+    in seed order, where entry k of each policy shares seed k's common
+    random numbers; the Student row of two policies equal on every seed is
+    NaN.  One-sided alternatives throughout: the row policy's performance
+    is hypothesised to be smaller (better) than the column policy's.
     """
-    names = list(etas)
+    def row(a, b, statistic, test):
+        return [a, b, _fmt(statistic), _fmt(test.p_less), str(test.reject_at(zeta))]
+
     welch_rows, mann_rows, student_rows, pearson_rows = [], [], [], []
-    for a in names:
-        for b in names:
-            if a == b:
-                continue
-            w = welch_t_test(etas[a], etas[b], alternative="less")
-            welch_rows.append([a, b, _fmt(w.statistic), _fmt(w.p_less),
-                               str(w.reject_at(zeta))])
-            u = mann_whitney_u(etas[a], etas[b], alternative="less")
-            mann_rows.append([a, b, _fmt(u.details["u_xy"]), _fmt(u.p_less),
-                              str(u.reject_at(zeta))])
-            t = t_test_one_sample(etas[a] - etas[b], 0.0, alternative="less")
-            student_rows.append([a, b, _fmt(t.statistic), _fmt(t.p_less),
-                                 str(t.reject_at(zeta))])
-            pearson_rows.append([a, b, _fmt(pearson_r(etas[a], etas[b]))])
+    for a, b in itertools.permutations(etas, 2):
+        w = welch_t_test(etas[a], etas[b], alternative="less")
+        welch_rows.append(row(a, b, w.statistic, w))
+        u = mann_whitney_u(etas[a], etas[b], alternative="less")
+        mann_rows.append(row(a, b, u.details["u_xy"], u))
+        diff = paired[a] - paired[b]
+        if diff.any():
+            t = t_test_one_sample(diff, 0.0, alternative="less")
+            student_rows.append(row(a, b, t.statistic, t))
+        else:  # equal on every seed: t is 0/0, and nothing favours either
+            student_rows.append([a, b, "nan", "nan", "False"])
+        pearson_rows.append([a, b, _fmt(pearson_r(paired[a], paired[b]))])
     return welch_rows, mann_rows, student_rows, pearson_rows
 
 
@@ -329,14 +335,14 @@ def _solve(plan: ExperimentPlan, cfg: ScenarioConfig):
     return policies, tables, diag
 
 
-def _sample(plan: ExperimentPlan, cfg: ScenarioConfig, policies) -> Dict[str, np.ndarray]:
-    """Stage simulate: sample every policy in one common-random-number batch
-    and `decouple` the samples on ``plan.seed``."""
+def _sample(plan: ExperimentPlan, cfg: ScenarioConfig, policies):
+    """Stage simulate: sample every policy in one common-random-number batch;
+    returns the samples `decouple`d on ``plan.seed`` and in seed order."""
     names = plan.policies
     with _stage("simulate"):
-        return dict(zip(names, decouple(sample_performance(
-            cfg, [policies[n] for n in names], None, plan.seed, plan.horizon, plan.rollouts,
-        ), plan.seed)))
+        paired = sample_performance(
+            cfg, [policies[n] for n in names], None, plan.seed, plan.horizon, plan.rollouts)
+        return dict(zip(names, decouple(paired, plan.seed))), dict(zip(names, paired))
 
 
 def _write_etas(plan: ExperimentPlan, etas: Dict[str, np.ndarray]) -> Dict[str, str]:
@@ -344,10 +350,10 @@ def _write_etas(plan: ExperimentPlan, etas: Dict[str, np.ndarray]) -> Dict[str, 
             for name, eta in etas.items()}
 
 
-def _test(plan: ExperimentPlan, etas: Dict[str, np.ndarray]) -> list:
+def _test(plan: ExperimentPlan, etas, paired) -> list:
     """Stage test: write the four test matrices; returns the Welch rows."""
     with _stage("test"):
-        welch, mann, student, pearson = test_matrices(etas, plan.zeta)
+        welch, mann, student, pearson = test_matrices(etas, paired, plan.zeta)
         header = ["row_policy", "col_policy", "statistic", "p", "reject"]
         _write_csv(plan.out_dir, "welch.csv", header, welch)
         _write_csv(plan.out_dir, "mannwhitney.csv", header, mann)
@@ -373,7 +379,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     for name, table in tables.items():
         export_policy_csv(table, cfg, plan.out_dir, name)
 
-    etas = _sample(plan, cfg, policies)
+    etas, paired = _sample(plan, cfg, policies)
     _write_etas(plan, etas)
     with _stage("test"):
         _write_csv(
@@ -381,7 +387,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
             ["policy", "mean", "std", "min", "max", "skewness", "kurtosis", "k2", "p", "normal"],
             [summary_row(name, etas[name], plan.zeta) for name in plan.policies],
         )
-    _test(plan, etas)
+    _test(plan, etas, paired)
     summary["means"] = {name: float(eta.mean()) for name, eta in etas.items()}
 
     summary["occupancy"] = {}
@@ -495,14 +501,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     cfg = _load(plan)
     policies, _, _ = _solve(plan, cfg)
-    etas = _sample(plan, cfg, policies)
+    etas, paired = _sample(plan, cfg, policies)
     os.makedirs(plan.out_dir, exist_ok=True)
     if args.command == "simulate":
         for name, path in _write_etas(plan, etas).items():
             eta = etas[name]
             print(f"{name}: mean={eta.mean():.3f} std={eta.std(ddof=1):.3f} -> {path}")
     else:
-        for row in _test(plan, etas):
+        for row in _test(plan, etas, paired):
             print("welch", *row)
     return 0
 

@@ -16,7 +16,8 @@ evaluated on the triangle a1 + a2 < K, K the fewest terms that leave at
 most ``TAIL_EPS`` of m_0 out, and that weight is reported as the event's
 tail mass.  The triangle is then mapped onto the box [0, N1] x [0, N2]:
 absorbing truncation pools the cell (a1, a2) onto (min(a1, N1),
-min(a2, N2)), unassigned truncation keeps only the cells inside.  This is
+min(a2, N2)); unassigned truncation keeps only the cells inside, and drops
+the others before it evaluates them.  This is
 the uniformised transient sum of the truncated birth-process generator
 (Jensen 1953; Gross & Miller, Oper. Res. 32(2), 1984) summed in closed
 form; the tests keep that generator as the oracle.
@@ -75,6 +76,9 @@ def expected_arrival_probs(
     n = np.repeat(np.arange(terms), np.arange(1, terms + 1))
     a1 = np.arange(n.size) - n * (n + 1) // 2
     a2 = n - a1
+    if cfg.truncation_mode is Truncation.UNASSIGNED:
+        inside = (a1 <= cfg.N1) & (a2 <= cfg.N2)
+        n, a1, a2 = n[inside], a1[inside], a2[inside]
     # C(n, a1) p^a1 q^a2 in logs, which neither overflows at a large n nor
     # divides by a zero lam (which leaves the origin only, with log 1 = 0)
     w = f_e.poisson_mixture(lam, np.arange(terms), 0.0 if beta is None else beta)
@@ -83,9 +87,6 @@ def expected_arrival_probs(
                          + special.xlogy(a2, lam2) - special.xlogy(n, lam))
     if cfg.truncation_mode is Truncation.ABSORBING:
         a1, a2 = np.minimum(a1, cfg.N1), np.minimum(a2, cfg.N2)
-    else:
-        inside = (a1 <= cfg.N1) & (a2 <= cfg.N2)
-        a1, a2, mass = a1[inside], a2[inside], mass[inside]
     box = StateIndexer((cfg.N1, cfg.N2))
     return np.bincount(box.flatten(a1, a2), weights=mass, minlength=box.size)
 

@@ -9,14 +9,14 @@ event samples, which is what makes paired performance comparisons fair.
 `rollout` and `simulate_trace` step one rollout at a time;
 `sample_performance` steps the rollouts of all its policies together as
 arrays and gives the same values bit for bit.  Each rule the two paths share
-has one home: `SeedStream` keys the substreams, `_durations` lists the
-duration ones, `_caps` bounds the box over which a policy is one flat code
-table (`_action_codes`), and `_costs` charges the logged steps, with every
-exponential one ``np.exp`` over the log.  Both draw each substream in
-blocks, which Philox returns exactly as the same number of single draws,
-and log the arrivals flat, one (step, class, time) entry each, in no set
-order within a step; a trace's per-step ``arrivals`` are built from that
-log when first read.
+has one home: `SeedStream` keys the substreams and makes their generators,
+`_durations` lists the duration ones, `_caps` bounds the box over which a
+policy is one flat code table (`_action_codes`), and `_costs` charges the
+logged steps, with every exponential one ``np.exp`` over the log.  Both
+draw each substream in blocks, which Philox returns exactly as the same
+number of single draws, and log the arrivals flat, one (step, class, time)
+entry each, in no set order within a step; a trace's per-step
+``arrivals`` are built from that log when first read.
 """
 
 from __future__ import annotations
@@ -56,7 +56,9 @@ class SeedStream:
     Every event type owns an independent counter-based (Philox) stream keyed
     by (base seed, event tag), so equal seeds reproduce identical event
     samples across policies and platforms.  Only this class derives a key,
-    ``(seed << 6) + tag``, below Philox's 2**128 for seeds in [0, 2**122).
+    ``(seed << 6) + tag``, below Philox's 2**128 for seeds in [0, 2**122),
+    and only `generator` makes a generator: one per tag, kept, so that each
+    read of a substream, scalar or batch, goes on from the last.
     """
 
     SEED_LIMIT = 1 << 122
@@ -72,11 +74,6 @@ class SeedStream:
         if tag not in self._gens:
             self._gens[tag] = np.random.Generator(np.random.Philox(key=self._key0 + tag))
         return self._gens[tag]
-
-    def fresh_state(self, tag: int) -> list:
-        """`_philox_state` words of the tag's stream before its first draw."""
-        key = self._key0 + tag
-        return [0, 0, 0, 0, key & (1 << 64) - 1, key >> 64, 0, 0, 0, 0, 4, 0, 0]
 
 
 @dataclass
@@ -376,26 +373,12 @@ def simulate_trace(cfg: ScenarioConfig, policy, T: float, seed: int = 0,
     return _run(cfg, codes, tuple(int(v) for v in x0), SeedStream(seed), T)[1]
 
 
-# Lockstep batch of rollouts.  Every seed keeps its own substreams; their
-# values are read by the policies' rollouts of that seed from one pre-drawn
-# row each, so a batch reproduces the scalar rollouts bit for bit.
+# Lockstep batch of rollouts.  Every seed keeps its own `SeedStream`; each
+# substream's values are read by the policies' rollouts of that seed from one
+# pre-drawn row, so a batch reproduces the scalar rollouts bit for bit.
 _WINDOW = 4  # arrival gaps first examined per interval
 _CHUNK = 1 << 12  # rollout steps whose costs are added in one pass
 _LANES = 1 << 12  # about the most (policy, seed) rollouts stepped together
-
-
-def _philox_state(words: list) -> dict:
-    """The ``Philox.state`` dict of a list of state words."""
-    return {"bit_generator": "Philox", "state": {"counter": words[:4], "key": words[4:6]},
-            "buffer": words[6:10], "buffer_pos": words[10], "has_uint32": words[11],
-            "uinteger": words[12]}
-
-
-def _philox_state_words(state: dict) -> list:
-    """Inverse of `_philox_state`."""
-    return [*state["state"]["counter"].tolist(), *state["state"]["key"].tolist(),
-            *state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"],
-            state["uinteger"]]
 
 
 class _Blocks:
@@ -406,24 +389,22 @@ class _Blocks:
     runs on seed ``j % B``, and index ``s * L + j`` names substream ``s`` of
     lane ``j``.  Its next value is ``buf[s * B + j % B, pos[s * L + j]]``:
     the policy lanes of a seed read one row, each at its own position.  A
-    row starts empty at its stream's `SeedStream.fresh_state` and only
-    grows: a read past its end draws as many values again as it holds (at
-    least ``block``), resumed from its saved state, and the buffer widens
-    to any row that outgrows it.  One bit generator serves every row; the
-    memory is O(rows x the longest row).
+    row starts empty and only grows: a read past its end draws as many
+    values again as it holds (at least ``block``) from its stream's
+    `SeedStream.generator`, and the buffer widens to any row that outgrows
+    it.  The memory is O(rows x the longest row).
     """
 
     def __init__(self, streams, tags, dists, lanes: int, block: int):
-        self.gen = np.random.Generator(np.random.Philox(key=0))
+        self.gens = [stream.generator(tag) for tag in tags for stream in streams]
         self.dists = dists
         self.seeds = len(streams)
         self.block = block
-        self.buf = np.empty((len(dists) * self.seeds, block))
-        self.size = np.zeros(len(dists) * self.seeds, dtype=np.intp)
+        self.buf = np.empty((len(self.gens), block))
+        self.size = np.zeros(len(self.gens), dtype=np.intp)
         self.pos = np.zeros(len(dists) * lanes, dtype=np.intp)
         idx = np.arange(len(dists) * lanes)
         self.row = idx // lanes * self.seeds + idx % self.seeds  # index -> its row
-        self.states = [stream.fresh_state(tag) for tag in tags for stream in streams]
 
     def take(self, idx: np.ndarray) -> np.ndarray:
         """The next value at each (distinct) index."""
@@ -459,9 +440,7 @@ class _Blocks:
                 buf = np.empty((len(self.buf), hi))
                 buf[:, :self.buf.shape[1]] = self.buf
                 self.buf = buf
-            self.gen.bit_generator.state = _philox_state(self.states[row])
-            self.buf[row, lo:hi] = self.dists[row // self.seeds].sample(self.gen, hi - lo)
-            self.states[row] = _philox_state_words(self.gen.bit_generator.state)
+            self.buf[row, lo:hi] = self.dists[row // self.seeds].sample(self.gens[row], hi - lo)
             self.size[row] = hi
 
 
@@ -516,28 +495,27 @@ def _charge(total, cfg: ScenarioConfig, log):
         _costs(cfg, total, *(np.concatenate(part) for part in zip(*log)))
 
 
-def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds, T: float) -> np.ndarray:
+def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, streams, T: float) -> np.ndarray:
     """Discounted costs of every policy's rollouts from states ``x0`` on
-    ``seeds``, all stepped together as arrays; row p holds policy p's.
+    ``streams``, all stepped together as arrays; row p holds policy p's.
 
     ``codes[p]`` is the code table of policy p (`_action_codes`).  A lane is
     one (policy, seed) pair: lane ``p * B + k`` runs policy p on seed k with
     its own slice of the stacked tables and its own read position in each
     substream of its seed, drawn once per seed into one row that every
     policy's lane of the seed reads (`_Blocks`).  Lane (p, k) equals
-    ``_run`` of ``codes[p]`` from ``x0[:, k]`` with ``SeedStream(seeds[k])``
+    ``_run`` of ``codes[p]`` from ``x0[:, k]`` with ``streams[k]``
     bit for bit: the same actions, draws and cost routine.  Each step of
     every live lane logs a copy of its (n1, n2, l1) rows and actions, and
     `_charge` charges about ``_CHUNK`` logged steps at a time in one pass,
     which bounds the log's memory whatever the number of lanes is.
     """
-    P, B = codes.shape[0], len(seeds)
+    P, B = codes.shape[0], len(streams)
     L = P * B
     table = codes.reshape(-1)
     offset = np.repeat(np.arange(P) * codes.shape[1], B)
     lam = cfg.arrival_rates
     cap1, cap2 = _caps(cfg)
-    streams = [SeedStream(s) for s in seeds]
     durations = _Blocks(streams, *_durations(cfg), L, _DURATION_BLOCK)
     classes = np.array([c for c in (0, 1) if lam[c] > 0], dtype=int)
     gaps = _Blocks(streams, [TAG_LAMBDA[c] for c in classes],
@@ -546,7 +524,7 @@ def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds, T: float) -> np
 
     def rollout_of(j):
         p, seed = divmod(int(k[j]), B)
-        return f"in the rollout of policy {p} with seed {seeds[seed]}"
+        return f"in the rollout of policy {p} with seed {streams[seed].base_seed}"
 
     total = np.zeros(L)
     k = np.arange(L)
@@ -622,9 +600,9 @@ def sample_performance(cfg: ScenarioConfig, policies, initial_dist, seed0: int,
     Every policy's rollouts run in lockstep as arrays over the policies'
     action tables (``policy.action_table(cfg)``), a block of seeds at a
     time with every policy of its seeds, about ``_LANES`` rollouts at most.
-    A seed's initial state takes the first value of its ``TAG_INIT`` stream
-    from `SeedStream.fresh_state`, and each substream of a seed is drawn
-    once for all the policies (`_lockstep`); the draws held grow with ``T``.
+    Each seed's `SeedStream` gives its initial state, as in `rollout`, and
+    each of its substreams is drawn once for all the policies
+    (`_lockstep`); the draws held grow with ``T``.
     Entry k of policy p's array equals ``rollout(cfg, policies[p],
     initial_dist, seed0 + k, T)`` bit for bit, so the arrays are paired
     (`decouple` unpairs them); errors name the policy by its position p.
@@ -636,16 +614,15 @@ def sample_performance(cfg: ScenarioConfig, policies, initial_dist, seed0: int,
     if not policies:
         raise ValueError("need at least one policy")
     codes = np.stack([_action_codes(cfg, pol) for pol in policies])
-    seeds = [int(seed0) + k for k in range(M)]
-    gen = np.random.Generator(np.random.Philox(key=0))
-    u = np.empty(M)
-    for k, seed in enumerate(seeds):
-        gen.bit_generator.state = _philox_state(SeedStream(seed).fresh_state(TAG_INIT))
-        u[k] = gen.random()
-    x0 = np.array(_initial_states(cfg, _initial_cdf(cfg, initial_dist), u))
+    cdf = _initial_cdf(cfg, initial_dist)
+
+    def block(ks):
+        streams = [SeedStream(int(seed0) + k) for k in ks.tolist()]
+        u = [stream.generator(TAG_INIT).random() for stream in streams]
+        return _lockstep(cfg, codes, np.array(_initial_states(cfg, cdf, u)), streams, T)
+
     blocks = np.array_split(np.arange(M), -(-M * len(policies) // _LANES))
-    return list(np.concatenate(
-        [_lockstep(cfg, codes, x0[:, b], seeds[b[0]:b[-1] + 1], T) for b in blocks], axis=1))
+    return list(np.concatenate([block(ks) for ks in blocks], axis=1))
 
 
 _SHUFFLE_STRIDE = 7919  # seed offset between the policies' orders in `decouple`

@@ -10,10 +10,11 @@ may have its own discount (the semi-Markov model) or a row may share one
 (the uniformised models).
 Policy evaluation selects one node per state and solves one linear system;
 policy improvement and each value-iteration sweep are a sparse
-matrix-vector product over the nodes followed by a per-state minimum, read
-from a padded table with one column per state (:func:`_padded_slots`).  A
-tie in that minimum goes to the state's first node, which for the polling
-models is the lowest action id (idle < serve < switch), so every solve is
+matrix-vector product over the nodes followed by a per-state minimum, over
+each state's contiguous nodes (:func:`_greedy_actions`) or down a padded
+table with one column per state (:class:`_Sweep`).  A tie in that minimum
+goes to the state's first node, which for the polling models is the lowest
+action id (idle < serve < switch), so every solve is
 bit-reproducible.
 """
 
@@ -80,11 +81,6 @@ class ValueGraph:
     def decision_mask(self) -> np.ndarray:
         """States with a choice, i.e. whose nodes carry actions."""
         return self.q_action[self.node_start] >= 0
-
-    @cached_property
-    def padded_slots(self):
-        """Each node's slot in the padded per-state table, and its depth."""
-        return _padded_slots(self.node_start, self.n_nodes)
 
     @cached_property
     def discounted(self) -> sparse.csr_matrix:
@@ -163,22 +159,6 @@ def stack_actions(actions) -> ValueGraph:
                       q_indptr=q_indptr, q_cols=q_cols, q_probs=q_probs, q_dprobs=q_dprobs)
 
 
-def _padded_slots(starts: np.ndarray, n_nodes: int):
-    """Lay out nodes grouped by state in a (depth, states) table.
-
-    ``starts[s]`` is state s's first node; depth is the most nodes of any
-    state.  A node of rank r within state s (r = 0 for its first node) gets
-    the flat slot r * n_states + s, so column s of the table holds state
-    s's nodes in order and the slots past its last node are left free.
-    With the free slots at +inf, ``np.minimum.reduce(table, axis=0)`` is
-    the per-state minimum and ``np.argmin(table, axis=0)`` the rank of the
-    first minimising node.  Returns ``(slots, depth)``.
-    """
-    counts = np.diff(starts, append=n_nodes)
-    state = np.repeat(np.arange(len(starts)), counts)
-    return (np.arange(n_nodes) - starts[state]) * len(starts) + state, int(counts.max())
-
-
 def build_value_graph(model) -> ValueGraph:
     """The model's state-action graph, which every solver reads."""
     return model.graph
@@ -241,18 +221,16 @@ def _check_finite(graph: ValueGraph) -> None:
 def _greedy_actions(graph: ValueGraph, J: np.ndarray) -> np.ndarray:
     """Per state, the action of the node minimising cost + discounted row @ J.
 
-    A tie goes to the state's first node; a state without a choice gets the
-    action -1 of its only node.
+    A tie goes to the state's first node, a NaN value is rejected, and a
+    state without a choice gets the action -1 of its only node.
     """
     q = graph.q_cost + graph.discounted @ J
-    slots, depth = graph.padded_slots
-    table = np.full((depth, graph.n_states), np.inf)
-    table.flat[slots] = q
-    node = graph.node_start + np.argmin(table, axis=0)
-    bad = np.flatnonzero(np.isnan(q[node]))  # argmin picks a state's first NaN
+    low = np.minimum.reduceat(q, graph.node_start)
+    bad = np.flatnonzero(np.isnan(low))
     if len(bad):
         raise ValueError(f"action values at state {bad[0]} are NaN")
-    return graph.q_action[node]
+    hit = np.flatnonzero(q == low[graph.q_state])
+    return graph.q_action[hit[np.searchsorted(hit, graph.node_start)]]
 
 
 def _check_linking_cycles(A) -> None:
@@ -523,8 +501,8 @@ class _Sweep(NamedTuple):
     Inside the loop J is ordered [dynamics | decision]: ``order`` lists the
     states in that order and ``n_dynamics`` counts the dynamics states.  The
     product ``cost + rows @ J`` has one entry per dynamics node, then one
-    per slot of the decision states' padded table of ``depth`` rows (one
-    column per state, as in :func:`_padded_slots`); a free slot is an empty
+    per slot of the decision states' padded table of ``depth`` rows, one
+    column per state holding its nodes in order; a free slot is an empty
     row of cost +inf, and the table's first row follows the dynamics
     entries.  Its rows are every node but the linking ones, with their
     self-loops divided out (see :func:`_vi_phases`).  Each ``(dst, src)``

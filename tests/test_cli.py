@@ -20,12 +20,13 @@ from pollsys.cli import (
 )
 from pollsys.baselines import exhaustive_start
 from pollsys.ctmdp import build_nonpreemptive
-from pollsys.distributions import Deterministic
+from pollsys.distributions import Deterministic, Exponential
 from pollsys.model import EVENTS, ScenarioError
-from pollsys.simulate import largest_seed
+from pollsys.simulate import decouple, largest_seed, sample_performance
+from pollsys.stats import mann_whitney_u, pearson_r, t_test_one_sample, welch_t_test
 from pollsys.smdp import build_smdp
 
-from conftest import asym_var_config, dense_policy_iteration, slow_mode_config
+from conftest import asym_var_config, dense_policy_iteration, exp_config, slow_mode_config
 
 
 @pytest.fixture
@@ -192,6 +193,45 @@ def test_test_command(tiny_scenario, tmp_path):
     lines = (out / "welch.csv").read_text().strip().splitlines()
     assert lines[0] == "row_policy,col_policy,statistic,p,reject"
     assert len(lines) == 1 + 2  # two ordered pairs
+
+
+def test_paired_tests_read_the_samples_in_seed_order(tiny_scenario, tmp_path):
+    """Student's test of the differences and Pearson's r pair the policies'
+    rollouts of one seed, which share its common random numbers; Welch's
+    and Mann-Whitney's independent-sample tests read the decoupled ones.
+    Policies equal on every seed get a Student row of NaNs."""
+    names = ("exhaustive", "heuristic")
+    # slow service and a cheap queue 2: the heuristic's served flag matters
+    flag = exp_config(lambda1=0.3, lambda2=0.1, serve1=Exponential(1.0),
+                      serve2=Exponential(1.0), c2=0.2)
+    flag.save(tmp_path / "flag.json")
+    for scenario, out in ((str(tmp_path / "flag.json"), tmp_path / "flag"),
+                          (tiny_scenario, tmp_path / "tiny")):
+        assert main(["test", "--scenario", scenario, "--policies", ",".join(names),
+                     "--rollouts", "24", "--horizon", "30", "--seed", "1",
+                     "--out", str(out)]) == 0
+    cfg = load_scenario(str(tmp_path / "flag.json"))
+    paired = sample_performance(cfg, [cli.make_sim_policy(n, cfg, {}) for n in names],
+                                None, 1, 30.0, 24)
+    etas = decouple(paired, 1)
+    stats = {
+        "student.csv": lambda a, b: t_test_one_sample(paired[a] - paired[b], 0.0,
+                                                      alternative="less").statistic,
+        "pearson.csv": lambda a, b: pearson_r(paired[a], paired[b]),
+        "welch.csv": lambda a, b: welch_t_test(etas[a], etas[b], alternative="less").statistic,
+        "mannwhitney.csv": lambda a, b: mann_whitney_u(
+            etas[a], etas[b], alternative="less").details["u_xy"],
+    }
+    for name, stat in stats.items():
+        rows = [line.split(",") for line in (tmp_path / "flag" / name).read_text().splitlines()]
+        assert [row[:3] for row in rows[1:]] == [[names[a], names[b], cli._fmt(stat(a, b))]
+                                                 for a, b in ((0, 1), (1, 0))], name
+    assert pearson_r(*paired) > 0.5 > abs(pearson_r(*etas))
+    # in the tiny scenario the two policies act alike in every rollout
+    student = (tmp_path / "tiny" / "student.csv").read_text().splitlines()[1:]
+    assert student == ["exhaustive,heuristic,nan,nan,False", "heuristic,exhaustive,nan,nan,False"]
+    assert (tmp_path / "tiny" / "pearson.csv").read_text().splitlines()[1:] == [
+        "exhaustive,heuristic,1.0", "heuristic,exhaustive,1.0"]
 
 
 def test_simulate_and_test_write_the_run_files(tiny_scenario, tmp_path):

@@ -261,6 +261,39 @@ def test_long_durations_match_the_uniformised_oracle(f_e, mode):
         assert np.abs(got - uniformised_arrival_probs(gen, f_e, beta)).max() <= 1e-12
 
 
+def _full_triangle_probs(cfg, f_e, beta):
+    """The unassigned lattice as the closed form over the whole triangle
+    a1 + a2 < K, with the cells outside the box dropped afterwards."""
+    from scipy import special
+
+    lam1, lam2 = cfg.lambda1, cfg.lambda2
+    terms = _poisson_terms(f_e, lam1 + lam2)
+    n = np.repeat(np.arange(terms), np.arange(1, terms + 1))
+    a1 = np.arange(n.size) - n * (n + 1) // 2
+    a2 = n - a1
+    w = f_e.poisson_mixture(lam1 + lam2, np.arange(terms), 0.0 if beta is None else beta)
+    mass = w[n] * np.exp(special.gammaln(n + 1.0) - special.gammaln(a1 + 1.0)
+                         - special.gammaln(a2 + 1.0) + special.xlogy(a1, lam1)
+                         + special.xlogy(a2, lam2) - special.xlogy(n, lam1 + lam2))
+    inside = (a1 <= cfg.N1) & (a2 <= cfg.N2)
+    box = lattice(cfg)
+    return np.bincount(box.flatten(a1[inside], a2[inside]), weights=mass[inside],
+                       minlength=box.size)
+
+
+@pytest.mark.parametrize("N1, N2", [(35, 35), (35, 12)])
+def test_unassigned_cells_outside_the_box_are_not_evaluated(N1, N2):
+    """Unassigned truncation evaluates only the cells inside the box, which
+    gives the bits of the whole triangle cut down afterwards; here K is
+    1512, so the triangle holds 30 times the box's cells."""
+    cfg = exp_config(lambda1=1.0, lambda2=1.0, N1=N1, N2=N2, truncation_mode="unassigned")
+    f_e = Exponential(0.04)
+    assert _poisson_terms(f_e, 2.0) == 1512
+    for beta in (None, 0.05):
+        got = expected_arrival_probs(cfg, f_e, beta)
+        assert np.array_equal(got, _full_triangle_probs(cfg, f_e, beta))
+
+
 def test_expected_arrival_probs_zero_duration():
     cfg = exp_config(N1=3, N2=3)
     vec = expected_arrival_probs(cfg, Deterministic(0.0))

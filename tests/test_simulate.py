@@ -315,9 +315,9 @@ def test_sample_performance_seed_blocks_under_a_small_lane_cap(monkeypatch):
     blocks = []
     lockstep = simulate._lockstep
 
-    def spy(cfg, codes, x0, seeds, T):
-        blocks.append((len(codes), list(seeds)))
-        return lockstep(cfg, codes, x0, seeds, T)
+    def spy(cfg, codes, x0, streams, T):
+        blocks.append((len(codes), [stream.base_seed for stream in streams]))
+        return lockstep(cfg, codes, x0, streams, T)
 
     monkeypatch.setattr(simulate, "_LANES", 7)
     monkeypatch.setattr(simulate, "_lockstep", spy)
@@ -622,20 +622,24 @@ def test_arrival_log_needs_no_per_step_sort():
     assert len(costs) == 1
 
 
-@pytest.mark.parametrize("seed", [0, 12_345_678_901, simulate.SeedStream.SEED_LIMIT - 1])
-def test_fresh_state_draws_as_the_stream_generator(seed):
-    """A Philox loaded with `SeedStream.fresh_state` draws what the tag's
-    generator draws, for every tag; at the largest seed the key needs its
-    high word.  The codec reads the loaded state back as the same words."""
-    tags = (*simulate.TAG_LAMBDA, *simulate.TAG_SERVE, *simulate.TAG_SWITCH,
-            simulate.TAG_INIT, simulate.TAG_SHUFFLE)
-    gen = np.random.Generator(np.random.Philox(key=0))
-    for tag in tags:
-        words = simulate.SeedStream(seed).fresh_state(tag)
-        gen.bit_generator.state = simulate._philox_state(words)
-        assert simulate._philox_state_words(gen.bit_generator.state) == words
-        assert np.array_equal(gen.random(9), simulate.SeedStream(seed).generator(tag).random(9))
-        assert (words[5] > 0) == (seed >= 1 << 58)
+_SEED_RANGE_M = 8
+
+
+@pytest.mark.parametrize("seed0", [0, 12_345_678_901,
+                                   simulate.SeedStream.SEED_LIMIT - _SEED_RANGE_M])
+def test_sample_performance_matches_rollout_across_the_seed_range(seed0):
+    """The batch equals the scalar rollouts bit for bit at any seed in
+    `SeedStream`'s range; from seed 2**58 on, the Philox key needs its high
+    word.  A seed outside the range is rejected."""
+    cfg = HEURISTIC_FLAG_CONFIG
+    policies = [HeuristicPolicy(cfg), ExhaustivePolicy()]
+    M, T = _SEED_RANGE_M, 60.0
+    etas = sample_performance(cfg, policies, None, seed0, T, M)
+    for policy, eta in zip(policies, etas):
+        assert np.array_equal(eta, [rollout(cfg, policy, None, seed0 + k, T) for k in range(M)])
+    for seed in (seed0, seed0 + M - 1):
+        state = simulate.SeedStream(seed).generator(simulate.TAG_INIT).bit_generator.state
+        assert (state["state"]["key"][1] > 0) == (seed >= 1 << 58)
     for bad in (-1, simulate.SeedStream.SEED_LIMIT):
         with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\*\*122\)"):
             simulate.SeedStream(bad)
