@@ -14,6 +14,7 @@ from .model import (
     IDLE,
     SERVE,
     SWITCH,
+    DecisionModel,
     ScenarioConfig,
     ScenarioError,
     StabilityReport,
@@ -30,8 +31,8 @@ from .lattice import (
     pool_lattice,
     snapshot_lattice,
 )
-from .smdp import ActionModel, SmdpModel, build_action_model, build_cost_vector, build_smdp
-from .ctmdp import NonPreemptiveModel, build_nonpreemptive
+from .smdp import ActionModel, build_action_model, build_cost_vector, build_smdp
+from .ctmdp import build_nonpreemptive
 from .solver import (
     Policy,
     ValueGraph,

@@ -201,7 +201,10 @@ def _mirror(cfg: ScenarioConfig) -> ScenarioConfig:
 
 
 def truncation_bounds(cycle: LimitCycle, margin: float = 4.0) -> Tuple[int, int]:
-    """Queue bounds covering the cycle with headroom: ceil(margin * extent)."""
+    """Queue bounds covering the cycle with headroom: ceil(margin * extent),
+    at least 1; ``margin`` must be finite and > 0."""
+    if not (math.isfinite(margin) and margin > 0):
+        raise ValueError(f"margin must be finite and > 0, got {margin!r}")
     max1 = max(c[0] for c in cycle.coordinates)
     max2 = max(c[1] for c in cycle.coordinates)
     return (

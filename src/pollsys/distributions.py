@@ -4,7 +4,7 @@ Three families are supported: exponential, gamma (shape/scale) and a
 deterministic point mass, each parameter a finite real number.  All
 times are in the same abstract unit as the arrival rates.  Every
 distribution exposes the handful of functionals the model builders need:
-density, mean, variance, the two discounting moments E[exp(-b*t)] and
+mean, variance, the two discounting moments E[exp(-b*t)] and
 E[t*exp(-b*t)], and the closed-form pmf and tail of the number of
 Poisson events within one duration (the mixed Poisson law: a negative
 binomial for gamma durations, a Poisson for a point mass).  The pmf,
@@ -31,9 +31,6 @@ class DurationDist:
         raise NotImplementedError
 
     def var(self) -> float:
-        raise NotImplementedError
-
-    def pdf(self, t):
         raise NotImplementedError
 
     def discount_factor(self, beta: float) -> float:
@@ -97,10 +94,6 @@ class Exponential(DurationDist):
     def var(self):
         return 1.0 / self.rate**2
 
-    def pdf(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t >= 0, self.rate * np.exp(-self.rate * t), 0.0)
-
     def discount_factor(self, beta):
         return self.rate / (self.rate + beta)
 
@@ -134,24 +127,6 @@ class Gamma(DurationDist):
 
     def var(self):
         return self.shape * self.scale**2
-
-    def pdf(self, t):
-        from scipy import special
-
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        pos = t > 0
-        x = t[pos] / self.scale
-        logp = (
-            (self.shape - 1.0) * np.log(x)
-            - x
-            - special.gammaln(self.shape)
-            - math.log(self.scale)
-        )
-        out[pos] = np.exp(logp)
-        if self.shape == 1.0:
-            out = np.where(t == 0, 1.0 / self.scale, out)
-        return out
 
     def discount_factor(self, beta):
         return (1.0 + beta * self.scale) ** (-self.shape)
@@ -193,9 +168,6 @@ class Deterministic(DurationDist):
 
     def var(self):
         return 0.0
-
-    def pdf(self, t):
-        raise ValueError("point mass has no density; integrate by point evaluation instead")
 
     def discount_factor(self, beta):
         return math.exp(-beta * self.value)

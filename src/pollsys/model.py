@@ -6,10 +6,11 @@ the server is free; the feasible decisions are idle, serve, and switch,
 encoded as the integers 0, 1, 2 so that action codes coincide with the
 server-activity codes.
 
-Every decision model reads its rules here, so the SMDP and the uniformised
-model truncate, charge, serve and idle alike: ``box_rules`` (the holding
-rate, the clip of an arrival at the cap X, the serve test), ``idle_row``
-and ``DecisionModel``, whose ``decision_table`` serves both.
+Every decision model is a ``DecisionModel`` (a scenario, the indexer of
+its states and its state-action graph) and reads its rules here, so the
+SMDP and the uniformised model truncate, charge, serve and idle alike:
+``box_rules`` (the holding rate, the clip of an arrival at the cap X, the
+serve test) and ``idle_row``.
 """
 
 from __future__ import annotations
@@ -273,12 +274,15 @@ def idle_row(cfg: ScenarioConfig):
 class DecisionModel:
     """A decision model of the polling system: its scenario, the indexer of
     its states, whose leading coordinates are (n1, n2, l1), and its
-    state-action graph ``graph`` (:class:`pollsys.solver.ValueGraph`), which
-    every solver reads and each model sets once built."""
+    state-action graph (:class:`pollsys.solver.ValueGraph`) over those
+    states, which every solver reads."""
 
-    def __init__(self, cfg: ScenarioConfig, indexer: StateIndexer):
+    def __init__(self, cfg: ScenarioConfig, indexer: StateIndexer, graph):
+        if graph.n_states != indexer.size:
+            raise ValueError(f"the graph has {graph.n_states} states, the indexer {indexer.size}")
         self.cfg = cfg
         self.indexer = indexer
+        self.graph = graph
         self.n_states = indexer.size
 
     def decision_table(self, actions: np.ndarray) -> np.ndarray:

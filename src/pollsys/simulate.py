@@ -47,7 +47,8 @@ _GAP_BLOCK = 256
 
 
 class QueueOverflowError(RuntimeError):
-    """A queue exceeded the simulator cap; the policy is destabilising."""
+    """A queue exceeded the simulator cap: the policy may be unstable, or the
+    cap box, ten times the model bounds, too small for it."""
 
 
 class SeedStream:
@@ -117,6 +118,15 @@ class RolloutTrace:
 def _caps(cfg: ScenarioConfig) -> tuple:
     """The queue caps of the simulator's box, 10 X1 and 10 X2."""
     return 10 * cfg.X1, 10 * cfg.X2
+
+
+def _overflow(cfg: ScenarioConfig, t: float, n1: int, n2: int, rollout: str = ""):
+    """The QueueOverflowError of a rollout that reached (n1, n2) past the
+    cap box at time t; ``rollout`` names the rollout of a batch."""
+    return QueueOverflowError(
+        f"queue exceeded simulator cap at t={t:.2f}: ({n1},{n2}) vs caps "
+        f"(10*X1, 10*X2) = {_caps(cfg)}{rollout}; the policy may be unstable "
+        f"or the box X1={cfg.X1}, X2={cfg.X2} too small")
 
 
 def _over_cap_box(cfg: ScenarioConfig, rule) -> np.ndarray:
@@ -302,10 +312,7 @@ def _run(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds: SeedStream, T: float
         rec_t.append(t)
         n1, n2, l1 = nxt
         if n1 > cap1 or n2 > cap2:
-            raise QueueOverflowError(
-                f"queue exceeded simulator cap at t={t:.2f}: "
-                f"({n1},{n2}) vs caps ({cap1},{cap2}); policy-induced instability"
-            )
+            raise _overflow(cfg, t, n1, n2)
         t += dt
 
     n1, n2, l1, action = (np.array(v, dtype=np.int32) for v in (rec_n1, rec_n2, rec_l1, rec_a))
@@ -575,11 +582,7 @@ def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, streams, T: float) -> 
         l1 ^= a == SWITCH
         if n1.max() > cap1 or n2.max() > cap2:
             j = int(np.flatnonzero((n1 > cap1) | (n2 > cap2))[0])
-            raise QueueOverflowError(
-                f"queue exceeded simulator cap at t={t[j]:.2f}: "
-                f"({n1[j]},{n2[j]}) vs caps ({cap1},{cap2}) {rollout_of(j)}; "
-                "policy-induced instability"
-            )
+            raise _overflow(cfg, t[j], n1[j], n2[j], f" {rollout_of(j)}")
         t = t + dt
         live = t < T
         if not live.all():

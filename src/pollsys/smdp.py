@@ -13,7 +13,8 @@ clip at the caps share.  A discounted entry carries its own factor (the
 discount over the event's duration, given the arrivals in it), and
 ``build_smdp`` stacks the three action models into the solvers'
 state-action graph (:func:`pollsys.solver.stack_actions`), whose nodes hold
-per-entry discounted probabilities.
+per-entry discounted probabilities, and returns it as a
+:class:`pollsys.model.DecisionModel` over (n1, n2, l1).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .model import (
     idle_row,
     triple_indexer,
 )
-from .solver import ValueGraph, csr_rows, stack_actions
+from .solver import csr_rows, stack_actions
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -48,19 +49,10 @@ EVENT_BY_ACTION = {SERVE: ("serve1", "serve2"), SWITCH: ("switch12", "switch21")
 class ActionModel:
     """Sparse transition rows, discounted rows and costs for one action."""
 
-    action: int
     P: sparse.csr_matrix
     P_beta: sparse.csr_matrix
     C: np.ndarray
     feasible_mask: np.ndarray  # rows where the action may be chosen
-
-
-class SmdpModel(DecisionModel):
-    """The embedded decision model as one state-action graph over (n1, n2, l1)."""
-
-    def __init__(self, cfg: ScenarioConfig, graph: ValueGraph):
-        super().__init__(cfg, triple_indexer(cfg))
-        self.graph = graph
 
 
 def build_cost_vector(cfg: ScenarioConfig, summaries: Dict[str, ArrivalSummary],
@@ -196,16 +188,17 @@ def build_action_model(cfg: ScenarioConfig, summaries: Dict[str, ArrivalSummary]
     P = sparse.csr_matrix((pvals, cols, indptr), shape=(n_states, n_states))
     # shares P's int32 index arrays rather than converting cols and indptr again
     P_beta = sparse.csr_matrix((pbvals, P.indices, P.indptr), shape=(n_states, n_states))
-    return ActionModel(action=action, P=P, P_beta=P_beta, C=C, feasible_mask=feasible_mask)
+    return ActionModel(P=P, P_beta=P_beta, C=C, feasible_mask=feasible_mask)
 
 
 def build_smdp(cfg: ScenarioConfig,
-               summaries: Optional[Dict[str, ArrivalSummary]] = None) -> SmdpModel:
+               summaries: Optional[Dict[str, ArrivalSummary]] = None) -> DecisionModel:
     """Build the embedded decision model of a scenario as one state-action
     graph, whose nodes at each state are its feasible actions in the order
     idle < serve < switch."""
     if summaries is None:
         summaries = build_arrival_summaries(cfg)
     models = [build_action_model(cfg, summaries, a) for a in ACTIONS]
-    return SmdpModel(cfg, stack_actions([(m.feasible_mask, m.C, m.P.indptr, m.P.indices,
-                                          m.P.data, m.P_beta.data) for m in models]))
+    return DecisionModel(cfg, triple_indexer(cfg),
+                         stack_actions([(m.feasible_mask, m.C, m.P.indptr, m.P.indices,
+                                         m.P.data, m.P_beta.data) for m in models]))

@@ -17,9 +17,9 @@ from pollsys import (
     holding_cost_existing,
 )
 from pollsys import solver
-from pollsys.ctmdp import _action, _UniformisedModel
+from pollsys.ctmdp import _action, uniformisation
 from pollsys.lattice import _poisson_terms
-from pollsys.model import EVENTS, box_rules, triple_indexer
+from pollsys.model import EVENTS, DecisionModel, box_rules, triple_indexer
 from pollsys.simulate import _costs
 from pollsys.solver import ValueGraph, _policy_nodes, policy_improve, stack_actions
 
@@ -62,6 +62,16 @@ def exp_config(**kw):
     )
     base.update(kw)
     return ScenarioConfig(**base)
+
+
+def scipy_pdf(dist):
+    """The density of an exponential or gamma duration from ``scipy.stats``,
+    independent of the code under test: the quadrature oracles' weight."""
+    from scipy import stats
+
+    if isinstance(dist, Exponential):
+        return stats.expon(scale=1.0 / dist.rate).pdf
+    return stats.gamma(dist.shape, scale=dist.scale).pdf
 
 
 @dataclass(frozen=True)
@@ -233,43 +243,38 @@ def oracle_summaries(cfg: ScenarioConfig) -> dict:
     return out
 
 
-class PreemptiveModel(_UniformisedModel):
+def build_preemptive(cfg: ScenarioConfig) -> DecisionModel:
     """Uniformised model over (n1, n2, l1); every state is a decision state.
 
     A state-action graph without dynamics states: each action's row holds
     the two arrivals, the event's completion and a self-loop.
     """
+    rates, g, alpha = uniformisation(cfg)
+    lam1, lam2 = cfg.arrival_rates
+    indexer = triple_indexer(cfg)
+    n = indexer.size
+    (_, _, l1), held, (arr1, arr2), busy = box_rules(cfg, indexer)
+    x = np.arange(n)
+    s_n1, s_n2, s_l1 = indexer.strides
+    p1, p2 = np.full(n, lam1 / g), np.full(n, lam2 / g)
 
-    def __init__(self, cfg: ScenarioConfig):
-        super().__init__(cfg, triple_indexer(cfg))
-        lam1, lam2 = cfg.arrival_rates
-        g, n = self.gamma, self.n_states
-        (_, _, l1), held, (arr1, arr2), busy = box_rules(cfg, self.indexer)
-        x = np.arange(n)
-        s_n1, s_n2, s_l1 = self.indexer.strides
-        p1, p2 = np.full(n, lam1 / g), np.full(n, lam2 / g)
+    def stay(rate):
+        return 1.0 - (rate + lam1 + lam2) / g
 
-        def stay(rate):
-            return 1.0 - (rate + lam1 + lam2) / g
-
-        serve_rate, switch_rate = self.rates[l1], self.rates[2 + l1]
-        served = x - np.where(l1 == 0, s_n1, s_n2) * busy
-        switched = x + np.where(l1 == 0, s_l1, -s_l1)
-        ones = np.ones(n, dtype=bool)
-        cost, disc = held / (self.gamma + cfg.beta), np.full(n, self.alpha)
-        # entries: arrival 1, arrival 2, completion, stay
-        self.graph = stack_actions([
-            _action(ones, cost, np.stack([arr1, arr2, x, x], axis=1),
-                    np.stack([p1, p2, np.full(n, stay(0.0)), np.zeros(n)], axis=1), disc),
-            _action(busy, cost, np.stack([arr1, arr2, served, x], axis=1),
-                    np.stack([p1, p2, serve_rate / g, stay(serve_rate)], axis=1), disc),
-            _action(ones, cost, np.stack([arr1, arr2, switched, x], axis=1),
-                    np.stack([p1, p2, switch_rate / g, stay(switch_rate)], axis=1), disc),
-        ])
-
-
-def build_preemptive(cfg: ScenarioConfig) -> PreemptiveModel:
-    return PreemptiveModel(cfg)
+    serve_rate, switch_rate = rates[l1], rates[2 + l1]
+    served = x - np.where(l1 == 0, s_n1, s_n2) * busy
+    switched = x + np.where(l1 == 0, s_l1, -s_l1)
+    ones = np.ones(n, dtype=bool)
+    cost, disc = held / (g + cfg.beta), np.full(n, alpha)
+    # entries: arrival 1, arrival 2, completion, stay
+    return DecisionModel(cfg, indexer, stack_actions([
+        _action(ones, cost, np.stack([arr1, arr2, x, x], axis=1),
+                np.stack([p1, p2, np.full(n, stay(0.0)), np.zeros(n)], axis=1), disc),
+        _action(busy, cost, np.stack([arr1, arr2, served, x], axis=1),
+                np.stack([p1, p2, serve_rate / g, stay(serve_rate)], axis=1), disc),
+        _action(ones, cost, np.stack([arr1, arr2, switched, x], axis=1),
+                np.stack([p1, p2, switch_rate / g, stay(switch_rate)], axis=1), disc),
+    ]))
 
 
 def assemble_policy_matrix(model, actions, discounted: bool = True):

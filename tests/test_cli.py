@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import os
 import re
@@ -82,6 +83,13 @@ def test_screen_rejects_unstable(tmp_path, capsys):
         main(["screen", "--scenario", str(path)])
 
 
+@pytest.mark.parametrize("margin", ["nan", "inf", "0", "-1"])
+def test_screen_rejects_a_margin_not_finite_and_positive(margin):
+    with pytest.raises(StageError, match=r"^\[screen\] margin must be finite and > 0, got "
+                                         rf"{float(margin)!r}$"):
+        main(["screen", "--scenario", "slow_mode", "--margin", margin])
+
+
 def test_solve_command_smdp(tiny_scenario, tmp_path, capsys):
     out = tmp_path / "solved"
     rc = main(["solve", "--scenario", tiny_scenario, "--model", "smdp",
@@ -124,7 +132,7 @@ def test_solve_command_prints_value_iteration_bound(tmp_path, capsys, monkeypatc
 
 
 def test_screen_and_ctmdp_solve_load_no_special_or_linalg(tmp_path):
-    """screen imports no scipy.sparse, and the CTMDP solve never imports
+    """screen imports no scipy module, and the CTMDP solve never imports
     scipy.special, scipy.linalg or scipy.sparse.linalg; the SMDP solve,
     which does, then writes the tables of an in-process solve.  The test
     modules import scipy.stats, so the check runs in a fresh interpreter."""
@@ -139,7 +147,7 @@ def loaded(*heavy):
 
 plan = {plan!r}
 cli.main(["screen", *plan])
-loaded("scipy.sparse")
+loaded("scipy")
 cli.main(["solve", *plan, "--model", "ctmdp", "--out", {str(tmp_path / "ctmdp")!r}])
 loaded("scipy.special", "scipy.linalg", "scipy.sparse.linalg")
 cli.main(["solve", *plan, "--model", "smdp", "--out", {str(tmp_path / "fresh")!r}])
@@ -232,6 +240,37 @@ def test_paired_tests_read_the_samples_in_seed_order(tiny_scenario, tmp_path):
     assert student == ["exhaustive,heuristic,nan,nan,False", "heuristic,exhaustive,nan,nan,False"]
     assert (tmp_path / "tiny" / "pearson.csv").read_text().splitlines()[1:] == [
         "exhaustive,heuristic,1.0", "heuristic,exhaustive,1.0"]
+
+
+def test_paired_tests_of_policies_that_differ(tiny_scenario, tmp_path):
+    """With switching costs the SMDP's table leaves the exhaustive rule's on
+    the tiny scenario: each pair of policies whose samples differ gets a
+    finite Student t and p and a Pearson r strictly inside (-1, 1), and each
+    equal pair keeps the Student row of NaNs that does not reject."""
+    names = ["smdp", "ctmdp", "exhaustive", "heuristic"]
+    cfg = replace(load_scenario(tiny_scenario), K12=2.0, K21=2.0)
+    cfg.save(tmp_path / "costly.json")
+    assert main(["run", "--scenario", str(tmp_path / "costly.json"),
+                 "--policies", ",".join(names), "--rollouts", "24", "--horizon", "30",
+                 "--seed", "1", "--occupancy-horizon", "2000",
+                 "--out", str(tmp_path / "out")]) == 0
+    tables, _ = solve_policies(cfg, ["smdp", "ctmdp"])
+    paired = sample_performance(cfg, [cli.make_sim_policy(n, cfg, tables) for n in names],
+                                None, 1, 30.0, 24)
+    rows = {name: {tuple(line.split(",")[:2]): line.split(",")[2:]
+                   for line in (tmp_path / "out" / name).read_text().splitlines()[1:]}
+            for name in ("student.csv", "pearson.csv")}
+    differing = 0
+    for a, b in itertools.permutations(range(len(names)), 2):
+        pair = (names[a], names[b])
+        t, p, reject = rows["student.csv"][pair]
+        if np.array_equal(paired[a], paired[b]):
+            assert [t, p, reject] == ["nan", "nan", "False"], pair
+            continue
+        differing += 1
+        assert np.isfinite(float(t)) and 0.0 <= float(p) <= 1.0, pair
+        assert -1.0 < float(rows["pearson.csv"][pair][0]) < 1.0, pair
+    assert differing == 6  # smdp against each of the other three, both ways
 
 
 def test_simulate_and_test_write_the_run_files(tiny_scenario, tmp_path):

@@ -14,7 +14,8 @@ from pollsys import (
     policy_iteration,
 )
 from pollsys.cli import load_scenario
-from pollsys.ctmdp import ModelError
+from pollsys.ctmdp import ModelError, uniformisation
+from pollsys.model import idle_row
 
 from conftest import PollingState, build_preemptive, exp_config, feasible_actions, slow_mode_config
 
@@ -31,13 +32,16 @@ def slow_exp_config(**kw):
 
 
 def test_preemptive_rates_and_discount():
-    model = build_preemptive(slow_exp_config())
-    assert model.gamma == pytest.approx(11.9)
-    assert model.alpha == pytest.approx(11.9 / 11.95)
-    assert model.alpha == pytest.approx(0.995816, abs=1e-6)
+    rates, gamma, alpha = uniformisation(slow_exp_config())
+    assert rates.tolist() == [10.0, 2.0, 0.5, 1 / 3]
+    assert gamma == pytest.approx(11.9)
+    assert alpha == pytest.approx(11.9 / 11.95)
+    assert alpha == pytest.approx(0.995816, abs=1e-6)
 
 
 def test_preemptive_rejects_non_exponential():
+    with pytest.raises(ModelError, match="got Gamma"):
+        uniformisation(slow_mode_config())
     with pytest.raises(ModelError):
         build_preemptive(slow_mode_config())
     with pytest.raises(ModelError):
@@ -54,7 +58,7 @@ def test_preemptive_idle_row():
     assert row[idx.flatten(1, 2, 0)] == pytest.approx(0.4 / 11.9)
     assert row[x] == pytest.approx(1 - 1.9 / 11.9)
     assert sum(row.values()) == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(disc, model.alpha * plain)
+    assert np.allclose(disc, uniformisation(model.cfg)[2] * plain)
 
 
 def test_preemptive_serve_row():
@@ -152,9 +156,10 @@ def test_nonpreemptive_reachability_structure():
 
 def test_discount_values_limited():
     # a row's discount is the ratio of its discounted to its plain entries
-    model = build_nonpreemptive(slow_exp_config())
-    graph = model.graph
-    allowed = (1.0, model.alpha, model.alpha_idle)
+    cfg = slow_exp_config()
+    graph = build_nonpreemptive(cfg).graph
+    _, _, alpha = uniformisation(cfg)
+    allowed = (1.0, alpha, idle_row(cfg)[1])
     for x in np.flatnonzero(graph.decision_mask):
         for a in graph.q_action[graph.q_state == x]:
             _, plain, disc, _ = graph.row(x, a)
@@ -162,7 +167,7 @@ def test_discount_values_limited():
                 assert min(abs(d - v) for v in allowed) < 1e-15
     for x in np.flatnonzero(~graph.decision_mask):
         _, plain, disc, _ = graph.row(x)
-        assert disc / plain == pytest.approx(model.alpha)
+        assert disc / plain == pytest.approx(alpha)
 
 
 def test_value_graph_counts():
@@ -196,14 +201,6 @@ def test_value_graph_probabilities_sum_to_one():
     for i in range(graph.n_nodes):
         lo, hi = graph.q_indptr[i], graph.q_indptr[i + 1]
         assert graph.q_probs[lo:hi].sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_preemptive_and_nonpreemptive_share_rates():
-    cfg = slow_exp_config()
-    pre = build_preemptive(cfg)
-    npm = build_nonpreemptive(cfg)
-    assert pre.gamma == npm.gamma
-    assert pre.alpha == npm.alpha
 
 
 @pytest.mark.parametrize("truncation", ["absorbing", "unassigned"])

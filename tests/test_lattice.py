@@ -23,6 +23,7 @@ from conftest import (
     build_generator,
     exp_config,
     oracle_summaries,
+    scipy_pdf,
     slow_mode_config,
     uniformised_arrival_probs,
 )
@@ -368,7 +369,8 @@ def quad_arrival_cost(f_e, weight, beta):
 
     if isinstance(f_e, Deterministic):
         return inner(f_e.value)
-    val, _ = integrate.quad(lambda t: float(f_e.pdf(t)) * inner(t), 0, np.inf, limit=300)
+    pdf = scipy_pdf(f_e)
+    val, _ = integrate.quad(lambda t: pdf(t) * inner(t), 0, np.inf, limit=300)
     return val
 
 

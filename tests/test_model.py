@@ -10,16 +10,26 @@ from pollsys import (
     IDLE,
     SERVE,
     SWITCH,
+    DecisionModel,
     Exponential,
     ScenarioConfig,
     ScenarioError,
     StateIndexer,
     Truncation,
+    build_nonpreemptive,
+    build_smdp,
     validate_scenario,
 )
 from pollsys.cli import load_scenario
+from pollsys.model import quad_indexer, triple_indexer
 
-from conftest import PollingState, asym_var_config, feasible_actions, slow_mode_config
+from conftest import (
+    PollingState,
+    asym_var_config,
+    exp_config,
+    feasible_actions,
+    slow_mode_config,
+)
 
 
 def test_flatten_zero_and_hand_value():
@@ -170,3 +180,19 @@ def test_exponentialised_config_keeps_means():
     assert isinstance(exp_cfg.serve1, Exponential)
     assert exp_cfg.serve1.mean() == pytest.approx(cfg.serve1.mean())
     assert exp_cfg.switch21.mean() == pytest.approx(cfg.switch21.mean())
+
+
+def test_both_builders_return_a_decision_model_over_their_indexer():
+    cfg = exp_config(X1=3, X2=2, N1=3, N2=2)
+    for model, indexer in ((build_smdp(cfg), triple_indexer(cfg)),
+                           (build_nonpreemptive(cfg), quad_indexer(cfg))):
+        assert type(model) is DecisionModel and model.cfg is cfg
+        assert model.indexer.dims == indexer.dims
+        assert model.n_states == model.graph.n_states == indexer.size
+
+
+def test_decision_model_rejects_a_graph_of_another_size():
+    cfg = exp_config(X1=3, X2=2, N1=3, N2=2)
+    graph = build_smdp(cfg).graph
+    with pytest.raises(ValueError, match="^the graph has 24 states, the indexer 72$"):
+        DecisionModel(cfg, quad_indexer(cfg), graph)

@@ -32,7 +32,7 @@ from pollsys import (
 )
 from pollsys import simulate
 from pollsys.baselines import LimitCycle
-from pollsys.cli import solve_policies
+from pollsys.cli import load_scenario, solve_policies
 from pollsys.model import triple_indexer, validate_scenario
 from pollsys.simulate import RolloutTrace
 
@@ -415,6 +415,25 @@ def test_sample_performance_overflow_names_the_policy():
     assert 40 <= seed < 46
     with pytest.raises(QueueOverflowError):
         rollout(cfg, idle, None, seed, T)
+
+
+@pytest.mark.parametrize("scenario", ["slow_mode", "asym_var"])
+def test_overflow_at_bounds_1_names_the_cap_rule(scenario):
+    """At X = 1 the stable exhaustive rule overflows the 10 X cap: the error
+    gives the cap rule and its values and does not call the policy unstable;
+    the scalar rollout of the seed the batch names raises the same error."""
+    cfg = load_scenario(scenario, {"X1": 1, "X2": 1})
+    exhaustive = ExhaustivePolicy()
+    with pytest.raises(QueueOverflowError, match=r"policy 0 with seed (\d+)") as info:
+        sample_performance(cfg, [exhaustive], None, 0, 200.0, 2000)
+    batch = str(info.value)
+    tail = ("vs caps (10*X1, 10*X2) = (10, 10) in the rollout of policy 0 with seed {}; "
+            "the policy may be unstable or the box X1=1, X2=1 too small")
+    seed = int(re.search(r"seed (\d+)", batch).group(1))
+    assert batch.endswith(tail.format(seed))
+    with pytest.raises(QueueOverflowError) as info:
+        rollout(cfg, exhaustive, None, seed, 200.0)
+    assert str(info.value) == batch.replace(f" in the rollout of policy 0 with seed {seed}", "")
 
 
 def test_sample_performance_rejects_empty_serve_and_undefined_entries():
