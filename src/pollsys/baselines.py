@@ -110,107 +110,68 @@ def heuristic_actions(cfg: ScenarioConfig, n1, n2, l1, served):
     return np.where(l1 == 0, at_queue1, at_queue2)
 
 
-def _swap(pair):
-    return (pair[1], pair[0])
-
-
 def analyze_limit_cycle(cfg: ScenarioConfig) -> LimitCycle:
     """Classify the optimal fluid cycle and compute its corner coordinates.
 
-    A slow mode (idling at the priority queue before switching) exists only
-    when c1 l1 rho - (c1 l1 - c2 l2)(1 - rho2) < 0 with queue 1 as the
-    priority queue; symmetric scenarios always yield a pure bow-tie.  When a
-    queue-2 priority is detected the queues are relabelled internally and
-    the coordinates mirrored back.  One zero arrival rate raises ScenarioError.
+    The cycle is worked out in the priority queue's frame: queue ``p``
+    (0-based) is the priority queue, queue 2 when `validate_scenario` names
+    it and queue 1 otherwise, and ``q`` the other.  A slow mode (idling at
+    the priority queue before switching) exists only when
+    c_p l_p rho - (c_p l_p - c_q l_q)(1 - rho_q) < 0; symmetric scenarios
+    always yield a pure bow-tie.  One zero arrival rate raises ScenarioError.
     """
     report = validate_scenario(cfg)
     if (cfg.lambda1 == 0) != (cfg.lambda2 == 0):
         zero = "lambda1" if cfg.lambda1 == 0 else "lambda2"
         raise ScenarioError(f"{zero} is 0 beside a positive arrival rate: no fluid limit cycle")
-    if report.priority_queue == 2:
-        mirrored = analyze_limit_cycle(_mirror(cfg))
-        return LimitCycle(
-            c1=_swap(mirrored.c1),
-            c2=_swap(mirrored.c2),
-            c3=_swap(mirrored.c3),
-            c4=_swap(mirrored.c4),
-            c5=_swap(mirrored.c5),
-            alpha1=mirrored.alpha1,
-            kind=mirrored.kind,
-            slow_mode_value=mirrored.slow_mode_value,
-            priority_queue=2,
-        )
+    p, q = (1, 0) if report.priority_queue == 2 else (0, 1)
 
-    lam1, lam2 = cfg.lambda1, cfg.lambda2
-    c1r, c2r = cfg.c1, cfg.c2
-    rho1, rho2, rho = report.rho1, report.rho2, report.rho
-    t12 = cfg.switch12.mean()
-    t21 = cfg.switch21.mean()
-    ts = t12 + t21
+    def frame(pair):
+        """(queue p's, queue q's) of a per-queue pair; its own inverse, it
+        also reads a corner (x_p, x_q) back as (x1, x2)."""
+        return pair[p], pair[q]
 
-    w1, w2 = c1r * lam1, c2r * lam2
-    slow_value = w1 * rho - (w1 - w2) * (1.0 - rho2)
-    has_priority = w1 > w2
-    if has_priority and slow_value < 0:
-        a = w1 * rho2**2 * (1.0 - rho1) + w2 * (1.0 - rho1) ** 2 * (1.0 - rho2)
-        b = 2.0 * w1 * rho2**2 + 2.0 * w2 * (1.0 - rho1) * (1.0 - rho2)
-        c = slow_value
-        disc = b * b - 4.0 * a * c
-        roots = [(-b + sgn * math.sqrt(max(disc, 0.0))) / (2.0 * a) for sgn in (1.0, -1.0)]
-        positive = [r for r in roots if r > 0]
-        if not positive:
-            raise ValueError("no positive root for the idle fraction alpha1")
-        alpha1 = positive[0]
+    lam_p, lam_q = frame(cfg.arrival_rates)
+    w_p, w_q = frame((cfg.c1 * cfg.lambda1, cfg.c2 * cfg.lambda2))
+    rho_p, rho_q = frame((report.rho1, report.rho2))
+    t_pq, t_qp = frame([d.mean() for d in cfg.switch_dists])  # switch leaving p, leaving q
+    rho, ts = report.rho, t_pq + t_qp
+
+    slow_value = w_p * rho - (w_p - w_q) * (1.0 - rho_q)
+    if w_p > w_q and slow_value < 0:
+        a = w_p * rho_q**2 * (1.0 - rho_p) + w_q * (1.0 - rho_p) ** 2 * (1.0 - rho_q)
+        b = 2.0 * w_p * rho_q**2 + 2.0 * w_q * (1.0 - rho_p) * (1.0 - rho_q)
+        # c = slow_value < 0 < a: the roots of a x^2 + b x + c have opposite
+        # signs, and the larger one is the idle fraction (0.0 when 4ac is
+        # lost in b^2's last bit)
+        alpha1 = (-b + math.sqrt(b * b - 4.0 * a * slow_value)) / (2.0 * a)
         kind = CycleKind.TRUNCATED_BOW_TIE
     else:
         alpha1 = 0.0
         kind = CycleKind.PURE_BOW_TIE
 
     one = 1.0 - rho
-    c1_ = (0.0, lam2 * (t21 + rho1 * ts * (1.0 + alpha1 * rho2) / one))
-    c2_ = (0.0, lam2 * (t21 + ts * (alpha1 * (1.0 - rho1) * (1.0 - rho2) + rho1) / one))
-    c3_ = (lam1 * t12, lam2 * ts * (1.0 + alpha1 * (1.0 - rho1)) * (1.0 - rho2) / one)
-    c4_ = (lam1 * (t12 + rho2 * ts * (1.0 + alpha1 * (1.0 - rho1)) / one), 0.0)
-    c5_ = (lam1 * ts * (1.0 + alpha1 * rho2) * (1.0 - rho2) / one, lam2 * t21)
-    return LimitCycle(
-        c1=c1_, c2=c2_, c3=c3_, c4=c4_, c5=c5_,
-        alpha1=alpha1, kind=kind, slow_mode_value=slow_value, priority_queue=1,
+    corners = (
+        (0.0, lam_q * (t_qp + rho_p * ts * (1.0 + alpha1 * rho_q) / one)),
+        (0.0, lam_q * (t_qp + ts * (alpha1 * (1.0 - rho_p) * (1.0 - rho_q) + rho_p) / one)),
+        (lam_p * t_pq, lam_q * ts * (1.0 + alpha1 * (1.0 - rho_p)) * (1.0 - rho_q) / one),
+        (lam_p * (t_pq + rho_q * ts * (1.0 + alpha1 * (1.0 - rho_p)) / one), 0.0),
+        (lam_p * ts * (1.0 + alpha1 * rho_q) * (1.0 - rho_q) / one, lam_q * t_qp),
     )
-
-
-def _mirror(cfg: ScenarioConfig) -> ScenarioConfig:
-    from dataclasses import replace
-
-    return replace(
-        cfg,
-        lambda1=cfg.lambda2,
-        lambda2=cfg.lambda1,
-        serve1=cfg.serve2,
-        serve2=cfg.serve1,
-        switch12=cfg.switch21,
-        switch21=cfg.switch12,
-        c1=cfg.c2,
-        c2=cfg.c1,
-        K12=cfg.K21,
-        K21=cfg.K12,
-        X1=cfg.X2,
-        X2=cfg.X1,
-        N1=cfg.N2,
-        N2=cfg.N1,
-    )
+    return LimitCycle(*map(frame, corners), alpha1=alpha1, kind=kind,
+                      slow_mode_value=slow_value, priority_queue=p + 1)
 
 
 def truncation_bounds(cycle: LimitCycle, margin: float = 4.0) -> Tuple[int, int]:
     """Queue bounds covering the cycle with headroom: ceil(margin * extent),
-    at least 1; ``margin`` must be finite and > 0."""
+    at least 1; ``margin`` must be finite and > 0, and its product with
+    each queue's extent finite."""
     if not (math.isfinite(margin) and margin > 0):
         raise ValueError(f"margin must be finite and > 0, got {margin!r}")
-    max1 = max(c[0] for c in cycle.coordinates)
-    max2 = max(c[1] for c in cycle.coordinates)
-    return (
-        max(int(math.ceil(margin * max1)), 1),
-        max(int(math.ceil(margin * max2)), 1),
-    )
+    spans = [margin * max(corner[i] for corner in cycle.coordinates) for i in (0, 1)]
+    if not all(map(math.isfinite, spans)):
+        raise ValueError(f"margin {margin!r} times the cycle's extent is not finite")
+    return tuple(max(math.ceil(span), 1) for span in spans)
 
 
 def limit_cycle_report(cycle: LimitCycle, margin: float = 4.0) -> dict:
@@ -221,11 +182,6 @@ def limit_cycle_report(cycle: LimitCycle, margin: float = 4.0) -> dict:
         "alpha1": cycle.alpha1,
         "slow_mode_value": cycle.slow_mode_value,
         "priority_queue": cycle.priority_queue,
-        "C1": list(cycle.c1),
-        "C2": list(cycle.c2),
-        "C3": list(cycle.c3),
-        "C4": list(cycle.c4),
-        "C5": list(cycle.c5),
-        "recommended_X1": bounds[0],
-        "recommended_X2": bounds[1],
+        **{f"C{i}": list(corner) for i, corner in enumerate(cycle.coordinates, 1)},
+        **{f"recommended_X{i}": bound for i, bound in enumerate(bounds, 1)},
     }

@@ -363,13 +363,19 @@ def _test(plan: ExperimentPlan, etas, paired) -> list:
 
 
 def run_experiment(plan: ExperimentPlan) -> dict:
-    """Screen, solve, simulate, test and report; returns the summary dict."""
+    """Screen, solve, simulate, test and report; returns the summary dict.
+    A scenario without arrivals fails the plan stage before any file: its
+    occupancy trace would idle for ever."""
     summary = {"plan": {
         "scenario": plan.scenario, "policies": list(plan.policies),
         "rollouts": plan.rollouts, "horizon": plan.horizon, "seed": plan.seed,
         "zeta": plan.zeta,
     }}
     cfg = _load(plan)
+    with _stage("plan"):
+        if not any(cfg.arrival_rates):
+            raise ValueError("lambda1 = lambda2 = 0: the occupancy stage needs an arrival "
+                             "to end an idle step")
     with _stage("screen"):
         summary["screening"] = stage_screen(cfg)
     os.makedirs(plan.out_dir, exist_ok=True)

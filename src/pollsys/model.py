@@ -224,12 +224,7 @@ def validate_scenario(cfg: ScenarioConfig) -> StabilityReport:
             f"unstable scenario: rho = {rho1:.4f} + {rho2:.4f} = {rho:.4f} >= 1"
         )
     w1, w2 = cfg.c1 * cfg.lambda1, cfg.c2 * cfg.lambda2
-    if w1 > w2:
-        priority = 1
-    elif w2 > w1:
-        priority = 2
-    else:
-        priority = None
+    priority = 1 if w1 > w2 else 2 if w2 > w1 else None
     return StabilityReport(rho1=rho1, rho2=rho2, rho=rho, priority_queue=priority)
 
 

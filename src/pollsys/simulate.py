@@ -10,19 +10,19 @@ event samples, which is what makes paired performance comparisons fair.
 `sample_performance` steps the rollouts of all its policies together as
 arrays and gives the same values bit for bit.  Each rule the two paths share
 has one home: `SeedStream` keys the substreams and makes their generators,
-`_durations` lists the duration ones, `_caps` bounds the box over which a
-policy is one flat code table (`_action_codes`), and `_costs` charges the
-logged steps, with every exponential one ``np.exp`` over the log.  Both
-draw each substream in blocks, which Philox returns exactly as the same
-number of single draws, and log the arrivals flat, one (step, class, time)
-entry each, in no set order within a step; a trace's per-step
-``arrivals`` are built from that log when first read.
+`_durations` and `_gaps` list the duration and inter-arrival ones (a
+class without arrivals draws endless gaps), `_caps` bounds the box over
+which a policy is one flat code table (`_action_codes`), and `_costs`
+charges the logged steps, with every exponential one ``np.exp`` over the
+log.  Both draw each substream in blocks, which Philox returns exactly as
+the same number of single draws, and log the arrivals flat, one (step,
+class, time) entry each, in no set order within a step; a trace's
+per-step ``arrivals`` are built from that log when first read.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -228,6 +228,19 @@ def _durations(cfg: ScenarioConfig):
     return TAG_SERVE + TAG_SWITCH, cfg.serve_dists + cfg.switch_dists
 
 
+class _Endless:
+    """The gaps of a class without arrivals: every one +inf."""
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return np.full(size, math.inf)
+
+
+def _gaps(cfg: ScenarioConfig):
+    """Tags and distributions of the inter-arrival substreams, class ``c``'s
+    at index ``c``; a class without arrivals draws endless gaps."""
+    return TAG_LAMBDA, [Exponential(lam) if lam > 0 else _Endless() for lam in cfg.arrival_rates]
+
+
 def _draws(dist, gen: np.random.Generator, block: int):
     """The values of ``dist`` drawn from ``gen`` in order, one at a time;
     drawn ``block`` at a time, which gives Philox's single draws exactly."""
@@ -243,8 +256,8 @@ def _run(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds: SeedStream, T: float
     ``a == SERVE`` at queue 2, the action is ``codes[served s0 + n1 s1 + n2
     s2 + l1]`` with the strides of `_strides`, and an error code raises its
     `_ERRORS` message.  Each substream of ``seeds`` is read through a
-    `_draws` iterator, the durations in `_durations`' order; a class
-    without arrivals reads an endless gap, so without arrivals an idle step
+    `_draws` iterator, in `_durations`' and `_gaps`' order; a class
+    without arrivals reads endless gaps, so without arrivals an idle step
     lasts for ever and ends the rollout, charged as `_costs` charges it.
     A busy step sums each class's gaps from 0 until one overshoots its
     length, which is consumed, and appends every arrival to one flat log
@@ -254,9 +267,7 @@ def _run(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds: SeedStream, T: float
     """
     cap1, cap2 = _caps(cfg)
     s0, s1, s2, _ = _strides(cfg)
-    gap1, gap2 = [_draws(Exponential(lam), seeds.generator(tag), _GAP_BLOCK) if lam > 0
-                  else itertools.repeat(math.inf)
-                  for lam, tag in zip(cfg.arrival_rates, TAG_LAMBDA)]
+    gap1, gap2 = [_draws(dist, seeds.generator(tag), _GAP_BLOCK) for tag, dist in zip(*_gaps(cfg))]
     durations = [_draws(dist, seeds.generator(tag), _DURATION_BLOCK)
                  for tag, dist in zip(*_durations(cfg))]
 
@@ -521,12 +532,10 @@ def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, streams, T: float) -> 
     L = P * B
     table = codes.reshape(-1)
     offset = np.repeat(np.arange(P) * codes.shape[1], B)
-    lam = cfg.arrival_rates
     cap1, cap2 = _caps(cfg)
     durations = _Blocks(streams, *_durations(cfg), L, _DURATION_BLOCK)
-    classes = np.array([c for c in (0, 1) if lam[c] > 0], dtype=int)
-    gaps = _Blocks(streams, [TAG_LAMBDA[c] for c in classes],
-                   [Exponential(lam[c]) for c in classes], L, _GAP_BLOCK)
+    gaps = _Blocks(streams, *_gaps(cfg), L, _GAP_BLOCK)
+    by_class = np.array([[0], [L]])  # + j: class c of lane j at c * L + j
     strides = np.array(_strides(cfg))
 
     def rollout_of(j):
@@ -554,23 +563,20 @@ def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, streams, T: float) -> 
         dt = np.empty(m)
         arrived = np.zeros((2, m), dtype=int)
         if rest.size:
-            first = np.full((2, rest.size), np.inf)
-            first[classes] = gaps.take((classes[:, None] * L + k[rest]).reshape(-1)).reshape(
-                len(classes), rest.size)
+            first = gaps.take((by_class + k[rest]).reshape(-1)).reshape(2, rest.size)
             dt[rest] = np.minimum(first[0], first[1])
             second = first[1] < first[0]  # class 0 wins a tie
-            arrived[0, rest] = ~second if classes.size else 0  # without arrivals none ends it
+            arrived[0, rest] = ~second & (dt[rest] < np.inf)  # without arrivals none ends it
             arrived[1, rest] = second
         event, when, cls = np.empty(0, dtype=int), np.empty(0), np.empty(0, dtype=int)
         if busy.size:
             stream = (a[busy] - SERVE) * 2 + l1[busy]  # serve at 0/1, then switch from 0/1
             dt[busy] = durations.take(stream * L + k[busy])
-        if busy.size and classes.size:
-            rows = (classes[:, None] * L + k[busy]).reshape(-1)
-            where, when, count = _arrivals(gaps, rows, np.concatenate([dt[busy]] * len(classes)))
-            arrived[classes[:, None], busy] = count.reshape(len(classes), busy.size)
+            rows = (by_class + k[busy]).reshape(-1)
+            where, when, count = _arrivals(gaps, rows, np.concatenate([dt[busy]] * 2))
+            arrived[:, busy] = count.reshape(2, busy.size)
             event = logged + busy[where % busy.size]
-            cls = classes[where // busy.size]
+            cls = where // busy.size
         log.append((k, t, dt, *state[1:].copy(), a, event, when, cls))
         logged += m
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -129,20 +131,23 @@ def test_symmetric_scenario_coordinates_mirror():
 
 
 def test_priority_queue_two_is_mirrored():
-    cfg = slow_mode_config()
-    mirrored = slow_mode_config(
-        lambda1=cfg.lambda2, lambda2=cfg.lambda1,
-        serve1=cfg.serve2, serve2=cfg.serve1,
-        switch12=cfg.switch21, switch21=cfg.switch12,
-        c1=cfg.c2, c2=cfg.c1,
-    )
-    base = analyze_limit_cycle(cfg)
-    swapped = analyze_limit_cycle(mirrored)
-    assert swapped.priority_queue == 2
-    assert swapped.kind is base.kind
-    assert swapped.alpha1 == pytest.approx(base.alpha1)
-    assert swapped.c1 == pytest.approx(base.c1[::-1])
-    assert swapped.c4 == pytest.approx(base.c4[::-1])
+    """Relabelling the queues reverses every corner and leaves the rest of
+    the cycle as it is, bit for bit, on a truncated and on a pure bow-tie."""
+    for cfg, kind in ((slow_mode_config(), CycleKind.TRUNCATED_BOW_TIE),
+                      (exp_config(c1=2.0), CycleKind.PURE_BOW_TIE)):  # priority, no slow mode
+        mirrored = replace(
+            cfg,
+            lambda1=cfg.lambda2, lambda2=cfg.lambda1,
+            serve1=cfg.serve2, serve2=cfg.serve1,
+            switch12=cfg.switch21, switch21=cfg.switch12,
+            c1=cfg.c2, c2=cfg.c1,
+        )
+        base = analyze_limit_cycle(cfg)
+        swapped = analyze_limit_cycle(mirrored)
+        assert (base.kind, base.priority_queue, swapped.priority_queue) == (kind, 1, 2)
+        assert swapped.coordinates == tuple(corner[::-1] for corner in base.coordinates)
+        assert (swapped.alpha1, swapped.slow_mode_value, swapped.kind) == (
+            base.alpha1, base.slow_mode_value, base.kind)
 
 
 def test_truncation_bounds():

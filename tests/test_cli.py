@@ -90,6 +90,12 @@ def test_screen_rejects_a_margin_not_finite_and_positive(margin):
         main(["screen", "--scenario", "slow_mode", "--margin", margin])
 
 
+def test_screen_rejects_a_margin_whose_bounds_overflow():
+    with pytest.raises(StageError, match=r"^\[screen\] margin 1e\+308 times the cycle's extent "
+                                         r"is not finite$"):
+        main(["screen", "--scenario", "slow_mode", "--margin", "1e308"])
+
+
 def test_solve_command_smdp(tiny_scenario, tmp_path, capsys):
     out = tmp_path / "solved"
     rc = main(["solve", "--scenario", tiny_scenario, "--model", "smdp",
@@ -201,6 +207,42 @@ def test_test_command(tiny_scenario, tmp_path):
     lines = (out / "welch.csv").read_text().strip().splitlines()
     assert lines[0] == "row_policy,col_policy,statistic,p,reject"
     assert len(lines) == 1 + 2  # two ordered pairs
+
+
+def _without_arrivals(scenario, tmp_path, *zero):
+    """A copy of the scenario file ``scenario`` with the rates ``zero`` at 0."""
+    with open(scenario) as fh:
+        doc = json.load(fh)
+    doc.update(dict.fromkeys(zero, 0.0))
+    path = tmp_path / f"{'_'.join(zero)}_zero.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_test_command_without_class_one_arrivals(tiny_scenario, tmp_path):
+    """A silent class 1 beside class 2 arrivals samples and tests."""
+    out = tmp_path / "tests"
+    assert main(["test", "--scenario", _without_arrivals(tiny_scenario, tmp_path, "lambda1"),
+                 "--policies", "smdp,exhaustive", "--rollouts", "24", "--horizon", "30",
+                 "--seed", "1", "--out", str(out)]) == 0
+    for name in ("welch.csv", "mannwhitney.csv", "student.csv", "pearson.csv"):
+        assert len((out / name).read_text().strip().splitlines()) == 1 + 2
+
+
+def test_run_without_arrivals_fails_before_any_file(tiny_scenario, tmp_path):
+    """Without arrivals an idle step lasts for ever, so a run, whose
+    occupancy stage traces one, fails in the plan stage before it writes
+    anything; simulate and test still sample such a scenario."""
+    path = _without_arrivals(tiny_scenario, tmp_path, "lambda1", "lambda2")
+    plan = ["--scenario", path, "--policies", "smdp,exhaustive", "--rollouts", "4",
+            "--horizon", "10"]
+    out = tmp_path / "run"
+    with pytest.raises(StageError, match=r"^\[plan\] lambda1 = lambda2 = 0: the occupancy "
+                                         r"stage needs an arrival to end an idle step$"):
+        main(["run", *plan, "--out", str(out)])
+    assert not out.exists()
+    for command in ("simulate", "test"):
+        assert main([command, *plan, "--out", str(tmp_path / command)]) == 0
 
 
 def test_paired_tests_read_the_samples_in_seed_order(tiny_scenario, tmp_path):

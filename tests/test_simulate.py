@@ -238,6 +238,8 @@ BATCH_CASES = {
     "slow_mode": slow_mode_config(),
     "asym_var": asym_var_config(),
     "lambda2_zero": exp_config(lambda2=0.0, X1=4, X2=4, N1=4, N2=4),
+    # class c of a lane reads gap row c * L + j whichever class is silent
+    "lambda1_zero": exp_config(lambda1=0.0, X1=4, X2=4, N1=4, N2=4),
     # slow service and a cheap queue 2: the heuristic's served flag matters
     "heuristic_flag": HEURISTIC_FLAG_CONFIG,
     # a 30-unit switch-over brings 16 to 64 arrivals per class, and a
