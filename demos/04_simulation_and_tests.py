@@ -62,9 +62,9 @@ for a in names:
     for b in names:
         if a == b:
             continue
-        w = welch_t_test(etas[a], etas[b], alternative="less")
-        u = mann_whitney_u(etas[a], etas[b], alternative="less")
-        t = t_test_one_sample(paired[a] - paired[b], 0.0, alternative="less")
+        w = welch_t_test(etas[a], etas[b])
+        u = mann_whitney_u(etas[a], etas[b])
+        t = t_test_one_sample(paired[a] - paired[b], 0.0)
         verdict = "reject" if w.p_less <= 0.05 else "      "
         print(f"  {a:>10} < {b:<10} welch p {w.p_less:8.2e}  U p {u.p_less:8.2e}  "
               f"t p {t.p_less:8.2e}  {verdict}")

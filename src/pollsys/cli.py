@@ -162,14 +162,21 @@ def solve_policies(cfg: ScenarioConfig, which: Sequence[str], algo: str = "defau
     value iteration when the SMDP is solved alone), feasible at every
     state; it reaches the same table from any start (Puterman 1994, section
     6.4).  A zero mean duration has no uniformised model: ``ctmdp`` raises
-    ``ScenarioError`` and the SMDP alone takes the exhaustive start.
+    ``ScenarioError`` and the SMDP alone takes the exhaustive start.  A
+    solve that stops at its iteration cap unconverged raises, naming the
+    model and the solver; the loose warm start is not checked, since only
+    its actions seed policy iteration.
     """
     # keys in MDP_POLICIES order, whichever model is solved first
     tables = dict.fromkeys(name for name in MDP_POLICIES if name in which)
     diagnostics = dict(tables)
 
-    def report(pol, start):
+    def report(name, pol, start):
         """``start`` is policy iteration's start, None under value iteration."""
+        if not pol.converged:
+            solver, unit = ("value", "sweeps") if start is None else ("policy", "iterations")
+            raise RuntimeError(f"{name}: {solver} iteration stopped after {pol.iterations} "
+                               f"{unit} without converging")
         doc = {"iterations": pol.iterations, "converged": pol.converged,
                "changes": pol.changes, "factorizations": pol.factorizations}
         if start is None:
@@ -189,7 +196,7 @@ def solve_policies(cfg: ScenarioConfig, which: Sequence[str], algo: str = "defau
         else:
             pol = policy_iteration(np_model, exhaustive_start(np_model))
         tables["ctmdp"] = np_model.decision_table(pol.actions)
-        diagnostics["ctmdp"] = report(pol, None if by_vi else "exhaustive")
+        diagnostics["ctmdp"] = report("ctmdp", pol, None if by_vi else "exhaustive")
     if "smdp" in which:
         model = build_smdp(cfg)
         if algo == "value-iteration":
@@ -199,7 +206,7 @@ def solve_policies(cfg: ScenarioConfig, which: Sequence[str], algo: str = "defau
             pol = policy_iteration(model, exhaustive_start(model) if warm is None else warm)
             start = "exhaustive" if warm is None else "ctmdp"
         tables["smdp"] = model.decision_table(pol.actions)
-        diagnostics["smdp"] = report(pol, start)
+        diagnostics["smdp"] = report("smdp", pol, start)
     return tables, diagnostics
 
 
@@ -256,17 +263,17 @@ def test_matrices(etas: Dict[str, np.ndarray], paired: Dict[str, np.ndarray], ze
     is hypothesised to be smaller (better) than the column policy's.
     """
     def row(a, b, statistic, test):
-        return [a, b, _fmt(statistic), _fmt(test.p_less), str(test.reject_at(zeta))]
+        return [a, b, _fmt(statistic), _fmt(test.p_less), str(test.p_less <= zeta)]
 
     welch_rows, mann_rows, student_rows, pearson_rows = [], [], [], []
     for a, b in itertools.permutations(etas, 2):
-        w = welch_t_test(etas[a], etas[b], alternative="less")
+        w = welch_t_test(etas[a], etas[b])
         welch_rows.append(row(a, b, w.statistic, w))
-        u = mann_whitney_u(etas[a], etas[b], alternative="less")
+        u = mann_whitney_u(etas[a], etas[b])
         mann_rows.append(row(a, b, u.details["u_xy"], u))
         diff = paired[a] - paired[b]
         if diff.any():
-            t = t_test_one_sample(diff, 0.0, alternative="less")
+            t = t_test_one_sample(diff, 0.0)
             student_rows.append(row(a, b, t.statistic, t))
         else:  # equal on every seed: t is 0/0, and nothing favours either
             student_rows.append([a, b, "nan", "nan", "False"])

@@ -4,10 +4,10 @@ Three families are supported: exponential, gamma (shape/scale) and a
 deterministic point mass, each parameter a finite real number.  All
 times are in the same abstract unit as the arrival rates.  Every
 distribution exposes the handful of functionals the model builders need:
-mean, variance, the two discounting moments E[exp(-b*t)] and
-E[t*exp(-b*t)], and the closed-form pmf and tail of the number of
-Poisson events within one duration (the mixed Poisson law: a negative
-binomial for gamma durations, a Poisson for a point mass).  The pmf,
+mean, the two discounting moments E[exp(-b*t)] and E[t*exp(-b*t)], and
+the closed-form pmf and tail of the number of Poisson events within one
+duration (the mixed Poisson law: a negative binomial for gamma durations,
+a Poisson for a point mass).  The pmf,
 discounted or not, weights each total arrival count in the closed-form
 arrival lattice (:mod:`pollsys.lattice`); the tail sets how many counts
 it keeps.
@@ -28,9 +28,6 @@ class DurationDist:
     kind = "base"
 
     def mean(self) -> float:
-        raise NotImplementedError
-
-    def var(self) -> float:
         raise NotImplementedError
 
     def discount_factor(self, beta: float) -> float:
@@ -91,9 +88,6 @@ class Exponential(DurationDist):
     def mean(self):
         return 1.0 / self.rate
 
-    def var(self):
-        return 1.0 / self.rate**2
-
     def discount_factor(self, beta):
         return self.rate / (self.rate + beta)
 
@@ -124,9 +118,6 @@ class Gamma(DurationDist):
 
     def mean(self):
         return self.shape * self.scale
-
-    def var(self):
-        return self.shape * self.scale**2
 
     def discount_factor(self, beta):
         return (1.0 + beta * self.scale) ** (-self.shape)
@@ -165,9 +156,6 @@ class Deterministic(DurationDist):
 
     def mean(self):
         return self.value
-
-    def var(self):
-        return 0.0
 
     def discount_factor(self, beta):
         return math.exp(-beta * self.value)

@@ -42,77 +42,65 @@ def normal_cdf(x: float) -> float:
 
 @dataclass(frozen=True)
 class TestResult:
+    """A test's statistic and its p-values under the three alternatives.
+
+    ``p_two_sided`` is the p-value against a difference either way,
+    ``p_less`` against the first sample (its mean, for the t-tests) being
+    smaller than the second sample or ``mu0``, and ``p_greater`` against
+    it being larger.  ``df`` is None for the rank test; the normality test
+    reports its one p-value in all three.
+    """
+
     statistic: float
     df: Optional[float]
     p_two_sided: float
     p_less: float
     p_greater: float
-    alternative: str = "two-sided"
     details: dict = field(default_factory=dict)
 
-    def p_for(self, alternative: Optional[str] = None) -> float:
-        alt = alternative or self.alternative
-        if alt in ("two-sided", "two_sided"):
-            return self.p_two_sided
-        if alt == "less":
-            return self.p_less
-        if alt == "greater":
-            return self.p_greater
-        raise ValueError(f"unknown alternative {alt!r}")
 
-    def reject_at(self, zeta: float, alternative: Optional[str] = None) -> bool:
-        return self.p_for(alternative) <= zeta
-
-
-def _sample_std(X: np.ndarray) -> float:
-    # unbiased denominator N - 1
-    N = len(X)
-    return math.sqrt(float(np.sum((X - X.mean()) ** 2)) / (N - 1))
+def _central_moments(X: np.ndarray):
+    """The second, third and fourth central moments (denominator N)."""
+    d = X - X.mean()
+    return tuple(float(np.mean(d**k)) for k in (2, 3, 4))
 
 
 def sample_skewness(X) -> float:
-    X = np.asarray(X, dtype=float)
-    m2 = float(np.mean((X - X.mean()) ** 2))
-    m3 = float(np.mean((X - X.mean()) ** 3))
+    m2, m3, _ = _central_moments(np.asarray(X, dtype=float))
     return m3 / m2**1.5
 
 
 def sample_kurtosis_excess(X) -> float:
-    X = np.asarray(X, dtype=float)
-    m2 = float(np.mean((X - X.mean()) ** 2))
-    m4 = float(np.mean((X - X.mean()) ** 4))
+    m2, _, m4 = _central_moments(np.asarray(X, dtype=float))
     return m4 / m2**2 - 3.0
 
 
-def t_test_one_sample(X, mu0: float, alternative: str = "two-sided") -> TestResult:
+def _t_result(t: float, df: float) -> TestResult:
+    F = float(student_t_cdf(t, df))
+    return TestResult(statistic=float(t), df=float(df),
+                      p_two_sided=min(2.0 * min(F, 1.0 - F), 1.0),
+                      p_less=F, p_greater=1.0 - F)
+
+
+def t_test_one_sample(X, mu0: float) -> TestResult:
     """Test whether the sample mean equals ``mu0``."""
     X = np.asarray(X, dtype=float)
     N = len(X)
     if N < 2:
         raise ValueError("need at least two observations")
-    sigma = _sample_std(X)
+    sigma = X.std(ddof=1)
     if sigma == 0:
         raise ValueError("degenerate sample: zero variance")
-    t = (X.mean() - mu0) * math.sqrt(N) / sigma
-    df = N - 1
-    F = student_t_cdf(t, df)
-    return TestResult(
-        statistic=t,
-        df=float(df),
-        p_two_sided=min(2.0 * min(F, 1.0 - F), 1.0),
-        p_less=F,
-        p_greater=1.0 - F,
-        alternative=alternative,
-    )
+    return _t_result((X.mean() - mu0) * math.sqrt(N) / sigma, N - 1)
 
 
-def welch_t_test(X, Y, alternative: str = "two-sided") -> TestResult:
+def welch_t_test(X, Y) -> TestResult:
     """Test equality of two means without assuming equal variances."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if len(X) < 2 or len(Y) < 2:
         raise ValueError("need at least two observations per sample")
-    vx, vy = _sample_std(X) ** 2, _sample_std(Y) ** 2
+    vx, vy = X.std(ddof=1) ** 2, Y.std(ddof=1) ** 2
     if vx == 0 and vy == 0:
         raise ValueError("degenerate samples: both variances are zero")
     sx2, sy2 = vx / len(X), vy / len(Y)
@@ -120,15 +108,7 @@ def welch_t_test(X, Y, alternative: str = "two-sided") -> TestResult:
     df = (sx2 + sy2) ** 2 / (
         sx2**2 / (len(X) - 1) + sy2**2 / (len(Y) - 1)
     )
-    F = student_t_cdf(t, df)
-    return TestResult(
-        statistic=t,
-        df=df,
-        p_two_sided=min(2.0 * min(F, 1.0 - F), 1.0),
-        p_less=F,
-        p_greater=1.0 - F,
-        alternative=alternative,
-    )
+    return _t_result(t, df)
 
 
 def _u_exact_cdf(n: int, m: int, u: float) -> float:
@@ -155,7 +135,7 @@ def _u_exact_cdf(n: int, m: int, u: float) -> float:
     return float(counts[: k + 1].sum())
 
 
-def mann_whitney_u(X, Y, alternative: str = "two-sided") -> TestResult:
+def mann_whitney_u(X, Y) -> TestResult:
     """Test whether two samples are stochastically equal.
 
     The reported statistic is min(U(X,Y), U(Y,X)); the one-sided p-values
@@ -190,15 +170,10 @@ def mann_whitney_u(X, Y, alternative: str = "two-sided") -> TestResult:
         sd = math.sqrt(var_u)
         p_less = normal_cdf((u_xy - mean_u + 0.5) / sd)
         p_greater = normal_cdf((u_yx - mean_u + 0.5) / sd)
-    return TestResult(
-        statistic=float(min(u_xy, u_yx)),
-        df=None,
-        p_two_sided=min(2.0 * min(p_less, p_greater), 1.0),
-        p_less=p_less,
-        p_greater=p_greater,
-        alternative=alternative,
-        details={"u_xy": u_xy, "u_yx": u_yx, "ties": bool(has_ties)},
-    )
+    return TestResult(statistic=float(min(u_xy, u_yx)), df=None,
+                      p_two_sided=min(2.0 * min(p_less, p_greater), 1.0),
+                      p_less=p_less, p_greater=p_greater,
+                      details={"u_xy": u_xy, "u_yx": u_yx, "ties": bool(has_ties)})
 
 
 def dagostino_k2(X) -> TestResult:
@@ -211,11 +186,11 @@ def dagostino_k2(X) -> TestResult:
     N = len(X)
     if N < 20:
         raise ValueError("normality test needs at least 20 observations")
-    m2 = float(np.mean((X - X.mean()) ** 2))
+    m2, m3, m4 = _central_moments(X)
     if m2 == 0:
         raise ValueError("degenerate sample: zero variance")
-    g1 = sample_skewness(X)
-    b2 = sample_kurtosis_excess(X) + 3.0
+    g1 = m3 / m2**1.5
+    b2 = (m4 / m2**2 - 3.0) + 3.0  # the excess kurtosis plus 3, bit for bit
 
     # skewness transform
     y = g1 * math.sqrt((N + 1.0) * (N + 3.0) / (6.0 * (N - 2.0)))
@@ -242,15 +217,8 @@ def dagostino_k2(X) -> TestResult:
 
     k2 = z1 * z1 + z2 * z2
     p = chi2_sf(k2, 2.0)
-    return TestResult(
-        statistic=float(k2),
-        df=2.0,
-        p_two_sided=p,
-        p_less=p,
-        p_greater=p,
-        alternative="two-sided",
-        details={"z_skew": float(z1), "z_kurt": float(z2)},
-    )
+    return TestResult(statistic=float(k2), df=2.0, p_two_sided=p, p_less=p, p_greater=p,
+                      details={"z_skew": float(z1), "z_kurt": float(z2)})
 
 
 def pearson_r(X, Y) -> float:

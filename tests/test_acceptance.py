@@ -236,9 +236,9 @@ def test_criterion_6_limit_cycle_screening():
 
 def _pair_pvalues(etas, a, b):
     return (
-        welch_t_test(etas[a], etas[b], alternative="less").p_less,
-        mann_whitney_u(etas[a], etas[b], alternative="less").p_less,
-        t_test_one_sample(etas[a] - etas[b], 0.0, alternative="less").p_less,
+        welch_t_test(etas[a], etas[b]).p_less,
+        mann_whitney_u(etas[a], etas[b]).p_less,
+        t_test_one_sample(etas[a] - etas[b], 0.0).p_less,
     )
 
 

@@ -265,12 +265,11 @@ def test_paired_tests_read_the_samples_in_seed_order(tiny_scenario, tmp_path):
                                 None, 1, 30.0, 24)
     etas = decouple(paired, 1)
     stats = {
-        "student.csv": lambda a, b: t_test_one_sample(paired[a] - paired[b], 0.0,
-                                                      alternative="less").statistic,
+        "student.csv": lambda a, b: t_test_one_sample(paired[a] - paired[b], 0.0).statistic,
         "pearson.csv": lambda a, b: pearson_r(paired[a], paired[b]),
-        "welch.csv": lambda a, b: welch_t_test(etas[a], etas[b], alternative="less").statistic,
+        "welch.csv": lambda a, b: welch_t_test(etas[a], etas[b]).statistic,
         "mannwhitney.csv": lambda a, b: mann_whitney_u(
-            etas[a], etas[b], alternative="less").details["u_xy"],
+            etas[a], etas[b]).details["u_xy"],
     }
     for name, stat in stats.items():
         rows = [line.split(",") for line in (tmp_path / "flag" / name).read_text().splitlines()]
@@ -481,6 +480,37 @@ def test_solve_fails_in_a_named_stage(tiny_scenario, tmp_path, monkeypatch):
         main(["solve", "--scenario", tiny_scenario, "--out", str(out)])
     assert info.value.stage == "solve"
     assert not out.exists()
+
+
+def _unconverged(monkeypatch, *names):
+    """Make the named solvers, as the cli module calls them, report that
+    they stopped at their iteration cap."""
+    for name in names:
+        solve = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, solve=solve, **kw:
+                            replace(solve(*args, **kw), converged=False))
+
+
+@pytest.mark.parametrize("model, message", [
+    ("ctmdp", r"ctmdp: value iteration stopped after \d+ sweeps without converging"),
+    ("smdp", r"smdp: policy iteration stopped after \d+ iterations without converging"),
+], ids=["ctmdp", "smdp"])
+def test_unconverged_solve_is_rejected(tiny_scenario, tmp_path, monkeypatch, model, message):
+    _unconverged(monkeypatch, "value_iterate", "policy_iteration")
+    out = tmp_path / "solved"
+    with pytest.raises(StageError, match=rf"^\[solve\] {message}$"):
+        main(["solve", "--scenario", tiny_scenario, "--model", model, "--out", str(out)])
+    assert not list(tmp_path.rglob("policy_*.csv"))
+
+
+def test_unconverged_loose_warm_start_is_accepted(tiny_scenario, tmp_path, monkeypatch):
+    """The SMDP solved alone seeds policy iteration with a loose value
+    iteration; only its actions are used, so its convergence is not checked."""
+    _unconverged(monkeypatch, "value_iterate")
+    out = tmp_path / "solved"
+    assert main(["solve", "--scenario", tiny_scenario, "--model", "smdp",
+                 "--out", str(out)]) == 0
+    assert (out / "policy_smdp_q1.csv").exists() and (out / "policy_smdp_q2.csv").exists()
 
 
 def test_run_experiment_bundle_and_determinism(tiny_scenario, tmp_path):

@@ -52,7 +52,7 @@ def test_welch_identical_samples():
     res = welch_t_test(x, x.copy())
     assert res.statistic == 0.0
     assert res.p_two_sided == pytest.approx(1.0)
-    assert not res.reject_at(0.05)
+    assert res.p_two_sided > 0.05
 
 
 def test_welch_hand_value():
@@ -77,7 +77,7 @@ def test_welch_reduces_to_pooled_t(rng):
 def test_welch_matches_reference_unequal(rng):
     x = rng.normal(0, 1, size=50)
     y = rng.normal(0.2, 3, size=35)
-    res = welch_t_test(x, y, alternative="less")
+    res = welch_t_test(x, y)
     ref = sps.ttest_ind(x, y, equal_var=False, alternative="less")
     assert res.p_less == pytest.approx(ref.pvalue, rel=1e-9)
 
@@ -99,7 +99,7 @@ def test_mann_whitney_complementarity(rng):
 def test_mann_whitney_exact_against_reference(rng):
     x = rng.normal(0, 1, size=8)
     y = rng.normal(0.5, 1, size=9)
-    res = mann_whitney_u(x, y, alternative="less")
+    res = mann_whitney_u(x, y)
     ref = sps.mannwhitneyu(x, y, alternative="less", method="exact")
     assert res.details["u_xy"] == pytest.approx(ref.statistic)
     assert res.p_less == pytest.approx(ref.pvalue, rel=1e-12)
@@ -108,7 +108,7 @@ def test_mann_whitney_exact_against_reference(rng):
 def test_mann_whitney_normal_approx_against_reference(rng):
     x = rng.normal(0, 1, size=300)
     y = rng.normal(0.15, 1, size=280)
-    res = mann_whitney_u(x, y, alternative="less")
+    res = mann_whitney_u(x, y)
     ref = sps.mannwhitneyu(x, y, alternative="less", method="asymptotic")
     assert res.p_less == pytest.approx(ref.pvalue, rel=1e-6)
 
@@ -147,7 +147,7 @@ def test_dagostino_calibrated_under_null(rng):
     rejections = 0
     for _ in range(100):
         x = rng.normal(0, 1, size=10000)
-        if dagostino_k2(x).reject_at(0.05):
+        if dagostino_k2(x).p_two_sided <= 0.05:
             rejections += 1
     assert rejections <= 10  # at least 90% fail to reject
 
@@ -191,6 +191,29 @@ def test_two_sided_is_twice_smaller_tail(rng):
     x = rng.normal(0.2, 1, size=25)
     res = t_test_one_sample(x, 0.0)
     assert res.p_two_sided == pytest.approx(2 * min(res.p_less, res.p_greater))
+
+
+P_FIELDS = {"two-sided": "p_two_sided", "less": "p_less", "greater": "p_greater"}
+
+
+@pytest.mark.parametrize("alternative", list(P_FIELDS))
+def test_every_p_value_matches_reference(rng, alternative):
+    """Each test's p-value under an alternative, read by name, equals
+    scipy's under the same alternative: Mann-Whitney exact (8 and 9) and
+    asymptotic (300 and 280)."""
+    name = P_FIELDS[alternative]
+    for _ in range(10):
+        x = rng.normal(0, 1, size=40)
+        y = rng.normal(0.3, 2, size=30)
+        ref = sps.ttest_1samp(x, 0.1, alternative=alternative).pvalue
+        assert getattr(t_test_one_sample(x, 0.1), name) == pytest.approx(ref, rel=1e-10)
+        ref = sps.ttest_ind(x, y, equal_var=False, alternative=alternative).pvalue
+        assert getattr(welch_t_test(x, y), name) == pytest.approx(ref, rel=1e-10)
+        for n, m, method in ((8, 9, "exact"), (300, 280, "asymptotic")):
+            x = rng.normal(0, 1, size=n)
+            y = rng.normal(0.15, 1, size=m)
+            ref = sps.mannwhitneyu(x, y, alternative=alternative, method=method).pvalue
+            assert getattr(mann_whitney_u(x, y), name) == pytest.approx(ref, rel=1e-10)
 
 
 def test_normal_cdf_basics():
