@@ -8,8 +8,12 @@ event samples, which is what makes paired performance comparisons fair.
 
 `rollout` and `simulate_trace` step one rollout at a time;
 `sample_performance` steps the rollouts of all its policies together as
-arrays and gives the same values bit for bit.  Each rule the two paths share
-has one home: `SeedStream` keys the substreams and makes their generators,
+arrays and gives the same values bit for bit.  Both step by one rule: a
+step first reads each class's next gap, its first arrival time; an idle step
+ends at the earlier one (class 0's on a tie, none when both are +inf), and a
+busy step lasts its drawn duration and adds each class's later gaps to its
+first until they overshoot it.  Each rule the two paths share has one home:
+`SeedStream` keys the substreams and makes their generators,
 `_durations` and `_gaps` list the duration and inter-arrival ones (a
 class without arrivals draws endless gaps), `_caps` bounds the box over
 which a policy is one flat code table (`_action_codes`), and `_costs`
@@ -256,14 +260,14 @@ def _run(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds: SeedStream, T: float
     ``a == SERVE`` at queue 2, the action is ``codes[served s0 + n1 s1 + n2
     s2 + l1]`` with the strides of `_strides`, and an error code raises its
     `_ERRORS` message.  Each substream of ``seeds`` is read through a
-    `_draws` iterator, in `_durations`' and `_gaps`' order; a class
-    without arrivals reads endless gaps, so without arrivals an idle step
-    lasts for ever and ends the rollout, charged as `_costs` charges it.
-    A busy step sums each class's gaps from 0 until one overshoots its
-    length, which is consumed, and appends every arrival to one flat log
-    (step, class, time), class 0's first.  The loop records each step's
-    entry state, action, start and length; `_costs` charges them once at
-    the end.  Returns the discounted cost and the `RolloutTrace`.
+    `_draws` iterator, in `_durations`' and `_gaps`' order, by the
+    module's step rule.  Without arrivals both first gaps are +inf, so an
+    idle step lasts for ever and ends the rollout, charged as `_costs`
+    charges it.  A busy step consumes the sum that overshoots its length
+    and appends every arrival to one flat log (step, class, time), class
+    0's first.  The loop records each step's entry state, action, start
+    and length; `_costs` charges them once at the end.  Returns the
+    discounted cost and the `RolloutTrace`.
     """
     cap1, cap2 = _caps(cfg)
     s0, s1, s2, _ = _strides(cfg)
@@ -279,8 +283,8 @@ def _run(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds: SeedStream, T: float
 
     while t < T:
         a = codes.item(served * s0 + n1 * s1 + n2 * s2 + l1)
+        t1, t2 = next(gap1), next(gap2)  # each class's first arrival time
         if a == IDLE:
-            t1, t2 = next(gap1), next(gap2)
             dt = min(t1, t2)
             if dt == math.inf:
                 nxt = (n1, n2, l1)  # no arrival ends it
@@ -292,7 +296,7 @@ def _run(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds: SeedStream, T: float
             dt = next(durations[(a - SERVE) * 2 + l1])
             k = len(rec_t)
             a1 = 0
-            ta = next(gap1)
+            ta = t1
             while ta < dt:
                 arr_step.append(k)
                 arr_cls.append(0)
@@ -300,7 +304,7 @@ def _run(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds: SeedStream, T: float
                 a1 += 1
                 ta += next(gap1)
             a2 = 0
-            ta = next(gap2)
+            ta = t2
             while ta < dt:
                 arr_step.append(k)
                 arr_cls.append(1)
@@ -410,7 +414,9 @@ class _Blocks:
     row starts empty and only grows: a read past its end draws as many
     values again as it holds (at least ``block``) from its stream's
     `SeedStream.generator`, and the buffer widens to any row that outgrows
-    it.  The memory is O(rows x the longest row).
+    it.  The memory is O(rows x the longest row).  Each step reads a lane's
+    duration and a window of its gaps, whose first row holds its classes'
+    first arrival times, and moves ``pos`` past what it used.
     """
 
     def __init__(self, streams, tags, dists, lanes: int, block: int):
@@ -423,12 +429,6 @@ class _Blocks:
         self.pos = np.zeros(len(dists) * lanes, dtype=np.intp)
         idx = np.arange(len(dists) * lanes)
         self.row = idx // lanes * self.seeds + idx % self.seeds  # index -> its row
-
-    def take(self, idx: np.ndarray) -> np.ndarray:
-        """The next value at each (distinct) index."""
-        start = self._start(idx, 1)
-        self.pos[idx] += 1
-        return self.buf.reshape(-1)[start]
 
     def window(self, idx: np.ndarray, count: int) -> np.ndarray:
         """The next ``count`` values at each index, one column per index of
@@ -462,19 +462,20 @@ class _Blocks:
             self.size[row] = hi
 
 
-def _arrivals(gaps: _Blocks, idx: np.ndarray, dt: np.ndarray, width: int = _WINDOW):
-    """Arrivals in each interval [0, dt) of the substream indices ``idx``:
-    the position in ``idx`` and time of each arrival, in no set order, and
-    the count per index.
+def _arrivals(gaps: _Blocks, idx: np.ndarray, dt: np.ndarray, sums: np.ndarray):
+    """Arrivals in each interval [0, dt) of the substream indices ``idx``,
+    given the window ``sums`` of their next gaps: the position in ``idx``
+    and time of each arrival, in no set order, and the count per index.
 
-    As in `_run`, the gaps are summed from 0 in the order drawn and the
-    gap that overshoots ``dt`` is consumed and thrown away.  The
-    window's rows are added in place, one after the other, which gives the
-    bits of ``np.cumsum(axis=0)`` without its walk down each column.
-    Indices with ``width`` arrivals or more are redone with four times the
-    gaps.
+    As in `_run`, the gaps are summed from the first arrival time in the
+    order drawn and the sum that overshoots ``dt`` is consumed; an idle
+    step's ``dt``, its earlier first gap, consumes one gap per class and
+    counts none.  The window's rows after the first are summed in place,
+    one after the other, which gives the bits of ``np.cumsum(axis=0)``
+    without its walk down each column.  Indices with ``width`` arrivals or
+    more are redone with four times the gaps.
     """
-    sums = gaps.window(idx, width)
+    width = len(sums)
     for r in range(1, width):
         sums[r] += sums[r - 1]
     inside = sums < dt
@@ -488,7 +489,7 @@ def _arrivals(gaps: _Blocks, idx: np.ndarray, dt: np.ndarray, width: int = _WIND
     gaps.pos[idx] += count + 1
     if not long.size:
         return where, times, count
-    w, t, count[long] = _arrivals(gaps, idx[long], dt[long], 4 * width)
+    w, t, count[long] = _arrivals(gaps, idx[long], dt[long], gaps.window(idx[long], 4 * width))
     return np.concatenate([where, long[w]]), np.concatenate([times, t]), count
 
 
@@ -523,7 +524,8 @@ def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, streams, T: float) -> 
     substream of its seed, drawn once per seed into one row that every
     policy's lane of the seed reads (`_Blocks`).  Lane (p, k) equals
     ``_run`` of ``codes[p]`` from ``x0[:, k]`` with ``streams[k]``
-    bit for bit: the same actions, draws and cost routine.  Each step of
+    bit for bit: the same actions, draws, step rule and cost routine, idle
+    and busy lanes going through one `_arrivals` call.  Each step of
     every live lane logs a copy of its (n1, n2, l1) rows and actions, and
     `_charge` charges about ``_CHUNK`` logged steps at a time in one pass,
     which bounds the log's memory whatever the number of lanes is.
@@ -535,7 +537,6 @@ def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, streams, T: float) -> 
     cap1, cap2 = _caps(cfg)
     durations = _Blocks(streams, *_durations(cfg), L, _DURATION_BLOCK)
     gaps = _Blocks(streams, *_gaps(cfg), L, _GAP_BLOCK)
-    by_class = np.array([[0], [L]])  # + j: class c of lane j at c * L + j
     strides = np.array(_strides(cfg))
 
     def rollout_of(j):
@@ -557,26 +558,21 @@ def _lockstep(cfg: ScenarioConfig, codes: np.ndarray, x0, streams, T: float) -> 
             raise ValueError(_ERRORS[int(a[j])].format(where))
         idle = a == IDLE
         busy = (~idle).nonzero()[0]
-        rest = idle.nonzero()[0]
         m = k.size
 
-        dt = np.empty(m)
-        arrived = np.zeros((2, m), dtype=int)
-        if rest.size:
-            first = gaps.take((by_class + k[rest]).reshape(-1)).reshape(2, rest.size)
-            dt[rest] = np.minimum(first[0], first[1])
-            second = first[1] < first[0]  # class 0 wins a tie
-            arrived[0, rest] = ~second & (dt[rest] < np.inf)  # without arrivals none ends it
-            arrived[1, rest] = second
-        event, when, cls = np.empty(0, dtype=int), np.empty(0), np.empty(0, dtype=int)
-        if busy.size:
-            stream = (a[busy] - SERVE) * 2 + l1[busy]  # serve at 0/1, then switch from 0/1
-            dt[busy] = durations.take(stream * L + k[busy])
-            rows = (by_class + k[busy]).reshape(-1)
-            where, when, count = _arrivals(gaps, rows, np.concatenate([dt[busy]] * 2))
-            arrived[:, busy] = count.reshape(2, busy.size)
-            event = logged + busy[where % busy.size]
-            cls = where // busy.size
+        rows = np.concatenate([k, k + L])  # class c of lane j at c * L + j
+        window = gaps.window(rows, _WINDOW)
+        first = window[0].reshape(2, m)  # each class's first arrival time
+        dt = np.minimum(first[0], first[1])  # an idle step's length
+        drawn = ((a[busy] - SERVE) * 2 + l1[busy]) * L + k[busy]  # serve at 0/1, switch from 0/1
+        dt[busy] = durations.window(drawn, 1)[0]
+        durations.pos[drawn] += 1
+        where, when, count = _arrivals(gaps, rows, np.concatenate([dt, dt]), window)
+        arrived = count.reshape(2, m)  # an idle lane's are 0: no first gap is below dt
+        arrived[0] += idle & (first[0] <= first[1]) & (dt < np.inf)  # class 0 wins a tie
+        arrived[1] += idle & (first[1] < first[0])
+        event = logged + where % m
+        cls = where // m
         log.append((k, t, dt, *state[1:].copy(), a, event, when, cls))
         logged += m
 

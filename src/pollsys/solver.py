@@ -266,6 +266,18 @@ UPDATE_RANK_DIVISOR = 4
 # residual check decides whether it is factored again in float64.
 MAX_REFINEMENTS = 4
 
+# The dense path holds a float32 LU (4 n^2 bytes) and its Woodbury block Z
+# (n x n/UPDATE_RANK_DIVISOR float32s, n^2 bytes); a policy takes it only
+# while those 5 n^2 bytes fit this budget, up to n = 10362.
+DENSE_BUDGET_BYTES = 512 << 20
+
+
+def _dense(n: int, nnz: int) -> bool:
+    """Whether the policy system with ``n`` states and ``nnz`` entries in
+    A_pi takes the dense LU: more than 2% of its entries set, and its
+    float32 factor and update block within DENSE_BUDGET_BYTES."""
+    return nnz / max(n * n, 1) > 0.02 and 5 * n * n <= DENSE_BUDGET_BYTES
+
 
 class _Factorization:
     """Dense LU of I - A_base for one factored policy, kept across policy
@@ -372,8 +384,9 @@ def policy_evaluate(model, actions, factorization: Optional[_Factorization] = No
     """Solve (I - A_pi) J = C_pi exactly for the policy's state values.
 
     A cycle of undiscounted linking rows raises :class:`SingularSystemError`.
-    A sparse policy (at most 2% of A_pi's entries set, or more than 6000
-    states) takes a sparse LU.  A dense one is solved from the dense LU of
+    A sparse policy (at most 2% of A_pi's entries set), or one whose dense
+    float32 LU and update block would not fit DENSE_BUDGET_BYTES (`_dense`),
+    takes a sparse LU.  A dense one is solved from the dense LU of
     I - A_base held in ``factorization``, A_base being the policy factored
     last (policy iteration passes one holder to all its evaluations; a
     standalone call factors every dense policy afresh).  Let ``rows`` be
@@ -409,7 +422,7 @@ def policy_evaluate(model, actions, factorization: Optional[_Factorization] = No
 
     system = sparse.identity(n, format="csr") - A
     tol = 1e-8 * max(np.abs(cost).max(), 1.0)
-    if A.nnz / max(n * n, 1) <= 0.02 or n > 6000:
+    if not _dense(n, A.nnz):
         from scipy.sparse.linalg import spsolve
 
         J = spsolve(system.tocsc(), cost)

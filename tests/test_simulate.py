@@ -108,6 +108,27 @@ def test_idle_without_arrivals_lasts_for_ever():
         action_time_fractions(tr)
 
 
+def test_idle_tie_ends_with_queue_one_arrival(monkeypatch):
+    """With both classes' gaps a constant 0.5, an idle step's first gaps
+    tie: it lasts 0.5 and ends with queue 1's arrival, counting none inside,
+    on both paths."""
+    class Constant:
+        def sample(self, rng, size):
+            return np.full(size, 0.5)
+
+    monkeypatch.setattr(simulate, "_gaps", lambda cfg: (simulate.TAG_LAMBDA, [Constant()] * 2))
+    cfg = exp_config(X1=4, X2=4, N1=4, N2=4)
+    policy = ExhaustivePolicy()
+    for l1 in (0, 1):
+        tr = simulate_trace(cfg, policy, 20.0, x0=(0, 0, l1))
+        assert (tr.action[0], tr.dt[0], tr.arrivals[0]) == (IDLE, 0.5, ())
+        assert (tr.n1[1], tr.n2[1], tr.l1[1]) == (1, 0, l1)
+    # from the empty system every rollout starts with an idle tie
+    for start in (None, _point_dist(cfg, 0, 0, 1)):
+        batch = sample_performance(cfg, [policy], start, 3, 20.0, 16)[0]
+        assert batch.tolist() == [rollout(cfg, policy, start, 3 + k, 20.0) for k in range(16)]
+
+
 def test_common_random_numbers_identical_until_divergence():
     cfg = slow_mode_config(X1=8, X2=8)
     tr_exh = simulate_trace(cfg, ExhaustivePolicy(), T=60.0, seed=11, x0=(2, 2, 0))

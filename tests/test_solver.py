@@ -16,9 +16,11 @@ from pollsys import (
 from pollsys.baselines import exhaustive_start
 from pollsys.cli import solve_policies
 from pollsys.solver import (
+    DENSE_BUDGET_BYTES,
     UPDATE_RANK_DIVISOR,
     SingularSystemError,
     _Factorization,
+    _dense,
     _greedy_actions,
     _vi_phases,
     export_policy_csv,
@@ -229,6 +231,25 @@ def test_ill_conditioned_policy_falls_back_to_float64(rng):
     pol = policy_iteration(model)
     assert (pol.iterations, pol.factorizations, pol.float64_factorizations) == (1, 2, 1)
     assert np.abs(system @ pol.J - cost).max() <= 1e-8 * max(np.abs(cost).max(), 1.0)
+
+
+def test_dense_path_memory_rule():
+    """A policy takes the dense LU while more than 2% of A_pi's entries are
+    set and its float32 factor and update block, 5 n^2 bytes, fit the
+    512 MiB budget: up to n = 10362.  Up to n = 6000 the density alone
+    decides, so no SMDP at X <= 40 (n <= 3362) leaves the dense path."""
+    assert DENSE_BUDGET_BYTES == 512 << 20
+    assert 4 * 10362 ** 2 + 10362 * (10362 // UPDATE_RANK_DIVISOR) * 4 <= DENSE_BUDGET_BYTES
+    for n in (2, 72, 3362, 6000, 6001, 8450, 10362):
+        assert _dense(n, n * n)
+        assert _dense(n, int(0.02 * n * n) + 1)
+        assert not _dense(n, int(0.02 * n * n))
+    for n in (10363, 20000):
+        assert not _dense(n, n * n)
+    assert not _dense(0, 0)
+    for n in range(1, 6001):
+        for nnz in (n, int(0.02 * n * n), int(0.02 * n * n) + 1, n * n):
+            assert _dense(n, nnz) == (nnz / (n * n) > 0.02)
 
 
 @pytest.mark.parametrize("make_cfg", [slow_mode_config, asym_var_config])
