@@ -13,15 +13,17 @@ step first reads each class's next gap, its first arrival time; an idle step
 ends at the earlier one (class 0's on a tie, none when both are +inf), and a
 busy step lasts its drawn duration and adds each class's later gaps to its
 first until they overshoot it.  Each rule the two paths share has one home:
-`SeedStream` keys the substreams and makes their generators,
+`SeedStream` keys the substreams and makes their generators (Philox on a
+fixed-key `_philox_key` sequence, which draws no OS entropy),
 `_durations` and `_gaps` list the duration and inter-arrival ones (a
 class without arrivals draws endless gaps), `_caps` bounds the box over
 which a policy is one flat code table (`_action_codes`), and `_costs`
 charges the logged steps, with every exponential one ``np.exp`` over the
-log.  Both draw each substream in blocks, which Philox returns exactly as
-the same number of single draws, and log the arrivals flat, one (step,
-class, time) entry each, in no set order within a step; a trace's
-per-step ``arrivals`` are built from that log when first read.
+log and the arrivals put in time order by one single-key sort.  Both draw
+each substream in blocks, which Philox returns exactly as the same number
+of single draws, and log the arrivals flat, one (step, class, time) entry
+each, in no set order within a step; a trace's per-step ``arrivals`` are
+built from that log when first read.
 """
 
 from __future__ import annotations
@@ -55,6 +57,33 @@ class QueueOverflowError(RuntimeError):
     cap box, ten times the model bounds, too small for it."""
 
 
+@functools.cache
+def _philox_key():
+    """The seed sequence that hands Philox one fixed 128-bit key.
+
+    ``Philox(key=k)`` first seeds itself from OS entropy and then overrides
+    the key; Philox built on this sequence derives the same key and state
+    from ``generate_state(2, np.uint64)``, the key's low and high words,
+    without that pull.  Any other request raises, so that a numpy that
+    derives its key otherwise fails instead of changing the streams.  The
+    class is made on first use: ``numpy.random`` loads lazily, and
+    importing the package does not import it.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        def __init__(self, key: int):
+            self.words = (key & ((1 << 64) - 1), key >> 64)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError(
+                    f"a Philox key is two uint64 words, not {n_words} {np.dtype(dtype)}")
+            return np.array(self.words, dtype=np.uint64)
+
+    return PhiloxKey
+
+
 class SeedStream:
     """Deterministic per-event-type substreams derived from one base seed.
 
@@ -63,7 +92,9 @@ class SeedStream:
     samples across policies and platforms.  Only this class derives a key,
     ``(seed << 6) + tag``, below Philox's 2**128 for seeds in [0, 2**122),
     and only `generator` makes a generator: one per tag, kept, so that each
-    read of a substream, scalar or batch, goes on from the last.
+    read of a substream, scalar or batch, goes on from the last.  Its
+    stream is ``Philox(key=(seed << 6) + tag)``'s bit for bit, built from
+    a `_philox_key` sequence without drawing OS entropy.
     """
 
     SEED_LIMIT = 1 << 122
@@ -77,7 +108,8 @@ class SeedStream:
 
     def generator(self, tag: int) -> np.random.Generator:
         if tag not in self._gens:
-            self._gens[tag] = np.random.Generator(np.random.Philox(key=self._key0 + tag))
+            key = _philox_key()(self._key0 + tag)
+            self._gens[tag] = np.random.Generator(np.random.Philox(key))
         return self._gens[tag]
 
 
@@ -213,13 +245,19 @@ def _costs(cfg, total, k, t, dt, n1, n2, l1, action, event, when, cls) -> np.nda
     order, class 0 first on a tie, plus a switch's cost at the queue it
     leaves.  ``np.add.at`` sums each rollout's steps in order, and every
     exponential is one elementwise ``np.exp`` over the log, so every caller
-    gets the same bits.
+    gets the same bits.  The log may come in any order: one ``np.argsort``
+    orders it by a single key, the time's bits then the class bit, which
+    for times >= 0 is the order of ``np.lexsort((cls, when))``.  Entries
+    that tie on that key are one class at one time: in one step they add
+    the same value, in different steps they add to different sums, so
+    however the sort orders them the bits do not change.
     """
     c1, c2, beta = cfg.c1, cfg.c2, cfg.beta
     edt = np.exp(-beta * dt)
     step = ((c1 * n1 + c2 * n2) / beta) * (1.0 - edt)
     weight = np.array([c1 / beta, c2 / beta])[cls]
-    order = np.lexsort((cls, when))
+    # a double >= 0 orders as its bits; the shift drops -0.0's sign bit
+    order = np.argsort((when.view(np.uint64) << 1) | cls.astype(np.uint64))
     np.add.at(step, event[order], (weight * (np.exp(-beta * when) - edt[event]))[order])
     step += np.where(action == SWITCH, np.array(cfg.switch_costs)[l1], 0.0)
     np.add.at(total, k, np.exp(-beta * t) * step)
@@ -484,8 +522,9 @@ def _arrivals(gaps: _Blocks, idx: np.ndarray, dt: np.ndarray, sums: np.ndarray):
     if long.size:
         inside[:, long] = False
         count[long] = -1  # consumes nothing here
-    where = inside.nonzero()[1]
-    times = sums[inside]
+    flat = np.flatnonzero(inside)  # row-major, as inside.nonzero()
+    where = flat % inside.shape[1]
+    times = sums.reshape(-1)[flat]
     gaps.pos[idx] += count + 1
     if not long.size:
         return where, times, count

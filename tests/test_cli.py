@@ -137,6 +137,23 @@ def test_solve_command_prints_value_iteration_bound(tmp_path, capsys, monkeypatc
     assert diag["ctmdp"]["error_bound"] is None
 
 
+def _fresh_python(script: str) -> str:
+    """The standard output of ``script`` run by a fresh interpreter that
+    imports this pollsys."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_import_loads_no_numpy_random():
+    """The simulator makes its Philox key class on first use, so importing
+    the CLI leaves ``numpy.random``, about 17 ms of import, unloaded."""
+    script = "import sys, pollsys.cli; print('numpy.random' in sys.modules)"
+    assert _fresh_python(script).strip() == "False"
+
+
 def test_screen_and_ctmdp_solve_load_no_special_or_linalg(tmp_path):
     """screen imports no scipy module, and the CTMDP solve never imports
     scipy.special, scipy.linalg or scipy.sparse.linalg; the SMDP solve,
@@ -158,11 +175,7 @@ cli.main(["solve", *plan, "--model", "ctmdp", "--out", {str(tmp_path / "ctmdp")!
 loaded("scipy.special", "scipy.linalg", "scipy.sparse.linalg")
 cli.main(["solve", *plan, "--model", "smdp", "--out", {str(tmp_path / "fresh")!r}])
 """
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True).stdout
+    out = _fresh_python(script)
     reports = [json.loads(line[7:]) for line in out.splitlines() if line.startswith("loaded ")]
     assert reports == [[], []]
     main(["solve", *plan, "--model", "smdp", "--out", str(tmp_path / "in_process")])

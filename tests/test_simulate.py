@@ -664,6 +664,58 @@ def test_arrival_log_needs_no_per_step_sort():
     assert len(costs) == 1
 
 
+def _lexsort_costs(cfg, total, k, t, dt, n1, n2, l1, action, event, when, cls):
+    """`_costs` with its arrivals ordered by the two-key ``np.lexsort((cls,
+    when))``: the reference for its one-key sort."""
+    c1, c2, beta = cfg.c1, cfg.c2, cfg.beta
+    edt = np.exp(-beta * dt)
+    step = ((c1 * n1 + c2 * n2) / beta) * (1.0 - edt)
+    weight = np.array([c1 / beta, c2 / beta])[cls]
+    order = np.lexsort((cls, when))
+    np.add.at(step, event[order], (weight * (np.exp(-beta * when) - edt[event]))[order])
+    step += np.where(action == SWITCH, np.array(cfg.switch_costs)[l1], 0.0)
+    np.add.at(total, k, np.exp(-beta * t) * step)
+    return step
+
+
+def test_costs_sort_by_time_then_class_in_any_log_order():
+    """`_costs` orders the arrivals by one key, time then class.  Random logs
+    over several steps and both classes, with equal times injected within a
+    step across classes (and within a class), and across steps, and then
+    shuffled, cost what the two-key lexsort order costs, bit for bit."""
+    cfg = replace(slow_mode_config(), K12=0.5, K21=1.5)
+    rng = np.random.default_rng(32)
+    ties = 0
+    for _ in range(300):
+        steps, rollouts = int(rng.integers(1, 12)), int(rng.integers(1, 4))
+        k = np.sort(rng.integers(0, rollouts, steps))
+        t = rng.uniform(0.0, 50.0, steps)
+        dt = rng.exponential(2.0, steps)
+        n1, n2 = rng.integers(0, 30, (2, steps))
+        l1, action = rng.integers(0, 2, steps), rng.integers(0, 3, steps)
+        n = int(rng.integers(0, 60))
+        event = rng.integers(0, steps, n)
+        cls = rng.integers(0, 2, n)
+        when = rng.uniform(0.0, 1.0, n) * dt[event]
+        when[rng.random(n) < 0.05] = rng.choice([0.0, -0.0])
+        if n:
+            pick = rng.integers(0, n, int(rng.integers(1, n + 1)))
+            other = rng.integers(0, steps, len(pick))
+            event = np.concatenate([event, event[pick], other, event[pick]])
+            cls = np.concatenate([cls, 1 - cls[pick], cls[pick], cls[pick]])
+            when = np.concatenate([when, when[pick], when[pick], when[pick]])
+            ties += len(pick)
+        shuffle = rng.permutation(len(when))
+        event, cls, when = event[shuffle], cls[shuffle], when[shuffle]
+        got, want = np.zeros(rollouts), np.zeros(rollouts)
+        state = (k, t, dt, n1, n2, l1, action)
+        cost = simulate._costs(cfg, got, *state, event, when, cls)
+        ref = _lexsort_costs(cfg, want, *state, event, when, cls)
+        assert cost.tobytes() == ref.tobytes()
+        assert got.tobytes() == want.tobytes()
+    assert ties > 1000
+
+
 _SEED_RANGE_M = 8
 
 
@@ -685,6 +737,32 @@ def test_sample_performance_matches_rollout_across_the_seed_range(seed0):
     for bad in (-1, simulate.SeedStream.SEED_LIMIT):
         with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\*\*122\)"):
             simulate.SeedStream(bad)
+
+
+_TAGS = (*simulate.TAG_LAMBDA, *simulate.TAG_SERVE, *simulate.TAG_SWITCH,
+         simulate.TAG_INIT, simulate.TAG_SHUFFLE)
+
+
+@pytest.mark.parametrize("seed", [0, 1, simulate.SeedStream.SEED_LIMIT - 1])
+def test_generator_equals_philox_keyed_directly(seed):
+    """`SeedStream.generator` builds Philox on a fixed-key sequence instead
+    of ``Philox(key=...)``, which draws OS entropy first; every tag's
+    exponential, gamma and uniform draws stay those of the keyed Philox."""
+    draws = (lambda g: g.exponential(size=1000), lambda g: g.gamma(30.0, 0.1, size=1000),
+             lambda g: g.random(1000))
+    for tag, draw in itertools.product(_TAGS, draws):
+        want = np.random.Generator(np.random.Philox(key=(seed << 6) + tag))
+        assert np.array_equal(draw(simulate.SeedStream(seed).generator(tag)), draw(want))
+
+
+def test_philox_key_sequence_gives_only_two_uint64_words():
+    """The key sequence hands out the key's low and high words and refuses
+    any other request, so a numpy that keys Philox otherwise fails loudly."""
+    key = simulate._philox_key()(2**121 + 7)
+    assert key.generate_state(2, np.uint64).tolist() == [7, 2**57]
+    for n_words, dtype in ((1, np.uint64), (3, np.uint64), (2, np.uint32), (4, np.uint32)):
+        with pytest.raises(ValueError, match="^a Philox key is two uint64 words"):
+            key.generate_state(n_words, dtype)
 
 
 def test_np_exp_is_elementwise_and_position_independent():
