@@ -142,9 +142,10 @@ def analyze_limit_cycle(cfg: ScenarioConfig) -> LimitCycle:
         a = w_p * rho_q**2 * (1.0 - rho_p) + w_q * (1.0 - rho_p) ** 2 * (1.0 - rho_q)
         b = 2.0 * w_p * rho_q**2 + 2.0 * w_q * (1.0 - rho_p) * (1.0 - rho_q)
         # c = slow_value < 0 < a: the roots of a x^2 + b x + c have opposite
-        # signs, and the larger one is the idle fraction (0.0 when 4ac is
-        # lost in b^2's last bit)
-        alpha1 = (-b + math.sqrt(b * b - 4.0 * a * slow_value)) / (2.0 * a)
+        # signs, and the larger one is the idle fraction, taken as
+        # 2c / (-b - sqrt(b^2 - 4ac)), which adds two numbers of one sign,
+        # where (-b + sqrt(b^2 - 4ac)) / 2a cancels when 4ac is small
+        alpha1 = 2.0 * slow_value / (-b - math.sqrt(b * b - 4.0 * a * slow_value))
         kind = CycleKind.TRUNCATED_BOW_TIE
     else:
         alpha1 = 0.0

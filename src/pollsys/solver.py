@@ -679,6 +679,16 @@ def value_iterate(graph: ValueGraph, eps: Optional[float] = None,
     Decision Processes*, 1994, chapter 6); the bound is infinite when
     rho >= 1.
     The stop rule does not use the bound.
+
+    The largest change is measured only on a sweep that may stop.  One
+    watched state's change is a lower bound on it, so while that change
+    exceeds ``eps`` the sweep cannot be the stopping one and the full pass
+    over J is skipped.  Once it is at most ``eps``, and on the sweep that
+    reaches ``maxiter``, the full pass runs: the iteration stops if its
+    maximum is at most ``eps``, and otherwise the watch moves to the state
+    of that maximum.  Every sweep that could stop is measured in full, so
+    the stop sweep, the values and ``residual`` are those of measuring
+    every sweep.
     The greedy actions are re-read from the final values by policy
     improvement's step; a tie goes to the first Q node of the state, i.e.
     the lowest action id (idle < serve < switch).
@@ -696,6 +706,7 @@ def value_iterate(graph: ValueGraph, eps: Optional[float] = None,
     ranks = [slice(n_dyn + r * (n - n_dyn), n_dyn + (r + 1) * (n - n_dyn))
              for r in range(1, sweep.depth)]
     J = np.zeros(n)
+    watch = 0
     converged = False
     sweeps = 0
     while sweeps < maxiter:
@@ -708,7 +719,11 @@ def value_iterate(graph: ValueGraph, eps: Optional[float] = None,
         for rank in ranks:
             np.minimum(head, q[rank], out=head)
         new = q[:n]
-        delta = float(np.abs(new - J).max())
+        delta = abs(new[watch] - J[watch])
+        if delta <= eps or sweeps == maxiter:
+            change = np.abs(new - J)
+            watch = int(change.argmax())
+            delta = float(change[watch])
         J = new
         if delta <= eps:
             converged = True

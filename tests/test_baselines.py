@@ -16,6 +16,7 @@ from pollsys import (
     truncation_bounds,
 )
 from pollsys.baselines import LimitCycle, exhaustive_actions, heuristic_actions
+from pollsys.model import validate_scenario
 
 from conftest import asym_var_config, exp_config, slow_mode_config
 
@@ -118,6 +119,58 @@ def test_alpha1_satisfies_quadratic():
     c = cycle.slow_mode_value
     resid = a * cycle.alpha1**2 + b * cycle.alpha1 + c
     assert abs(resid) <= 1e-9
+
+
+def slow_mode_quadratic(cfg, cycle):
+    """(a, b, c) of a x^2 + b x + c, whose positive root is alpha1, in the
+    priority queue's frame."""
+    report = validate_scenario(cfg)
+    rho_p, rho_q = report.rho1, report.rho2
+    w_p, w_q = cfg.c1 * cfg.lambda1, cfg.c2 * cfg.lambda2
+    if cycle.priority_queue == 2:
+        rho_p, rho_q, w_p, w_q = rho_q, rho_p, w_q, w_p
+    a = w_p * rho_q**2 * (1 - rho_p) + w_q * (1 - rho_p) ** 2 * (1 - rho_q)
+    b = 2 * w_p * rho_q**2 + 2 * w_q * (1 - rho_p) * (1 - rho_q)
+    return a, b, cycle.slow_mode_value
+
+
+def test_alpha1_is_a_root_on_random_slow_modes():
+    """a alpha1^2 + b alpha1 + c vanishes to the last bits of its largest
+    term on random slow modes with either queue as the priority queue."""
+    rng = np.random.default_rng(11)
+    slow = 0
+    for _ in range(2000):
+        lam1, lam2 = rng.uniform(0.05, 2.0, size=2)
+        rho1 = rng.uniform(0.01, 0.9)
+        rho2 = rng.uniform(0.01, 0.99 * (1.0 - rho1))
+        c1, c2 = rng.uniform(0.1, 5.0, size=2)
+        cfg = exp_config(lambda1=lam1, lambda2=lam2, c1=c1, c2=c2,
+                         serve1=Exponential(lam1 / rho1), serve2=Exponential(lam2 / rho2),
+                         switch12=Exponential(1.0 / rng.uniform(0.1, 5.0)),
+                         switch21=Exponential(1.0 / rng.uniform(0.1, 5.0)))
+        cycle = analyze_limit_cycle(cfg)
+        if cycle.kind is not CycleKind.TRUNCATED_BOW_TIE:
+            continue
+        slow += 1
+        a, b, c = slow_mode_quadratic(cfg, cycle)
+        x = cycle.alpha1
+        assert x > 0
+        assert abs(a * x * x + b * x + c) <= 4 * np.finfo(float).eps * (a * x * x + b * x - c)
+    assert slow >= 100
+
+
+def test_alpha1_without_cancellation_at_a_vanishing_slow_mode():
+    """At this c1 the slow-mode value is -2.8e-17: 4ac is below the last
+    bit of b^2, where (-b + sqrt(b^2 - 4ac)) / 2a gives 0.0, and the idle
+    fraction is still the small positive root."""
+    cfg = slow_mode_config(c1=0.47407407407407415)
+    cycle = analyze_limit_cycle(cfg)
+    assert cycle.kind is CycleKind.TRUNCATED_BOW_TIE
+    a, b, c = slow_mode_quadratic(cfg, cycle)
+    assert -1e-16 < c < 0
+    assert cycle.alpha1 > 0
+    assert cycle.alpha1 == pytest.approx(-c / b, rel=1e-12, abs=0.0)
+    assert cycle.c2[1] >= cycle.c1[1]
 
 
 def test_symmetric_scenario_coordinates_mirror():

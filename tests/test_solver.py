@@ -14,7 +14,7 @@ from pollsys import (
     value_iterate,
 )
 from pollsys.baselines import exhaustive_start
-from pollsys.cli import solve_policies
+from pollsys.cli import WARM_START_EPS, solve_policies
 from pollsys.solver import (
     DENSE_BUDGET_BYTES,
     UPDATE_RANK_DIVISOR,
@@ -414,13 +414,12 @@ def divide_self_loops(graph):
     return cost, sparse.csr_matrix((data, cols, indptr), shape=(graph.n_nodes, graph.n_states))
 
 
-def segment_minimum_value_iterate(graph):
+def segment_minimum_value_iterate(graph, eps, maxiter):
     """Value iteration by per-phase segment minima (``np.minimum.reduceat``)
     over the rows with their self-loops divided out, and per-phase change
-    measurements, with the greedy step's two segment minima on the original
-    rows: the sweep that the padded layout replaced, kept as its oracle.
-    Returns (J, sweeps, converged, residual, actions)."""
-    eps = 1e-8 * float(np.abs(graph.q_cost).max())
+    measurements on every sweep, with the greedy step's two segment minima
+    on the original rows: the sweep that the padded layout replaced, kept as
+    its oracle.  Returns (J, sweeps, converged, residual, actions)."""
     node_is_decision = graph.decision_mask[graph.q_state]
     divided_cost, divided_rows = divide_self_loops(graph)
     phases = []
@@ -432,7 +431,7 @@ def segment_minimum_value_iterate(graph):
             phases.append((states, divided_rows[nodes], divided_cost[nodes], starts))
     J = np.zeros(graph.n_states)
     sweeps, converged = 0, False
-    while sweeps < 100000:
+    while sweeps < maxiter:
         sweeps += 1
         delta = 0.0
         for states, rows, cost, starts in phases:
@@ -448,13 +447,29 @@ def segment_minimum_value_iterate(graph):
     return J, sweeps, converged, delta, graph.q_action[node]
 
 
-def assert_matches_segment_minimum(graph):
-    pol = value_iterate(graph)
-    J, sweeps, converged, residual, actions = segment_minimum_value_iterate(graph)
-    assert pol.converged and converged
+def assert_matches_oracle(graph, eps, maxiter=100000):
+    """value_iterate returns the oracle's values, sweeps, convergence,
+    residual and greedy actions."""
+    pol = value_iterate(graph, eps=eps, maxiter=maxiter)
+    J, sweeps, converged, residual, actions = segment_minimum_value_iterate(graph, eps, maxiter)
+    assert pol.converged == converged
     assert np.array_equal(pol.J, J)
     assert pol.iterations == sweeps and pol.residual == residual
     assert np.array_equal(pol.actions, actions)
+    return pol
+
+
+def assert_matches_segment_minimum(graph):
+    """value_iterate equals the oracle at the default eps, at the warm
+    start's loose eps, and cut off by a maxiter below the default stop
+    sweep, where the residual is the last sweep's change."""
+    scale = float(np.abs(graph.q_cost).max())
+    stop = assert_matches_oracle(graph, 1e-8 * scale)
+    assert stop.converged
+    assert assert_matches_oracle(graph, WARM_START_EPS * scale).converged
+    if stop.iterations > 1:
+        cut = assert_matches_oracle(graph, 1e-8 * scale, stop.iterations // 2)
+        assert not cut.converged and cut.iterations == stop.iterations // 2
 
 
 @pytest.mark.parametrize("build", [
@@ -465,6 +480,23 @@ def assert_matches_segment_minimum(graph):
 @pytest.mark.parametrize("make_cfg", [slow_mode_config, asym_var_config])
 def test_value_iterate_bit_identical_to_segment_minimum(make_cfg, build):
     assert_matches_segment_minimum(build(make_cfg(X1=8, X2=8, N1=8, N2=8)).graph)
+
+
+def test_value_iterate_measures_every_sweep_that_could_stop():
+    """State 0, first in sweep order, is exact after sweep 1 (its self-loop
+    divided out), while states 1 and 2 swap values with discount 0.9 and
+    move by more than eps for about 170 sweeps: its change bounds the
+    sweep's largest change from below only, so the iteration must not stop
+    on it."""
+    rows = {
+        (0, 0): ([0], [1.0], [0.5], 1.0),
+        (1, 0): ([2], [1.0], [0.9], 1.0),
+        (2, 0): ([1], [1.0], [0.9], 0.0),
+    }
+    model = TabularModel(n_states=3, rows=rows, feasible={x: (0,) for x in range(3)})
+    assert _vi_phases(model.graph).order[0] == 0
+    assert_matches_segment_minimum(model.graph)
+    assert value_iterate(model.graph).iterations > 100
 
 
 def random_tabular_model(rng, n_states, n_actions, links=()):
