@@ -31,7 +31,7 @@ import numpy as np
 
 from .baselines import analyze_limit_cycle, exhaustive_start, limit_cycle_report
 from .ctmdp import build_nonpreemptive
-from .model import IDLE, SERVE, SWITCH, ScenarioConfig, ScenarioError, validate_scenario
+from .model import ACTION_NAMES, ScenarioConfig, ScenarioError, validate_scenario
 from .simulate import (
     ExhaustivePolicy,
     HeuristicPolicy,
@@ -47,7 +47,7 @@ from .simulate import (
     work_fraction,
 )
 from .smdp import build_smdp
-from .solver import build_value_graph, export_policy_csv, policy_iteration, value_iterate
+from .solver import build_value_graph, policy_iteration, value_iterate
 from .stats import (
     dagostino_k2,
     mann_whitney_u,
@@ -114,6 +114,19 @@ def _write_csv(out_dir, name, header, rows) -> str:
         writer.writerow(header)
         writer.writerows(rows)
     return path
+
+
+def export_policy_csv(table: np.ndarray, cfg: ScenarioConfig, out_dir, name: str) -> list:
+    """Write the (n1, n2, l1, action) table, one CSV per server location;
+    returns the two paths."""
+    box = np.asarray(table).astype(int).reshape(cfg.X1 + 1, cfg.X2 + 1, 2)
+    paths = []
+    for loc in (0, 1):
+        rows = [(n1, n2, loc, ACTION_NAMES.get(a, str(a)))
+                for n1, codes in enumerate(box[:, :, loc].tolist()) for n2, a in enumerate(codes)]
+        paths.append(_write_csv(out_dir, f"policy_{name}_q{loc + 1}.csv",
+                                ["n1", "n2", "l1", "action"], rows))
+    return paths
 
 
 def _write_json(path, doc):
@@ -411,9 +424,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
             phi, _, _, _ = action_time_fractions(trace)
             freq, _, _ = embedded_stationary(trace)
             summary["occupancy"][name] = {
-                "phi_idle": phi[IDLE],
-                "phi_serve": phi[SERVE],
-                "phi_switch": phi[SWITCH],
+                **{f"phi_{ACTION_NAMES[a]}": share for a, share in phi.items()},
                 "work_fraction": work_fraction(trace, cfg),
                 "phi_star": cells_occupancy(freq, cells),
             }

@@ -84,6 +84,14 @@ def _philox_key():
     return PhiloxKey
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool or a value that is not an integer raises
+    ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class SeedStream:
     """Deterministic per-event-type substreams derived from one base seed.
 
@@ -100,7 +108,7 @@ class SeedStream:
     SEED_LIMIT = 1 << 122
 
     def __init__(self, base_seed: int):
-        self.base_seed = int(base_seed)
+        self.base_seed = _integer("seed", base_seed)
         if not 0 <= self.base_seed < self.SEED_LIMIT:
             raise ValueError(f"seed must lie in [0, 2**122), got {self.base_seed}")
         self._key0 = self.base_seed << 6  # tag's key: _key0 + tag
@@ -650,7 +658,9 @@ def sample_performance(cfg: ScenarioConfig, policies, initial_dist, seed0: int,
     Entry k of policy p's array equals ``rollout(cfg, policies[p],
     initial_dist, seed0 + k, T)`` bit for bit, so the arrays are paired
     (`decouple` unpairs them); errors name the policy by its position p.
+    ``seed0`` and ``M`` must be integers, not bools.
     """
+    seed0, M = _integer("seed0", seed0), _integer("M", M)
     if M < 2:
         raise ValueError("need at least two rollouts (M >= 2)")
     _check_horizon(T)
@@ -661,7 +671,7 @@ def sample_performance(cfg: ScenarioConfig, policies, initial_dist, seed0: int,
     cdf = _initial_cdf(cfg, initial_dist)
 
     def block(ks):
-        streams = [SeedStream(int(seed0) + k) for k in ks.tolist()]
+        streams = [SeedStream(seed0 + k) for k in ks.tolist()]
         u = [stream.generator(TAG_INIT).random() for stream in streams]
         return _lockstep(cfg, codes, np.array(_initial_states(cfg, cdf, u)), streams, T)
 

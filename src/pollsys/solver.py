@@ -20,15 +20,11 @@ bit-reproducible.
 
 from __future__ import annotations
 
-import csv
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, List, NamedTuple, Optional
 
 import numpy as np
-
-from .model import ACTION_NAMES, triple_indexer
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -734,23 +730,4 @@ def value_iterate(graph: ValueGraph, eps: Optional[float] = None,
     return Policy(actions=_greedy_actions(graph, values), J=values, iterations=sweeps,
                   converged=converged, residual=delta,
                   error_bound=rho / (1.0 - rho) * delta if rho < 1.0 else np.inf)
-
-
-def export_policy_csv(table: np.ndarray, cfg, out_dir, name: str):
-    """Write the (n1, n2, l1, action) table, one CSV per server location."""
-    import os
-
-    indexer = triple_indexer(cfg)
-    n1, n2 = np.divmod(np.arange((cfg.X1 + 1) * (cfg.X2 + 1)), cfg.X2 + 1)
-    paths = []
-    for loc in (0, 1):
-        codes = np.asarray(table)[indexer.flatten(n1, n2, loc)].astype(int).tolist()
-        path = os.path.join(out_dir, f"policy_{name}_q{loc + 1}.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n1", "n2", "l1", "action"])
-            writer.writerows(zip(n1.tolist(), n2.tolist(), itertools.repeat(loc),
-                                 [ACTION_NAMES.get(a, str(a)) for a in codes]))
-        paths.append(path)
-    return paths
 

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import itertools
 import json
 import os
@@ -10,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pollsys import cli, solver
+from pollsys import cli, ctmdp, smdp, solver
 from pollsys.cli import (
     ExperimentPlan,
     StageError,
@@ -158,8 +159,12 @@ def test_screen_and_ctmdp_solve_load_no_special_or_linalg(tmp_path):
     """screen imports no scipy module, and the CTMDP solve never imports
     scipy.special, scipy.linalg or scipy.sparse.linalg; the SMDP solve,
     which does, then writes the tables of an in-process solve.  The test
-    modules import scipy.stats, so the check runs in a fresh interpreter."""
+    command keeps its own closed forms, so it never imports scipy.stats
+    (0.66-0.72 s on its own).  The test modules import scipy.stats, so the
+    check runs in a fresh interpreter."""
     plan = ["--scenario", "slow_mode", "--X1", "8", "--X2", "8", "--N1", "8", "--N2", "8"]
+    tiny = ["--scenario", "slow_mode", "--X1", "4", "--X2", "4", "--N1", "4", "--N2", "4",
+            "--policies", "smdp,exhaustive", "--rollouts", "30", "--horizon", "20"]
     script = f"""
 import json, sys
 from pollsys import cli
@@ -174,15 +179,35 @@ loaded("scipy")
 cli.main(["solve", *plan, "--model", "ctmdp", "--out", {str(tmp_path / "ctmdp")!r}])
 loaded("scipy.special", "scipy.linalg", "scipy.sparse.linalg")
 cli.main(["solve", *plan, "--model", "smdp", "--out", {str(tmp_path / "fresh")!r}])
+cli.main(["test", *{tiny!r}, "--out", {str(tmp_path / "test")!r}])
+loaded("scipy.stats")
 """
     out = _fresh_python(script)
     reports = [json.loads(line[7:]) for line in out.splitlines() if line.startswith("loaded ")]
-    assert reports == [[], []]
+    assert reports == [[], [], []]
     main(["solve", *plan, "--model", "smdp", "--out", str(tmp_path / "in_process")])
     for loc in ("q1", "q2"):
         name = f"policy_smdp_{loc}.csv"
         fresh, in_process = (tmp_path / d / name for d in ("fresh", "in_process"))
         assert fresh.read_bytes() == in_process.read_bytes()
+
+
+def test_paper_scale_module_imports_without_a_build_or_solve(monkeypatch):
+    """tests/paper_scale.py reads tier-1's helpers by name, so renaming one
+    fails here, not only in the paper-scale run; importing it builds and
+    solves nothing."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("importing paper_scale built or solved a model")
+
+    for module, name in ((cli, "solve_policies"), (smdp, "build_smdp"),
+                         (ctmdp, "build_nonpreemptive")):
+        monkeypatch.setattr(module, name, refuse)
+    # a fresh import; teardown undoes both deletions in reverse order, so
+    # sys.modules ends as it was
+    monkeypatch.delitem(sys.modules, "paper_scale", raising=False)
+    paper_scale = importlib.import_module("paper_scale")
+    monkeypatch.delitem(sys.modules, "paper_scale")
+    assert paper_scale.SCENARIOS == ("slow_mode", "asym_var")
 
 
 def test_solve_command_smdp_value_iteration(tiny_scenario, tmp_path):

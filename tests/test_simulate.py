@@ -314,19 +314,37 @@ def _case_names(cases):
     ]
 
 
+def assert_batch_equals_rollouts(cfg, policies, names, dist, seed0, T, M):
+    """A lockstep batch of ``policies`` (name -> policy) equals the per-seed
+    scalar rollouts of each policy in ``names`` bit for bit."""
+    etas = dict(zip(policies, sample_performance(cfg, list(policies.values()), dist, seed0, T, M)))
+    for name in names:
+        want = [rollout(cfg, policies[name], dist, seed0 + k, T) for k in range(M)]
+        assert np.array_equal(etas[name], want), (name, seed0)
+
+
+def record_blocks(monkeypatch) -> list:
+    """A list that receives every `simulate._Blocks` made from now on."""
+    blocks = []
+
+    class Recorded(simulate._Blocks):
+        def __init__(self, *args):
+            super().__init__(*args)
+            blocks.append(self)
+
+    monkeypatch.setattr(simulate, "_Blocks", Recorded)
+    return blocks
+
+
 @pytest.mark.parametrize("case, name", _case_names(sorted(BATCH_CASES)))
 @pytest.mark.parametrize("start", ["uniform", "point"])
 def test_sample_performance_matches_scalar_rollouts(case, name, start):
     """A lockstep batch of every policy kind equals the per-seed scalar
     rollouts of the named policy bit for bit."""
     cfg = BATCH_CASES[case]
-    policies = _case_policies(cfg)
     dist = None if start == "uniform" else _point_dist(cfg, 1, 2, 1)
-    M, T = 24, 150.0 if case != "deterministic" else 400.0
-    etas = sample_performance(cfg, list(policies.values()), dist, 11, T, M)
-    p = list(policies).index(name)
-    want = [rollout(cfg, policies[name], dist, 11 + k, T) for k in range(M)]
-    assert np.array_equal(etas[p], want)
+    T = 150.0 if case != "deterministic" else 400.0
+    assert_batch_equals_rollouts(cfg, _case_policies(cfg), [name], dist, 11, T, 24)
 
 
 def test_sample_performance_seed_blocks_under_a_small_lane_cap(monkeypatch):
@@ -381,20 +399,10 @@ def test_sample_performance_draws_each_stream_once_per_seed(monkeypatch):
 def test_sample_performance_rows_grow_past_first_block(monkeypatch):
     """Rows that outgrow their first block keep the scalar values bit for bit."""
     cfg = BATCH_CASES["deterministic"]
-    blocks = []
-
-    class Recorded(simulate._Blocks):
-        def __init__(self, *args):
-            super().__init__(*args)
-            blocks.append(self)
-
-    monkeypatch.setattr(simulate, "_Blocks", Recorded)
-    policy = ExhaustivePolicy()
-    M, T = 12, 400.0
-    (eta,) = sample_performance(cfg, [policy], None, 11, T, M)
+    blocks = record_blocks(monkeypatch)
+    assert_batch_equals_rollouts(cfg, {"exhaustive": ExhaustivePolicy()}, ["exhaustive"],
+                                 None, 11, 400.0, 12)
     assert any(b.size.max() > b.block for b in blocks)
-    want = [rollout(cfg, policy, None, 11 + k, T) for k in range(M)]
-    assert np.array_equal(eta, want)
 
 
 def test_action_tables_match_scalar_policies():
@@ -570,18 +578,24 @@ def _reference_trace(cfg, policy, x0, seed, T):
     return rec
 
 
+def assert_trace_equals_oracle(cfg, policy, x0, seed, T) -> RolloutTrace:
+    """`simulate_trace` gives `_reference_trace`'s trajectory bit for bit,
+    field by field; returns the trace."""
+    tr = simulate_trace(cfg, policy, T, seed=seed, x0=x0)
+    want = _reference_trace(cfg, policy, x0, seed, T)
+    for key in ("n1", "n2", "l1", "action", "cost", "dt", "t"):
+        assert np.array_equal(getattr(tr, key), want[key]), key
+    assert tr.arrivals == want["arrivals"]
+    return tr
+
+
 @pytest.mark.parametrize("case, name", _case_names(sorted(BATCH_CASES)))
 def test_simulate_trace_matches_per_draw_oracle(case, name):
     """Block-buffered draws give the per-draw trajectory bit for bit, past
     the first block of an arrival substream."""
     cfg = BATCH_CASES[case]
-    policy = _case_policies(cfg)[name]
-    x0, seed, T = (1, 2, 1), 11, 200.0 if case == "slow_mode" else 400.0
-    tr = simulate_trace(cfg, policy, T, seed=seed, x0=x0)
-    want = _reference_trace(cfg, _case_policies(cfg)[name], x0, seed, T)
-    for key in ("n1", "n2", "l1", "action", "cost", "dt", "t"):
-        assert np.array_equal(getattr(tr, key), want[key]), key
-    assert tr.arrivals == want["arrivals"]
+    T = 200.0 if case == "slow_mode" else 400.0
+    tr = assert_trace_equals_oracle(cfg, _case_policies(cfg)[name], (1, 2, 1), 11, T)
     # every step reads one gap of each class besides its arrivals; a case
     # without arrivals has no gap substream to read past its first block
     arrived = [sum(1 for arr in tr.arrivals for c, _ in arr if c == cls) for cls in (0, 1)]
@@ -737,6 +751,30 @@ def test_sample_performance_matches_rollout_across_the_seed_range(seed0):
     for bad in (-1, simulate.SeedStream.SEED_LIMIT):
         with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\*\*122\)"):
             simulate.SeedStream(bad)
+
+
+@pytest.mark.parametrize("seed0, M, name", [
+    (0.5, 4, "seed0"), (np.float64(3.0), 4, "seed0"), (True, 4, "seed0"),
+    (0, 2.5, "M"), (0, np.True_, "M"),
+])
+def test_sample_performance_rejects_a_seed_or_count_that_is_no_integer(seed0, M, name):
+    """A float seed would run the seed it truncates to, and M = 2.5 three
+    rollouts per policy (``np.arange``); a bool is no count either."""
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+        sample_performance(HEURISTIC_FLAG_CONFIG, [ExhaustivePolicy()], None, seed0, 60.0, M)
+
+
+def test_seed_stream_takes_python_and_numpy_integers_only():
+    for bad in (0.5, 2.0, True, np.float64(1.0)):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got "):
+            simulate.SeedStream(bad)
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 1.5"):
+        rollout(HEURISTIC_FLAG_CONFIG, ExhaustivePolicy(), None, 1.5, 60.0)
+    policies = [HeuristicPolicy(HEURISTIC_FLAG_CONFIG), ExhaustivePolicy()]
+    want = sample_performance(HEURISTIC_FLAG_CONFIG, policies, None, 5, 60.0, 4)
+    got = sample_performance(HEURISTIC_FLAG_CONFIG, policies, None, np.uint64(5), 60.0,
+                             np.int32(4))
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 _TAGS = (*simulate.TAG_LAMBDA, *simulate.TAG_SERVE, *simulate.TAG_SWITCH,

@@ -14,7 +14,7 @@ from pollsys import (
     value_iterate,
 )
 from pollsys.baselines import exhaustive_start
-from pollsys.cli import WARM_START_EPS, solve_policies
+from pollsys.cli import WARM_START_EPS, export_policy_csv, solve_policies
 from pollsys.solver import (
     DENSE_BUDGET_BYTES,
     UPDATE_RANK_DIVISOR,
@@ -23,7 +23,6 @@ from pollsys.solver import (
     _dense,
     _greedy_actions,
     _vi_phases,
-    export_policy_csv,
     initial_policy,
 )
 
