@@ -57,15 +57,13 @@ from .simulate import (
     RolloutTrace,
     SeedStream,
     TabularPolicy,
-    action_time_fractions,
     decouple,
-    embedded_stationary,
-    limit_cycle_occupancy,
+    limit_cycle_cells,
+    occupancy,
     overall_stationary,
     rollout,
     sample_performance,
     simulate_trace,
-    work_fraction,
 )
 from .stats import (
     TestResult,

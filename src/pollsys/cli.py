@@ -36,15 +36,12 @@ from .simulate import (
     ExhaustivePolicy,
     HeuristicPolicy,
     TabularPolicy,
-    action_time_fractions,
-    cells_occupancy,
     decouple,
-    embedded_stationary,
     largest_seed,
     limit_cycle_cells,
+    occupancy,
     sample_performance,
     simulate_trace,
-    work_fraction,
 )
 from .smdp import build_smdp
 from .solver import build_value_graph, policy_iteration, value_iterate
@@ -421,15 +418,9 @@ def run_experiment(plan: ExperimentPlan) -> dict:
         cells = limit_cycle_cells(analyze_limit_cycle(cfg))
         for name in plan.policies:
             trace = simulate_trace(cfg, policies[name], plan.occupancy_horizon, seed=plan.seed)
-            phi, _, _, _ = action_time_fractions(trace)
-            freq, _, _ = embedded_stationary(trace)
-            summary["occupancy"][name] = {
-                **{f"phi_{ACTION_NAMES[a]}": share for a, share in phi.items()},
-                "work_fraction": work_fraction(trace, cfg),
-                "phi_star": cells_occupancy(freq, cells),
-            }
+            summary["occupancy"][name], freq = occupancy(trace, cfg, cells)
             _write_csv(plan.out_dir, f"freq_{name}.csv", ["n1", "n2", "l1", "freq"],
-                       [[a, b, c, _fmt(f)] for (a, b, c), f in sorted(freq.items())])
+                       [[*key, _fmt(f)] for key, f in freq.items()])
 
     _write_json(os.path.join(plan.out_dir, "summary.json"), summary)
     return summary

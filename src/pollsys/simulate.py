@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import IDLE, SERVE, SWITCH, ScenarioConfig, triple_indexer
+from .model import ACTION_NAMES, ACTIONS, IDLE, SERVE, SWITCH, ScenarioConfig, triple_indexer
 from .baselines import CycleKind, _heuristic_params, exhaustive_actions, heuristic_actions
 from .distributions import Exponential
 
@@ -136,7 +136,6 @@ class RolloutTrace:
     cost: np.ndarray  # locally discounted step cost c_k^beta
     dt: np.ndarray
     t: np.ndarray  # entry times, t[0] = 0
-    horizon: float
     arrival_step: Optional[np.ndarray] = None
     arrival_class: Optional[np.ndarray] = None
     arrival_time: Optional[np.ndarray] = None
@@ -384,7 +383,7 @@ def _run(cfg: ScenarioConfig, codes: np.ndarray, x0, seeds: SeedStream, T: float
     cost = _costs(cfg, total, np.zeros(len(t), dtype=int), t, dt, n1, n2, l1, action,
                   step, when, cls)
     trace = RolloutTrace(n1=n1, n2=n2, l1=l1, action=action, cost=cost, dt=dt, t=t,
-                         horizon=T, arrival_step=step, arrival_class=cls, arrival_time=when)
+                         arrival_step=step, arrival_class=cls, arrival_time=when)
     return float(total[0]), trace
 
 
@@ -427,18 +426,20 @@ def simulate_trace(cfg: ScenarioConfig, policy, T: float, seed: int = 0,
                    x0=(0, 0, 0)) -> RolloutTrace:
     """Record a full embedded-chain trajectory from a fixed initial state.
 
-    ``x0`` holds integers (n1, n2, l1) within the simulator's cap box
-    [0, 10 X1] x [0, 10 X2] x {0, 1}.
+    ``x0`` holds integers (n1, n2, l1), not bools, within the simulator's
+    cap box [0, 10 X1] x [0, 10 X2] x {0, 1}.
     """
     _check_horizon(T)
     x0 = tuple(x0)
     caps = (*_caps(cfg), 1)
-    if len(x0) != 3 or not all(isinstance(v, (int, np.integer)) and 0 <= v <= cap
-                               for v, cap in zip(x0, caps)):
+    try:
+        start = tuple(_integer("x0", v) for v in x0)
+    except ValueError:  # a bool or a non-integer coordinate
+        start = ()
+    if len(start) != 3 or not all(0 <= v <= cap for v, cap in zip(start, caps)):
         raise ValueError(f"initial state {x0} is not integers (n1, n2, l1) in "
                          f"[0, {caps[0]}] x [0, {caps[1]}] x {{0, 1}}")
-    codes = _action_codes(cfg, policy)
-    return _run(cfg, codes, tuple(int(v) for v in x0), SeedStream(seed), T)[1]
+    return _run(cfg, _action_codes(cfg, policy), start, SeedStream(seed), T)[1]
 
 
 # Lockstep batch of rollouts.  Every seed keeps its own `SeedStream`; each
@@ -695,60 +696,6 @@ def largest_seed(M: int, policies: int) -> int:
     return SeedStream.SEED_LIMIT - 1 - max(M - 1, _SHUFFLE_STRIDE * policies)
 
 
-def _burn_in(trace: RolloutTrace, burn_in: Optional[int]) -> int:
-    """The number of leading trace entries to discard: ``burn_in``, by
-    default 10% of the trace.  It must be non-negative and leave at least
-    one entry."""
-    B = len(trace) // 10 if burn_in is None else int(burn_in)
-    if B < 0:
-        raise ValueError(f"burn_in must be non-negative, got {burn_in}")
-    if len(trace) - B <= 0:
-        raise ValueError("trace too short for the requested burn-in")
-    return B
-
-
-def embedded_stationary(trace: RolloutTrace, burn_in: Optional[int] = None):
-    """Empirical stationary distribution of the embedded chain.
-
-    Returns (frequency table keyed by (n1, n2, l1), visits at queue 1,
-    visits at queue 2) after discarding the first ``burn_in`` entries
-    (default: 10% of the trace).
-    """
-    B = _burn_in(trace, burn_in)
-    n1 = trace.n1[B:]
-    n2 = trace.n2[B:]
-    l1 = trace.l1[B:]
-    count = len(n1)
-    # visits per flat (n1, n2, l1) index, whose order is the keys' sort order
-    shape = (int(n1.max(initial=0)) + 1, int(n2.max(initial=0)) + 1, 2)
-    counts = np.bincount(np.ravel_multi_index((n1, n2, l1), shape))
-    flat = np.flatnonzero(counts)
-    keys = zip(*(k.tolist() for k in np.unravel_index(flat, shape)))
-    freq = dict(zip(keys, counts[flat] / count))
-    visits_q1 = int(np.sum(l1 == 0))
-    visits_q2 = int(np.sum(l1 == 1))
-    return freq, visits_q1, visits_q2
-
-
-def action_time_fractions(trace: RolloutTrace, burn_in: Optional[int] = None):
-    """Time-weighted fraction spent in each server activity.
-
-    Returns (fractions dict action -> share of time, total time, per-queue
-    duration tables T1 and T2 keyed by action).
-    """
-    B = _burn_in(trace, burn_in)
-    act = trace.action[B:]
-    dt = trace.dt[B:]
-    l1 = trace.l1[B:]
-    T1 = {a: float(dt[(l1 == 0) & (act == a)].sum()) for a in (IDLE, SERVE, SWITCH)}
-    T2 = {a: float(dt[(l1 == 1) & (act == a)].sum()) for a in (IDLE, SERVE, SWITCH)}
-    total = sum(T1.values()) + sum(T2.values())
-    if not 0 < total < math.inf:  # inf: an idle step without arrivals lasts for ever
-        raise ValueError(f"trace's elapsed time after burn-in is {total}, not finite and positive")
-    phi = {a: (T1[a] + T2[a]) / total for a in (IDLE, SERVE, SWITCH)}
-    return phi, total, T1, T2
-
-
 def limit_cycle_cells(cycle) -> set:
     """The (n1, n2) cells of the integerised cycle: each cycle segment is
     sampled on 100 points and every floor/ceil combination of a sampled
@@ -770,39 +717,45 @@ def limit_cycle_cells(cycle) -> set:
     return cells
 
 
-def cells_occupancy(freq_table: dict, cells: set) -> float:
-    """Share of embedded visits whose queue pair is one of ``cells``; the
-    queue-marginal frequency sums over both server locations."""
-    marginal = {}
-    for (n1, n2, _), f in freq_table.items():
-        marginal[(n1, n2)] = marginal.get((n1, n2), 0.0) + f
-    return float(sum(marginal.get(cell, 0.0) for cell in cells))
+def occupancy(trace: RolloutTrace, cfg: ScenarioConfig, cells) -> tuple:
+    """Long-run occupancy of one trace after its burn-in, its first tenth.
 
-
-def limit_cycle_occupancy(freq_table: dict, cycle) -> float:
-    """Share of embedded visits whose queue pair lies on the integerised
-    cycle (`limit_cycle_cells`), summed over both server locations."""
-    return cells_occupancy(freq_table, limit_cycle_cells(cycle))
-
-
-def work_fraction(trace: RolloutTrace, cfg: ScenarioConfig,
-                  burn_in: Optional[int] = None) -> float:
-    """Serve-share-weighted mean service time, the reported work measure.
-
-    Sums phi~(serve | at queue i) * mean(serve_i) over the two queues, where
-    phi~ are embedded-chain action shares.  Unlike the raw serving time
-    fraction, which equals the utilisation rho for every stable policy, this
-    measure exceeds rho and reflects how decisively a policy serves.
+    Returns (shares, freq).  ``shares`` holds the time share of each server
+    activity (``phi_idle``, ``phi_serve``, ``phi_switch``); the work
+    fraction, phi~(serve | at queue i) * mean(serve_i) summed over the
+    queues visited, where phi~ are embedded-chain action shares (unlike the
+    serving time share, which equals the utilisation rho for every stable
+    policy, it exceeds rho and reflects how decisively a policy serves);
+    and ``phi_star``, the share of visits whose queue pair is one of
+    ``cells`` (`limit_cycle_cells`), summed over both server locations.
+    ``freq`` maps each visited (n1, n2, l1) to its share of visits, in key
+    order.
     """
-    B = _burn_in(trace, burn_in)
-    act = trace.action[B:]
-    l1 = trace.l1[B:]
-    total = 0.0
+    B = len(trace) // 10
+    n1, n2, l1 = trace.n1[B:], trace.n2[B:], trace.l1[B:]
+    act, dt = trace.action[B:], trace.dt[B:]
+    spent = [[float(dt[(l1 == loc) & (act == a)].sum()) for a in ACTIONS] for loc in (0, 1)]
+    total = sum(spent[0]) + sum(spent[1])
+    if not 0 < total < math.inf:  # inf: an idle step without arrivals lasts for ever
+        raise ValueError(f"trace's elapsed time after burn-in is {total}, not finite and positive")
+    shares = {f"phi_{ACTION_NAMES[a]}": (spent[0][a] + spent[1][a]) / total for a in ACTIONS}
+    work = 0.0
     for loc, dist in ((0, cfg.serve1), (1, cfg.serve2)):
         at = l1 == loc
         if at.any():
-            total += float((act[at] == SERVE).mean()) * dist.mean()
-    return total
+            work += float((act[at] == SERVE).mean()) * dist.mean()
+    shares["work_fraction"] = work
+    # visits per flat (n1, n2, l1) index, whose order is the keys' sort order
+    shape = (int(n1.max()) + 1, int(n2.max()) + 1, 2)
+    counts = np.bincount(np.ravel_multi_index((n1, n2, l1), shape), minlength=math.prod(shape))
+    share = counts / len(n1)
+    flat = np.flatnonzero(counts)
+    freq = dict(zip(zip(*(k.tolist() for k in np.unravel_index(flat, shape))),
+                    share[flat].tolist()))
+    marginal = (share[0::2] + share[1::2]).reshape(shape[:2])  # l1 = 0 plus l1 = 1
+    shares["phi_star"] = float(sum(marginal[c] for c in cells
+                                   if 0 <= c[0] < shape[0] and 0 <= c[1] < shape[1]))
+    return shares, freq
 
 
 def overall_stationary(embedded_freqs: np.ndarray, mean_durations: np.ndarray) -> np.ndarray:

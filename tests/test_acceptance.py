@@ -41,7 +41,6 @@ from pollsys import (
 )
 from pollsys.cli import solve_policies
 from pollsys.model import triple_indexer
-from pollsys.simulate import work_fraction
 from pollsys.solver import policy_evaluate
 
 from conftest import asym_var_config, exp_config, record_policy_evaluations, slow_mode_config
@@ -286,12 +285,8 @@ def test_criterion_9_occupancy(slow_experiment, asym_experiment):
         cfg = exp["cfg"]
         pol = ps.TabularPolicy(exp["tables"]["smdp"], cfg.X1, cfg.X2)
         trace = ps.simulate_trace(cfg, pol, T=200000.0, seed=123, x0=(0, 0, 0))
-        wf = work_fraction(trace, cfg)
-        vals[label] = {"wf": wf}
-        if label == "asym":
-            freq, _, _ = ps.embedded_stationary(trace)
-            cyc = analyze_limit_cycle(cfg)
-            vals[label]["phi_star"] = ps.limit_cycle_occupancy(freq, cyc)
+        shares, _ = ps.occupancy(trace, cfg, ps.limit_cycle_cells(analyze_limit_cycle(cfg)))
+        vals[label] = {"wf": shares["work_fraction"], "phi_star": shares["phi_star"]}
     ok = (
         abs(vals["asym"]["wf"] - 0.70) <= 0.03
         and abs(vals["slow"]["wf"] - 0.51) <= 0.03

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -20,11 +21,11 @@ from pollsys import (
     HeuristicPolicy,
     QueueOverflowError,
     TabularPolicy,
-    action_time_fractions,
+    analyze_limit_cycle,
     build_smdp,
     decouple,
-    embedded_stationary,
-    limit_cycle_occupancy,
+    limit_cycle_cells,
+    occupancy,
     overall_stationary,
     rollout,
     sample_performance,
@@ -33,7 +34,7 @@ from pollsys import (
 from pollsys import simulate
 from pollsys.baselines import LimitCycle
 from pollsys.cli import load_scenario, solve_policies
-from pollsys.model import triple_indexer, validate_scenario
+from pollsys.model import ACTION_NAMES, triple_indexer, validate_scenario
 from pollsys.simulate import RolloutTrace
 
 from conftest import (
@@ -105,7 +106,7 @@ def test_idle_without_arrivals_lasts_for_ever():
     assert (tr.n1.tolist(), tr.dt.tolist(), tr.cost.tolist()) == ([2], [math.inf], [40.0])
     assert tr.arrivals == [()]
     with pytest.raises(ValueError, match="elapsed time after burn-in is inf"):
-        action_time_fractions(tr)
+        occupancy(tr, cfg, set())
 
 
 def test_idle_tie_ends_with_queue_one_arrival(monkeypatch):
@@ -655,7 +656,7 @@ def test_arrival_log_needs_no_per_step_sort():
     trace = RolloutTrace(
         n1=np.array([2, 0, 1], dtype=np.int32), n2=np.array([1, 3, 0], dtype=np.int32),
         l1=np.zeros(3, dtype=np.int32), action=np.full(3, SWITCH, dtype=np.int32),
-        cost=np.zeros(3), dt=dt, t=np.array([0.0, 1.3, 1.9]), horizon=3.9,
+        cost=np.zeros(3), dt=dt, t=np.array([0.0, 1.3, 1.9]),
         arrival_step=step, arrival_class=cls, arrival_time=when)
     entries = sorted(zip(step.tolist(), cls.tolist(), when.tolist()), key=lambda e: e[1])
     for k in range(3):
@@ -839,9 +840,10 @@ def test_simulate_trace_rejects_nonpositive_horizon():
 
 
 @pytest.mark.parametrize("x0", [(-1, 3, 0), (21, 0, 0), (0, 21, 1), (0, 0, 2), (1.0, 0, 0),
-                                (0, 0)])
+                                (0, 0), (True, 0, 0)])
 def test_simulate_trace_rejects_start_outside_cap_box(x0):
-    """The cap box of X1 = X2 = 2 is [0, 20] x [0, 20] x {0, 1}."""
+    """The cap box of X1 = X2 = 2 is [0, 20] x [0, 20] x {0, 1}; a bool is
+    no integer coordinate."""
     cfg = exp_config(X1=2, X2=2)
     idle = TabularPolicy(np.full(18, IDLE), 2, 2)
     with pytest.raises(ValueError, match="initial state"):
@@ -858,51 +860,22 @@ def test_queue_overflow_detected():
                        x0=(0, 0, 0))
 
 
+def _hand_trace(n1, n2, l1, action):
+    """A trace of unit steps through the given states and actions."""
+    k = len(n1)
+    return RolloutTrace(
+        n1=np.array(n1, dtype=np.int32), n2=np.array(n2, dtype=np.int32),
+        l1=np.array(l1, dtype=np.int32), action=np.array(action, dtype=np.int32),
+        cost=np.zeros(k), dt=np.ones(k), t=np.arange(k, dtype=float))
+
+
 def test_embedded_stationary_alternation():
-    tr = RolloutTrace(
-        n1=np.array([0, 1] * 50, dtype=np.int32),
-        n2=np.zeros(100, dtype=np.int32),
-        l1=np.zeros(100, dtype=np.int32),
-        action=np.zeros(100, dtype=np.int32),
-        cost=np.zeros(100),
-        dt=np.ones(100),
-        t=np.arange(100, dtype=float),
-        horizon=100.0,
-    )
-    freq, v1, v2 = embedded_stationary(tr, burn_in=0)
-    assert freq[(0, 0, 0)] == pytest.approx(0.5)
-    assert freq[(1, 0, 0)] == pytest.approx(0.5)
-    assert v1 == 100 and v2 == 0
-    assert sum(freq.values()) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_embedded_stationary_requires_data_after_burn_in():
-    tr = RolloutTrace(
-        n1=np.zeros(3, dtype=np.int32), n2=np.zeros(3, dtype=np.int32),
-        l1=np.zeros(3, dtype=np.int32), action=np.zeros(3, dtype=np.int32),
-        cost=np.zeros(3), dt=np.ones(3), t=np.arange(3, dtype=float),
-        horizon=3.0,
-    )
-    with pytest.raises(ValueError):
-        embedded_stationary(tr, burn_in=3)
-
-
-@pytest.mark.parametrize("stat", [
-    embedded_stationary,
-    action_time_fractions,
-    lambda tr, burn_in: simulate.work_fraction(tr, exp_config(), burn_in),
-])
-def test_negative_burn_in_rejected(stat):
-    """A negative burn_in is an error, not "the last |burn_in| entries"."""
-    tr = RolloutTrace(
-        n1=np.zeros(20, dtype=np.int32), n2=np.zeros(20, dtype=np.int32),
-        l1=np.zeros(20, dtype=np.int32), action=np.zeros(20, dtype=np.int32),
-        cost=np.zeros(20), dt=np.ones(20), t=np.arange(20, dtype=float),
-        horizon=20.0,
-    )
-    stat(tr, burn_in=0)
-    with pytest.raises(ValueError, match="burn_in must be non-negative"):
-        stat(tr, burn_in=-5)
+    """After the burn-in, the first tenth of the 100 entries, the trace
+    alternates between two states."""
+    tr = _hand_trace([0, 1] * 50, [0] * 100, [0] * 100, [IDLE] * 100)
+    shares, freq = occupancy(tr, exp_config(), {(1, 0)})
+    assert freq == {(0, 0, 0): 0.5, (1, 0, 0): 0.5}
+    assert (shares["phi_idle"], shares["phi_star"], shares["work_fraction"]) == (1.0, 0.5, 0.0)
 
 
 def test_embedded_stationary_matches_linear_solve():
@@ -921,7 +894,7 @@ def test_embedded_stationary_matches_linear_solve():
     b[-1] = 1.0
     phi, *_ = np.linalg.lstsq(A, b, rcond=None)
     tr = simulate_trace(cfg, ExhaustivePolicy(), T=40000.0, seed=13, x0=(0, 0, 0))
-    freq, _, _ = embedded_stationary(tr)
+    _, freq = occupancy(tr, cfg, set())
     checked = 0
     for (n1, n2, l1), f in freq.items():
         if f > 1e-3 and n1 <= 12 and n2 <= 12:
@@ -933,22 +906,67 @@ def test_embedded_stationary_matches_linear_solve():
 def test_action_time_fractions_sum_to_one():
     cfg = slow_mode_config(X1=8, X2=8)
     tr = simulate_trace(cfg, ExhaustivePolicy(), T=2000.0, seed=3, x0=(0, 0, 0))
-    phi, total, T1, T2 = action_time_fractions(tr)
-    assert sum(phi.values()) == pytest.approx(1.0, abs=1e-12)
-    assert total == pytest.approx(sum(T1.values()) + sum(T2.values()))
-    assert phi[SERVE] > 0.2  # the server works a material share of time
+    shares, _ = occupancy(tr, cfg, set())
+    phi = [shares[f"phi_{name}"] for name in ACTION_NAMES.values()]
+    assert sum(phi) == pytest.approx(1.0, abs=1e-12)
+    assert shares["phi_serve"] > 0.2  # the server works a material share of time
+
+
+@pytest.mark.parametrize("rule", ["exhaustive", "smdp"])
+@pytest.mark.parametrize("scenario", ["slow_mode", "asym_var"])
+def test_occupancy_equals_per_entry_oracle(scenario, rule):
+    """`occupancy` against one pass over the trace's entries after the
+    first tenth: the visit shares bit for bit, in key order, and the time
+    shares, the work fraction and ``phi_star`` to 1e-12."""
+    if (scenario, rule) == ("slow_mode", "smdp"):
+        # up to X=16 this table abandons queue 2 at the cap (ROADMAP item
+        # 3) and the trace overflows the simulator's 10 X box
+        cfg = slow_mode_config(X1=24, X2=24, N1=20, N2=20)
+    else:
+        cfg = {"slow_mode": slow_mode_config, "asym_var": asym_var_config}[scenario](
+            X1=8, X2=8, N1=8, N2=8)
+    policy = (ExhaustivePolicy() if rule == "exhaustive"
+              else TabularPolicy(_smdp_table(cfg), cfg.X1, cfg.X2))
+    tr = simulate_trace(cfg, policy, 2000.0, seed=11)
+    cells = limit_cycle_cells(analyze_limit_cycle(cfg))
+    shares, freq = occupancy(tr, cfg, cells)
+
+    entries = list(zip(tr.n1.tolist(), tr.n2.tolist(), tr.l1.tolist(),
+                       tr.action.tolist(), tr.dt.tolist()))[len(tr) // 10:]
+    visits = Counter((n1, n2, l1) for n1, n2, l1, _, _ in entries)
+    assert list(freq) == sorted(visits)
+    assert freq == {key: count / len(entries) for key, count in visits.items()}
+    spent, at, serves = Counter(), Counter(), Counter()
+    for _, _, l1, a, dt in entries:
+        spent[a] += dt
+        at[l1] += 1
+        serves[l1] += a == SERVE
+    means = (cfg.serve1.mean(), cfg.serve2.mean())
+    want = {f"phi_{name}": spent[a] / sum(spent.values()) for a, name in ACTION_NAMES.items()}
+    want["work_fraction"] = sum(serves[l1] / at[l1] * means[l1] for l1 in at)
+    want["phi_star"] = sum(count for (n1, n2, _), count in visits.items()
+                           if (n1, n2) in cells) / len(entries)
+    assert want["phi_star"] > 0
+    assert shares == pytest.approx(want, rel=0, abs=1e-12)
 
 
 def test_limit_cycle_occupancy_cases():
+    """A cycle that is one point covers the (0, 0) cell: the visits there
+    count at both server locations, the visits elsewhere not at all."""
     cycle = LimitCycle(
         c1=(0.0, 0.0), c2=(0.0, 0.0), c3=(0.0, 0.0), c4=(0.0, 0.0),
         c5=(0.0, 0.0), alpha1=0.0, kind=CycleKind.PURE_BOW_TIE,
         slow_mode_value=0.0, priority_queue=1,
     )
-    freq = {(0, 0, 0): 0.7, (0, 0, 1): 0.1, (5, 5, 0): 0.2}
-    assert limit_cycle_occupancy(freq, cycle) == pytest.approx(0.8)
-    far = {(9, 9, 0): 1.0}
-    assert limit_cycle_occupancy(far, cycle) == 0.0
+    cells = limit_cycle_cells(cycle)
+    assert cells == {(0, 0)}
+    # after the burn-in, the first of 11 entries: 7 visits at (0, 0, 0),
+    # 1 at (0, 0, 1) and 2 at (5, 5, 0)
+    near = _hand_trace([0] * 9 + [5] * 2, [0] * 9 + [5] * 2, [0] * 8 + [1] + [0] * 2,
+                       [IDLE] * 11)
+    assert occupancy(near, exp_config(), cells)[0]["phi_star"] == pytest.approx(0.8)
+    far = _hand_trace([9] * 5, [9] * 5, [0] * 5, [IDLE] * 5)
+    assert occupancy(far, exp_config(), cells)[0]["phi_star"] == 0.0
 
 
 def test_overall_stationary_helper():
@@ -965,22 +983,15 @@ def test_work_fraction_hand_value():
         switch12=Exponential(1.0), switch21=Exponential(1.0),
         c1=1.0, c2=1.0, beta=0.05, X1=4, X2=4, N1=4, N2=4,
     )
-    # half the queue-1 epochs serve, three quarters of the queue-2 epochs
-    tr = RolloutTrace(
-        n1=np.ones(8, dtype=np.int32), n2=np.ones(8, dtype=np.int32),
-        l1=np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=np.int32),
-        action=np.array([SERVE, IDLE, SERVE, IDLE, SERVE, SERVE, SERVE, IDLE],
-                        dtype=np.int32),
-        cost=np.zeros(8), dt=np.ones(8), t=np.arange(8, dtype=float),
-        horizon=8.0,
-    )
-    from pollsys.simulate import work_fraction as wf
-    assert wf(tr, cfg, burn_in=0) == pytest.approx(0.5 * 2.0 + 0.75 * 4.0)
+    # half the queue-1 epochs serve, three quarters of the queue-2 epochs;
+    # a trace under 10 entries has no burn-in
+    tr = _hand_trace([1] * 8, [1] * 8, [0, 0, 0, 0, 1, 1, 1, 1],
+                     [SERVE, IDLE, SERVE, IDLE, SERVE, SERVE, SERVE, IDLE])
+    shares, _ = occupancy(tr, cfg, set())
+    assert shares["work_fraction"] == pytest.approx(0.5 * 2.0 + 0.75 * 4.0)
 
 
 def test_pure_cycle_hull_skips_switch_corner():
-    from pollsys.simulate import limit_cycle_cells
-
     pure = LimitCycle(
         c1=(0.0, 2.0), c2=(0.0, 2.0), c3=(50.0, 50.0), c4=(2.0, 0.0),
         c5=(1.0, 1.0), alpha1=0.0, kind=CycleKind.PURE_BOW_TIE,
